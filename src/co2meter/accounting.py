@@ -183,16 +183,12 @@ def app_energy(
         raise ConfigurationError("pipeline needs an LLM energy source")
 
     if isinstance(pipeline.input, MicInput):
-        input_j = dm.mic_energy(
-            _require_model(models, "mic"),
-            pipeline.input.duration_s,
-            pipeline.input.samples,
+        input_j = _require_model(models, "mic").energy(
+            pipeline.input.duration_s, pipeline.input.samples
         )
     else:
-        input_j = dm.camera_energy(
-            _require_model(models, "camera"),
-            pipeline.input.duration_s,
-            pipeline.input.frames,
+        input_j = _require_model(models, "camera").energy(
+            pipeline.input.duration_s, pipeline.input.frames
         )
 
     con_j = pipeline.conversion.energy_j
@@ -202,18 +198,12 @@ def app_energy(
         raise ValueError("LLM stage energy must be positive")
 
     if isinstance(pipeline.output, DisplayOutput):
-        panel_w = dm.display_power(
-            _require_model(models, "display"), pipeline.output.grey
-        )
-        video_w = dm.video_power(
-            _require_model(models, "video"), pipeline.output.pixels
-        )
+        panel_w = _require_model(models, "display").power(pipeline.output.grey)
+        video_w = _require_model(models, "video").power(pipeline.output.pixels)
         output_j = (panel_w + video_w) * pipeline.output.duration_s
     else:
-        output_j = (
-            dm.speaker_power(_require_model(models, "speaker"), pipeline.output.volume)
-            * pipeline.output.duration_s
-        )
+        speaker_w = _require_model(models, "speaker").power(pipeline.output.volume)
+        output_j = speaker_w * pipeline.output.duration_s
 
     sys_j = dm.background_energy(
         pipeline.llm.device.idle_power, pipeline.total_duration_s

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -48,14 +49,15 @@ from .predictor import (
     TrainConfig,
     evaluate_baseline_total,
     evaluate_params,
+    featurize,
     fit_ridge_globals,
     gen_oracle_dataset,
+    llm_request_energy,
     load_params_json,
-    predict_prefill,
+    phase_costs,
+    predict_sample,
     predict_single_phase,
-    predict_total,
     read_dataset_jsonl,
-    request_energy,
     sample_regime_mixed_request,
     sample_trace_request,
     save_params_json,
@@ -69,14 +71,11 @@ from .workload import (
     build_layer_graph,
     classify,
     classify_node,
-    global_features,
-    graph_time,
     load_config_json,
     load_device_json,
     phase_intensity,
     scaled_device,
     whatif_speedup,
-    with_prefill_energy,
 )
 
 _SPLIT_ORDER = ("train", "val", "test")
@@ -119,7 +118,7 @@ def _emit(args: argparse.Namespace, doc: dict, header, rows) -> None:
     if args.format == "csv":
         text = _render_csv(header, rows)
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -210,15 +209,9 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args.config)
     dev = _resolve_device(args.device)
     req = Request(args.prompt_len, args.output_len)
-
+    (prefill_s, prefill_j), (decode_s, decode_j) = phase_costs(cfg, req, dev)
     prefill_graph = build_layer_graph(cfg, req, "prefill")
-    prefill_time = graph_time(prefill_graph, dev) * cfg.num_layers
-    decode_time = 0.0
-    for step in range(req.output_len):
-        g = build_layer_graph(cfg, req, "decode", position=req.prompt_len + step)
-        decode_time += graph_time(g, dev) * cfg.num_layers
     mid_graph = build_layer_graph(cfg, req, "decode")
-    prefill_j, decode_j = request_energy(cfg, req, dev)
 
     doc = {
         "config": cfg.name,
@@ -227,13 +220,13 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         "output_len": req.output_len,
         "prefill": {
             "energy_j": prefill_j,
-            "time_s": prefill_time,
+            "time_s": prefill_s,
             "intensity": phase_intensity(prefill_graph),
             "boundedness": classify(prefill_graph, dev),
         },
         "decode": {
             "energy_j": decode_j,
-            "time_s": decode_time,
+            "time_s": decode_s,
             "intensity_mid": phase_intensity(mid_graph),
             "boundedness_mid": classify(mid_graph, dev),
         },
@@ -325,6 +318,9 @@ def _cmd_eval(args: argparse.Namespace) -> None:
 
     if args.compare_baselines:
         train_idx, _, test_idx = split_indices(len(dataset), train_frac, val_frac, seed)
+        for name, idx in (("train", train_idx), ("test", test_idx)):
+            if len(idx) == 0:
+                raise UserInputError(f"--compare-baselines needs a non-empty {name} split")
         train_samples = [dataset[i] for i in train_idx]
         test_samples = [dataset[i] for i in test_idx]
         bcfg = TrainConfig(
@@ -493,27 +489,6 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
     _emit(args, doc, ("series", "intensity", "perf"), rows)
 
 
-def _oracle_llm_energy(stage: LlmStage) -> float:
-    prefill_j, decode_j = request_energy(stage.config, stage.request, stage.device)
-    return prefill_j + decode_j
-
-
-def _predictor_llm_energy(params) -> Callable[[LlmStage], float]:
-    from .workload import apply_roofline
-
-    def llm_energy(stage: LlmStage) -> float:
-        cfg, req, dev = stage.config, stage.request, stage.device
-        prefill_graph = apply_roofline(build_layer_graph(cfg, req, "prefill"), dev)
-        decode_graph = apply_roofline(build_layer_graph(cfg, req, "decode"), dev)
-        prefill_j = predict_prefill(
-            prefill_graph, global_features(cfg, req, "prefill"), params
-        )
-        gf = with_prefill_energy(global_features(cfg, req, "total"), prefill_j)
-        return predict_total(decode_graph, gf, params)
-
-    return llm_energy
-
-
 def _cmd_pipeline(args: argparse.Namespace) -> None:
     pipeline = _resolve_pipeline(args.pipeline)
     if args.input == "camera":
@@ -529,18 +504,18 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
             ),
         )
     models = assets.demo_peripheral_models()
-    if args.params:
-        params, _ = load_params_json(args.params)
-        llm_energy = _predictor_llm_energy(params)
-        llm_source = "predictor"
-    else:
-        llm_energy = _oracle_llm_energy
-        llm_source = "oracle"
+    params = load_params_json(args.params)[0] if args.params else None
+
+    def llm_energy(stage: LlmStage) -> float:
+        cfg, req, dev = stage.config, stage.request, stage.device
+        if params is None:
+            return llm_request_energy(cfg, req, dev)
+        return predict_sample(params, featurize(cfg, req, dev))[1]
 
     breakdown = app_energy(pipeline, models, llm_energy)
     doc = {
         "pipeline": pipeline.name,
-        "llm_source": llm_source,
+        "llm_source": "oracle" if params is None else "predictor",
         "breakdown": breakdown_to_json(breakdown),
     }
     if args.requests_per_day is not None:
@@ -560,6 +535,17 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", default="qwen15-05b")
     p.add_argument("--devices", default="rk3588")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=0.05)
+    p.add_argument("--sigma", type=_finite_float, default=0.05)
     p.add_argument("--regime", choices=("trace", "mixed"), default="trace")
     p.add_argument("--dataset-out", required=True, help="JSONL output path")
     p.set_defaults(func=_cmd_dataset)
@@ -603,10 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--params-out", required=True)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--lr", type=_finite_float, default=0.001)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--val-frac", type=float, default=0.1)
+    p.add_argument("--train-frac", type=_finite_float, default=0.8)
+    p.add_argument("--val-frac", type=_finite_float, default=0.1)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate trained parameters")
@@ -634,11 +620,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "breakeven", parents=[common], help="requests/day to offset embodied carbon"
     )
-    p.add_argument("--delta-embodied", type=float, required=True, help="kg CO2e")
-    p.add_argument("--delta-energy", type=float, required=True, help="J per request")
+    p.add_argument("--delta-embodied", type=_finite_float, required=True, help="kg CO2e")
+    p.add_argument("--delta-energy", type=_finite_float, required=True, help="J per request")
     p.add_argument("--region", default="all")
     p.add_argument("--ci-table", default=None)
-    p.add_argument("--lifespan", type=float, default=5.0)
+    p.add_argument("--lifespan", type=_finite_float, default=5.0)
     p.set_defaults(func=_cmd_breakeven)
 
     p = sub.add_parser(
@@ -657,11 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", choices=("mic", "camera"), default=None)
     p.add_argument("--output", choices=("display", "speaker"), default=None)
     p.add_argument("--params", default=None, help="predictor params (default: oracle)")
-    p.add_argument("--requests-per-day", type=float, default=None)
+    p.add_argument("--requests-per-day", type=_finite_float, default=None)
     p.add_argument("--bom", default="rk3588")
     p.add_argument("--region", default="global")
     p.add_argument("--ci-table", default=None)
-    p.add_argument("--lifespan", type=float, default=5.0)
+    p.add_argument("--lifespan", type=_finite_float, default=5.0)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -155,33 +155,6 @@ class FitReport:
     n_samples: int
 
 
-def net_energy(model: LinearRateModel, duration_s: float, bits: float) -> float:
-    """Transmission energy for `bits` sent over `duration_s` seconds."""
-    return model.energy(duration_s, bits)
-
-
-def camera_energy(model: LinearRateModel, duration_s: float, frames: float) -> float:
-    """Capture energy for `frames` frames over `duration_s` seconds."""
-    return model.energy(duration_s, frames)
-
-
-def mic_energy(model: LinearRateModel, duration_s: float, samples: float) -> float:
-    """Recording energy for `samples` audio samples over `duration_s` seconds."""
-    return model.energy(duration_s, samples)
-
-
-def video_power(model: VideoPowerModel, pixels: float) -> float:
-    return model.power(pixels)
-
-
-def speaker_power(model: SpeakerPowerModel, volume: float) -> float:
-    return model.power(volume)
-
-
-def display_power(model: DisplayPowerModel, grey: float) -> float:
-    return model.power(grey)
-
-
 def background_energy(idle_power_w: float, duration_s: float) -> float:
     """Idle platform energy over the whole observation window."""
     if idle_power_w < 0 or duration_s < 0:

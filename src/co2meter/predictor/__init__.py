@@ -6,6 +6,7 @@ from .data import (
     NODE_FEATURE_DIM,
     NUMERIC_NODE_FEATURES,
     GraphSample,
+    PredictorInputs,
     globals_vector,
     node_feature_matrix,
     read_dataset_jsonl,
@@ -45,11 +46,11 @@ from .training import (
     train,
 )
 from .oracle import (
+    featurize,
     gen_oracle_dataset,
-    graph_energy,
-    kernel_power,
     llm_request_energy,
     make_sample,
+    phase_costs,
     request_energy,
     sample_regime_mixed_request,
     sample_trace_request,

@@ -53,16 +53,13 @@ _KIND_INDEX = {kind: i for i, kind in enumerate(KERNEL_KINDS)}
 
 
 @dataclass(frozen=True)
-class GraphSample:
-    """One request on one device, with phase-specific predictor inputs."""
+class PredictorInputs:
+    """One request on one device as the predictor sees it: phase graphs and globals."""
 
-    device_id: str
     prefill_graph: LayerGraph
     prefill_globals: GlobalFeatures
     decode_graph: LayerGraph
     total_globals: GlobalFeatures
-    label_prefill_j: float
-    label_total_j: float
 
     def __post_init__(self) -> None:
         if self.prefill_graph.phase != "prefill":
@@ -73,6 +70,18 @@ class GraphSample:
             raise ValueError("prefill_globals must be prefill-phase features")
         if self.total_globals.phase != "total":
             raise ValueError("total_globals must be total-phase features")
+
+
+@dataclass(frozen=True, kw_only=True)
+class GraphSample(PredictorInputs):
+    """Predictor inputs with the device and the measured phase energies."""
+
+    device_id: str
+    label_prefill_j: float
+    label_total_j: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0 < self.label_prefill_j <= self.label_total_j:
             raise ValueError("labels must satisfy 0 < prefill <= total")
 

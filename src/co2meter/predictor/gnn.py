@@ -15,6 +15,7 @@ finite differences.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -186,11 +187,13 @@ def _neighbor_mean(h: np.ndarray, preds: Sequence[Sequence[int]]) -> np.ndarray:
     return out
 
 
-def _aggregation_matrix(n: int, preds: Sequence[Sequence[int]]) -> np.ndarray:
+@functools.lru_cache(maxsize=8)  # every sample shares one layer topology
+def _aggregation_matrix(n: int, preds: tuple[tuple[int, ...], ...]) -> np.ndarray:
     a = np.zeros((n, n))
     for v, ps in enumerate(preds):
         for p in ps:
             a[v, p] = 1.0 / len(ps)
+    a.setflags(write=False)
     return a
 
 
@@ -218,7 +221,7 @@ def forward_tower(
     cache = {
         "c0": c0, "z1": z1, "h1": h1, "c1": c1, "z2": z2, "h2": h2,
         "zh": zh, "u_pre": u_pre, "u": u,
-        "agg": _aggregation_matrix(len(h0), preds),
+        "agg": _aggregation_matrix(len(h0), tuple(map(tuple, preds))),
     }
     return y, cache
 

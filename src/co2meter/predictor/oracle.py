@@ -3,7 +3,9 @@
 Energy for a kernel is its roofline time multiplied by a boundedness-dependent
 power draw: memory-bound kernels run at idle + 0.6 * (active - idle), compute
 bound kernels at full active power.  Prefill energy sums the prefill graph's
-kernels once; decode energy sums a fresh graph at every generated position.
+kernels once.  Decode is a closed-form table: every kernel's FLOPs and bytes
+are affine in the KV position, so its counts at positions 1 and 2 price all
+generated positions at once, one kernel column at a time.
 Labels receive one multiplicative log-normal noise factor per phase component,
 so the total label (noisy prefill + noisy decode) always exceeds the prefill
 label.
@@ -15,65 +17,91 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..errors import UserInputError
 from ..workload import (
-    COMPUTE_BOUND,
     DeviceSpec,
-    LayerGraph,
     LlmConfig,
     Request,
     apply_roofline,
     build_layer_graph,
-    classify_node,
     global_features,
-    roofline_time,
+    kv_cache_bytes,
+    weight_memory_bytes,
 )
-from .data import GraphSample
+from .data import GraphSample, PredictorInputs
 
 MEMORY_BOUND_POWER_BLEND = 0.6
 
 RequestSampler = Callable[[np.random.Generator], Request]
 
 
-def kernel_power(node, dev: DeviceSpec) -> float:
-    """Power draw while a kernel runs, from its roofline boundedness."""
-    if classify_node(node, dev) == COMPUTE_BOUND:
-        return dev.active_power
-    return dev.idle_power + MEMORY_BOUND_POWER_BLEND * (
-        dev.active_power - dev.idle_power
-    )
+def _check_fits_dram(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> None:
+    seq_len = req.prompt_len + req.output_len
+    need = weight_memory_bytes(cfg) + kv_cache_bytes(cfg, seq_len)
+    if need > dev.dram_capacity:
+        raise UserInputError(
+            f"{cfg.name} at {seq_len} tokens needs {need} bytes of weights and K/V "
+            f"cache, more than the {dev.dram_capacity:.0f} bytes of DRAM on {dev.name}"
+        )
 
 
-def graph_energy(graph: LayerGraph, dev: DeviceSpec, num_layers: int) -> float:
-    """Joules for `num_layers` executions of the layer graph on a device."""
-    per_layer = sum(roofline_time(n, dev) * kernel_power(n, dev) for n in graph.nodes)
-    return per_layer * num_layers
+def phase_costs(
+    cfg: LlmConfig, req: Request, dev: DeviceSpec
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((prefill_s, prefill_j), (decode_s, decode_j)) of one request, noise-free.
 
+    Decode covers KV positions prompt_len .. prompt_len + output_len - 1.
+    Raises UserInputError when weights plus the final K/V cache overflow DRAM.
+    """
+    _check_fits_dram(cfg, req, dev)
+    blend = dev.idle_power + MEMORY_BOUND_POWER_BLEND * (dev.active_power - dev.idle_power)
 
-def prefill_energy(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> float:
-    graph = build_layer_graph(cfg, req, "prefill")
-    return graph_energy(graph, dev, cfg.num_layers)
+    def counts(phase: str, position: int | None = None) -> np.ndarray:
+        graph = build_layer_graph(cfg, req, phase, position=position)
+        return np.array([(n.flops, n.total_bytes) for n in graph.nodes], dtype=float)
 
+    def cost(base, slope, offsets) -> tuple[float, float]:
+        """Summed over offsets; each kernel's (flops, bytes) is base + offset * slope."""
+        step_time, step_energy = np.zeros(len(offsets)), np.zeros(len(offsets))
+        for (flops, moved), (dflops, dmoved) in zip(base, slope):
+            flops, moved = flops + offsets * dflops, moved + offsets * dmoved
+            time_s = np.maximum(flops / dev.peak_ops, moved / dev.mem_bandwidth)
+            step_time += time_s
+            step_energy += time_s * np.where(flops / moved <= dev.ridge_point, blend,
+                                             dev.active_power)
+        # cumsum adds the steps in order, as a per-position loop does, so no
+        # digit moves; np.sum's pairwise order would move the last few.
+        return (float(np.cumsum(step_time * cfg.num_layers)[-1]),
+                float(np.cumsum(step_energy * cfg.num_layers)[-1]))
 
-def decode_energy(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> float:
-    """Sum of per-step decode energies over every generated position."""
-    total = 0.0
-    for step in range(req.output_len):
-        graph = build_layer_graph(cfg, req, "decode", position=req.prompt_len + step)
-        total += graph_energy(graph, dev, cfg.num_layers)
-    return total
+    prefill, first, second = counts("prefill"), counts("decode", 1), counts("decode", 2)
+    offsets = np.arange(req.prompt_len, req.prompt_len + req.output_len) - 1.0
+    return cost(prefill, 0.0 * prefill, np.zeros(1)), cost(first, second - first, offsets)
 
 
 def request_energy(
     cfg: LlmConfig, req: Request, dev: DeviceSpec
 ) -> tuple[float, float]:
     """(prefill joules, decode joules) for one request, noise-free."""
-    return prefill_energy(cfg, req, dev), decode_energy(cfg, req, dev)
+    (_, prefill_j), (_, decode_j) = phase_costs(cfg, req, dev)
+    return prefill_j, decode_j
 
 
 def llm_request_energy(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> float:
     """Whole-request inference energy in joules (oracle ground truth)."""
-    p, d = request_energy(cfg, req, dev)
-    return p + d
+    return sum(request_energy(cfg, req, dev))
+
+
+def featurize(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> PredictorInputs:
+    """Roofline-timed prefill and mid-decode graphs with their globals;
+    raises UserInputError like `phase_costs` when the request overflows DRAM."""
+    _check_fits_dram(cfg, req, dev)
+    return PredictorInputs(
+        apply_roofline(build_layer_graph(cfg, req, "prefill"), dev),
+        global_features(cfg, req, "prefill"),
+        apply_roofline(build_layer_graph(cfg, req, "decode"), dev),
+        global_features(cfg, req, "total"),
+    )
 
 
 def sample_trace_request(rng: np.random.Generator) -> Request:
@@ -102,8 +130,7 @@ def make_sample(
     noise_sigma: float,
 ) -> GraphSample:
     """One labeled sample; graphs carry device roofline times as features."""
-    prefill_graph = apply_roofline(build_layer_graph(cfg, req, "prefill"), dev)
-    decode_graph = apply_roofline(build_layer_graph(cfg, req, "decode"), dev)
+    inputs = featurize(cfg, req, dev)
     clean_prefill, clean_decode = request_energy(cfg, req, dev)
     noise = (
         np.exp(rng.normal(0.0, noise_sigma, size=2))
@@ -113,11 +140,8 @@ def make_sample(
     label_prefill = clean_prefill * noise[0]
     label_total = label_prefill + clean_decode * noise[1]
     return GraphSample(
+        **vars(inputs),
         device_id=dev.name,
-        prefill_graph=prefill_graph,
-        prefill_globals=global_features(cfg, req, "prefill"),
-        decode_graph=decode_graph,
-        total_globals=global_features(cfg, req, "total"),
         label_prefill_j=float(label_prefill),
         label_total_j=float(label_total),
     )

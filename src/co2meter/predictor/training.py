@@ -18,7 +18,13 @@ import numpy as np
 
 from ..errors import TrainingDivergedError
 from ..workload import in_neighbor_lists, with_prefill_energy
-from .data import GraphSample, globals_vector, node_feature_matrix, split_indices
+from .data import (
+    GraphSample,
+    PredictorInputs,
+    globals_vector,
+    node_feature_matrix,
+    split_indices,
+)
 from .gnn import (
     GnnParams,
     TowerParams,
@@ -282,7 +288,7 @@ def train(
     return params, history
 
 
-def predict_sample(params: GnnParams, sample: GraphSample) -> tuple[float, float]:
+def predict_sample(params: GnnParams, sample: PredictorInputs) -> tuple[float, float]:
     """Chained inference: predicted prefill energy feeds the total tower."""
     prefill_j = predict_prefill(sample.prefill_graph, sample.prefill_globals, params)
     gf = with_prefill_energy(sample.total_globals, prefill_j)

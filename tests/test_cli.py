@@ -8,7 +8,14 @@ import pytest
 from co2meter import assets, cli
 from co2meter import device_models as dm
 from co2meter.accounting import breakeven_requests
-from co2meter.predictor import load_params_json, read_dataset_jsonl
+from co2meter.predictor import (
+    featurize,
+    load_params_json,
+    predict_sample,
+    read_dataset_jsonl,
+)
+from co2meter.workload import Request
+from oracle_reference import reference_costs
 
 TRUTH = json.loads(
     (assets.asset_root() / "measurements" / "truth.json").read_text()
@@ -123,6 +130,14 @@ def test_estimate_reports_consistent_phases(capsys):
     assert doc["total_energy_j"] == pytest.approx(total, rel=1e-12)
     assert doc["decode"]["boundedness_mid"] == "memory_bound"
     assert doc["prefill"]["intensity"] > doc["decode"]["intensity_mid"]
+    (prefill_s, prefill_j), (decode_s, decode_j) = reference_costs(
+        assets.load_llm_config("qwen15-05b"), Request(100, 16),
+        assets.load_device("rk3588"),
+    )
+    assert doc["prefill"]["time_s"] == pytest.approx(prefill_s, rel=1e-12)
+    assert doc["decode"]["time_s"] == pytest.approx(decode_s, rel=1e-12)
+    assert doc["prefill"]["energy_j"] == pytest.approx(prefill_j, rel=1e-12)
+    assert doc["decode"]["energy_j"] == pytest.approx(decode_j, rel=1e-12)
 
 
 def test_estimate_csv_flattens_nested_keys(capsys):
@@ -331,6 +346,10 @@ def test_pipeline_with_predictor_params(capsys, workdir):
     doc = run_json(capsys, "pipeline", "--params", str(workdir / "params.json"))
     assert doc["llm_source"] == "predictor"
     assert doc["breakdown"]["llm"] > 0
+    llm = assets.load_demo_pipeline("voice_assistant").llm
+    params, _ = load_params_json(workdir / "params.json")
+    inputs = featurize(llm.config, llm.request, llm.device)
+    assert doc["breakdown"]["llm"] == predict_sample(params, inputs)[1]
     oracle = run_json(capsys, "pipeline")["breakdown"]
     # everything but the llm stage is shared with the oracle run
     assert doc["breakdown"]["input"] == oracle["input"]
@@ -389,3 +408,46 @@ def test_exit_codes_on_bad_inputs(capsys, tmp_path):
                        "--delta-energy", "100", "--region", "mars")
     assert code == 2
     assert "mars" in err
+
+
+def test_requests_beyond_dram_exit_2(capsys, tmp_path, workdir):
+    code, out, err = run(capsys, "estimate", "--prompt-len", "100", "--output-len",
+                         "40000", "--device", "rk3568", "--config", "internlm2-18b")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "DRAM" in err
+
+    doc = json.loads((assets.asset_root() / "pipelines" / "voice_assistant.json").read_text())
+    doc["llm"].update(config="internlm2-18b", device="rk3568", output_len=40000)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--params", str(workdir / "params.json"))):
+        code, out, err = run(capsys, "pipeline", "--pipeline", str(path), *extra)
+        assert (code, out) == (2, "")
+        assert "DRAM" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_float_arguments_exit_2(capsys, value):
+    for argv in (
+        ("breakeven", f"--delta-embodied={value}", "--delta-energy", "120"),
+        ("breakeven", "--delta-embodied", "1.0", f"--delta-energy={value}"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "finite" in captured.err
+
+
+def test_compare_baselines_with_empty_test_split_exits_2(capsys, tmp_path, workdir):
+    params = tmp_path / "params.json"
+    assert cli.main([
+        "train", "--dataset", str(workdir / "tiny.jsonl"), "--params-out", str(params),
+        "--epochs", "1", "--train-frac", "0.9", "--val-frac", "0.1",
+        "--out", str(tmp_path / "metrics.json"),
+    ]) == 0
+    code, out, err = run(capsys, "eval", "--dataset", str(workdir / "tiny.jsonl"),
+                         "--params", str(params), "--compare-baselines")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "test split" in err

@@ -44,9 +44,9 @@ from co2meter.predictor import (
     train_single_phase,
     write_dataset_jsonl,
 )
-from co2meter.predictor.gnn import fit_feature_norms
+from co2meter.predictor.gnn import _aggregation_matrix, fit_feature_norms
 from co2meter.predictor.training import _prepare, fit_norms, train_tower
-from co2meter.workload import LayerGraph, Request, with_prefill_energy
+from co2meter.workload import LayerGraph, Request, in_neighbor_lists, with_prefill_energy
 
 QWEN = assets.load_llm_config("qwen15-05b")
 RK3588 = assets.load_device("rk3588")
@@ -155,6 +155,14 @@ def test_predictions_positive_and_finite_at_init(dataset20):
         prefill_j, total_j = predict_sample(params, sample)
         assert prefill_j > 0 and np.isfinite(prefill_j)
         assert total_j > 0 and np.isfinite(total_j)
+
+
+def test_aggregation_matrix_is_shared_and_read_only(dataset20):
+    preds = in_neighbor_lists(dataset20[0].prefill_graph)
+    matrix = _aggregation_matrix(len(preds), preds)
+    assert _aggregation_matrix(len(preds), preds) is matrix
+    assert not matrix.flags.writeable
+    assert np.allclose(matrix[[len(p) > 0 for p in preds]].sum(axis=1), 1.0)
 
 
 def test_predict_sample_equals_manual_chaining(dataset20):
