@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -291,7 +292,11 @@ def _cmd_train(args: argparse.Namespace) -> None:
         train_frac=args.train_frac,
         val_frac=args.val_frac,
     )
-    params, _ = train(dataset, cfg)
+    params, history = train(dataset, cfg)
+    if args.history_out:
+        with open(args.history_out, "w") as fh:
+            for entry in history:
+                fh.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
     meta = {
         "epochs": cfg.epochs,
         "learning_rate": cfg.learning_rate,
@@ -593,6 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--train-frac", type=_finite_float, default=0.8)
     p.add_argument("--val-frac", type=_finite_float, default=0.1)
+    p.add_argument(
+        "--history-out", default=None,
+        help="JSONL path for one line per tower and epoch (loss, val metrics)",
+    )
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate trained parameters")
@@ -653,9 +662,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (UserInputError, NoBreakEvenError, ValueError) as exc:

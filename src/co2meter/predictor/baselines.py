@@ -19,16 +19,15 @@ from .gnn import (
     FeatureNorms,
     TowerParams,
     fit_feature_norms,
-    forward_tower,
     init_tower,
-    normalize_globals,
 )
 from .data import GLOBAL_DIM
 from .training import (
     Metrics,
-    PreparedSample,
     TrainConfig,
+    _Stacks,
     _prepare,
+    _tower_predictions,
     evaluate_predictions,
     split_indices,
     train_tower,
@@ -88,7 +87,7 @@ def _fit_norms_single(samples: Sequence[GraphSample]) -> FeatureNorms:
     # its statistics live in the norms' prefill slots.
     node_raws = [node_feature_matrix(s.prefill_graph) for s in samples]
     glob = np.array([globals_vector(s.total_globals) for s in samples])
-    return fit_feature_norms(node_raws, glob, np.column_stack([glob, np.ones(len(glob))]))
+    return fit_feature_norms(node_raws, glob)
 
 
 def train_single_phase(
@@ -118,13 +117,8 @@ def train_single_phase(
 def predict_single_phase(
     params: SinglePhaseParams, samples: Sequence[GraphSample]
 ) -> np.ndarray:
-    prepared: list[PreparedSample] = _prepare(samples, params.norms, "single")
-    return np.array(
-        [
-            np.exp(forward_tower(params.tower, p.h0, p.preds, p.g)[0])
-            for p in prepared
-        ]
-    )
+    prepared = _prepare(samples, params.norms, "single")
+    return _tower_predictions(params.tower, _Stacks(prepared))
 
 
 def evaluate_baseline_total(

@@ -9,6 +9,7 @@ whole-request globals — plus the measured prefill and total energies.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -82,8 +83,8 @@ class GraphSample(PredictorInputs):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 < self.label_prefill_j <= self.label_total_j:
-            raise ValueError("labels must satisfy 0 < prefill <= total")
+        if not 0 < self.label_prefill_j <= self.label_total_j < math.inf:
+            raise ValueError("labels must satisfy 0 < prefill <= total < inf")
 
 
 def node_feature_matrix(graph: LayerGraph) -> np.ndarray:
@@ -222,7 +223,7 @@ def sample_from_json(doc: Mapping) -> GraphSample:
 def write_dataset_jsonl(path: str | Path, samples: Iterable[GraphSample]) -> None:
     with open(path, "w") as fh:
         for sample in samples:
-            fh.write(json.dumps(sample_to_json(sample), sort_keys=True))
+            fh.write(json.dumps(sample_to_json(sample), sort_keys=True, allow_nan=False))
             fh.write("\n")
 
 

@@ -11,6 +11,14 @@ All set reductions (neighbor mean, node pooling) sort their addends by value
 before summing so predictions are bitwise invariant to node relabeling.
 Backpropagation is hand-derived; `grad_check` verifies it against central
 finite differences.
+
+Inference (`predict_prefill`, `predict_total`) runs one sample through
+`forward_tower`.  Training runs a whole mini-batch through `forward_batch` and
+`backward_batch`: samples that share one layer topology stack into
+(B, N, node_dim) tensors, so each layer is one matmul over all B * N node rows
+and the parameter gradients come out summed over the batch.  The batched pass
+keeps the same sorted reductions along the node axis; `forward_tower` and
+`backward_tower` stay as the per-sample reference it is tested against.
 """
 
 from __future__ import annotations
@@ -138,9 +146,13 @@ def _log1p_scale(raw: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
 def fit_feature_norms(
     node_raws: Sequence[np.ndarray],
     glob_raw_prefill: np.ndarray,
-    glob_raw_total: np.ndarray,
+    glob_raw_total: np.ndarray | None = None,
 ) -> FeatureNorms:
-    """Statistics of log1p-transformed features; zero-variance columns get sd=1."""
+    """Statistics of log1p-transformed features; zero-variance columns get sd=1.
+
+    Without total-phase globals (a tower that reads none) the total slots keep
+    the identity statistics.
+    """
     n_node = len(NUMERIC_NODE_FEATURES)
     stacked = np.log1p(np.vstack([m[:, :n_node] for m in node_raws]))
 
@@ -152,7 +164,11 @@ def fit_feature_norms(
 
     node_mu, node_sd = stats(stacked)
     gp_mu, gp_sd = stats(np.log1p(glob_raw_prefill))
-    gt_mu, gt_sd = stats(np.log1p(glob_raw_total))
+    if glob_raw_total is None:
+        ident = identity_norms()
+        gt_mu, gt_sd = ident.glob_mu_total, ident.glob_sd_total
+    else:
+        gt_mu, gt_sd = stats(np.log1p(glob_raw_total))
     return FeatureNorms(node_mu, node_sd, gp_mu, gp_sd, gt_mu, gt_sd)
 
 
@@ -254,6 +270,102 @@ def backward_tower(
     grads["w1"] = dz1.T @ cache["c0"]
     grads["b1"] = dz1.sum(axis=0)
     return grads
+
+
+def _neighbor_mean_batch(h: np.ndarray, preds: Sequence[Sequence[int]]) -> np.ndarray:
+    """`_neighbor_mean` for a (B, N, F) stack: the same sorted sums per sample."""
+    out = np.zeros_like(h)
+    for v, ps in enumerate(preds):
+        if ps:
+            addends = h[:, list(ps)]
+            if len(ps) > 2:  # one or two addends sum to the same bits in any order
+                addends = np.sort(addends, axis=1)
+            out[:, v] = addends.sum(axis=1) / len(ps)
+    return out
+
+
+def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ReLU(x @ w.T + b) over the last axis of a (B, N, K) stack, as one matmul.
+
+    Computed in place: each stack is a few hundred kilobytes, and fresh
+    buffers of that size cost page faults on every mini-batch.
+    """
+    out = x.reshape(-1, x.shape[-1]) @ w.T
+    out += b
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(*x.shape[:-1], w.shape[0])
+
+
+def forward_batch(
+    tower: TowerParams,
+    h0: np.ndarray,
+    preds: tuple[tuple[int, ...], ...],
+    g: np.ndarray,
+) -> tuple[np.ndarray, dict]:
+    """Log-energy predictions (B,) for a stack of samples sharing one topology.
+
+    h0 is (B, N, node_dim) and g is (B, glob_dim); the cache feeds
+    `backward_batch`.  Only post-ReLU activations are kept: h > 0 exactly
+    where the pre-activation is > 0.
+    """
+    c0 = np.concatenate([h0, _neighbor_mean_batch(h0, preds)], axis=2)
+    h1 = _dense_relu(c0, tower.w1, tower.b1)
+    c1 = np.concatenate([h1, _neighbor_mean_batch(h1, preds)], axis=2)
+    h2 = _dense_relu(c1, tower.w2, tower.b2)
+
+    pooled = np.sort(h2, axis=1).sum(axis=1) / h2.shape[1]
+    zh = np.concatenate([pooled, g], axis=1)
+    u = np.maximum(zh @ tower.wh1.T + tower.bh1, 0.0)
+    y = u @ tower.wh2 + tower.bh2[0]
+
+    cache = {
+        "c0": c0, "h1": h1, "c1": c1, "h2": h2, "zh": zh, "u": u,
+        "agg": _aggregation_matrix(h0.shape[1], preds),
+    }
+    return y, cache
+
+
+def backward_batch(
+    tower: TowerParams, cache: dict, dy: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Gradients of sum_b dy[b] * y[b] with respect to every tower array."""
+    h1, h2 = cache["h1"], cache["h2"]
+    n = h2.shape[1]
+
+    du_pre = np.outer(dy, tower.wh2) * (cache["u"] > 0)
+    grads = {
+        "wh2": dy @ cache["u"],
+        "bh2": np.array([dy.sum()]),
+        "wh1": du_pre.T @ cache["zh"],
+        "bh1": du_pre.sum(axis=0),
+    }
+    dpooled = (du_pre @ tower.wh1)[:, :HIDDEN_DIM]
+
+    dz2 = np.where(h2 > 0, (dpooled / n)[:, None, :], 0.0).reshape(-1, HIDDEN_DIM)
+    grads["w2"] = dz2.T @ cache["c1"].reshape(len(dz2), -1)
+    grads["b2"] = dz2.sum(axis=0)
+
+    dc1 = (dz2 @ tower.w2).reshape(*h2.shape[:2], -1)
+    dz1 = cache["agg"].T @ dc1[..., HIDDEN_DIM:]
+    dz1 += dc1[..., :HIDDEN_DIM]
+    dz1 *= h1 > 0
+    dz1 = dz1.reshape(-1, HIDDEN_DIM)
+    grads["w1"] = dz1.T @ cache["c0"].reshape(len(dz1), -1)
+    grads["b1"] = dz1.sum(axis=0)
+    return grads
+
+
+def batch_loss_and_grads(
+    tower: TowerParams,
+    h0: np.ndarray,
+    preds: tuple[tuple[int, ...], ...],
+    g: np.ndarray,
+    log_target: np.ndarray,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Summed squared log-space error of a stack plus its summed gradients."""
+    y, cache = forward_batch(tower, h0, preds, g)
+    err = y - log_target
+    return float(err @ err), backward_batch(tower, cache, 2.0 * err)
 
 
 def sample_loss_and_grads(

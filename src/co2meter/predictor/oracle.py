@@ -132,11 +132,12 @@ def make_sample(
     """One labeled sample; graphs carry device roofline times as features."""
     inputs = featurize(cfg, req, dev)
     clean_prefill, clean_decode = request_energy(cfg, req, dev)
-    noise = (
-        np.exp(rng.normal(0.0, noise_sigma, size=2))
-        if noise_sigma > 0
-        else np.ones(2)
-    )
+    with np.errstate(over="ignore"):  # GraphSample refuses the infinite label
+        noise = (
+            np.exp(rng.normal(0.0, noise_sigma, size=2))
+            if noise_sigma > 0
+            else np.ones(2)
+        )
     label_prefill = clean_prefill * noise[0]
     label_total = label_prefill + clean_decode * noise[1]
     return GraphSample(
@@ -168,5 +169,11 @@ def gen_oracle_dataset(
         cfg = configs[int(rng.integers(len(configs)))]
         dev = devices[int(rng.integers(len(devices)))]
         req = request_sampler(rng)
-        samples.append(make_sample(cfg, req, dev, rng, noise_sigma))
+        try:
+            samples.append(make_sample(cfg, req, dev, rng, noise_sigma))
+        except ValueError as exc:
+            raise UserInputError(
+                f"noise_sigma={noise_sigma} gives sample {len(samples)} an invalid "
+                f"label: {exc}"
+            ) from exc
     return samples

@@ -3,16 +3,18 @@
 Stage one fits the prefill tower on measured prefill energies.  Stage two
 fits the total tower with the measured prefill energy teacher-forced into its
 global features; at inference the predicted prefill energy is used instead.
-Both stages minimize squared error in log-energy space with Adam.  Training
-is bit-deterministic for a fixed seed: splits, shuffles, and init all come
-from one seeded generator, and gradient accumulation over a batch runs in
-sorted index order.
+Both stages minimize squared error in log-energy space with Adam.  Each
+mini-batch is one stacked forward and backward pass (`gnn.forward_batch`)
+per layer topology in the batch, usually exactly one; the per-epoch
+validation predictions use the same batched forward.  Training is
+bit-deterministic for a fixed seed: splits, shuffles, and init all come from
+one seeded generator, and a batch stacks its samples in sorted index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,15 +31,18 @@ from .gnn import (
     GnnParams,
     TowerParams,
     FeatureNorms,
+    batch_loss_and_grads,
     fit_feature_norms,
-    forward_tower,
+    forward_batch,
     init_params,
     normalize_globals,
     normalize_nodes,
     predict_prefill,
     predict_total,
-    sample_loss_and_grads,
 )
+
+# Rows per batched forward pass when predicting a whole sample set.
+_PREDICT_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -196,10 +201,48 @@ def fit_norms(samples: Sequence[GraphSample]) -> FeatureNorms:
     return fit_feature_norms(node_raws, np.array(glob_prefill), np.array(glob_total))
 
 
-def _tower_predictions(tower: TowerParams, prepared: Sequence[PreparedSample]) -> np.ndarray:
-    return np.array(
-        [np.exp(forward_tower(tower, p.h0, p.preds, p.g)[0]) for p in prepared]
-    )
+class _Stacks:
+    """Prepared samples stacked once per layer topology, for batched passes."""
+
+    def __init__(self, prepared: Sequence[PreparedSample]) -> None:
+        self.n = len(prepared)
+        members: dict[tuple, list[int]] = {}
+        for i, p in enumerate(prepared):
+            members.setdefault(p.preds, []).append(i)
+        self.group_of = np.empty(self.n, dtype=int)
+        self.row_of = np.empty(self.n, dtype=int)
+        self.groups = []
+        for gid, (preds, idx) in enumerate(members.items()):
+            self.group_of[idx] = gid
+            self.row_of[idx] = np.arange(len(idx))
+            self.groups.append((
+                preds,
+                np.stack([prepared[i].h0 for i in idx]),
+                np.stack([prepared[i].g for i in idx]),
+                np.array([prepared[i].log_target for i in idx]),
+            ))
+
+    def batches(
+        self, idx: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, tuple, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per topology among the samples at idx: (those indices, preds,
+        stacked h0, stacked g, log targets)."""
+        gids = self.group_of[idx]
+        for gid in np.unique(gids):
+            picked = idx[gids == gid]
+            rows = self.row_of[picked]
+            preds, h0, g, log_target = self.groups[gid]
+            yield picked, preds, h0[rows], g[rows], log_target[rows]
+
+
+def _tower_predictions(tower: TowerParams, stacks: _Stacks) -> np.ndarray:
+    """Predicted energies (joules) in prepared order, batched forward passes."""
+    out = np.empty(stacks.n)
+    for start in range(0, stacks.n, _PREDICT_BATCH):
+        idx = np.arange(start, min(start + _PREDICT_BATCH, stacks.n))
+        for picked, preds, h0, g, _ in stacks.batches(idx):
+            out[picked] = np.exp(forward_batch(tower, h0, preds, g)[0])
+    return out
 
 
 def train_tower(
@@ -216,28 +259,25 @@ def train_tower(
     tower.bh2[0] = float(np.mean([p.log_target for p in train_set]))
     arrays = tower.arrays()
     adam = Adam(arrays, cfg.learning_rate)
+    stacks, val_stacks = _Stacks(train_set), _Stacks(val_set)
+    truths = np.array([p.target_j for p in val_set])
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = np.sort(order[start:start + cfg.batch_size])
-            grad_sum = {k: np.zeros_like(v) for k, v in arrays.items()}
-            loss_sum = 0.0
-            for idx in batch:
-                p = train_set[int(idx)]
-                loss, grads = sample_loss_and_grads(
-                    tower, p.h0, p.preds, p.g, p.log_target
-                )
-                loss_sum += loss
-                for k in grad_sum:
-                    grad_sum[k] += grads[k]
-            scale = 1.0 / len(batch)
+            parts = [
+                batch_loss_and_grads(tower, h0, preds, g, log_target)
+                for _, preds, h0, g, log_target in stacks.batches(batch)
+            ]
+            loss_sum = sum(loss for loss, _ in parts)
             if not np.isfinite(loss_sum):
                 raise TrainingDivergedError(
                     f"{label} tower: non-finite loss at epoch {epoch}"
                 )
-            adam.step(arrays, {k: v * scale for k, v in grad_sum.items()})
+            scale = 1.0 / len(batch)
+            adam.step(arrays, {k: sum(g[k] for _, g in parts) * scale for k in arrays})
             epoch_loss += loss_sum
         entry = {
             "tower": label,
@@ -245,8 +285,7 @@ def train_tower(
             "train_loss": epoch_loss / len(train_set),
         }
         if val_set:
-            preds = _tower_predictions(tower, val_set)
-            truths = np.array([p.target_j for p in val_set])
+            preds = _tower_predictions(tower, val_stacks)
             entry["val_mape"] = mape(truths, preds)
             entry["val_eb10"] = error_bound_share(truths, preds)
         history.append(entry)

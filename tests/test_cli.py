@@ -201,6 +201,38 @@ def test_dataset_n_zero_writes_empty_file(capsys, tmp_path):
     assert path.read_bytes() == b""
 
 
+def test_dataset_with_overflowing_noise_exits_2_and_writes_nothing(capsys, tmp_path):
+    path = tmp_path / "big.jsonl"
+    code, out, err = run(capsys, "dataset", "--n", "3", "--sigma", "1e308",
+                         "--dataset-out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "label" in err and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_train_history_out_lines_and_unchanged_stdout(capsys, tmp_path, workdir):
+    argv = ["train", "--dataset", str(workdir / "tiny.jsonl"),
+            "--params-out", str(tmp_path / "p.json"), "--epochs", "3"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    history = tmp_path / "history.jsonl"
+    code, out, _ = run(capsys, *argv, "--history-out", str(history))
+    assert (code, out) == (0, plain)
+    entries = [json.loads(line) for line in history.read_text().splitlines()]
+    assert len(entries) == 2 * 3
+    assert [(e["tower"], e["epoch"]) for e in entries] == [
+        (tower, epoch) for tower in ("prefill", "total") for epoch in range(3)
+    ]
+    for entry in entries:
+        assert set(entry) == {"tower", "epoch", "train_loss", "val_mape", "val_eb10"}
+
+    # without a validation split the lines carry no validation metrics
+    code, _, _ = run(capsys, *argv, "--val-frac", "0", "--history-out", str(history))
+    assert code == 0
+    for line in history.read_text().splitlines():
+        assert set(json.loads(line)) == {"tower", "epoch", "train_loss"}
+
+
 def test_train_saves_params_with_meta(workdir):
     params, meta = load_params_json(workdir / "params.json")
     assert meta["epochs"] == 2
@@ -366,6 +398,15 @@ def test_pipeline_footprint_block(capsys):
         fp["embodied_kg"] + fp["operational_kg"], rel=1e-12
     )
     assert fp["embodied_kg"] == pytest.approx(4.5765, abs=5e-4)
+
+
+def test_successive_in_process_calls_do_not_share_values(capsys):
+    first = run_json(capsys, "estimate", "--config", "internlm2-18b", "--device",
+                     "agx_orin", "--prompt-len", "64", "--output-len", "8")
+    second = run_json(capsys, "estimate", "--prompt-len", "64", "--output-len", "8")
+    names = [(assets.load_llm_config(c).name, assets.load_device(d).name)
+             for c, d in (("internlm2-18b", "agx_orin"), ("qwen15-05b", "rk3588"))]
+    assert [(doc["config"], doc["device"]) for doc in (first, second)] == names
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,21 @@ from co2meter.predictor import (
     train_single_phase,
     write_dataset_jsonl,
 )
-from co2meter.predictor.gnn import _aggregation_matrix, fit_feature_norms
-from co2meter.predictor.training import _prepare, fit_norms, train_tower
+import gnn_reference
+from co2meter.predictor import baselines, training
+from co2meter.predictor.gnn import (
+    _aggregation_matrix,
+    batch_loss_and_grads,
+    fit_feature_norms,
+    identity_norms,
+)
+from co2meter.predictor.training import (
+    _prepare,
+    _Stacks,
+    _tower_predictions,
+    fit_norms,
+    train_tower,
+)
 from co2meter.workload import LayerGraph, Request, in_neighbor_lists, with_prefill_energy
 
 QWEN = assets.load_llm_config("qwen15-05b")
@@ -222,6 +235,74 @@ def test_gradients_match_after_ten_adam_steps(dataset20):
     assert grad_check(params.prefill, p.h0, p.preds, p.g, p.log_target, eps=1e-2) > 1e-4
 
 
+def _max_rel(got, want):
+    """Largest deviation relative to the reference array's largest entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _with_relabeled_prefill(dataset, i, seed=5):
+    sample = dataset[i]
+    order = np.random.default_rng(seed).permutation(len(sample.prefill_graph.nodes))
+    out = list(dataset)
+    out[i] = dataclasses.replace(
+        sample, prefill_graph=_relabeled(sample.prefill_graph, order)
+    )
+    return out
+
+
+@pytest.mark.parametrize(
+    "batch, n_groups",
+    [(range(16), 1), (range(16, 20), 1), (range(20), 2)],
+    ids=["full batch", "ragged last batch", "two topologies"],
+)
+def test_batched_pass_matches_per_sample_reference(dataset20, batch, n_groups):
+    samples = _with_relabeled_prefill(dataset20, 3) if n_groups == 2 else dataset20
+    params = init_params(42)
+    params.norms = fit_norms(samples)
+    prepared = _prepare(samples, params.norms, "prefill")
+    tower = params.prefill
+
+    stacks = list(_Stacks(prepared).batches(np.array(batch)))
+    assert len(stacks) == n_groups
+    assert sorted(i for members, *_ in stacks for i in members) == list(batch)
+    parts = [batch_loss_and_grads(tower, h0, preds, g, lt) for _, preds, h0, g, lt in stacks]
+    want_loss, want_grads = gnn_reference.batch_loss_and_grads(tower, prepared, batch)
+    assert _max_rel(sum(loss for loss, _ in parts), want_loss) <= 1e-12
+    for name, want in want_grads.items():
+        assert _max_rel(sum(g[name] for _, g in parts), want) <= 1e-12, name
+
+    subset = [prepared[i] for i in batch]
+    assert _max_rel(
+        _tower_predictions(tower, _Stacks(subset)),
+        gnn_reference.tower_predictions(tower, subset),
+    ) <= 1e-12
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["one topology", "two topologies"])
+def test_training_matches_reference_trainer(dataset20, monkeypatch, relabel):
+    samples = _with_relabeled_prefill(dataset20, 3) if relabel else dataset20
+    # batch size 6 over the 16-sample train split: two full batches, one ragged
+    cfg = TrainConfig(epochs=2, batch_size=6)
+    params, history = train(samples, cfg)
+    single, single_history = train_single_phase(samples, cfg)
+
+    monkeypatch.setattr(training, "train_tower", gnn_reference.train_tower)
+    monkeypatch.setattr(baselines, "train_tower", gnn_reference.train_tower)
+    ref_params, ref_history = train(samples, cfg)
+    ref_single, ref_single_history = train_single_phase(samples, cfg)
+
+    pairs = [(params.prefill, ref_params.prefill), (params.total, ref_params.total),
+             (single.tower, ref_single.tower)]
+    for tower, ref in pairs:
+        for name, want in ref.arrays().items():
+            assert _max_rel(tower.arrays()[name], want) <= 1e-9, name
+    for got, want in zip(history + single_history, ref_history + ref_single_history):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0), key
+
+
 def test_adam_single_step_matches_hand_formula():
     w = np.array([1.0, 2.0])
     grad = np.array([0.1, -0.2])
@@ -393,6 +474,16 @@ def test_sample_label_validation(dataset20):
         dataclasses.replace(dataset20[0], label_prefill_j=0.0)
     with pytest.raises(ValueError):
         dataclasses.replace(dataset20[0], label_prefill_j=dataset20[0].label_total_j * 2)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            dataclasses.replace(dataset20[0], label_total_j=bad)
+        with pytest.raises(ValueError):
+            dataclasses.replace(dataset20[0], label_prefill_j=bad, label_total_j=bad)
+
+
+def test_overflowing_noise_is_a_user_error():
+    with pytest.raises(UserInputError, match="noise_sigma"):
+        gen_oracle_dataset([QWEN], [RK3588], 3, noise_sigma=1e308, seed=42)
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +616,6 @@ def test_single_phase_baseline_runs_and_predicts(dataset20):
     preds = predict_single_phase(params, dataset20[:5])
     assert preds.shape == (5,)
     assert np.all(preds > 0) and np.all(np.isfinite(preds))
+    # the single tower reads no total-phase globals, so none are fitted
+    assert np.array_equal(params.norms.glob_mu_total, identity_norms().glob_mu_total)
+    assert np.array_equal(params.norms.glob_sd_total, identity_norms().glob_sd_total)
