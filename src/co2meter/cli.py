@@ -40,7 +40,6 @@ from .embodied import (
     ScaleUnit,
     SetDram,
     load_bom_json,
-    report_to_csv,
     report_to_json,
     soc_embodied,
     whatif_bom,
@@ -174,11 +173,14 @@ def _resolve_pipeline(value: str):
     return assets.load_demo_pipeline(value)
 
 
+def _ci_table(args: argparse.Namespace):
+    if args.ci_table:
+        return load_ci_table(args.ci_table)
+    return assets.load_carbon_intensities()
+
+
 def _ci_for(args: argparse.Namespace):
-    table = (
-        load_ci_table(args.ci_table) if args.ci_table
-        else assets.load_carbon_intensities()
-    )
+    table = _ci_table(args)
     if args.region not in table:
         raise UserInputError(
             f"unknown region {args.region!r}; have {sorted(table)}"
@@ -366,14 +368,8 @@ def _cmd_embodied(args: argparse.Namespace) -> None:
     else:
         components = [f"die:{u.name}" for u in bom.units] + ["dram"]
     report = soc_embodied(bom, attributable=components)
-    if args.format == "csv":
-        text = report_to_csv(report)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return
-    _emit(args, report_to_json(report), (), ())
+    rows = sorted(report.per_component.items()) + [("total", report.total)]
+    _emit(args, report_to_json(report), ("component", "kg_co2eq"), rows)
 
 
 def _cmd_whatif(args: argparse.Namespace) -> None:
@@ -418,16 +414,7 @@ def _cmd_whatif(args: argparse.Namespace) -> None:
 
 
 def _cmd_breakeven(args: argparse.Namespace) -> None:
-    table = (
-        load_ci_table(args.ci_table) if args.ci_table
-        else assets.load_carbon_intensities()
-    )
-    if args.region != "all":
-        if args.region not in table:
-            raise UserInputError(
-                f"unknown region {args.region!r}; have {sorted(table)}"
-            )
-        table = {args.region: table[args.region]}
+    table = _ci_table(args) if args.region == "all" else {args.region: _ci_for(args)}
     doc = {}
     for region in sorted(table):
         ci = table[region]

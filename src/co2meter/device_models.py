@@ -12,7 +12,10 @@ Five model families cover the measurable subsystems of an edge board:
 
 Fitting uses non-negative least squares for the affine models, unconstrained
 least squares for the display quadratic, and a coarse grid search followed by
-Levenberg-Marquardt refinement for the speaker model.
+Levenberg-Marquardt refinement for the speaker model.  The affine designs have
+two columns, so their NNLS is closed-form (Lawson & Hanson, 1974): the
+least-squares solution if it is non-negative, else the better of the two
+one-column fits, because the minimiser then lies on a face of the quadrant.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import ConfigurationError, FitError, UserInputError
 
@@ -55,6 +57,9 @@ class MeasurementSample:
     def __post_init__(self) -> None:
         if self.kind not in SAMPLE_KINDS:
             raise ValueError(f"unknown sample kind {self.kind!r}")
+        values = (self.predictor, self.duration_s, self.observed)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("predictor, duration_s and observed must be finite")
         if self.predictor < 0:
             raise ValueError("predictor count must be >= 0")
         if self.kind == "energy" and self.duration_s <= 0:
@@ -201,12 +206,22 @@ def _check_rank(design: np.ndarray, needed: int, what: str) -> None:
         raise FitError(f"rank-deficient design matrix for {what} fit")
 
 
+def _nnls2(design: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Non-negative least squares for a full-rank two-column design."""
+    params, *_ = np.linalg.lstsq(design, observed, rcond=None)
+    if np.all(params >= 0):
+        return params
+    faces = np.diag(np.maximum(observed @ design / (design * design).sum(0), 0.0))
+    sse = np.sum((design @ faces - observed[:, None]) ** 2, axis=0)
+    return faces[:, np.argmin(sse)]
+
+
 def fit_linear_rate(samples: Sequence[MeasurementSample]) -> FitReport:
     """Fit (static_power_w, marginal_energy_j) from energy samples via NNLS."""
     predictor, duration, observed = _as_arrays(samples, "energy")
     design = np.column_stack([duration, predictor])
     _check_rank(design, 2, "linear-rate")
-    params, _ = nnls(design, observed)
+    params = _nnls2(design, observed)
     model = LinearRateModel(float(params[0]), float(params[1]))
     mae, max_err = _error_stats(design @ params - observed)
     return FitReport(model, mae, max_err, len(samples))
@@ -217,7 +232,7 @@ def fit_video_power(samples: Sequence[MeasurementSample]) -> FitReport:
     pixels, _, observed = _as_arrays(samples, "power")
     design = np.column_stack([np.ones_like(pixels), pixels])
     _check_rank(design, 2, "video power")
-    params, _ = nnls(design, observed)
+    params = _nnls2(design, observed)
     model = VideoPowerModel(float(params[0]), float(params[1]))
     mae, max_err = _error_stats(design @ params - observed)
     return FitReport(model, mae, max_err, len(samples))
@@ -264,17 +279,22 @@ def _speaker_valid(alpha: float, beta: float, volumes: np.ndarray) -> bool:
 def _speaker_grid_init(
     volumes: np.ndarray, observed: np.ndarray
 ) -> tuple[float, float, float]:
-    best: tuple[float, float, float] | None = None
-    for alpha in _SPEAKER_ALPHA_GRID:
-        for beta in _SPEAKER_BETA_GRID:
-            if not _speaker_valid(alpha, beta, volumes):
-                continue
-            sse = _speaker_sse(alpha, beta, volumes, observed)
-            if best is None or sse < best[2]:
-                best = (float(alpha), float(beta), sse)
-    if best is None:
-        raise FitError("no admissible speaker parameters on the search grid")
-    return best
+    """Best (alpha, beta, sse) on the grid, from one (alpha, beta, volume) array.
+
+    A point is admissible when its denominator is finite and above 1e-9 at
+    every volume; a tie goes to the first point in alpha-major order.
+    """
+    with np.errstate(over="ignore"):
+        growth = 1.0 + np.exp(np.multiply.outer(_SPEAKER_ALPHA_GRID, volumes))
+        den = growth[:, None, :] + _SPEAKER_BETA_GRID[:, None]
+        admissible = np.flatnonzero(np.all(np.isfinite(den) & (den > 1e-9), axis=2))
+        if admissible.size == 0:
+            raise FitError("no admissible speaker parameters on the search grid")
+        resid = np.subtract(np.reciprocal(den, out=den), observed, out=den)
+        sse = np.einsum("abn,abn->ab", resid, resid).ravel()
+    best = admissible[np.argmin(sse[admissible])]
+    i, j = divmod(int(best), _SPEAKER_BETA_GRID.size)
+    return float(_SPEAKER_ALPHA_GRID[i]), float(_SPEAKER_BETA_GRID[j]), float(sse[best])
 
 
 def fit_speaker(samples: Sequence[MeasurementSample]) -> FitReport:

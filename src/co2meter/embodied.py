@@ -211,7 +211,7 @@ def whatif_bom(bom: SocBom, mods: Sequence[BomMod]) -> SocBom:
 
 
 # ---------------------------------------------------------------------------
-# JSON / CSV I/O
+# JSON I/O
 
 
 def bom_from_json(doc: Mapping) -> SocBom:
@@ -268,10 +268,3 @@ def report_to_json(report: EmbodiedReport) -> dict:
         doc["llm_fraction_pct"] = report.llm_fraction
     return doc
 
-
-def report_to_csv(report: EmbodiedReport) -> str:
-    lines = ["component,kg_co2eq"]
-    for key in sorted(report.per_component):
-        lines.append(f"{key},{report.per_component[key]!r}")
-    lines.append(f"total,{report.total!r}")
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,10 @@
 """CLI behavior: determinism, round trips through files, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,28 @@ def test_fit_csv_output_is_key_value(capsys):
     cells = dict(line.split(",", 1) for line in lines[1:])
     assert float(cells["a_w"]) == pytest.approx(TRUTH["display"]["a_w"], rel=1e-9)
     assert "mae" in cells and "n_samples" in cells
+
+
+def test_fit_in_fresh_interpreter_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency
+    argv = ["fit", "speaker", str(assets.measurement_csv("speaker")),
+            "--out", str(tmp_path / "speaker.json")]
+    script = (
+        "import sys\n"
+        "from co2meter import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +325,11 @@ def test_embodied_csv_has_component_rows(capsys):
     code, out, _ = run(capsys, "embodied", "--bom", "rk3588", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("component,")
-    assert lines[-1].startswith("total,")
+    assert lines[0] == "component,kg_co2eq"
+    names = [ln.split(",")[0] for ln in lines[1:]]
+    assert names == ["die:npu", "die:other", "dram", "pcb", "total"]
+    total = float(lines[-1].split(",")[1])
+    assert total == pytest.approx(4.5765, abs=1e-9)
 
 
 def test_embodied_custom_attribution(capsys):

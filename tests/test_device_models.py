@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from co2meter import device_models as dm
 from co2meter.errors import ConfigurationError, FitError, UserInputError
+from device_models_reference import speaker_grid_init as reference_grid_init
 
 # ---------------------------------------------------------------------------
 # Direct model arithmetic
@@ -235,6 +236,95 @@ def test_fit_speaker_refinement_never_worse_than_grid():
     assert report.mae < 1e-8
 
 
+# ---------------------------------------------------------------------------
+# Closed-form two-column NNLS and the one-pass speaker grid
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 25),
+    log_scales=st.tuples(st.floats(0.0, 9.0), st.floats(0.0, 9.0)),
+    rho=st.floats(-0.999, 0.999),
+    noise=st.floats(0.0, 1.0),
+    positive=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_nnls2_satisfies_kkt(seed, n, log_scales, rho, noise, positive):
+    # columns with correlation rho, scaled by 1 to 1e9, and a target whose
+    # generating coefficients may have either sign
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 2))
+    cols = np.column_stack([z[:, 0], rho * z[:, 0] + math.sqrt(1 - rho * rho) * z[:, 1]])
+    scales = 10.0 ** np.array(log_scales)
+    design = (np.abs(cols) if positive else cols) * scales
+    observed = design @ (rng.normal(size=2) / scales) + noise * rng.normal(size=n)
+    assume(np.linalg.matrix_rank(design) == 2)
+    x = dm._nnls2(design, observed)
+    grad = design.T @ (design @ x - observed)
+    tol = 1e-12 * np.linalg.norm(design, axis=0) * (
+        np.linalg.norm(observed) + np.linalg.norm(design @ x)
+    )
+    assert np.all(x >= 0)
+    assert np.all(grad[x == 0] >= -tol[x == 0])
+    assert np.all(np.abs(grad[x > 0]) <= tol[x > 0])
+
+
+def test_negative_slope_gives_zero_marginal_and_one_column_static():
+    # energy falls as the unit count grows: the least-squares marginal is
+    # negative, so NNLS pins it at zero and fits the static term alone
+    duration = np.array([1.0, 2.0, 1.0, 2.0, 1.5])
+    units = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
+    observed = 0.8 * duration - 0.01 * units + 0.5
+    design = np.column_stack([duration, units])
+    assert np.linalg.lstsq(design, observed, rcond=None)[0][1] < 0
+    model = dm.fit_linear_rate(_energy_samples(units, duration, observed)).model
+    assert model.marginal_energy_j == 0.0
+    assert model.static_power_w == pytest.approx(
+        duration @ observed / (duration @ duration), rel=1e-15
+    )
+
+
+def _speaker_cases():
+    samples, _ = _bundled("speaker")
+    volumes, _, observed = dm._as_arrays(samples, "power")
+    yield volumes, observed
+    rng = np.random.default_rng(42)
+    volumes = np.linspace(0.0, 100.0, 200)
+    yield volumes, 1.0 / (1.0 + np.exp(-0.05 * volumes) + 0.2) * _noise(rng)
+    # volumes up to 5000 overflow exp(alpha * v) for alpha >= 0.145, so the
+    # grid point that generated the data is not admissible
+    volumes = rng.uniform(0.0, 5000.0, 30)
+    with np.errstate(over="ignore"):
+        yield volumes, 1.0 / (1.0 + np.exp(0.15 * volumes) + 0.2)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["bundled", "noisy", "overflow"])
+def test_speaker_grid_matches_reference_loop(case):
+    volumes, observed = list(_speaker_cases())[case]
+    alpha, beta, sse = dm._speaker_grid_init(volumes, observed)
+    ref_alpha, ref_beta, ref_sse = reference_grid_init(volumes, observed)
+    assert (alpha, beta) == (ref_alpha, ref_beta)
+    assert sse == pytest.approx(ref_sse, rel=1e-12, abs=1e-300)
+
+
+def test_speaker_grid_without_admissible_point():
+    volumes, observed = np.array([np.nan, 1.0]), np.array([0.5, 0.5])
+    for grid_init in (dm._speaker_grid_init, reference_grid_init):
+        with pytest.raises(FitError, match="no admissible"):
+            grid_init(volumes, observed)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["bundled", "noisy", "overflow"])
+def test_fit_speaker_matches_fit_from_reference_grid(case, monkeypatch):
+    volumes, observed = list(_speaker_cases())[case]
+    samples = _power_samples(volumes, observed)
+    got = dm.fit_speaker(samples).model
+    monkeypatch.setattr(dm, "_speaker_grid_init", reference_grid_init)
+    want = dm.fit_speaker(samples).model
+    assert got.alpha == pytest.approx(want.alpha, rel=1e-9)
+    assert got.beta == pytest.approx(want.beta, rel=1e-9)
+
+
 def test_fit_by_name_dispatch():
     samples, truth = _bundled("display")
     report = dm.fit_by_name("display", samples)
@@ -370,9 +460,18 @@ def test_load_samples_csv_bad_row_reports_line(tmp_path):
 
 def test_load_samples_csv_invalid_value_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("kind,predictor,duration_s,observed\nenergy,-5.0,1.0,2.0\n")
-    with pytest.raises(UserInputError, match=":2:"):
-        dm.load_samples_csv(path)
+    for row in (
+        "energy,-5.0,1.0,2.0",
+        "energy,nan,1.0,2.0",
+        "energy,inf,1.0,2.0",
+        "energy,1.0,inf,2.0",
+        "power,1.0,nan,2.0",
+        "energy,1.0,1.0,nan",
+        "power,1.0,1.0,-inf",
+    ):
+        path.write_text(f"kind,predictor,duration_s,observed\nenergy,1.0,1.0,2.0\n{row}\n")
+        with pytest.raises(UserInputError, match=":3:"):
+            dm.load_samples_csv(path)
 
 
 def test_measurement_sample_validation():

@@ -282,16 +282,6 @@ def test_bundled_bom_loads_match_local_definition():
     assert assets.load_bom("rk3588") == RK3588
 
 
-def test_report_csv_shape():
-    text = emb.report_to_csv(emb.soc_embodied(RK3588))
-    lines = text.strip().splitlines()
-    assert lines[0] == "component,kg_co2eq"
-    names = [ln.split(",")[0] for ln in lines[1:]]
-    assert names == ["die:npu", "die:other", "dram", "pcb", "total"]
-    total = float(lines[-1].split(",")[1])
-    assert total == pytest.approx(4.5765, abs=1e-9)
-
-
 def test_report_json_includes_fraction_when_attributed():
     report = emb.soc_embodied(RK3588, attributable=["die:npu", "dram"])
     doc = emb.report_to_json(report)
