@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from co2meter import assets
+from co2meter import assets, cli
 from co2meter import embodied as emb
 from co2meter.errors import UserInputError
 
@@ -280,6 +280,17 @@ def test_bom_json_round_trip(tmp_path):
 
 def test_bundled_bom_loads_match_local_definition():
     assert assets.load_bom("rk3588") == RK3588
+
+
+def test_report_csv_shape(capsys):
+    # the CSV form of a report is rendered by the CLI's embodied subcommand
+    assert cli.main(["embodied", "--bom", "rk3588", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "component,kg_co2eq"
+    names = [ln.split(",")[0] for ln in lines[1:]]
+    assert names == ["die:npu", "die:other", "dram", "pcb", "total"]
+    total = float(lines[-1].split(",")[1])
+    assert total == pytest.approx(4.5765, abs=1e-9)
 
 
 def test_report_json_includes_fraction_when_attributed():
