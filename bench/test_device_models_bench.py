@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python -m pytest bench/ -q
 
-`fit_speaker` (grid search plus Levenberg-Marquardt) and `fit_linear_rate`
-(two-column NNLS) on the bundled measurement CSVs.
+`fit_speaker` (grid search plus Levenberg-Marquardt), `fit_linear_rate` and
+`fit_video_power` (two-column NNLS) and `fit_display` (three-column least
+squares) on the bundled measurement CSVs.
 """
 
 import pytest
@@ -25,3 +26,13 @@ def test_fit_speaker(benchmark):
 def test_fit_linear_rate(benchmark, name):
     report = benchmark(dm.fit_linear_rate, _samples(name))
     assert report.mae < 1e-12
+
+
+def test_fit_video_power(benchmark):
+    report = benchmark(dm.fit_video_power, _samples("video"))
+    assert report.mae < 1e-9
+
+
+def test_fit_display(benchmark):
+    report = benchmark(dm.fit_display, _samples("display"))
+    assert report.mae < 1e-9

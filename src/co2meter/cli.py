@@ -46,15 +46,17 @@ from .embodied import (
 )
 from .errors import CO2MeterError, NoBreakEvenError, UserInputError
 from .predictor import (
+    KernelCost,
     TrainConfig,
     evaluate_baseline_total,
     evaluate_params,
     featurize,
     fit_ridge_globals,
     gen_oracle_dataset,
+    kernel_costs,
     llm_request_energy,
     load_params_json,
-    phase_costs,
+    phase_totals,
     predict_sample,
     predict_single_phase,
     read_dataset_jsonl,
@@ -68,12 +70,12 @@ from .predictor import (
 )
 from .workload import (
     Request,
-    build_layer_graph,
     classify,
     classify_node,
     load_config_json,
     load_device_json,
     phase_intensity,
+    request_kernels,
     scaled_device,
     whatif_speedup,
 )
@@ -104,7 +106,7 @@ _SPEAKER_VOLUME = 60.0
 def _csv_cell(value: object) -> str:
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -208,13 +210,17 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     _emit(args, doc, ("key", "value"), rows)
 
 
+_KERNEL_COLUMNS = tuple(f.name for f in dataclasses.fields(KernelCost))
+
+
 def _cmd_estimate(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args.config)
     dev = _resolve_device(args.device)
     req = Request(args.prompt_len, args.output_len)
-    (prefill_s, prefill_j), (decode_s, decode_j) = phase_costs(cfg, req, dev)
-    prefill_graph = build_layer_graph(cfg, req, "prefill")
-    mid_graph = build_layer_graph(cfg, req, "decode")
+    kernels = request_kernels(cfg, req)
+    rows = kernel_costs(cfg, req, dev, kernels)
+    (prefill_s, prefill_j), (decode_s, decode_j) = phase_totals(rows)
+    mid_graph = kernels.decode()
 
     doc = {
         "config": cfg.name,
@@ -224,8 +230,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         "prefill": {
             "energy_j": prefill_j,
             "time_s": prefill_s,
-            "intensity": phase_intensity(prefill_graph),
-            "boundedness": classify(prefill_graph, dev),
+            "intensity": phase_intensity(kernels.prefill),
+            "boundedness": classify(kernels.prefill, dev),
         },
         "decode": {
             "energy_j": decode_j,
@@ -235,7 +241,11 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         },
         "total_energy_j": prefill_j + decode_j,
     }
-    _emit(args, doc, ("key", "value"), _flat_rows(doc))
+    if not args.breakdown:
+        _emit(args, doc, ("key", "value"), _flat_rows(doc))
+        return
+    doc["kernels"] = [dataclasses.asdict(r) for r in rows]
+    _emit(args, doc, _KERNEL_COLUMNS, [dataclasses.astuple(r) for r in rows])
 
 
 def _cmd_dataset(args: argparse.Namespace) -> None:
@@ -448,9 +458,9 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
     dev = _resolve_device(args.device)
     cfg = _resolve_config(args.config)
     req = Request(args.prompt_len, args.output_len)
+    request = request_kernels(cfg, req)
     kernels = []
-    for phase in ("prefill", "decode"):
-        graph = build_layer_graph(cfg, req, phase)
+    for phase, graph in (("prefill", request.prefill), ("decode", request.decode())):
         for node in graph.nodes:
             kernels.append(
                 {
@@ -564,6 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="rk3588")
     p.add_argument("--prompt-len", type=int, required=True)
     p.add_argument("--output-len", type=int, required=True)
+    p.add_argument(
+        "--breakdown", action="store_true",
+        help="add the per-kernel table (JSON key 'kernels'; CSV: one row per kernel)",
+    )
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser(

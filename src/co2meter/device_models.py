@@ -201,14 +201,21 @@ def _error_stats(residuals: np.ndarray) -> tuple[float, float]:
     return float(np.mean(np.abs(residuals))), float(np.max(np.abs(residuals)))
 
 
-def _check_rank(design: np.ndarray, needed: int, what: str) -> None:
-    if design.shape[0] < needed or np.linalg.matrix_rank(design) < needed:
+def _lstsq(design: np.ndarray, observed: np.ndarray, what: str) -> np.ndarray:
+    """Least-squares params; FitError unless the design has full column rank.
+
+    The rank comes from lstsq's own SVD, whose default cutoff
+    max(M, N) * eps * s_max is `np.linalg.matrix_rank`'s.
+    """
+    params, _, rank, _ = np.linalg.lstsq(design, observed, rcond=None)
+    if rank < design.shape[1]:
         raise FitError(f"rank-deficient design matrix for {what} fit")
+    return params
 
 
-def _nnls2(design: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Non-negative least squares for a full-rank two-column design."""
-    params, *_ = np.linalg.lstsq(design, observed, rcond=None)
+def _nnls2(design: np.ndarray, observed: np.ndarray, what: str = "NNLS") -> np.ndarray:
+    """Non-negative least squares for a two-column design of full rank."""
+    params = _lstsq(design, observed, what)
     if np.all(params >= 0):
         return params
     faces = np.diag(np.maximum(observed @ design / (design * design).sum(0), 0.0))
@@ -220,8 +227,7 @@ def fit_linear_rate(samples: Sequence[MeasurementSample]) -> FitReport:
     """Fit (static_power_w, marginal_energy_j) from energy samples via NNLS."""
     predictor, duration, observed = _as_arrays(samples, "energy")
     design = np.column_stack([duration, predictor])
-    _check_rank(design, 2, "linear-rate")
-    params = _nnls2(design, observed)
+    params = _nnls2(design, observed, "linear-rate")
     model = LinearRateModel(float(params[0]), float(params[1]))
     mae, max_err = _error_stats(design @ params - observed)
     return FitReport(model, mae, max_err, len(samples))
@@ -231,8 +237,7 @@ def fit_video_power(samples: Sequence[MeasurementSample]) -> FitReport:
     """Fit (static_power_w, power_per_pixel_w) from power samples via NNLS."""
     pixels, _, observed = _as_arrays(samples, "power")
     design = np.column_stack([np.ones_like(pixels), pixels])
-    _check_rank(design, 2, "video power")
-    params = _nnls2(design, observed)
+    params = _nnls2(design, observed, "video power")
     model = VideoPowerModel(float(params[0]), float(params[1]))
     mae, max_err = _error_stats(design @ params - observed)
     return FitReport(model, mae, max_err, len(samples))
@@ -244,8 +249,7 @@ def fit_display(samples: Sequence[MeasurementSample]) -> FitReport:
     if np.any(grey > GREY_MAX):
         raise FitError("display samples must have grey levels in [0, 255]")
     design = np.column_stack([np.ones_like(grey), grey, grey * grey])
-    _check_rank(design, 3, "display")
-    params, *_ = np.linalg.lstsq(design, observed, rcond=None)
+    params = _lstsq(design, observed, "display")
     try:
         model = DisplayPowerModel(float(params[0]), float(params[1]), float(params[2]))
     except ValueError as exc:
@@ -272,7 +276,8 @@ def _speaker_sse(
 
 
 def _speaker_valid(alpha: float, beta: float, volumes: np.ndarray) -> bool:
-    den = _speaker_denominator(alpha, beta, volumes)
+    with np.errstate(over="ignore"):  # an overflowing denominator is invalid
+        den = _speaker_denominator(alpha, beta, volumes)
     return bool(np.all(np.isfinite(den)) and np.all(den > 1e-9))
 
 
@@ -314,14 +319,21 @@ def fit_speaker(samples: Sequence[MeasurementSample]) -> FitReport:
     for _ in range(_LM_MAX_ITER):
         den = _speaker_denominator(alpha, beta, volumes)
         r = 1.0 / den - observed
-        inv_sq = 1.0 / (den * den)
-        jac = np.column_stack([-volumes * np.exp(alpha * volumes) * inv_sq, -inv_sq])
+        # exp(alpha * volume) overflowing makes inf * 0 = NaN entries; no
+        # damping can then give a finite step, so the fit stops there.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_sq = 1.0 / (den * den)
+            jac = np.column_stack([-volumes * np.exp(alpha * volumes) * inv_sq, -inv_sq])
+        if not np.all(np.isfinite(jac)):
+            break
         hess = jac.T @ jac
         grad = jac.T @ r
         damped = hess + lam * np.diag(np.diag(hess)) + 1e-12 * np.eye(2)
         try:
             step = np.linalg.solve(damped, -grad)
         except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
             break
         cand = (alpha + float(step[0]), beta + float(step[1]))
         if _speaker_valid(*cand, volumes) and (

@@ -46,11 +46,14 @@ from .training import (
     train,
 )
 from .oracle import (
+    KernelCost,
     featurize,
     gen_oracle_dataset,
+    kernel_costs,
     llm_request_energy,
     make_sample,
     phase_costs,
+    phase_totals,
     request_energy,
     sample_regime_mixed_request,
     sample_trace_request,

@@ -121,20 +121,30 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in arrays.items()}
 
     def step(
         self, arrays: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]
     ) -> None:
+        """m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        param -= (lr * m/bc1) / (sqrt(v/bc2) + eps), in place, in that order."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, arr in arrays.items():
-            grad = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * grad
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * grad * grad
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            grad, m, v = grads[name], self.m[name], self.v[name]
+            a, b = self._scratch[name]
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, grad, out=a)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, grad, out=a)
+            v += np.multiply(a, grad, out=a)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            arr -= np.divide(a, b, out=a)
 
 
 @dataclass(frozen=True)

@@ -155,23 +155,32 @@ class LayerGraph:
             raise ValueError(f"unknown graph phase {self.phase!r}")
         if not self.nodes:
             raise ValueError("graph needs at least one node")
-        n = len(self.nodes)
-        for src, dst in self.edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"edge ({src}, {dst}) out of range")
-            if src == dst:
-                raise ValueError("self-loops are not allowed")
-        topological_order(self)  # raises on cycles
-        if n > 1 and _component_count(n, self.edges) != 1:
-            raise ValueError("graph must be weakly connected")
+        # The decoder-layer topology is checked once, at import.
+        if not (self.edges is _LAYER_EDGES and len(self.nodes) == _LAYER_NODES):
+            _check_topology(len(self.nodes), self.edges)
+
+
+def _check_topology(n: int, edges: Sequence[tuple[int, int]]) -> None:
+    """Raise ValueError unless the edges form a weakly connected DAG on n nodes."""
+    for src, dst in edges:
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"edge ({src}, {dst}) out of range")
+        if src == dst:
+            raise ValueError("self-loops are not allowed")
+    _kahn_order(n, edges)  # raises on cycles
+    if n > 1 and _component_count(n, edges) != 1:
+        raise ValueError("graph must be weakly connected")
 
 
 def topological_order(graph: LayerGraph) -> list[int]:
     """Kahn's algorithm; raises ValueError if the graph has a cycle."""
-    n = len(graph.nodes)
+    return _kahn_order(len(graph.nodes), graph.edges)
+
+
+def _kahn_order(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     indeg = [0] * n
     out: list[list[int]] = [[] for _ in range(n)]
-    for src, dst in graph.edges:
+    for src, dst in edges:
         indeg[dst] += 1
         out[src].append(dst)
     ready = [v for v in range(n) if indeg[v] == 0]
@@ -231,6 +240,8 @@ _LAYER_EDGES = (
     (_N_FFN_DOWN, _N_RES2),
     (_N_RES1, _N_RES2),
 )
+_LAYER_NODES = 12
+_check_topology(_LAYER_NODES, _LAYER_EDGES)
 
 
 def build_layer_graph(
@@ -252,15 +263,8 @@ def build_layer_graph(
         tokens = req.prompt_len
         kv_len = req.prompt_len
     else:
-        if position is None:
-            position = req.prompt_len + req.output_len // 2
-        if not 1 <= position <= req.prompt_len + req.output_len:
-            raise ValueError(
-                f"decode position {position} outside [1, "
-                f"{req.prompt_len + req.output_len}]"
-            )
         tokens = 1
-        kv_len = position
+        kv_len = _decode_position(req, position)
 
     d, f, h = cfg.hidden_dim, cfg.ffn_dim, cfg.num_heads
     ab, wb = cfg.act_bytes, cfg.weight_bytes
@@ -306,6 +310,59 @@ def build_layer_graph(
         residual(),
     )
     return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase=phase)
+
+
+def _decode_position(req: Request, position: int | None) -> int:
+    """The KV position of a decode graph; None means mid-sequence."""
+    if position is None:
+        return req.prompt_len + req.output_len // 2
+    if not 1 <= position <= req.prompt_len + req.output_len:
+        raise ValueError(
+            f"decode position {position} outside [1, "
+            f"{req.prompt_len + req.output_len}]"
+        )
+    return position
+
+
+_COUNT_FIELDS = ("flops", "weight_bytes_loaded", "act_bytes_loaded",
+                 "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored")
+
+
+@dataclass(frozen=True)
+class RequestKernels:
+    """A request's kernels: its prefill graph and decode graphs at KV positions 1 and 2.
+
+    Every decode count is affine in the KV position, so the two decode graphs
+    give the graph at any position exactly, in integer arithmetic.
+    """
+
+    req: Request
+    prefill: LayerGraph
+    first: LayerGraph
+    second: LayerGraph
+
+    def decode(self, position: int | None = None) -> LayerGraph:
+        """The decode graph at a KV position (default mid-sequence), as
+        `build_layer_graph` builds it."""
+        offset = _decode_position(self.req, position) - 1
+        nodes = tuple(
+            KernelNode(a.kind, **{
+                f: getattr(a, f) + offset * (getattr(b, f) - getattr(a, f))
+                for f in _COUNT_FIELDS
+            })
+            for a, b in zip(self.first.nodes, self.second.nodes)
+        )
+        return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase="decode")
+
+
+def request_kernels(cfg: LlmConfig, req: Request) -> RequestKernels:
+    """Build a request's three layer graphs once; every consumer reads them."""
+    return RequestKernels(
+        req,
+        build_layer_graph(cfg, req, "prefill"),
+        build_layer_graph(cfg, req, "decode", position=1),
+        build_layer_graph(cfg, req, "decode", position=2),
+    )
 
 
 def graph_flops(graph: LayerGraph) -> int:
@@ -434,16 +491,23 @@ def global_features(
     req: Request,
     phase: str,
     prefill_energy_j: float | None = None,
+    kernels: RequestKernels | None = None,
 ) -> GlobalFeatures:
-    """Aggregate features for the prefill phase or the whole request."""
+    """Aggregate features for the prefill phase or the whole request.
+
+    `kernels`, when given, must be `request_kernels(cfg, req)`; it saves
+    rebuilding the graphs.
+    """
     if phase not in FEATURE_PHASES:
         raise ValueError(f"unknown feature phase {phase!r}")
-    prefill_ops = graph_flops(build_layer_graph(cfg, req, "prefill"))
+    if kernels is None:
+        kernels = request_kernels(cfg, req)
+    prefill_ops = graph_flops(kernels.prefill)
     if phase == "prefill":
         total_ops = prefill_ops * cfg.num_layers
         seq_len = req.prompt_len
     else:
-        decode_ops = graph_flops(build_layer_graph(cfg, req, "decode"))
+        decode_ops = graph_flops(kernels.decode())
         total_ops = (prefill_ops + req.output_len * decode_ops) * cfg.num_layers
         seq_len = req.prompt_len + req.output_len
     return GlobalFeatures(

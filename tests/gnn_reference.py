@@ -3,7 +3,8 @@
 `co2meter.predictor.training.train_tower` runs each mini-batch as one stacked
 pass (`gnn.forward_batch` / `gnn.backward_batch`) instead; the tests hold it
 to this loop, which has the same signature and consumes the generator in the
-same order.
+same order.  `ReferenceAdam` is the Adam update written with fresh arrays;
+`Adam.step` evaluates the same expressions in place.
 """
 
 import numpy as np
@@ -71,3 +72,25 @@ def train_tower(tower, train_set, val_set, cfg, rng, label):
             entry["val_eb10"] = error_bound_share(truths, preds)
         history.append(entry)
     return history
+
+
+class ReferenceAdam:
+    """Adam over named arrays; every step allocates its intermediates."""
+
+    def __init__(self, arrays, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+
+    def step(self, arrays, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, arr in arrays.items():
+            grad = grads[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * grad
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * grad * grad
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

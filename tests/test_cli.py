@@ -177,6 +177,29 @@ def test_estimate_csv_flattens_nested_keys(capsys):
     assert "decode.boundedness_mid" in keys
 
 
+def test_estimate_breakdown_rows_sum_to_phase_totals(capsys):
+    argv = ("estimate", "--config", "internlm2-18b", "--device", "agx_orin",
+            "--prompt-len", "500", "--output-len", "1500")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    doc = run_json(capsys, *argv, "--breakdown")
+    kernels = doc.pop("kernels")
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == plain
+    assert [k["phase"] for k in kernels] == ["prefill"] * 12 + ["decode"] * 12
+    for phase in ("prefill", "decode"):
+        rows = [k for k in kernels if k["phase"] == phase]
+        for field in ("time_s", "energy_j"):
+            assert sum(k[field] for k in rows) == pytest.approx(doc[phase][field], rel=1e-12)
+        assert all(k["flip_position"] is None for k in rows if k["kind"] != "attn_score")
+    code, out, _ = run(capsys, *argv, "--breakdown", "--format", "csv")
+    lines = out.splitlines()
+    assert lines[0] == "phase,kind,flops,bytes,time_s,energy_j,boundedness,flip_position"
+    assert [line.split(",") for line in lines[1:]] == [
+        [str(k[c]) if k[c] is not None else "" for c in lines[0].split(",")]
+        for k in kernels
+    ]
+
+
 def test_roofline_emits_roof_and_kernel_points(capsys):
     doc = run_json(capsys, "roofline")
     assert doc["device"]["ridge_point"] == pytest.approx(117.1875)

@@ -325,6 +325,16 @@ def test_fit_speaker_matches_fit_from_reference_grid(case, monkeypatch):
     assert got.beta == pytest.approx(want.beta, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_speaker_with_overflowing_exp_warns_nothing():
+    # near the fit, exp(alpha * volume) * volume overflows: the Jacobian gets
+    # inf * 0 = NaN entries and candidate steps overflow the denominator
+    volumes, observed = list(_speaker_cases())[2]
+    model = dm.fit_speaker(_power_samples(volumes, observed)).model
+    _, _, grid_sse = dm._speaker_grid_init(volumes, observed)
+    assert dm._speaker_sse(model.alpha, model.beta, volumes, observed) <= grid_sse
+
+
 def test_fit_by_name_dispatch():
     samples, truth = _bundled("display")
     report = dm.fit_by_name("display", samples)

@@ -313,6 +313,26 @@ def test_adam_single_step_matches_hand_formula():
     assert w == pytest.approx(expected, rel=1e-12)
 
 
+def test_in_place_adam_matches_reference_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 5), "b": (5,), "s": (1,)}
+    params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    ref_params = {k: v.copy() for k, v in params.items()}
+    adam = Adam(params, lr=0.003)
+    ref = gnn_reference.ReferenceAdam(ref_params, lr=0.003)
+    for _ in range(50):
+        grads = {
+            k: rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 3)
+            for k, shape in shapes.items()
+        }
+        adam.step(params, grads)
+        ref.step(ref_params, grads)
+    for k in shapes:
+        assert np.array_equal(params[k], ref_params[k]), k
+        assert np.array_equal(adam.m[k], ref.m[k]), k
+        assert np.array_equal(adam.v[k], ref.v[k]), k
+
+
 # ---------------------------------------------------------------------------
 # Training loop
 

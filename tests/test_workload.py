@@ -111,6 +111,8 @@ def test_layer_graph_rejects_self_loops_and_disconnection():
         wl.LayerGraph(nodes=graph.nodes, edges=graph.edges + ((3, 3),), phase="prefill")
     with pytest.raises(ValueError):
         wl.LayerGraph(nodes=graph.nodes, edges=((0, 1), (1, 2)), phase="prefill")
+    with pytest.raises(ValueError, match="out of range"):  # the shared edges, checked once
+        wl.LayerGraph(nodes=graph.nodes[:5], edges=graph.edges, phase="prefill")
 
 
 def test_in_neighbor_lists_match_edges():
@@ -166,6 +168,19 @@ def test_decode_flops_match_closed_form(seed):
         cfg, wl.Request(prompt, 64), "decode", position=position
     )
     assert wl.graph_flops(graph) == layer_flops_closed_form(cfg, 1, position)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.data())
+def test_request_kernels_give_the_built_decode_graph_at_any_position(prompt, output, data):
+    req = wl.Request(prompt, output)
+    kernels = wl.request_kernels(Q15, req)
+    assert kernels.prefill == wl.build_layer_graph(Q15, req, "prefill")
+    assert kernels.decode() == wl.build_layer_graph(Q15, req, "decode")
+    position = data.draw(st.integers(1, prompt + output))
+    assert kernels.decode(position) == wl.build_layer_graph(Q15, req, "decode", position=position)
+    with pytest.raises(ValueError, match="outside"):
+        kernels.decode(prompt + output + 1)
 
 
 def test_decode_defaults_to_mid_sequence_position():
