@@ -3,25 +3,29 @@
     PYTHONPATH=src python -m pytest bench/ -q
 
 One epoch of `train_tower` over a fixed 140-sample prepared set (five
-mini-batches of at most 32), and one batched forward+backward pass over a
-32-sample mini-batch.
+mini-batches of at most 32), one batched forward+backward pass over a
+32-sample mini-batch, and chained `evaluate_params` over 200 samples.
 """
 
 import numpy as np
 import pytest
 
 from co2meter import assets
-from co2meter.predictor import TrainConfig, gen_oracle_dataset, init_params
+from co2meter.predictor import TrainConfig, evaluate_params, gen_oracle_dataset, init_params
 from co2meter.predictor.gnn import batch_loss_and_grads
 from co2meter.predictor.training import _prepare, _Stacks, fit_norms, train_tower
 
 CONFIGS = ("qwen15-05b", "tinyllama-11b", "internlm2-18b")
 
 
+def _dataset(n):
+    configs = [assets.load_llm_config(name) for name in CONFIGS]
+    return gen_oracle_dataset(configs, [assets.load_device("rk3588")], n, seed=42)
+
+
 @pytest.fixture(scope="module")
 def prepared():
-    configs = [assets.load_llm_config(name) for name in CONFIGS]
-    dataset = gen_oracle_dataset(configs, [assets.load_device("rk3588")], 140, seed=42)
+    dataset = _dataset(140)
     params = init_params(42)
     params.norms = fit_norms(dataset)
     return params, _prepare(dataset, params.norms, "prefill")
@@ -40,6 +44,15 @@ def test_train_tower_epoch(benchmark, prepared):
 
 def test_batch_forward_backward(benchmark, prepared):
     params, train_set = prepared
-    (_, preds, h0, g, log_target), = _Stacks(train_set[:32]).batches(np.arange(32))
+    (_, preds, h0, g), = _Stacks(train_set[:32]).batches(np.arange(32))
+    log_target = np.array([p.log_target for p in train_set[:32]])
     loss, grads = benchmark(batch_loss_and_grads, params.prefill, h0, preds, g, log_target)
     assert np.isfinite(loss) and set(grads) == set(params.prefill.arrays())
+
+
+def test_evaluate_params(benchmark):
+    dataset = _dataset(200)
+    params = init_params(42)
+    params.norms = fit_norms(dataset)
+    metrics = benchmark(evaluate_params, params, dataset)
+    assert metrics["total"].n == 200

@@ -29,9 +29,6 @@ from .gnn import (
     load_params_json,
     params_from_json,
     params_to_json,
-    predict_prefill,
-    predict_total,
-    sample_loss_and_grads,
     save_params_json,
 )
 from .training import (
@@ -42,7 +39,9 @@ from .training import (
     evaluate_params,
     evaluate_predictions,
     mape,
+    predict_prefill,
     predict_sample,
+    predict_total,
     train,
 )
 from .oracle import (

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import GraphSample, globals_vector, node_feature_matrix
+from .data import GLOBAL_DIM, GraphSample, globals_vector
 from .gnn import (
     NODE_FEATURE_DIM,
     FeatureNorms,
@@ -21,12 +21,13 @@ from .gnn import (
     fit_feature_norms,
     init_tower,
 )
-from .data import GLOBAL_DIM
 from .training import (
+    _TOWERS,
     Metrics,
     TrainConfig,
     _Stacks,
     _prepare,
+    _raw_inputs,
     _tower_predictions,
     evaluate_predictions,
     split_indices,
@@ -82,14 +83,6 @@ class SinglePhaseParams:
     norms: FeatureNorms
 
 
-def _fit_norms_single(samples: Sequence[GraphSample]) -> FeatureNorms:
-    # The single tower consumes the prefill graph with total-phase globals;
-    # its statistics live in the norms' prefill slots.
-    node_raws = [node_feature_matrix(s.prefill_graph) for s in samples]
-    glob = np.array([globals_vector(s.total_globals) for s in samples])
-    return fit_feature_norms(node_raws, glob)
-
-
 def train_single_phase(
     dataset: Sequence[GraphSample], cfg: TrainConfig
 ) -> tuple[SinglePhaseParams, list[dict]]:
@@ -98,7 +91,8 @@ def train_single_phase(
     )
     train_samples = [dataset[i] for i in train_idx]
     val_samples = [dataset[i] for i in val_idx]
-    norms = _fit_norms_single(train_samples)
+    # The single tower reads no total-phase slot, so those norms stay identity.
+    norms = fit_feature_norms(*_raw_inputs(*_TOWERS["single"].read(train_samples)))
     tower = init_tower(
         np.random.default_rng(cfg.seed), NODE_FEATURE_DIM, GLOBAL_DIM
     )

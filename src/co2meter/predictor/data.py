@@ -98,8 +98,8 @@ def node_feature_matrix(graph: LayerGraph) -> np.ndarray:
     return out
 
 
-def globals_vector(gf: GlobalFeatures, with_prefill_energy: bool = False) -> np.ndarray:
-    """Raw global feature vector; optionally appends the prefill energy slot."""
+def globals_vector(gf: GlobalFeatures) -> np.ndarray:
+    """Raw global feature vector (the prefill-energy slot is not part of it)."""
     phase_flag = 0.0 if gf.phase == "prefill" else 1.0
     values = [
         gf.total_ops,
@@ -112,18 +112,14 @@ def globals_vector(gf: GlobalFeatures, with_prefill_energy: bool = False) -> np.
         gf.kv_cache_bytes,
         phase_flag,
     ]
-    if with_prefill_energy:
-        if gf.prefill_energy_j is None:
-            raise ValueError("globals carry no prefill energy")
-        values.append(gf.prefill_energy_j)
     return np.array(values)
 
 
 def split_indices(
     n: int, train_frac: float, val_frac: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic shuffled train/val/test index split."""
-    if not 0 < train_frac < 1 or val_frac < 0 or train_frac + val_frac > 1:
+    """Deterministic shuffled train/val/test index split; val and test may be empty."""
+    if not 0 < train_frac <= 1 or val_frac < 0 or train_frac + val_frac > 1:
         raise ValueError("invalid split fractions")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(round(n * train_frac))

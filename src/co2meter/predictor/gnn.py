@@ -7,18 +7,17 @@ message passing (h' = ReLU(W [h ; mean of in-neighbor h] + b), hidden width
 prefill tower predicts prefill energy; the total tower additionally receives
 a prefill-energy global slot and predicts whole-request energy.
 
-All set reductions (neighbor mean, node pooling) sort their addends by value
-before summing so predictions are bitwise invariant to node relabeling.
-Backpropagation is hand-derived; `grad_check` verifies it against central
-finite differences.
-
-Inference (`predict_prefill`, `predict_total`) runs one sample through
-`forward_tower`.  Training runs a whole mini-batch through `forward_batch` and
-`backward_batch`: samples that share one layer topology stack into
-(B, N, node_dim) tensors, so each layer is one matmul over all B * N node rows
-and the parameter gradients come out summed over the batch.  The batched pass
-keeps the same sorted reductions along the node axis; `forward_tower` and
-`backward_tower` stay as the per-sample reference it is tested against.
+There is one pass, `forward_batch` / `backward_batch`: samples that share one
+layer topology stack into (B, N, node_dim) tensors, so each layer is one
+matmul over all B * N node rows and the parameter gradients come out summed
+over the batch.  A single sample runs as a batch of one (`forward_tower`,
+`backward_tower`).  All set reductions (neighbor mean, node pooling) sort
+their addends by value along the node axis before summing, so predictions are
+bitwise invariant to node relabeling.  Backpropagation is hand-derived;
+`grad_check` verifies it against central finite differences, and
+`tests/gnn_reference.py` keeps an independent per-sample pass that the tests
+hold the batched one to.  Which graph, globals and norms slot feed each tower
+is decided in `training`.
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import UserInputError
-from ..workload import GlobalFeatures, LayerGraph, in_neighbor_lists
-from .data import (
-    GLOBAL_DIM,
-    NODE_FEATURE_DIM,
-    NUMERIC_NODE_FEATURES,
-    node_feature_matrix,
-    globals_vector,
-)
+from .data import GLOBAL_DIM, NODE_FEATURE_DIM, NUMERIC_NODE_FEATURES
 
 HIDDEN_DIM = 64
 NUM_ROUNDS = 2
@@ -190,19 +182,6 @@ def normalize_globals(raw: np.ndarray, norms: FeatureNorms, phase: str) -> np.nd
 # Forward / backward
 
 
-def _sorted_sum(values: np.ndarray) -> np.ndarray:
-    """Column sums with addends sorted by value (label-order independent)."""
-    return np.sort(values, axis=0).sum(axis=0)
-
-
-def _neighbor_mean(h: np.ndarray, preds: Sequence[Sequence[int]]) -> np.ndarray:
-    out = np.zeros_like(h)
-    for v, ps in enumerate(preds):
-        if ps:
-            out[v] = _sorted_sum(h[list(ps)]) / len(ps)
-    return out
-
-
 @functools.lru_cache(maxsize=8)  # every sample shares one layer topology
 def _aggregation_matrix(n: int, preds: tuple[tuple[int, ...], ...]) -> np.ndarray:
     a = np.zeros((n, n))
@@ -213,67 +192,8 @@ def _aggregation_matrix(n: int, preds: tuple[tuple[int, ...], ...]) -> np.ndarra
     return a
 
 
-def forward_tower(
-    tower: TowerParams,
-    h0: np.ndarray,
-    preds: Sequence[Sequence[int]],
-    g: np.ndarray,
-) -> tuple[float, dict]:
-    """Log-energy prediction for one normalized sample, with a backward cache."""
-    c0 = np.concatenate([h0, _neighbor_mean(h0, preds)], axis=1)
-    z1 = c0 @ tower.w1.T + tower.b1
-    h1 = np.maximum(z1, 0.0)
-
-    c1 = np.concatenate([h1, _neighbor_mean(h1, preds)], axis=1)
-    z2 = c1 @ tower.w2.T + tower.b2
-    h2 = np.maximum(z2, 0.0)
-
-    pooled = _sorted_sum(h2) / len(h2)
-    zh = np.concatenate([pooled, g])
-    u_pre = tower.wh1 @ zh + tower.bh1
-    u = np.maximum(u_pre, 0.0)
-    y = float(tower.wh2 @ u + tower.bh2[0])
-
-    cache = {
-        "c0": c0, "z1": z1, "h1": h1, "c1": c1, "z2": z2, "h2": h2,
-        "zh": zh, "u_pre": u_pre, "u": u,
-        "agg": _aggregation_matrix(len(h0), tuple(map(tuple, preds))),
-    }
-    return y, cache
-
-
-def backward_tower(
-    tower: TowerParams, cache: dict, dy: float
-) -> dict[str, np.ndarray]:
-    """Gradients of dy * y with respect to every tower array."""
-    n = cache["h2"].shape[0]
-
-    du = dy * tower.wh2
-    du_pre = du * (cache["u_pre"] > 0)
-    grads = {
-        "wh2": dy * cache["u"],
-        "bh2": np.array([dy]),
-        "wh1": np.outer(du_pre, cache["zh"]),
-        "bh1": du_pre,
-    }
-    dzh = tower.wh1.T @ du_pre
-    dpooled = dzh[:HIDDEN_DIM]
-
-    dh2 = np.tile(dpooled / n, (n, 1))
-    dz2 = dh2 * (cache["z2"] > 0)
-    grads["w2"] = dz2.T @ cache["c1"]
-    grads["b2"] = dz2.sum(axis=0)
-
-    dc1 = dz2 @ tower.w2
-    dh1 = dc1[:, :HIDDEN_DIM] + cache["agg"].T @ dc1[:, HIDDEN_DIM:]
-    dz1 = dh1 * (cache["z1"] > 0)
-    grads["w1"] = dz1.T @ cache["c0"]
-    grads["b1"] = dz1.sum(axis=0)
-    return grads
-
-
-def _neighbor_mean_batch(h: np.ndarray, preds: Sequence[Sequence[int]]) -> np.ndarray:
-    """`_neighbor_mean` for a (B, N, F) stack: the same sorted sums per sample."""
+def _mean_in_neighbors(h: np.ndarray, preds: Sequence[Sequence[int]]) -> np.ndarray:
+    """Mean of each node's in-neighbor rows in a (B, N, F) stack, addends sorted."""
     out = np.zeros_like(h)
     for v, ps in enumerate(preds):
         if ps:
@@ -308,9 +228,9 @@ def forward_batch(
     `backward_batch`.  Only post-ReLU activations are kept: h > 0 exactly
     where the pre-activation is > 0.
     """
-    c0 = np.concatenate([h0, _neighbor_mean_batch(h0, preds)], axis=2)
+    c0 = np.concatenate([h0, _mean_in_neighbors(h0, preds)], axis=2)
     h1 = _dense_relu(c0, tower.w1, tower.b1)
-    c1 = np.concatenate([h1, _neighbor_mean_batch(h1, preds)], axis=2)
+    c1 = np.concatenate([h1, _mean_in_neighbors(h1, preds)], axis=2)
     h2 = _dense_relu(c1, tower.w2, tower.b2)
 
     pooled = np.sort(h2, axis=1).sum(axis=1) / h2.shape[1]
@@ -368,65 +288,22 @@ def batch_loss_and_grads(
     return float(err @ err), backward_batch(tower, cache, 2.0 * err)
 
 
-def sample_loss_and_grads(
+def forward_tower(
     tower: TowerParams,
     h0: np.ndarray,
     preds: Sequence[Sequence[int]],
     g: np.ndarray,
-    log_target: float,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Squared log-space error for one sample plus its parameter gradients."""
-    y, cache = forward_tower(tower, h0, preds, g)
-    err = y - log_target
-    grads = backward_tower(tower, cache, 2.0 * err)
-    return err * err, grads
+) -> tuple[float, dict]:
+    """Log-energy prediction for one normalized sample, as a batch of one."""
+    y, cache = forward_batch(tower, h0[None], tuple(map(tuple, preds)), g[None])
+    return float(y[0]), cache
 
 
-# ---------------------------------------------------------------------------
-# Prediction ops
-
-
-def _encode_inputs(
-    graph: LayerGraph,
-    gf: GlobalFeatures,
-    norms: FeatureNorms,
-    phase: str,
-    prefill_energy_j: float | None = None,
-) -> tuple[np.ndarray, tuple, np.ndarray]:
-    h0 = normalize_nodes(node_feature_matrix(graph), norms)
-    raw_g = globals_vector(gf, with_prefill_energy=False)
-    if phase == "total":
-        if prefill_energy_j is None:
-            raise ValueError("total-phase prediction needs a prefill energy")
-        raw_g = np.concatenate([raw_g, [prefill_energy_j]])
-    g = normalize_globals(raw_g, norms, phase)
-    return h0, in_neighbor_lists(graph), g
-
-
-def predict_prefill(
-    graph: LayerGraph, gf: GlobalFeatures, params: GnnParams
-) -> float:
-    """Prefill energy in joules (strictly positive by construction)."""
-    if gf.phase != "prefill":
-        raise ValueError("prefill prediction needs prefill-phase globals")
-    h0, preds, g = _encode_inputs(graph, gf, params.norms, "prefill")
-    y, _ = forward_tower(params.prefill, h0, preds, g)
-    return float(np.exp(y))
-
-
-def predict_total(
-    graph: LayerGraph, gf: GlobalFeatures, params: GnnParams
-) -> float:
-    """Whole-request energy in joules; globals must carry the prefill energy."""
-    if gf.phase != "total":
-        raise ValueError("total prediction needs total-phase globals")
-    if gf.prefill_energy_j is None:
-        raise ValueError("total prediction needs globals with a prefill energy")
-    h0, preds, g = _encode_inputs(
-        graph, gf, params.norms, "total", prefill_energy_j=gf.prefill_energy_j
-    )
-    y, _ = forward_tower(params.total, h0, preds, g)
-    return float(np.exp(y))
+def backward_tower(
+    tower: TowerParams, cache: dict, dy: float
+) -> dict[str, np.ndarray]:
+    """Gradients of dy * y with respect to every tower array, for one sample."""
+    return backward_batch(tower, cache, np.array([dy]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +329,8 @@ def grad_check(
     Checks a random subset of at least `n_checks` parameters across all tower
     arrays (all of them when the tower is small).
     """
-    _, grads = sample_loss_and_grads(tower, h0, preds, g, log_target)
-    flat_analytic = flatten_grads(grads)
+    y, cache = forward_tower(tower, h0, preds, g)
+    flat_analytic = flatten_grads(backward_tower(tower, cache, 2.0 * (y - log_target)))
 
     total = tower.n_params()
     rng = np.random.default_rng(seed)

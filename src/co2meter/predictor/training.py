@@ -1,14 +1,21 @@
-"""Two-stage training for the energy predictor, plus evaluation metrics.
+"""Two-stage training for the energy predictor, chained inference, metrics.
 
 Stage one fits the prefill tower on measured prefill energies.  Stage two
 fits the total tower with the measured prefill energy teacher-forced into its
 global features; at inference the predicted prefill energy is used instead.
-Both stages minimize squared error in log-energy space with Adam.  Each
-mini-batch is one stacked forward and backward pass (`gnn.forward_batch`)
-per layer topology in the batch, usually exactly one; the per-epoch
-validation predictions use the same batched forward.  Training is
-bit-deterministic for a fixed seed: splits, shuffles, and init all come from
-one seeded generator, and a batch stacks its samples in sorted index order.
+Both stages minimize squared error in log-energy space with Adam.
+
+`_TOWERS` is the one table of which graph, globals, norms slot and label each
+tower reads from a sample; featurization, norm fitting, training and
+inference all go through it.  Every GNN evaluation is the batched pass
+(`gnn.forward_batch` / `gnn.backward_batch`) over samples stacked per layer
+topology, usually exactly one: a mini-batch when training, chunks of a whole
+sample set when predicting (`evaluate_params`), and a batch of one for a
+single request (`predict_prefill`, `predict_total`, `predict_sample`).  The
+per-sample reference pass and trainer the tests compare against live in
+`tests/gnn_reference.py`.  Training is bit-deterministic for a fixed seed:
+splits, shuffles, and init all come from one seeded generator, and a batch
+stacks its samples in sorted index order.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import TrainingDivergedError
-from ..workload import in_neighbor_lists, with_prefill_energy
+from ..workload import GlobalFeatures, LayerGraph, in_neighbor_lists
 from .data import (
+    GLOBAL_DIM,
     GraphSample,
     PredictorInputs,
     globals_vector,
@@ -37,8 +45,6 @@ from .gnn import (
     init_params,
     normalize_globals,
     normalize_nodes,
-    predict_prefill,
-    predict_total,
 )
 
 # Rows per batched forward pass when predicting a whole sample set.
@@ -57,10 +63,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ValueError("epochs/batch_size/learning_rate must be positive")
-        if not 0 < self.train_frac <= 1 or self.val_frac < 0:
-            raise ValueError("invalid split fractions")
-        if self.train_frac + self.val_frac > 1:
-            raise ValueError("train_frac + val_frac must be <= 1")
+        split_indices(0, self.train_frac, self.val_frac, self.seed)  # checks the fractions
 
 
 @dataclass(frozen=True)
@@ -148,77 +151,118 @@ class Adam:
 
 
 @dataclass(frozen=True)
-class PreparedSample:
+class _TowerInputs:
+    """Where one tower reads a sample: sample fields and its norms slot."""
+
+    graph: str  # field holding the layer graph
+    globals: str  # field holding the global features
+    norm_slot: str  # FeatureNorms globals slot, as `normalize_globals` names it
+    label: str  # field holding the energy the tower predicts
+    # Field teacher-forced into the prefill-energy slot when training (the
+    # total tower only); inference fills that slot with predictions instead.
+    teacher: str | None = None
+
+    def read(
+        self, samples: Sequence[PredictorInputs]
+    ) -> tuple[list[LayerGraph], list[GlobalFeatures]]:
+        return (
+            [getattr(s, self.graph) for s in samples],
+            [getattr(s, self.globals) for s in samples],
+        )
+
+
+_TOWERS = {
+    "prefill": _TowerInputs("prefill_graph", "prefill_globals", "prefill", "label_prefill_j"),
+    "total": _TowerInputs(
+        "decode_graph", "total_globals", "total", "label_total_j", "label_prefill_j"
+    ),
+    # single-phase baseline: no prefill-energy slot, so its total-phase globals
+    # are scaled with the prefill slot's statistics
+    "single": _TowerInputs("prefill_graph", "total_globals", "prefill", "label_total_j"),
+}
+
+
+@dataclass(frozen=True)
+class EncodedSample:
     """Normalized tensors for one sample and one tower."""
 
     h0: np.ndarray
     preds: tuple
     g: np.ndarray
+
+
+@dataclass(frozen=True)
+class PreparedSample(EncodedSample):
+    """An encoded sample with the tower's label."""
+
     log_target: float
     target_j: float
+
+
+def _labels(samples: Sequence[GraphSample], field: str) -> np.ndarray:
+    return np.array([getattr(s, field) for s in samples])
+
+
+def _raw_inputs(
+    graphs: Sequence[LayerGraph],
+    gfs: Sequence[GlobalFeatures],
+    prefill_j: Sequence[float] | None = None,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Raw node matrices and global rows; prefill_j fills the prefill-energy
+    column of the tower that has one."""
+    raw_g = np.array([globals_vector(gf) for gf in gfs]).reshape(len(gfs), GLOBAL_DIM)
+    if prefill_j is not None:
+        raw_g = np.column_stack([raw_g, prefill_j])
+    return [node_feature_matrix(graph) for graph in graphs], raw_g
+
+
+def _encode(
+    graphs: Sequence[LayerGraph],
+    gfs: Sequence[GlobalFeatures],
+    norms: FeatureNorms,
+    norm_slot: str,
+    prefill_j: Sequence[float] | None = None,
+) -> list[EncodedSample]:
+    node_raws, raw_g = _raw_inputs(graphs, gfs, prefill_j)
+    g = normalize_globals(raw_g, norms, norm_slot)
+    return [
+        EncodedSample(normalize_nodes(raw, norms), in_neighbor_lists(graph), row)
+        for graph, raw, row in zip(graphs, node_raws, g)
+    ]
 
 
 def _prepare(
     samples: Sequence[GraphSample], norms: FeatureNorms, tower: str
 ) -> list[PreparedSample]:
-    """tower is 'prefill', 'total' (teacher-forced), or 'single' (no prefill slot)."""
-    prepared = []
-    for s in samples:
-        if tower == "prefill":
-            graph, gf = s.prefill_graph, s.prefill_globals
-            raw_g = globals_vector(gf)
-            g = normalize_globals(raw_g, norms, "prefill")
-            target = s.label_prefill_j
-        elif tower == "total":
-            graph = s.decode_graph
-            raw_g = np.concatenate(
-                [globals_vector(s.total_globals), [s.label_prefill_j]]
-            )
-            g = normalize_globals(raw_g, norms, "total")
-            target = s.label_total_j
-        elif tower == "single":
-            graph = s.prefill_graph
-            g = normalize_globals(
-                globals_vector(s.total_globals), norms, "prefill"
-            )
-            target = s.label_total_j
-        else:
-            raise ValueError(f"unknown tower {tower!r}")
-        prepared.append(
-            PreparedSample(
-                h0=normalize_nodes(node_feature_matrix(graph), norms),
-                preds=in_neighbor_lists(graph),
-                g=g,
-                log_target=float(np.log(target)),
-                target_j=target,
-            )
-        )
-    return prepared
+    """Labelled tensors of the 'prefill', 'total' (teacher-forced) or 'single' tower."""
+    spec = _TOWERS[tower]
+    teacher = None if spec.teacher is None else _labels(samples, spec.teacher)
+    encoded = _encode(*spec.read(samples), norms, spec.norm_slot, teacher)
+    return [
+        PreparedSample(e.h0, e.preds, e.g, float(np.log(t)), float(t))
+        for e, t in zip(encoded, _labels(samples, spec.label))
+    ]
 
 
 def fit_norms(samples: Sequence[GraphSample]) -> FeatureNorms:
     """Feature statistics over the training split (both graphs per sample)."""
-    node_raws = []
-    glob_prefill = []
-    glob_total = []
-    for s in samples:
-        node_raws.append(node_feature_matrix(s.prefill_graph))
-        node_raws.append(node_feature_matrix(s.decode_graph))
-        glob_prefill.append(globals_vector(s.prefill_globals))
-        glob_total.append(
-            np.concatenate([globals_vector(s.total_globals), [s.label_prefill_j]])
-        )
-    return fit_feature_norms(node_raws, np.array(glob_prefill), np.array(glob_total))
+    total = _TOWERS["total"]
+    prefill_nodes, prefill_g = _raw_inputs(*_TOWERS["prefill"].read(samples))
+    total_nodes, total_g = _raw_inputs(
+        *total.read(samples), _labels(samples, total.teacher)
+    )
+    node_raws = [m for pair in zip(prefill_nodes, total_nodes) for m in pair]
+    return fit_feature_norms(node_raws, prefill_g, total_g)
 
 
 class _Stacks:
-    """Prepared samples stacked once per layer topology, for batched passes."""
+    """Encoded samples stacked once per layer topology, for batched passes."""
 
-    def __init__(self, prepared: Sequence[PreparedSample]) -> None:
-        self.n = len(prepared)
+    def __init__(self, encoded: Sequence[EncodedSample]) -> None:
+        self.n = len(encoded)
         members: dict[tuple, list[int]] = {}
-        for i, p in enumerate(prepared):
-            members.setdefault(p.preds, []).append(i)
+        for i, e in enumerate(encoded):
+            members.setdefault(e.preds, []).append(i)
         self.group_of = np.empty(self.n, dtype=int)
         self.row_of = np.empty(self.n, dtype=int)
         self.groups = []
@@ -227,30 +271,29 @@ class _Stacks:
             self.row_of[idx] = np.arange(len(idx))
             self.groups.append((
                 preds,
-                np.stack([prepared[i].h0 for i in idx]),
-                np.stack([prepared[i].g for i in idx]),
-                np.array([prepared[i].log_target for i in idx]),
+                np.stack([encoded[i].h0 for i in idx]),
+                np.stack([encoded[i].g for i in idx]),
             ))
 
     def batches(
         self, idx: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, tuple, np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[np.ndarray, tuple, np.ndarray, np.ndarray]]:
         """Per topology among the samples at idx: (those indices, preds,
-        stacked h0, stacked g, log targets)."""
+        stacked h0, stacked g)."""
         gids = self.group_of[idx]
         for gid in np.unique(gids):
             picked = idx[gids == gid]
             rows = self.row_of[picked]
-            preds, h0, g, log_target = self.groups[gid]
-            yield picked, preds, h0[rows], g[rows], log_target[rows]
+            preds, h0, g = self.groups[gid]
+            yield picked, preds, h0[rows], g[rows]
 
 
 def _tower_predictions(tower: TowerParams, stacks: _Stacks) -> np.ndarray:
-    """Predicted energies (joules) in prepared order, batched forward passes."""
+    """Predicted energies (joules) in encoded order, batched forward passes."""
     out = np.empty(stacks.n)
     for start in range(0, stacks.n, _PREDICT_BATCH):
         idx = np.arange(start, min(start + _PREDICT_BATCH, stacks.n))
-        for picked, preds, h0, g, _ in stacks.batches(idx):
+        for picked, preds, h0, g in stacks.batches(idx):
             out[picked] = np.exp(forward_batch(tower, h0, preds, g)[0])
     return out
 
@@ -270,6 +313,7 @@ def train_tower(
     arrays = tower.arrays()
     adam = Adam(arrays, cfg.learning_rate)
     stacks, val_stacks = _Stacks(train_set), _Stacks(val_set)
+    log_targets = np.array([p.log_target for p in train_set])
     truths = np.array([p.target_j for p in val_set])
     history = []
     for epoch in range(cfg.epochs):
@@ -278,8 +322,8 @@ def train_tower(
         for start in range(0, len(order), cfg.batch_size):
             batch = np.sort(order[start:start + cfg.batch_size])
             parts = [
-                batch_loss_and_grads(tower, h0, preds, g, log_target)
-                for _, preds, h0, g, log_target in stacks.batches(batch)
+                batch_loss_and_grads(tower, h0, preds, g, log_targets[picked])
+                for picked, preds, h0, g in stacks.batches(batch)
             ]
             loss_sum = sum(loss for loss, _ in parts)
             if not np.isfinite(loss_sum):
@@ -337,12 +381,57 @@ def train(
     return params, history
 
 
-def predict_sample(params: GnnParams, sample: PredictorInputs) -> tuple[float, float]:
-    """Chained inference: predicted prefill energy feeds the total tower."""
-    prefill_j = predict_prefill(sample.prefill_graph, sample.prefill_globals, params)
-    gf = with_prefill_energy(sample.total_globals, prefill_j)
-    total_j = predict_total(sample.decode_graph, gf, params)
+def _energies(
+    tower: TowerParams,
+    norms: FeatureNorms,
+    spec: _TowerInputs,
+    graphs: Sequence[LayerGraph],
+    gfs: Sequence[GlobalFeatures],
+    prefill_j: Sequence[float] | None = None,
+) -> np.ndarray:
+    """One tower's predicted energies (joules) over graphs and their globals."""
+    encoded = _encode(graphs, gfs, norms, spec.norm_slot, prefill_j)
+    return _tower_predictions(tower, _Stacks(encoded))
+
+
+def _predict_chain(
+    params: GnnParams, samples: Sequence[PredictorInputs]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chained inference: the prefill tower runs over the whole set, its
+    predicted energies fill the total tower's prefill-energy slot, then the
+    total tower runs.  Returns (prefill, total) energies in joules."""
+    prefill, total = _TOWERS["prefill"], _TOWERS["total"]
+    prefill_j = _energies(params.prefill, params.norms, prefill, *prefill.read(samples))
+    total_j = _energies(params.total, params.norms, total, *total.read(samples), prefill_j)
     return prefill_j, total_j
+
+
+def predict_prefill(
+    graph: LayerGraph, gf: GlobalFeatures, params: GnnParams
+) -> float:
+    """Prefill energy in joules (strictly positive by construction)."""
+    if gf.phase != "prefill":
+        raise ValueError("prefill prediction needs prefill-phase globals")
+    return float(_energies(params.prefill, params.norms, _TOWERS["prefill"], [graph], [gf])[0])
+
+
+def predict_total(
+    graph: LayerGraph, gf: GlobalFeatures, params: GnnParams
+) -> float:
+    """Whole-request energy in joules; globals must carry the prefill energy."""
+    if gf.phase != "total":
+        raise ValueError("total prediction needs total-phase globals")
+    if gf.prefill_energy_j is None:
+        raise ValueError("total prediction needs globals with a prefill energy")
+    return float(_energies(
+        params.total, params.norms, _TOWERS["total"], [graph], [gf], [gf.prefill_energy_j]
+    )[0])
+
+
+def predict_sample(params: GnnParams, sample: PredictorInputs) -> tuple[float, float]:
+    """Chained inference for one request: predicted prefill energy feeds the total tower."""
+    prefill_j, total_j = _predict_chain(params, [sample])
+    return float(prefill_j[0]), float(total_j[0])
 
 
 def evaluate_params(
@@ -351,12 +440,7 @@ def evaluate_params(
     """Chained-inference metrics for both heads over a sample set."""
     if not samples:
         raise ValueError("evaluation needs at least one sample")
-    pairs = [predict_sample(params, s) for s in samples]
-    prefill_pred = np.array([p for p, _ in pairs])
-    total_pred = np.array([t for _, t in pairs])
-    prefill_true = np.array([s.label_prefill_j for s in samples])
-    total_true = np.array([s.label_total_j for s in samples])
     return {
-        "prefill": evaluate_predictions(prefill_true, prefill_pred),
-        "total": evaluate_predictions(total_true, total_pred),
+        name: evaluate_predictions(_labels(samples, _TOWERS[name].label), pred)
+        for name, pred in zip(("prefill", "total"), _predict_chain(params, samples))
     }

@@ -155,8 +155,9 @@ class LayerGraph:
             raise ValueError(f"unknown graph phase {self.phase!r}")
         if not self.nodes:
             raise ValueError("graph needs at least one node")
-        # The decoder-layer topology is checked once, at import.
-        if not (self.edges is _LAYER_EDGES and len(self.nodes) == _LAYER_NODES):
+        # The decoder-layer topology is checked once, at import; loaded graphs
+        # carry equal edge tuples of their own.
+        if not (len(self.nodes) == _LAYER_NODES and self.edges == _LAYER_EDGES):
             _check_topology(len(self.nodes), self.edges)
 
 

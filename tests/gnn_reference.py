@@ -1,22 +1,154 @@
-"""Reference trainer: one forward/backward per sample, gradients summed in a loop.
+"""Reference predictor: a per-sample GNN pass and a per-sample trainer.
 
-`co2meter.predictor.training.train_tower` runs each mini-batch as one stacked
-pass (`gnn.forward_batch` / `gnn.backward_batch`) instead; the tests hold it
-to this loop, which has the same signature and consumes the generator in the
-same order.  `ReferenceAdam` is the Adam update written with fresh arrays;
-`Adam.step` evaluates the same expressions in place.
+`co2meter.predictor.gnn` has one pass, `forward_batch` / `backward_batch`,
+which stacks samples of one topology and runs a single sample as a batch of
+one.  The tests hold it to the per-sample pass here: `forward_tower` and
+`backward_tower` with explicit sorted neighbor sums, and `encode_inputs` /
+`fit_norms` / `fit_norms_single`, which pick each tower's graph, globals and
+norms slot per sample.
+`train_tower` is the Adam loop with one forward/backward per sample and
+gradients summed in a loop; it has the library's signature and consumes the
+generator in the same order.  `ReferenceAdam` is the Adam update written with
+fresh arrays; `Adam.step` evaluates the same expressions in place.
 """
 
 import numpy as np
 
 from co2meter.errors import TrainingDivergedError
 from co2meter.predictor import (
+    HIDDEN_DIM,
     Adam,
     error_bound_share,
-    forward_tower,
+    globals_vector,
     mape,
-    sample_loss_and_grads,
+    node_feature_matrix,
 )
+from co2meter.predictor.gnn import fit_feature_norms, normalize_globals, normalize_nodes
+from co2meter.workload import in_neighbor_lists
+
+
+def sorted_sum(values):
+    """Column sums with addends sorted by value (label-order independent)."""
+    return np.sort(values, axis=0).sum(axis=0)
+
+
+def neighbor_mean(h, preds):
+    out = np.zeros_like(h)
+    for v, ps in enumerate(preds):
+        if ps:
+            out[v] = sorted_sum(h[list(ps)]) / len(ps)
+    return out
+
+
+def aggregation_matrix(n, preds):
+    a = np.zeros((n, n))
+    for v, ps in enumerate(preds):
+        for p in ps:
+            a[v, p] = 1.0 / len(ps)
+    return a
+
+
+def forward_tower(tower, h0, preds, g):
+    """Log-energy prediction for one normalized sample, with a backward cache."""
+    c0 = np.concatenate([h0, neighbor_mean(h0, preds)], axis=1)
+    z1 = c0 @ tower.w1.T + tower.b1
+    h1 = np.maximum(z1, 0.0)
+
+    c1 = np.concatenate([h1, neighbor_mean(h1, preds)], axis=1)
+    z2 = c1 @ tower.w2.T + tower.b2
+    h2 = np.maximum(z2, 0.0)
+
+    pooled = sorted_sum(h2) / len(h2)
+    zh = np.concatenate([pooled, g])
+    u_pre = tower.wh1 @ zh + tower.bh1
+    u = np.maximum(u_pre, 0.0)
+    y = float(tower.wh2 @ u + tower.bh2[0])
+
+    cache = {
+        "c0": c0, "z1": z1, "h1": h1, "c1": c1, "z2": z2, "h2": h2,
+        "zh": zh, "u_pre": u_pre, "u": u,
+        "agg": aggregation_matrix(len(h0), preds),
+    }
+    return y, cache
+
+
+def backward_tower(tower, cache, dy):
+    """Gradients of dy * y with respect to every tower array."""
+    n = cache["h2"].shape[0]
+
+    du = dy * tower.wh2
+    du_pre = du * (cache["u_pre"] > 0)
+    grads = {
+        "wh2": dy * cache["u"],
+        "bh2": np.array([dy]),
+        "wh1": np.outer(du_pre, cache["zh"]),
+        "bh1": du_pre,
+    }
+    dzh = tower.wh1.T @ du_pre
+    dpooled = dzh[:HIDDEN_DIM]
+
+    dh2 = np.tile(dpooled / n, (n, 1))
+    dz2 = dh2 * (cache["z2"] > 0)
+    grads["w2"] = dz2.T @ cache["c1"]
+    grads["b2"] = dz2.sum(axis=0)
+
+    dc1 = dz2 @ tower.w2
+    dh1 = dc1[:, :HIDDEN_DIM] + cache["agg"].T @ dc1[:, HIDDEN_DIM:]
+    dz1 = dh1 * (cache["z1"] > 0)
+    grads["w1"] = dz1.T @ cache["c0"]
+    grads["b1"] = dz1.sum(axis=0)
+    return grads
+
+
+def sample_loss_and_grads(tower, h0, preds, g, log_target):
+    """Squared log-space error for one sample plus its parameter gradients."""
+    y, cache = forward_tower(tower, h0, preds, g)
+    err = y - log_target
+    grads = backward_tower(tower, cache, 2.0 * err)
+    return err * err, grads
+
+
+def encode_inputs(graph, gf, norms, phase, prefill_energy_j=None):
+    """Normalized (h0, preds, g) of one graph; phase 'total' appends the
+    prefill energy to the globals and scales them with the total slot."""
+    h0 = normalize_nodes(node_feature_matrix(graph), norms)
+    raw_g = globals_vector(gf)
+    if phase == "total":
+        raw_g = np.concatenate([raw_g, [prefill_energy_j]])
+    return h0, in_neighbor_lists(graph), normalize_globals(raw_g, norms, phase)
+
+
+def fit_norms(samples):
+    """Two-phase feature statistics: both graphs per sample, prefill globals,
+    and total globals with the labelled prefill energy appended."""
+    node_raws = []
+    glob_prefill = []
+    glob_total = []
+    for s in samples:
+        node_raws.append(node_feature_matrix(s.prefill_graph))
+        node_raws.append(node_feature_matrix(s.decode_graph))
+        glob_prefill.append(globals_vector(s.prefill_globals))
+        glob_total.append(
+            np.concatenate([globals_vector(s.total_globals), [s.label_prefill_j]])
+        )
+    return fit_feature_norms(node_raws, np.array(glob_prefill), np.array(glob_total))
+
+
+def fit_norms_single(samples):
+    """Single-phase statistics: prefill graphs, total globals in the prefill slot."""
+    node_raws = [node_feature_matrix(s.prefill_graph) for s in samples]
+    glob = np.array([globals_vector(s.total_globals) for s in samples])
+    return fit_feature_norms(node_raws, glob)
+
+
+def predict_sample(params, sample):
+    """Chained inference, one sample at a time through the per-sample pass."""
+    y, _ = forward_tower(params.prefill, *encode_inputs(
+        sample.prefill_graph, sample.prefill_globals, params.norms, "prefill"))
+    prefill_j = float(np.exp(y))
+    y, _ = forward_tower(params.total, *encode_inputs(
+        sample.decode_graph, sample.total_globals, params.norms, "total", prefill_j))
+    return prefill_j, float(np.exp(y))
 
 
 def tower_predictions(tower, prepared):

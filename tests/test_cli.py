@@ -541,3 +541,15 @@ def test_compare_baselines_with_empty_test_split_exits_2(capsys, tmp_path, workd
                          "--params", str(params), "--compare-baselines")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "test split" in err
+
+
+def test_train_on_every_sample_reports_only_the_train_split(capsys, tmp_path, workdir):
+    params = tmp_path / "params.json"
+    doc = run_json(capsys, "train", "--dataset", workdir / "tiny.jsonl",
+                   "--params-out", params, "--epochs", "1",
+                   "--train-frac", "1", "--val-frac", "0")
+    assert list(doc) == ["train"] and doc["train"]["total"]["n"] == 12
+    code, out, err = run(capsys, "eval", "--dataset", workdir / "tiny.jsonl",
+                         "--params", params, "--compare-baselines")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "non-empty test split" in err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from co2meter import assets
+from co2meter import assets, workload
 from co2meter.errors import TrainingDivergedError, UserInputError
 from co2meter.predictor import (
     GLOBAL_DIM,
@@ -21,8 +21,10 @@ from co2meter.predictor import (
     evaluate_baseline_total,
     evaluate_params,
     evaluate_predictions,
+    featurize,
     fit_ridge_globals,
     forward_tower,
+    backward_tower,
     gen_oracle_dataset,
     grad_check,
     init_params,
@@ -181,13 +183,77 @@ def test_aggregation_matrix_is_shared_and_read_only(dataset20):
 def test_predict_sample_equals_manual_chaining(dataset20):
     params = init_params(7)
     params.norms = fit_norms(dataset20)
-    sample = dataset20[1]
-    prefill_j, total_j = predict_sample(params, sample)
-    assert prefill_j == predict_prefill(
-        sample.prefill_graph, sample.prefill_globals, params
+    # a labelled sample, and label-free inputs as the CLI builds them
+    unlabelled = featurize(QWEN, Request(prompt_len=200, output_len=50), RK3588)
+    for sample in (dataset20[1], unlabelled):
+        prefill_j, total_j = predict_sample(params, sample)
+        assert prefill_j == predict_prefill(
+            sample.prefill_graph, sample.prefill_globals, params
+        )
+        gf = with_prefill_energy(sample.total_globals, prefill_j)
+        assert total_j == predict_total(sample.decode_graph, gf, params)
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["one topology", "two topologies"])
+def test_evaluate_params_equals_per_sample_chain(dataset20, relabel):
+    samples = _with_relabeled_prefill(dataset20, 3) if relabel else dataset20
+    params, _ = train(samples, TrainConfig(epochs=2))
+    metrics = evaluate_params(params, samples)
+    pairs = []
+    for s in samples:
+        prefill_j = predict_prefill(s.prefill_graph, s.prefill_globals, params)
+        gf = with_prefill_energy(s.total_globals, prefill_j)
+        pairs.append((prefill_j, predict_total(s.decode_graph, gf, params)))
+    want_preds = np.array(pairs).T
+    for got, want in zip(training._predict_chain(params, samples), want_preds):
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+    for phase, preds in zip(("prefill", "total"), want_preds):
+        truths = np.array([getattr(s, f"label_{phase}_j") for s in samples])
+        want = evaluate_predictions(truths, preds)
+        assert metrics[phase].mape == pytest.approx(want.mape, rel=1e-12, abs=0)
+        assert (metrics[phase].eb10, metrics[phase].n) == (want.eb10, want.n)
+
+
+def test_single_sample_pass_is_bit_identical_to_per_sample_reference(dataset20):
+    params, _ = train(dataset20, TrainConfig(epochs=2))
+    for name, tower in (("prefill", params.prefill), ("total", params.total)):
+        for p in _prepare(dataset20, params.norms, name):
+            y, cache = forward_tower(tower, p.h0, p.preds, p.g)
+            want_y, want_cache = gnn_reference.forward_tower(tower, p.h0, p.preds, p.g)
+            assert y == want_y
+            grads = backward_tower(tower, cache, 2.0 * (y - p.log_target))
+            want = gnn_reference.backward_tower(tower, want_cache, 2.0 * (y - p.log_target))
+            for k in want:
+                assert np.array_equal(grads[k], want[k]), (name, k)
+    for s in dataset20:
+        assert predict_sample(params, s) == gnn_reference.predict_sample(params, s)
+
+
+def _assert_same_norms(got, want):
+    for field in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def test_tower_table_reproduces_per_sample_encoding(dataset20):
+    norms = fit_norms(dataset20)
+    _assert_same_norms(norms, gnn_reference.fit_norms(dataset20))
+    single, _ = train_single_phase(dataset20, TrainConfig(epochs=1))
+    train_idx, _, _ = split_indices(20, 0.8, 0.1, seed=42)
+    _assert_same_norms(
+        single.norms, gnn_reference.fit_norms_single([dataset20[i] for i in train_idx])
     )
-    gf = with_prefill_energy(sample.total_globals, prefill_j)
-    assert total_j == predict_total(sample.decode_graph, gf, params)
+    for tower, graph, gf, slot, label in (
+        ("prefill", "prefill_graph", "prefill_globals", "prefill", "label_prefill_j"),
+        ("total", "decode_graph", "total_globals", "total", "label_total_j"),
+        ("single", "prefill_graph", "total_globals", "prefill", "label_total_j"),
+    ):
+        for s, p in zip(dataset20, _prepare(dataset20, norms, tower)):
+            h0, preds, g = gnn_reference.encode_inputs(
+                getattr(s, graph), getattr(s, gf), norms, slot, s.label_prefill_j
+            )
+            assert np.array_equal(p.h0, h0) and np.array_equal(p.g, g), tower
+            assert p.preds == preds
+            assert (p.target_j, p.log_target) == (getattr(s, label), np.log(getattr(s, label)))
 
 
 def test_prediction_phase_validation(dataset20):
@@ -266,7 +332,11 @@ def test_batched_pass_matches_per_sample_reference(dataset20, batch, n_groups):
     stacks = list(_Stacks(prepared).batches(np.array(batch)))
     assert len(stacks) == n_groups
     assert sorted(i for members, *_ in stacks for i in members) == list(batch)
-    parts = [batch_loss_and_grads(tower, h0, preds, g, lt) for _, preds, h0, g, lt in stacks]
+    log_targets = np.array([p.log_target for p in prepared])
+    parts = [
+        batch_loss_and_grads(tower, h0, preds, g, log_targets[members])
+        for members, preds, h0, g in stacks
+    ]
     want_loss, want_grads = gnn_reference.batch_loss_and_grads(tower, prepared, batch)
     assert _max_rel(sum(loss for loss, _ in parts), want_loss) <= 1e-12
     for name, want in want_grads.items():
@@ -407,8 +477,11 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(train_frac=0.9, val_frac=0.2)
+    # the split rule is split_indices' own
+    for train_frac, val_frac in ((0.9, 0.2), (0.0, 0.1), (1.5, 0.0), (0.8, -0.1)):
+        with pytest.raises(ValueError, match="invalid split fractions"):
+            TrainConfig(train_frac=train_frac, val_frac=val_frac)
+    TrainConfig(train_frac=1.0, val_frac=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +616,35 @@ def test_dataset_errors_carry_line_numbers(tmp_path, dataset20):
         read_dataset_jsonl(tmp_path / "missing.jsonl")
 
 
+def test_loaded_graphs_skip_the_topology_check_unless_malformed(
+    tmp_path, dataset20, monkeypatch
+):
+    checked = []
+    check = workload._check_topology
+    monkeypatch.setattr(
+        workload, "_check_topology", lambda n, edges: (checked.append(n), check(n, edges))
+    )
+    path = tmp_path / "round_trip.jsonl"
+    write_dataset_jsonl(path, dataset20)
+    assert len(read_dataset_jsonl(path)) == 20
+    assert checked == []
+
+    good = json.dumps(sample_to_json(dataset20[1]))
+    doc = sample_to_json(dataset20[0])
+    edges, nodes = doc["prefill_graph"]["edges"], doc["prefill_graph"]["nodes"]
+    bad = tmp_path / "bad.jsonl"
+    for change, message in (
+        ({"edges": edges + [[11, 0]]}, "cycle"),
+        ({"edges": edges + [[3, 3]]}, "self-loops"),
+        ({"nodes": nodes[:11]}, "out of range"),
+    ):
+        bad_doc = {**doc, "prefill_graph": {**doc["prefill_graph"], **change}}
+        bad.write_text(good + "\n" + json.dumps(bad_doc) + "\n")
+        with pytest.raises(UserInputError, match=rf"bad\.jsonl:2: .*{message}"):
+            read_dataset_jsonl(bad)
+    assert checked == [12, 12, 11]
+
+
 def test_params_json_round_trip(tmp_path, dataset20):
     params = init_params(7)
     params.norms = fit_norms(dataset20)
@@ -584,6 +686,10 @@ def test_split_sizes_and_determinism():
         split_indices(100, 0.0, 0.1, seed=0)
     with pytest.raises(ValueError):
         split_indices(100, 0.8, 0.3, seed=0)
+    tr, va, te = split_indices(10, 1.0, 0.0, seed=0)
+    assert sorted(tr.tolist()) == list(range(10)) and len(va) == len(te) == 0
+    with pytest.raises(ValueError):
+        split_indices(10, 1.0, 0.1, seed=0)
 
 
 @given(
