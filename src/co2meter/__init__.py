@@ -9,7 +9,9 @@ footprints and break-even analyses.  The `co2meter` CLI exposes each piece.
 
 __version__ = "0.1.0"
 
-from . import accounting, assets, device_models, embodied, predictor, workload
+import importlib
+
+from . import accounting, assets, device_models, embodied, workload
 from .errors import (
     CO2MeterError,
     ConfigurationError,
@@ -34,3 +36,10 @@ __all__ = [
     "UserInputError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import the numpy-backed `predictor` on first access (PEP 562)."""
+    if name != "predictor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module(f"{__name__}.predictor")

@@ -73,23 +73,14 @@ def measurement_csv(name: str) -> Path:
     return path
 
 
-def _flat_table(filename: str) -> dict[str, float]:
-    path = asset_root() / filename
+def load_peripheral_masses() -> dict[str, float]:
+    """Embodied carbon (kg CO2e) of common off-board peripherals."""
+    path = asset_root() / "peripherals.json"
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UserInputError(f"cannot read {path}: {exc}") from exc
     return {str(k): float(v) for k, v in doc.items()}
-
-
-def load_peripheral_masses() -> dict[str, float]:
-    """Embodied carbon (kg CO2e) of common off-board peripherals."""
-    return _flat_table("peripherals.json")
-
-
-def load_conversion_table() -> dict[str, float]:
-    """Per-task energies (J) for the bundled format converters."""
-    return _flat_table("conversion.json")
 
 
 def demo_peripheral_models() -> dict[str, PeripheralModel]:

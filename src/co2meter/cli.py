@@ -4,6 +4,9 @@ Subcommands: fit, estimate, dataset, train, eval, embodied, whatif,
 breakeven, roofline, pipeline.  Global flags `--seed`, `--format`, `--out`
 apply to every subcommand.
 
+The predictor, and with it numpy, is imported only inside the subcommands
+that run it: dataset, train, eval and pipeline --params.
+
 Every command is deterministic given its arguments: seeds are explicit
 (default 42), emitted artifacts carry no timestamps, and JSON keys are
 sorted, so identical invocations produce byte-identical output.  Exit codes:
@@ -45,36 +48,17 @@ from .embodied import (
     whatif_bom,
 )
 from .errors import CO2MeterError, NoBreakEvenError, UserInputError
-from .predictor import (
-    KernelCost,
-    TrainConfig,
-    evaluate_baseline_total,
-    evaluate_params,
-    featurize,
-    fit_ridge_globals,
-    gen_oracle_dataset,
-    kernel_costs,
-    llm_request_energy,
-    load_params_json,
-    phase_totals,
-    predict_sample,
-    predict_single_phase,
-    read_dataset_jsonl,
-    sample_regime_mixed_request,
-    sample_trace_request,
-    save_params_json,
-    split_indices,
-    train,
-    train_single_phase,
-    write_dataset_jsonl,
-)
 from .workload import (
+    KernelCost,
     Request,
     classify,
     classify_node,
+    kernel_costs,
+    llm_request_energy,
     load_config_json,
     load_device_json,
     phase_intensity,
+    phase_totals,
     request_kernels,
     scaled_device,
     whatif_speedup,
@@ -249,13 +233,14 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
 
 
 def _cmd_dataset(args: argparse.Namespace) -> None:
+    from . import predictor as pr
     configs = [_resolve_config(n) for n in args.configs.split(",") if n]
     devices = [_resolve_device(n) for n in args.devices.split(",") if n]
     sampler = (
-        sample_regime_mixed_request if args.regime == "mixed"
-        else sample_trace_request
+        pr.sample_regime_mixed_request if args.regime == "mixed"
+        else pr.sample_trace_request
     )
-    samples = gen_oracle_dataset(
+    samples = pr.gen_oracle_dataset(
         configs,
         devices,
         args.n,
@@ -263,23 +248,22 @@ def _cmd_dataset(args: argparse.Namespace) -> None:
         seed=args.seed,
         request_sampler=sampler,
     )
-    write_dataset_jsonl(args.dataset_out, samples)
+    pr.write_dataset_jsonl(args.dataset_out, samples)
     doc = {"n": len(samples), "path": args.dataset_out}
     _emit(args, doc, ("key", "value"), _flat_rows(doc))
 
 
 def _metrics_doc(params, dataset, seed, train_frac, val_frac) -> dict:
-    splits = dict(zip(_SPLIT_ORDER, split_indices(len(dataset), train_frac, val_frac, seed)))
+    from . import predictor as pr
+    split = pr.split_indices(len(dataset), train_frac, val_frac, seed)
+    splits = dict(zip(_SPLIT_ORDER, split))
     doc = {}
     for name in _SPLIT_ORDER:
         idx = splits[name]
         if len(idx) == 0:
             continue
-        metrics = evaluate_params(params, [dataset[i] for i in idx])
-        doc[name] = {
-            phase: {"mape": m.mape, "eb10": m.eb10, "n": m.n}
-            for phase, m in metrics.items()
-        }
+        metrics = pr.evaluate_params(params, [dataset[i] for i in idx])
+        doc[name] = {phase: _as_metric_doc(m) for phase, m in metrics.items()}
     return doc
 
 
@@ -295,8 +279,9 @@ def _metrics_rows(doc: dict) -> list[tuple[object, ...]]:
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
-    dataset = read_dataset_jsonl(args.dataset)
-    cfg = TrainConfig(
+    from . import predictor as pr
+    dataset = pr.read_dataset_jsonl(args.dataset)
+    cfg = pr.TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
         batch_size=args.batch_size,
@@ -304,7 +289,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
         train_frac=args.train_frac,
         val_frac=args.val_frac,
     )
-    params, history = train(dataset, cfg)
+    params, history = pr.train(dataset, cfg)
     if args.history_out:
         with open(args.history_out, "w") as fh:
             for entry in history:
@@ -318,14 +303,15 @@ def _cmd_train(args: argparse.Namespace) -> None:
         "val_frac": cfg.val_frac,
         "n_samples": len(dataset),
     }
-    save_params_json(args.params_out, params, meta=meta)
+    pr.save_params_json(args.params_out, params, meta=meta)
     doc = _metrics_doc(params, dataset, cfg.seed, cfg.train_frac, cfg.val_frac)
     _emit(args, doc, ("split", "phase", "mape", "eb10", "n"), _metrics_rows(doc))
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
-    dataset = read_dataset_jsonl(args.dataset)
-    params, meta = load_params_json(args.params)
+    from . import predictor as pr
+    dataset = pr.read_dataset_jsonl(args.dataset)
+    params, meta = pr.load_params_json(args.params)
     seed = int(meta.get("seed", args.seed))
     train_frac = float(meta.get("train_frac", 0.8))
     val_frac = float(meta.get("val_frac", 0.1))
@@ -334,29 +320,29 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     rows = _metrics_rows(doc)
 
     if args.compare_baselines:
-        train_idx, _, test_idx = split_indices(len(dataset), train_frac, val_frac, seed)
+        train_idx, _, test_idx = pr.split_indices(len(dataset), train_frac, val_frac, seed)
         for name, idx in (("train", train_idx), ("test", test_idx)):
             if len(idx) == 0:
                 raise UserInputError(f"--compare-baselines needs a non-empty {name} split")
         train_samples = [dataset[i] for i in train_idx]
         test_samples = [dataset[i] for i in test_idx]
-        bcfg = TrainConfig(
+        bcfg = pr.TrainConfig(
             epochs=args.baseline_epochs or int(meta.get("epochs", 200)),
             seed=seed,
             train_frac=train_frac,
             val_frac=val_frac,
         )
-        single, _ = train_single_phase(dataset, bcfg)
-        ridge = fit_ridge_globals(train_samples)
+        single, _ = pr.train_single_phase(dataset, bcfg)
+        ridge = pr.fit_ridge_globals(train_samples)
         comparison = {
             "two_phase": doc["test"]["total"],
             "single_phase": _as_metric_doc(
-                evaluate_baseline_total(
-                    predict_single_phase(single, test_samples), test_samples
+                pr.evaluate_baseline_total(
+                    pr.predict_single_phase(single, test_samples), test_samples
                 )
             ),
             "ridge": _as_metric_doc(
-                evaluate_baseline_total(ridge.predict(test_samples), test_samples)
+                pr.evaluate_baseline_total(ridge.predict(test_samples), test_samples)
             ),
         }
         doc = {"metrics": doc, "comparison": comparison}
@@ -493,6 +479,12 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
 
 def _cmd_pipeline(args: argparse.Namespace) -> None:
     pipeline = _resolve_pipeline(args.pipeline)
+    # A camera or speaker pipeline has no mic sample count or display grey
+    # level, so --input mic and --output display can only keep a stage.
+    if args.input == "mic" and isinstance(pipeline.input, CameraInput):
+        raise UserInputError(f"--input mic: pipeline {pipeline.name!r} has a camera")
+    if args.output == "display" and isinstance(pipeline.output, SpeakerOutput):
+        raise UserInputError(f"--output display: pipeline {pipeline.name!r} has a speaker")
     if args.input == "camera":
         pipeline = dataclasses.replace(
             pipeline,
@@ -506,18 +498,20 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
             ),
         )
     models = assets.demo_peripheral_models()
-    params = load_params_json(args.params)[0] if args.params else None
+    if args.params:
+        from . import predictor as pr
+        params = pr.load_params_json(args.params)[0]
 
     def llm_energy(stage: LlmStage) -> float:
         cfg, req, dev = stage.config, stage.request, stage.device
-        if params is None:
+        if not args.params:
             return llm_request_energy(cfg, req, dev)
-        return predict_sample(params, featurize(cfg, req, dev))[1]
+        return pr.predict_sample(params, pr.featurize(cfg, req, dev))[1]
 
     breakdown = app_energy(pipeline, models, llm_energy)
     doc = {
         "pipeline": pipeline.name,
-        "llm_source": "oracle" if params is None else "predictor",
+        "llm_source": "predictor" if args.params else "oracle",
         "breakdown": breakdown_to_json(breakdown),
     }
     if args.requests_per_day is not None:
@@ -673,10 +667,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.func(args)
-    except (UserInputError, NoBreakEvenError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UserInputError, NoBreakEvenError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CO2MeterError as exc:

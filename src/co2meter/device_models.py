@@ -8,14 +8,16 @@ Five model families cover the measurable subsystems of an edge board:
 * an affine video-pipeline power model in the number of processed pixels;
 * a saturating speaker power model in the volume setting;
 * a quadratic display power model in the uniform panel grey level;
-* constant background (idle) and format-conversion energies.
+* a constant background (idle) energy.
 
 Fitting uses non-negative least squares for the affine models, unconstrained
 least squares for the display quadratic, and a coarse grid search followed by
-Levenberg-Marquardt refinement for the speaker model.  The affine designs have
-two columns, so their NNLS is closed-form (Lawson & Hanson, 1974): the
-least-squares solution if it is non-negative, else the better of the two
-one-column fits, because the minimiser then lies on a face of the quadrant.
+Levenberg-Marquardt refinement for the speaker model.  Designs have at most
+three columns and a few dozen rows, so the fits are plain Python: least
+squares is a Householder QR, and the affine designs' NNLS is closed-form
+(Lawson & Hanson, 1974): the least-squares solution if it is non-negative,
+else the better of the two one-column fits, because the minimiser then lies
+on a face of the quadrant.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .errors import ConfigurationError, FitError, UserInputError
+from .errors import FitError, UserInputError
 
 GREY_MAX = 255
 CONVERSION_TASKS = ("ocr", "stt", "tts")
@@ -38,9 +39,16 @@ MODEL_NAMES = ("net", "camera", "mic", "video", "speaker", "display")
 
 _CSV_HEADER = ["kind", "predictor", "duration_s", "observed"]
 
+
+def _linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
+    """`numpy.linspace(start, stop, num)` bit for bit: start + i * step, then stop."""
+    step = (stop - start) / (num - 1)
+    return tuple(start + i * step for i in range(num - 1)) + (stop,)
+
+
 # Speaker fit: grid bounds for the coarse initialization stage.
-_SPEAKER_ALPHA_GRID = np.linspace(-0.2, 0.2, 81)
-_SPEAKER_BETA_GRID = np.linspace(-0.9, 4.0, 99)
+_SPEAKER_ALPHA_GRID = _linspace(-0.2, 0.2, 81)
+_SPEAKER_BETA_GRID = _linspace(-0.9, 4.0, 99)
 _LM_MAX_ITER = 200
 _LM_STEP_TOL = 1e-10
 
@@ -167,139 +175,169 @@ def background_energy(idle_power_w: float, duration_s: float) -> float:
     return idle_power_w * duration_s
 
 
-def conversion_energy(task: str, table: Mapping[str, float]) -> float:
-    """Constant energy of a format-conversion task (ocr / stt / tts)."""
-    if task not in CONVERSION_TASKS:
-        raise ConfigurationError(f"unknown conversion task {task!r}")
-    if task not in table:
-        raise ConfigurationError(f"conversion table has no entry for {task!r}")
-    value = float(table[task])
-    if value < 0:
-        raise ValueError("conversion energy must be >= 0")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Fitting
 
+Columns = Sequence[Sequence[float]]  # a design matrix, column by column
 
-def _as_arrays(
+
+def _columns(
     samples: Sequence[MeasurementSample], kind: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float], list[float]]:
+    """(predictor, duration_s, observed) columns of samples of one kind."""
     if not samples:
         raise FitError("no samples to fit")
     bad = [s for s in samples if s.kind != kind]
     if bad:
         raise FitError(f"expected {kind!r} samples, got {bad[0].kind!r}")
-    predictor = np.array([s.predictor for s in samples], dtype=float)
-    duration = np.array([s.duration_s for s in samples], dtype=float)
-    observed = np.array([s.observed for s in samples], dtype=float)
-    return predictor, duration, observed
+    return ([s.predictor for s in samples], [s.duration_s for s in samples],
+            [s.observed for s in samples])
 
 
-def _error_stats(residuals: np.ndarray) -> tuple[float, float]:
-    return float(np.mean(np.abs(residuals))), float(np.max(np.abs(residuals)))
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    return math.fsum(a * b for a, b in zip(x, y))
 
 
-def _lstsq(design: np.ndarray, observed: np.ndarray, what: str) -> np.ndarray:
-    """Least-squares params; FitError unless the design has full column rank.
+def _report(model: PeripheralModel, residuals: Sequence[float]) -> FitReport:
+    errors = [abs(r) for r in residuals]
+    return FitReport(model, math.fsum(errors) / len(errors), max(errors), len(errors))
 
-    The rank comes from lstsq's own SVD, whose default cutoff
-    max(M, N) * eps * s_max is `np.linalg.matrix_rank`'s.
+
+def _residuals(
+    columns: Columns, params: Sequence[float], observed: Sequence[float]
+) -> list[float]:
+    return [_dot(params, row) - o for row, o in zip(zip(*columns), observed)]
+
+
+def _lstsq(columns: Columns, observed: Sequence[float], what: str) -> list[float]:
+    """Least-squares coefficients of a design given by its columns (Householder QR).
+
+    FitError unless the design has full column rank.  The test is lstsq's
+    cutoff max(M, N) * eps * s_max on the diagonal of R, with the largest
+    column norm for s_max.  The smallest singular value is at most the
+    smallest |R_jj| and s_max at least any column norm, so no design that
+    lstsq finds full-rank is refused.
     """
-    params, _, rank, _ = np.linalg.lstsq(design, observed, rcond=None)
-    if rank < design.shape[1]:
+    m, n = len(observed), len(columns)
+    s_max = max(math.hypot(*col) for col in columns)
+    r = [list(col) for col in columns]  # reduced to R in place, column by column
+    qty = list(observed)
+    for j in range(n):
+        x = r[j][j:]
+        norm = math.hypot(*x)
+        if norm == 0.0:
+            raise FitError(f"rank-deficient design matrix for {what} fit")
+        diag = -math.copysign(norm, x[0])
+        v = [x[0] - diag, *x[1:]]
+        half_vv = -diag * v[0]  # v @ v / 2
+        for target in (*r[j + 1:], qty):
+            s = _dot(v, target[j:]) / half_vv
+            target[j:] = [t - s * vi for t, vi in zip(target[j:], v)]
+        r[j][j] = diag
+    if min(abs(r[j][j]) for j in range(n)) <= max(m, n) * sys.float_info.epsilon * s_max:
         raise FitError(f"rank-deficient design matrix for {what} fit")
-    return params
+    coef = [0.0] * n
+    for j in reversed(range(n)):  # back substitution through R
+        coef[j] = (qty[j] - math.fsum(r[k][j] * coef[k] for k in range(j + 1, n))) / r[j][j]
+    return coef
 
 
-def _nnls2(design: np.ndarray, observed: np.ndarray, what: str = "NNLS") -> np.ndarray:
+def _nnls2(columns: Columns, observed: Sequence[float], what: str = "NNLS") -> list[float]:
     """Non-negative least squares for a two-column design of full rank."""
-    params = _lstsq(design, observed, what)
-    if np.all(params >= 0):
+    params = _lstsq(columns, observed, what)
+    if min(params) >= 0:
         return params
-    faces = np.diag(np.maximum(observed @ design / (design * design).sum(0), 0.0))
-    sse = np.sum((design @ faces - observed[:, None]) ** 2, axis=0)
-    return faces[:, np.argmin(sse)]
+    faces = [max(_dot(observed, col) / _dot(col, col), 0.0) for col in columns]
+    sse = [math.fsum((f * c - o) ** 2 for c, o in zip(col, observed))
+           for f, col in zip(faces, columns)]
+    best = sse.index(min(sse))  # a tie goes to the first column
+    return [f if j == best else 0.0 for j, f in enumerate(faces)]
 
 
 def fit_linear_rate(samples: Sequence[MeasurementSample]) -> FitReport:
     """Fit (static_power_w, marginal_energy_j) from energy samples via NNLS."""
-    predictor, duration, observed = _as_arrays(samples, "energy")
-    design = np.column_stack([duration, predictor])
-    params = _nnls2(design, observed, "linear-rate")
-    model = LinearRateModel(float(params[0]), float(params[1]))
-    mae, max_err = _error_stats(design @ params - observed)
-    return FitReport(model, mae, max_err, len(samples))
+    units, duration, observed = _columns(samples, "energy")
+    columns = (duration, units)
+    params = _nnls2(columns, observed, "linear-rate")
+    return _report(LinearRateModel(*params), _residuals(columns, params, observed))
 
 
 def fit_video_power(samples: Sequence[MeasurementSample]) -> FitReport:
     """Fit (static_power_w, power_per_pixel_w) from power samples via NNLS."""
-    pixels, _, observed = _as_arrays(samples, "power")
-    design = np.column_stack([np.ones_like(pixels), pixels])
-    params = _nnls2(design, observed, "video power")
-    model = VideoPowerModel(float(params[0]), float(params[1]))
-    mae, max_err = _error_stats(design @ params - observed)
-    return FitReport(model, mae, max_err, len(samples))
+    pixels, _, observed = _columns(samples, "power")
+    columns = ([1.0] * len(pixels), pixels)
+    params = _nnls2(columns, observed, "video power")
+    return _report(VideoPowerModel(*params), _residuals(columns, params, observed))
 
 
 def fit_display(samples: Sequence[MeasurementSample]) -> FitReport:
     """Fit the display quadratic (a, b, c) by unconstrained least squares."""
-    grey, _, observed = _as_arrays(samples, "power")
-    if np.any(grey > GREY_MAX):
+    grey, _, observed = _columns(samples, "power")
+    if max(grey) > GREY_MAX:
         raise FitError("display samples must have grey levels in [0, 255]")
-    design = np.column_stack([np.ones_like(grey), grey, grey * grey])
-    params = _lstsq(design, observed, "display")
+    columns = ([1.0] * len(grey), grey, [g * g for g in grey])
+    params = _lstsq(columns, observed, "display")
     try:
-        model = DisplayPowerModel(float(params[0]), float(params[1]), float(params[2]))
+        model = DisplayPowerModel(*params)
     except ValueError as exc:
         raise FitError(str(exc)) from exc
-    mae, max_err = _error_stats(design @ params - observed)
-    return FitReport(model, mae, max_err, len(samples))
+    return _report(model, _residuals(columns, params, observed))
 
 
-def _speaker_denominator(alpha: float, beta: float, volumes: np.ndarray) -> np.ndarray:
-    return 1.0 + np.exp(alpha * volumes) + beta
+def _speaker_denominators(alpha: float, beta: float, volumes: Sequence[float]) -> list[float]:
+    """1 + exp(alpha * volume) + beta; OverflowError when an exp overflows."""
+    return [1.0 + math.exp(alpha * v) + beta for v in volumes]
 
 
 def _speaker_residuals(
-    alpha: float, beta: float, volumes: np.ndarray, observed: np.ndarray
-) -> np.ndarray:
-    return 1.0 / _speaker_denominator(alpha, beta, volumes) - observed
+    alpha: float, beta: float, volumes: Sequence[float], observed: Sequence[float]
+) -> list[float]:
+    den = _speaker_denominators(alpha, beta, volumes)
+    return [1.0 / d - o for d, o in zip(den, observed)]
 
 
 def _speaker_sse(
-    alpha: float, beta: float, volumes: np.ndarray, observed: np.ndarray
+    alpha: float, beta: float, volumes: Sequence[float], observed: Sequence[float]
 ) -> float:
-    r = _speaker_residuals(alpha, beta, volumes, observed)
-    return float(r @ r)
+    return math.fsum(r * r for r in _speaker_residuals(alpha, beta, volumes, observed))
 
 
-def _speaker_valid(alpha: float, beta: float, volumes: np.ndarray) -> bool:
-    with np.errstate(over="ignore"):  # an overflowing denominator is invalid
-        den = _speaker_denominator(alpha, beta, volumes)
-    return bool(np.all(np.isfinite(den)) and np.all(den > 1e-9))
+def _speaker_valid(alpha: float, beta: float, volumes: Sequence[float]) -> bool:
+    """The denominator is finite and above 1e-9 at every volume."""
+    try:
+        den = _speaker_denominators(alpha, beta, volumes)
+    except OverflowError:
+        return False
+    return all(1e-9 < d < math.inf for d in den)
 
 
 def _speaker_grid_init(
-    volumes: np.ndarray, observed: np.ndarray
+    volumes: Sequence[float], observed: Sequence[float]
 ) -> tuple[float, float, float]:
-    """Best (alpha, beta, sse) on the grid, from one (alpha, beta, volume) array.
+    """Best (alpha, beta, sse) on the grid, one 1 + exp(alpha * volume) row per alpha.
 
     A point is admissible when its denominator is finite and above 1e-9 at
-    every volume; a tie goes to the first point in alpha-major order.
+    every volume (rounding is monotone, so the row's least entry plus beta is
+    the least denominator); a tie goes to the first point in alpha-major order.
     """
-    with np.errstate(over="ignore"):
-        growth = 1.0 + np.exp(np.multiply.outer(_SPEAKER_ALPHA_GRID, volumes))
-        den = growth[:, None, :] + _SPEAKER_BETA_GRID[:, None]
-        admissible = np.flatnonzero(np.all(np.isfinite(den) & (den > 1e-9), axis=2))
-        if admissible.size == 0:
-            raise FitError("no admissible speaker parameters on the search grid")
-        resid = np.subtract(np.reciprocal(den, out=den), observed, out=den)
-        sse = np.einsum("abn,abn->ab", resid, resid).ravel()
-    best = admissible[np.argmin(sse[admissible])]
-    i, j = divmod(int(best), _SPEAKER_BETA_GRID.size)
-    return float(_SPEAKER_ALPHA_GRID[i]), float(_SPEAKER_BETA_GRID[j]), float(sse[best])
+    best: tuple[float, float, float] | None = None
+    for alpha in _SPEAKER_ALPHA_GRID:
+        try:
+            growth = _speaker_denominators(alpha, 0.0, volumes)
+        except OverflowError:
+            continue
+        if not all(map(math.isfinite, growth)):
+            continue
+        lowest = min(growth)
+        for beta in _SPEAKER_BETA_GRID:
+            if not lowest + beta > 1e-9:
+                continue
+            sse = math.fsum([(1.0 / (g + beta) - o) ** 2 for g, o in zip(growth, observed)])
+            if best is None or sse < best[2]:
+                best = (alpha, beta, sse)
+    if best is None:
+        raise FitError("no admissible speaker parameters on the search grid")
+    return best
 
 
 def fit_speaker(samples: Sequence[MeasurementSample]) -> FitReport:
@@ -307,122 +345,97 @@ def fit_speaker(samples: Sequence[MeasurementSample]) -> FitReport:
 
     The refinement only accepts steps that keep the denominator positive over
     the sampled volume range and do not increase the squared error, so the
-    returned fit is never worse than the best grid candidate.  Iteration stops
-    when the step norm drops below 1e-10 or after 200 iterations.
+    returned fit is never worse than the best grid candidate.  A step solves
+    the damped 2x2 normal equations in closed form; iteration stops when none
+    is finite, when its norm drops below 1e-10, or after 200 iterations.
     """
-    volumes, _, observed = _as_arrays(samples, "power")
-    if len(np.unique(volumes)) < 2:
+    volumes, _, observed = _columns(samples, "power")
+    if len(set(volumes)) < 2:
         raise FitError("speaker fit needs at least two distinct volumes")
     alpha, beta, sse = _speaker_grid_init(volumes, observed)
 
     lam = 1e-3
     for _ in range(_LM_MAX_ITER):
-        den = _speaker_denominator(alpha, beta, volumes)
-        r = 1.0 / den - observed
-        # exp(alpha * volume) overflowing makes inf * 0 = NaN entries; no
-        # damping can then give a finite step, so the fit stops there.
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv_sq = 1.0 / (den * den)
-            jac = np.column_stack([-volumes * np.exp(alpha * volumes) * inv_sq, -inv_sq])
-        if not np.all(np.isfinite(jac)):
+        growth = [math.exp(alpha * v) for v in volumes]  # finite: the point is valid
+        den = [1.0 + e + beta for e in growth]
+        r = [1.0 / d - o for d, o in zip(den, observed)]
+        jac_b = [-1.0 / (d * d) for d in den]
+        # exp(alpha * volume) * volume overflowing makes inf * 0 = NaN
+        # entries; no damping can then give a finite step, so the fit stops.
+        jac_a = [v * e * q for v, e, q in zip(volumes, growth, jac_b)]
+        if not all(map(math.isfinite, jac_a)):
             break
-        hess = jac.T @ jac
-        grad = jac.T @ r
-        damped = hess + lam * np.diag(np.diag(hess)) + 1e-12 * np.eye(2)
-        try:
-            step = np.linalg.solve(damped, -grad)
-        except np.linalg.LinAlgError:
+        h_ab = _dot(jac_a, jac_b)
+        d_aa = (h_aa := _dot(jac_a, jac_a)) + lam * h_aa + 1e-12
+        d_bb = (h_bb := _dot(jac_b, jac_b)) + lam * h_bb + 1e-12
+        g_a, g_b = _dot(jac_a, r), _dot(jac_b, r)
+        det = d_aa * d_bb - h_ab * h_ab
+        if det == 0.0:
             break
-        if not np.all(np.isfinite(step)):
+        step = ((h_ab * g_b - d_bb * g_a) / det, (h_ab * g_a - d_aa * g_b) / det)
+        if not all(map(math.isfinite, step)):
             break
-        cand = (alpha + float(step[0]), beta + float(step[1]))
+        cand = (alpha + step[0], beta + step[1])
         if _speaker_valid(*cand, volumes) and (
             (cand_sse := _speaker_sse(*cand, volumes, observed)) <= sse
         ):
             alpha, beta, sse = cand[0], cand[1], cand_sse
             lam = max(lam / 10.0, 1e-12)
-            if float(np.linalg.norm(step)) < _LM_STEP_TOL:
+            if math.hypot(*step) < _LM_STEP_TOL:
                 break
         else:
             lam *= 10.0
             if lam > 1e12:
                 break
 
-    model = SpeakerPowerModel(alpha, beta)
-    mae, max_err = _error_stats(_speaker_residuals(alpha, beta, volumes, observed))
-    return FitReport(model, mae, max_err, len(samples))
+    return _report(SpeakerPowerModel(alpha, beta),
+                   _speaker_residuals(alpha, beta, volumes, observed))
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-_FITTERS = {
-    "net": fit_linear_rate,
-    "camera": fit_linear_rate,
-    "mic": fit_linear_rate,
-    "video": fit_video_power,
-    "speaker": fit_speaker,
-    "display": fit_display,
+# name -> (fitter, model family)
+_MODELS = {
+    "net": (fit_linear_rate, LinearRateModel),
+    "camera": (fit_linear_rate, LinearRateModel),
+    "mic": (fit_linear_rate, LinearRateModel),
+    "video": (fit_video_power, VideoPowerModel),
+    "speaker": (fit_speaker, SpeakerPowerModel),
+    "display": (fit_display, DisplayPowerModel),
+}
+
+# JSON parameter names of each family, in field order.
+_PARAM_KEYS = {
+    LinearRateModel: ("static_power_w", "marginal_energy_j"),
+    VideoPowerModel: ("static_power_w", "power_per_pixel_w"),
+    SpeakerPowerModel: ("alpha", "beta"),
+    DisplayPowerModel: ("a_w", "b_w_per_grey", "c_w_per_grey2"),
 }
 
 
 def fit_by_name(name: str, samples: Sequence[MeasurementSample]) -> FitReport:
     """Dispatch to the fitter for a named peripheral model."""
-    if name not in _FITTERS:
+    if name not in _MODELS:
         raise UserInputError(f"unknown model name {name!r}")
-    return _FITTERS[name](samples)
-
-
-def _params_dict(model: PeripheralModel) -> dict[str, float]:
-    if isinstance(model, LinearRateModel):
-        return {
-            "static_power_w": model.static_power_w,
-            "marginal_energy_j": model.marginal_energy_j,
-        }
-    if isinstance(model, VideoPowerModel):
-        return {
-            "static_power_w": model.static_power_w,
-            "power_per_pixel_w": model.power_per_pixel_w,
-        }
-    if isinstance(model, SpeakerPowerModel):
-        return {"alpha": model.alpha, "beta": model.beta}
-    return {"a_w": model.a, "b_w_per_grey": model.b, "c_w_per_grey2": model.c}
+    return _MODELS[name][0](samples)
 
 
 def model_to_json(name: str, report: FitReport) -> dict:
     if name not in MODEL_NAMES:
         raise UserInputError(f"unknown model name {name!r}")
-    return {
-        "model": name,
-        "params": _params_dict(report.model),
-        "mae": report.mae,
-    }
+    params = dict(zip(_PARAM_KEYS[type(report.model)], astuple(report.model)))
+    return {"model": name, "params": params, "mae": report.mae}
 
 
 def model_from_json(doc: Mapping) -> tuple[str, PeripheralModel, float]:
     """Inverse of model_to_json; returns (name, model, mae)."""
     try:
-        name = doc["model"]
-        params = doc["params"]
-        mae = float(doc["mae"])
-        if name in ("net", "camera", "mic"):
-            model: PeripheralModel = LinearRateModel(
-                float(params["static_power_w"]), float(params["marginal_energy_j"])
-            )
-        elif name == "video":
-            model = VideoPowerModel(
-                float(params["static_power_w"]), float(params["power_per_pixel_w"])
-            )
-        elif name == "speaker":
-            model = SpeakerPowerModel(float(params["alpha"]), float(params["beta"]))
-        elif name == "display":
-            model = DisplayPowerModel(
-                float(params["a_w"]),
-                float(params["b_w_per_grey"]),
-                float(params["c_w_per_grey2"]),
-            )
-        else:
+        name, params, mae = doc["model"], doc["params"], float(doc["mae"])
+        if name not in MODEL_NAMES:
             raise UserInputError(f"unknown model name {name!r}")
+        family = _MODELS[name][1]
+        model = family(*(float(params[key]) for key in _PARAM_KEYS[family]))
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed model document: {exc}") from exc
     return name, model, mae

@@ -9,7 +9,8 @@ exactly once.  Prefill processes the whole prompt in parallel; decode
 processes one token against a KV cache of the given position.
 
 Roofline helpers classify graphs against a device's compute/bandwidth roofs
-and answer bandwidth/compute what-if questions.
+and answer bandwidth/compute what-if questions; `kernel_costs` and
+`phase_costs` price a whole request's time and energy on a device.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import UserInputError
 
@@ -529,6 +530,177 @@ def with_prefill_energy(globals_: GlobalFeatures, energy_j: float) -> GlobalFeat
     if globals_.phase != "total":
         raise ValueError("prefill energy attaches to total-phase features")
     return dataclasses.replace(globals_, prefill_energy_j=energy_j)
+
+
+# ---------------------------------------------------------------------------
+# Energy pricing
+#
+# A kernel's energy is its roofline time times its power: idle + 0.6 *
+# (active - idle) when memory-bound, full active power when compute-bound.
+# Prefill runs each kernel once per layer; decode runs it once per layer at
+# every KV position prompt_len .. prompt_len + output_len - 1, with FLOPs and
+# bytes affine in the position.  The intensity, a ratio of two affine
+# functions, is monotone, so boundedness flips at most once per request (a
+# binary search over the exact float test finds it), and the roofs cross at
+# the ridge: on each side the summed time is one arithmetic series over exact
+# integer counts.  A request costs O(kernels) at any length.
+
+MEMORY_BOUND_POWER_BLEND = 0.6
+
+
+@dataclass(frozen=True)
+class KernelCost:
+    """One kernel of a request on a device, summed over its phase and all layers."""
+
+    phase: str
+    kind: str
+    flops: int
+    bytes: int
+    time_s: float
+    energy_j: float
+    boundedness: str  # at the phase's first position
+    flip_position: int | None  # first decode KV position whose boundedness differs
+
+
+def check_fits_dram(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> None:
+    """UserInputError when weights plus the final K/V cache overflow DRAM."""
+    seq_len = req.prompt_len + req.output_len
+    need = weight_memory_bytes(cfg) + kv_cache_bytes(cfg, seq_len)
+    if need > dev.dram_capacity:
+        raise UserInputError(
+            f"{cfg.name} at {seq_len} tokens needs {need} bytes of weights and K/V "
+            f"cache, more than the {dev.dram_capacity:.0f} bytes of DRAM on {dev.name}"
+        )
+
+
+def _flip(pred: Callable[[int], bool], lo: int, hi: int) -> int | None:
+    """First n in (lo, hi] with pred(n) != pred(lo), for a pred that changes at most once."""
+    first = pred(lo)
+    if pred(hi) == first:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid) == first:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class _Pricer:
+    """Roofline time and power of kernel counts on one device."""
+
+    def __init__(self, dev: DeviceSpec, layers: int) -> None:
+        self.dev, self.layers, self.ridge = dev, layers, dev.ridge_point
+        self.blend = dev.idle_power + MEMORY_BOUND_POWER_BLEND * (
+            dev.active_power - dev.idle_power
+        )
+
+    def memory_bound(self, flops: int, moved: int) -> bool:
+        """`classify_node`'s test on raw counts."""
+        return (flops / moved if moved > 0 else 0.0) <= self.ridge
+
+    def prefill(self, node: KernelNode) -> KernelCost:
+        flops, moved = node.flops, node.total_bytes
+        time_s = max(flops / self.dev.peak_ops, moved / self.dev.mem_bandwidth)
+        memory = self.memory_bound(flops, moved)
+        power = self.blend if memory else self.dev.active_power
+        return KernelCost(
+            "prefill", node.kind, flops * self.layers, moved * self.layers,
+            time_s * self.layers, time_s * power * self.layers,
+            MEMORY_BOUND if memory else COMPUTE_BOUND, None,
+        )
+
+    def decode(self, first: KernelNode, second: KernelNode, lo: int, hi: int) -> KernelCost:
+        """The kernel at KV positions lo..hi, from its nodes at positions 1 and 2."""
+        dflops, dmoved = second.flops - first.flops, second.total_bytes - first.total_bytes
+        flops0, moved0 = first.flops - dflops, first.total_bytes - dmoved  # position 0
+
+        def at(p: int) -> tuple[int, int]:
+            return flops0 + p * dflops, moved0 + p * dmoved
+
+        flip = _flip(lambda p: self.memory_bound(*at(p)), lo, hi)
+        cuts = [lo, hi + 1] if flip is None else [lo, flip, hi + 1]
+        flops = moved = 0
+        time_s = energy_j = 0.0
+        for start, stop in zip(cuts, cuts[1:]):
+            n = stop - start
+            position_sum = (start + stop - 1) * n // 2
+            seg_flops = n * flops0 + position_sum * dflops
+            seg_moved = n * moved0 + position_sum * dmoved
+            # A memory-bound kernel's roofline time is its memory time: the
+            # two roofs cross at the ridge, up to an ulp at a tie.
+            if self.memory_bound(*at(start)):
+                seg_time, power = seg_moved / self.dev.mem_bandwidth, self.blend
+            else:
+                seg_time, power = seg_flops / self.dev.peak_ops, self.dev.active_power
+            flops, moved = flops + seg_flops, moved + seg_moved
+            time_s += seg_time
+            energy_j += seg_time * power
+        return KernelCost(
+            "decode", first.kind, flops * self.layers, moved * self.layers,
+            time_s * self.layers, energy_j * self.layers,
+            MEMORY_BOUND if self.memory_bound(*at(lo)) else COMPUTE_BOUND, flip,
+        )
+
+
+def kernel_costs(
+    cfg: LlmConfig,
+    req: Request,
+    dev: DeviceSpec,
+    kernels: RequestKernels | None = None,
+) -> tuple[KernelCost, ...]:
+    """Every prefill kernel, then every decode kernel, of one request, noise-free.
+
+    Decode covers KV positions prompt_len .. prompt_len + output_len - 1.
+    `kernels`, when given, must be `request_kernels(cfg, req)`.
+    Raises UserInputError when weights plus the final K/V cache overflow DRAM.
+    """
+    check_fits_dram(cfg, req, dev)
+    if kernels is None:
+        kernels = request_kernels(cfg, req)
+    pricer = _Pricer(dev, cfg.num_layers)
+    lo, hi = req.prompt_len, req.prompt_len + req.output_len - 1
+    return tuple(pricer.prefill(node) for node in kernels.prefill.nodes) + tuple(
+        pricer.decode(a, b, lo, hi)
+        for a, b in zip(kernels.first.nodes, kernels.second.nodes)
+    )
+
+
+def phase_costs(
+    cfg: LlmConfig,
+    req: Request,
+    dev: DeviceSpec,
+    kernels: RequestKernels | None = None,
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((prefill_s, prefill_j), (decode_s, decode_j)) of one request, noise-free;
+    raises UserInputError like `kernel_costs`."""
+    return phase_totals(kernel_costs(cfg, req, dev, kernels))
+
+
+def phase_totals(
+    rows: Sequence[KernelCost],
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((prefill_s, prefill_j), (decode_s, decode_j)) summed over `kernel_costs` rows."""
+    prefill, decode = (
+        (sum(r.time_s for r in rows if r.phase == phase),
+         sum(r.energy_j for r in rows if r.phase == phase))
+        for phase in GRAPH_PHASES
+    )
+    return prefill, decode
+
+
+def request_energy(
+    cfg: LlmConfig, req: Request, dev: DeviceSpec
+) -> tuple[float, float]:
+    """(prefill joules, decode joules) for one request, noise-free."""
+    (_, prefill_j), (_, decode_j) = phase_costs(cfg, req, dev)
+    return prefill_j, decode_j
+
+
+def llm_request_energy(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> float:
+    """Whole-request inference energy in joules (oracle ground truth)."""
+    return sum(request_energy(cfg, req, dev))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Reference oracle: one kernel graph per decode position, summed in a loop.
 
-`co2meter.predictor.phase_costs` prices decode from a closed-form affine
+`co2meter.workload.phase_costs` prices decode from a closed-form affine
 table instead; the tests hold it to this loop.
 """
 
-from co2meter.predictor.oracle import MEMORY_BOUND_POWER_BLEND
 from co2meter.workload import (
     COMPUTE_BOUND,
+    MEMORY_BOUND_POWER_BLEND,
     build_layer_graph,
     classify_node,
     graph_time,

@@ -122,8 +122,18 @@ def test_fit_csv_output_is_key_value(capsys):
     assert "mae" in cells and "n_samples" in cells
 
 
+def _fresh_python(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+
+
 def test_fit_in_fresh_interpreter_imports_no_scipy(tmp_path):
-    # numpy is the only runtime dependency
     argv = ["fit", "speaker", str(assets.measurement_csv("speaker")),
             "--out", str(tmp_path / "speaker.json")]
     script = (
@@ -132,16 +142,57 @@ def test_fit_in_fresh_interpreter_imports_no_scipy(tmp_path):
         f"code = cli.main({argv!r})\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-        timeout=120,
-    )
+    proc = _fresh_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 []\n"
+
+
+def test_cold_subcommands_in_fresh_interpreter_import_no_numpy(tmp_path):
+    # only dataset, train, eval and pipeline --params load the predictor
+    argvs = [
+        ["estimate", "--prompt-len", "100", "--output-len", "20"],
+        ["embodied", "--bom", "rk3588"],
+        ["whatif", "--scenario", "rk-npu"],
+        ["breakeven", "--delta-embodied", "1.5", "--delta-energy", "120"],
+        ["roofline"],
+        *(["fit", m, str(assets.measurement_csv(m))] for m in dm.MODEL_NAMES),
+        ["pipeline"],
+        ["pipeline", "--requests-per-day", "100", "--region", "india"],
+    ]
+    script = (
+        "import sys\n"
+        "from co2meter import cli\n"
+        f"for i, argv in enumerate({argvs!r}):\n"
+        f"    code = cli.main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.out'])\n"
+        "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 []"] * len(argvs)
+
+
+def test_predictor_loads_on_first_access():
+    script = (
+        "import sys\n"
+        "import co2meter\n"
+        "print('co2meter.predictor' in sys.modules, 'numpy' in sys.modules)\n"
+        "print(callable(co2meter.predictor.train), 'numpy' in sys.modules)\n"
+        "namespace = {}\n"
+        "exec('from co2meter import *', namespace)\n"
+        "print(namespace['predictor'] is co2meter.predictor)\n"
+        "try:\n"
+        "    co2meter.no_such_module\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False False",
+        "True True",
+        "True",
+        "module 'co2meter' has no attribute 'no_such_module'",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +472,29 @@ def test_pipeline_variants_change_the_right_stage(capsys):
     assert camera["output"] == base["output"]
     assert speaker["output"] < base["output"]
     assert (base["total_j"] - speaker["total_j"]) / base["total_j"] > 0.5
+
+
+@pytest.mark.parametrize(
+    "stage,kind,flag",
+    [
+        ("input", {"kind": "camera", "duration_s": 2.0, "frames": 3}, ("--input", "mic")),
+        ("output", {"kind": "speaker", "duration_s": 480.0, "volume": 60.0},
+         ("--output", "display")),
+    ],
+    ids=["mic-on-camera", "display-on-speaker"],
+)
+def test_pipeline_swap_without_stage_parameters_exits_2(capsys, tmp_path, stage, kind, flag):
+    # a mic or display stage has parameters (sample count, grey level) that a
+    # camera or speaker pipeline does not carry, so the swap is refused
+    doc = json.loads((assets.asset_root() / "pipelines" / "voice_assistant.json").read_text())
+    doc[stage] = kind
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "pipeline", "--pipeline", path)[0] == 0
+    code, out, err = run(capsys, "pipeline", "--pipeline", path, *flag)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag[0]} {flag[1]}:")
 
 
 def test_pipeline_with_predictor_params(capsys, workdir):

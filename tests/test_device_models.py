@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import device_models_reference as ref
 from co2meter import device_models as dm
-from co2meter.errors import ConfigurationError, FitError, UserInputError
-from device_models_reference import speaker_grid_init as reference_grid_init
+from co2meter.errors import FitError, UserInputError
 
 # ---------------------------------------------------------------------------
 # Direct model arithmetic
@@ -72,13 +72,6 @@ def test_background_energy():
     assert dm.background_energy(0.8, 0.0) == 0.0
     with pytest.raises(ValueError):
         dm.background_energy(-0.1, 10.0)
-
-
-def test_conversion_energy_lookup():
-    table = {"ocr": 15.0, "stt": 12.0, "tts": 9.0}
-    assert dm.conversion_energy("stt", table) == 12.0
-    with pytest.raises(ConfigurationError):
-        dm.conversion_energy("asr", table)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +230,80 @@ def test_fit_speaker_refinement_never_worse_than_grid():
 
 
 # ---------------------------------------------------------------------------
+# Plain-Python fits against the numpy reference
+
+
+def _reference_cases():
+    for name in ("net", "camera", "mic", "video", "display"):
+        yield name, _bundled(name)[0]
+    rng = np.random.default_rng(3)
+    dur, units = rng.uniform(1.0, 10.0, 40), rng.uniform(1.0, 1e9, 40)
+    yield "net", _energy_samples(units, dur, (0.5 * dur + 1e-8 * units) * _noise(rng, 40))
+    pixels = rng.uniform(5e4, 2.1e6, 40)
+    yield "video", _power_samples(pixels, (0.2 + 2e-7 * pixels) * _noise(rng, 40))
+    greys = rng.uniform(0.0, 255.0, 40)
+    yield "display", _power_samples(
+        greys, (4.0 - 0.012 * greys + 2e-5 * greys**2) * _noise(rng, 40)
+    )
+
+
+_REFERENCE_FITS = {
+    "net": ref.fit_linear_rate,
+    "camera": ref.fit_linear_rate,
+    "mic": ref.fit_linear_rate,
+    "video": ref.fit_video_power,
+    "display": ref.fit_display,
+}
+
+
+@pytest.mark.parametrize(
+    "case", range(8),
+    ids=["net", "camera", "mic", "video", "display", "noisy-net", "noisy-video",
+         "noisy-display"],
+)
+def test_fits_match_numpy_reference(case):
+    name, samples = list(_reference_cases())[case]
+    got = dm.fit_by_name(name, samples).model
+    want = _REFERENCE_FITS[name](samples)
+    assert type(got) is type(want)
+    for field, value in vars(want).items():
+        assert getattr(got, field) == pytest.approx(value, rel=1e-9), field
+
+
+def test_speaker_grids_are_numpy_linspace_bit_for_bit():
+    assert dm._SPEAKER_ALPHA_GRID == tuple(ref.ALPHA_GRID.tolist())
+    assert dm._SPEAKER_BETA_GRID == tuple(ref.BETA_GRID.tolist())
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    n=st.integers(1, 3),
+    copy=st.sampled_from([None, (0, 1.0), (0, -3.0), (1, 0.5)]),
+    log_scales=st.lists(st.floats(-5.0, 9.0), min_size=3, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_lstsq_refuses_what_numpy_finds_rank_deficient(seed, m, n, copy, log_scales):
+    # small integer designs with scaled columns, some with one column a
+    # multiple of another
+    rng = np.random.default_rng(seed)
+    design = rng.integers(-3, 4, size=(m, n)).astype(float)
+    if copy is not None and copy[0] + 1 < n:
+        design[:, -1] = copy[1] * design[:, copy[0]]
+    design *= 10.0 ** np.array(log_scales[:n])
+    observed = rng.normal(size=m)
+    try:
+        want = ref.lstsq(design, observed)
+    except FitError:
+        with pytest.raises(FitError, match="rank-deficient"):
+            dm._lstsq(design.T.tolist(), observed.tolist(), "test")
+        return
+    got = dm._lstsq(design.T.tolist(), observed.tolist(), "test")
+    cond = np.linalg.cond(design)
+    assert np.allclose(got, want, rtol=1e-12 * cond, atol=1e-12 * cond * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
 # Closed-form two-column NNLS and the one-pass speaker grid
 
 
@@ -259,7 +326,7 @@ def test_nnls2_satisfies_kkt(seed, n, log_scales, rho, noise, positive):
     design = (np.abs(cols) if positive else cols) * scales
     observed = design @ (rng.normal(size=2) / scales) + noise * rng.normal(size=n)
     assume(np.linalg.matrix_rank(design) == 2)
-    x = dm._nnls2(design, observed)
+    x = np.array(dm._nnls2(design.T.tolist(), observed.tolist()))
     grad = design.T @ (design @ x - observed)
     tol = 1e-12 * np.linalg.norm(design, axis=0) * (
         np.linalg.norm(observed) + np.linalg.norm(design @ x)
@@ -286,7 +353,7 @@ def test_negative_slope_gives_zero_marginal_and_one_column_static():
 
 def _speaker_cases():
     samples, _ = _bundled("speaker")
-    volumes, _, observed = dm._as_arrays(samples, "power")
+    volumes, _, observed = ref.columns(samples)
     yield volumes, observed
     rng = np.random.default_rng(42)
     volumes = np.linspace(0.0, 100.0, 200)
@@ -301,26 +368,26 @@ def _speaker_cases():
 @pytest.mark.parametrize("case", range(3), ids=["bundled", "noisy", "overflow"])
 def test_speaker_grid_matches_reference_loop(case):
     volumes, observed = list(_speaker_cases())[case]
-    alpha, beta, sse = dm._speaker_grid_init(volumes, observed)
-    ref_alpha, ref_beta, ref_sse = reference_grid_init(volumes, observed)
+    alpha, beta, sse = dm._speaker_grid_init(volumes.tolist(), observed.tolist())
+    ref_alpha, ref_beta, ref_sse = ref.speaker_grid_init(volumes, observed)
     assert (alpha, beta) == (ref_alpha, ref_beta)
     assert sse == pytest.approx(ref_sse, rel=1e-12, abs=1e-300)
 
 
 def test_speaker_grid_without_admissible_point():
     volumes, observed = np.array([np.nan, 1.0]), np.array([0.5, 0.5])
-    for grid_init in (dm._speaker_grid_init, reference_grid_init):
-        with pytest.raises(FitError, match="no admissible"):
-            grid_init(volumes, observed)
+    with pytest.raises(FitError, match="no admissible"):
+        dm._speaker_grid_init(volumes.tolist(), observed.tolist())
+    with pytest.raises(FitError, match="no admissible"):
+        ref.speaker_grid_init(volumes, observed)
 
 
 @pytest.mark.parametrize("case", range(3), ids=["bundled", "noisy", "overflow"])
-def test_fit_speaker_matches_fit_from_reference_grid(case, monkeypatch):
+def test_fit_speaker_matches_fit_from_reference_grid(case):
     volumes, observed = list(_speaker_cases())[case]
     samples = _power_samples(volumes, observed)
     got = dm.fit_speaker(samples).model
-    monkeypatch.setattr(dm, "_speaker_grid_init", reference_grid_init)
-    want = dm.fit_speaker(samples).model
+    want = ref.fit_speaker(samples)
     assert got.alpha == pytest.approx(want.alpha, rel=1e-9)
     assert got.beta == pytest.approx(want.beta, rel=1e-9)
 
@@ -330,6 +397,7 @@ def test_fit_speaker_with_overflowing_exp_warns_nothing():
     # near the fit, exp(alpha * volume) * volume overflows: the Jacobian gets
     # inf * 0 = NaN entries and candidate steps overflow the denominator
     volumes, observed = list(_speaker_cases())[2]
+    volumes, observed = volumes.tolist(), observed.tolist()
     model = dm.fit_speaker(_power_samples(volumes, observed)).model
     _, _, grid_sse = dm._speaker_grid_init(volumes, observed)
     assert dm._speaker_sse(model.alpha, model.beta, volumes, observed) <= grid_sse

@@ -126,11 +126,18 @@ def _reference_forward(tower, h0, preds, g):
 def test_forward_matches_scalar_reference():
     rng = np.random.default_rng(3)
     tower = init_tower(rng, node_dim=2, glob_dim=1)
-    h0 = rng.normal(size=(3, 2))
-    preds = ((), (0,), (0, 1))
+    h0 = rng.normal(size=(4, 2))
+    # node 3 has three in-neighbours; in column 0 their sum depends on the
+    # order: (1 + 1e-16) + 1e-16 == 1, but (1e-16 + 1e-16) + 1 > 1
+    h0[:3, 0] = (1.0, 1e-16, 1e-16)
+    preds = ((), (0,), (0, 1), (0, 1, 2))
     g = np.array([0.7])
     y, _ = forward_tower(tower, h0, preds, g)
     assert y == pytest.approx(_reference_forward(tower, h0, preds, g), rel=1e-12)
+    # swapping the labels of nodes 0 and 2 reverses node 3's addends, which
+    # the pass sorts, so the prediction keeps its bits
+    swapped = ((1, 2), (2,), (), (0, 1, 2))
+    assert forward_tower(tower, h0[[2, 1, 0, 3]], swapped, g)[0] == y
 
 
 def _relabeled(graph: LayerGraph, order: np.ndarray) -> LayerGraph:
