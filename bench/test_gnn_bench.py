@@ -4,16 +4,24 @@
 
 One epoch of `train_tower` over a fixed 140-sample prepared set (five
 mini-batches of at most 32), one batched forward+backward pass over a
-32-sample mini-batch, and chained `evaluate_params` over 200 samples.
+32-sample mini-batch, chained `evaluate_params` over 200 samples, and a
+10-epoch `train` over the same 200 samples (featurization, norm fitting,
+both towers and validation).
 """
 
 import numpy as np
 import pytest
 
 from co2meter import assets
-from co2meter.predictor import TrainConfig, evaluate_params, gen_oracle_dataset, init_params
+from co2meter.predictor import (
+    TrainConfig,
+    evaluate_params,
+    gen_oracle_dataset,
+    init_params,
+    train,
+)
 from co2meter.predictor.gnn import batch_loss_and_grads
-from co2meter.predictor.training import _prepare, _Stacks, fit_norms, train_tower
+from co2meter.predictor.training import _prepare, fit_norms, train_tower
 
 CONFIGS = ("qwen15-05b", "tinyllama-11b", "internlm2-18b")
 
@@ -44,9 +52,10 @@ def test_train_tower_epoch(benchmark, prepared):
 
 def test_batch_forward_backward(benchmark, prepared):
     params, train_set = prepared
-    (_, preds, h0, g), = _Stacks(train_set[:32]).batches(np.arange(32))
-    log_target = np.array([p.log_target for p in train_set[:32]])
-    loss, grads = benchmark(batch_loss_and_grads, params.prefill, h0, preds, g, log_target)
+    h0, g, log_target = train_set.h0[:32], train_set.g[:32], train_set.log_target[:32]
+    loss, grads = benchmark(
+        batch_loss_and_grads, params.prefill, h0, train_set.preds, g, log_target
+    )
     assert np.isfinite(loss) and set(grads) == set(params.prefill.arrays())
 
 
@@ -56,3 +65,10 @@ def test_evaluate_params(benchmark):
     params.norms = fit_norms(dataset)
     metrics = benchmark(evaluate_params, params, dataset)
     assert metrics["total"].n == 200
+
+
+def test_train(benchmark):
+    dataset = _dataset(200)
+    cfg = TrainConfig(epochs=10, train_frac=0.7, val_frac=0.1)  # the train_eval split
+    params, history = benchmark(train, dataset, cfg)
+    assert len(history) == 20 and np.isfinite(params.total.bh2[0])

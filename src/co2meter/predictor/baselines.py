@@ -25,10 +25,10 @@ from .training import (
     _TOWERS,
     Metrics,
     TrainConfig,
-    _Stacks,
     _prepare,
-    _raw_inputs,
+    _table,
     _tower_predictions,
+    _tower_set,
     evaluate_predictions,
     split_indices,
     train_tower,
@@ -89,18 +89,18 @@ def train_single_phase(
     train_idx, val_idx, _ = split_indices(
         len(dataset), cfg.train_frac, cfg.val_frac, cfg.seed
     )
-    train_samples = [dataset[i] for i in train_idx]
-    val_samples = [dataset[i] for i in val_idx]
+    train_table = _table([dataset[i] for i in train_idx])
     # The single tower reads no total-phase slot, so those norms stay identity.
-    norms = fit_feature_norms(*_raw_inputs(*_TOWERS["single"].read(train_samples)))
+    spec = _TOWERS["single"]
+    norms = fit_feature_norms(train_table[spec.graph], train_table[spec.globals])
     tower = init_tower(
         np.random.default_rng(cfg.seed), NODE_FEATURE_DIM, GLOBAL_DIM
     )
     rng = np.random.default_rng(cfg.seed)
     history = train_tower(
         tower,
-        _prepare(train_samples, norms, "single"),
-        _prepare(val_samples, norms, "single"),
+        _tower_set(train_table, norms, "single"),
+        _prepare([dataset[i] for i in val_idx], norms, "single"),
         cfg,
         rng,
         "single",
@@ -111,8 +111,8 @@ def train_single_phase(
 def predict_single_phase(
     params: SinglePhaseParams, samples: Sequence[GraphSample]
 ) -> np.ndarray:
-    prepared = _prepare(samples, params.norms, "single")
-    return _tower_predictions(params.tower, _Stacks(prepared))
+    h0, g = _TOWERS["single"].encode(_table(samples), params.norms)
+    return _tower_predictions(params.tower, h0, g)
 
 
 def evaluate_baseline_total(

@@ -4,6 +4,9 @@ A GraphSample is one inference request measured on one device.  It carries
 phase-specific inputs — the prefill kernel graph with prefill-phase globals,
 and the decode-representative kernel graph (mid-sequence position) with
 whole-request globals — plus the measured prefill and total energies.
+
+Loaded graphs are stored in canonical node order; another topology, or a
+NaN, infinite or negative count or feature, is refused with path and line.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from ..workload import (
     KernelNode,
     LayerGraph,
     KERNEL_KINDS,
+    canonical_layer_graph,
 )
 
 NUMERIC_NODE_FEATURES = (
@@ -158,7 +162,7 @@ def _graph_to_json(graph: LayerGraph) -> dict:
 def _graph_from_json(doc: Mapping) -> LayerGraph:
     nodes = tuple(KernelNode(**n) for n in doc["nodes"])
     edges = tuple((int(src), int(dst)) for src, dst in doc["edges"])
-    return LayerGraph(nodes=nodes, edges=edges, phase=doc["phase"])
+    return canonical_layer_graph(LayerGraph(nodes=nodes, edges=edges, phase=doc["phase"]))
 
 
 def _globals_to_json(gf: GlobalFeatures) -> dict:
@@ -212,7 +216,7 @@ def sample_from_json(doc: Mapping) -> GraphSample:
             label_prefill_j=float(doc["label_prefill_j"]),
             label_total_j=float(doc["label_total_j"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"malformed graph sample: {exc}") from exc
 
 

@@ -10,10 +10,12 @@ a prefill-energy global slot and predicts whole-request energy.
 There is one pass, `forward_batch` / `backward_batch`: samples that share one
 layer topology stack into (B, N, node_dim) tensors, so each layer is one
 matmul over all B * N node rows and the parameter gradients come out summed
-over the batch.  A single sample runs as a batch of one (`forward_tower`,
-`backward_tower`).  All set reductions (neighbor mean, node pooling) sort
-their addends by value along the node axis before summing, so predictions are
-bitwise invariant to node relabeling.  Backpropagation is hand-derived;
+over the batch.  The predictor stores every graph in canonical node order
+(`workload.canonical_layer_graph`), so all its stacks share one `preds`.  A
+single sample runs as a batch of one (`forward_tower`, `backward_tower`).
+All set reductions (neighbor mean, node pooling) sort their addends by value
+along the node axis before summing, so predictions are bitwise invariant to
+node relabeling.  Backpropagation is hand-derived;
 `grad_check` verifies it against central finite differences, and
 `tests/gnn_reference.py` keeps an independent per-sample pass that the tests
 hold the batched one to.  Which graph, globals and norms slot feed each tower
@@ -165,10 +167,10 @@ def fit_feature_norms(
 
 
 def normalize_nodes(raw: np.ndarray, norms: FeatureNorms) -> np.ndarray:
-    """Normalized node matrix: scaled numeric columns, one-hot kept as is."""
+    """Normalized node matrices: scaled numeric columns, one-hot kept as is."""
     n_node = len(NUMERIC_NODE_FEATURES)
     out = raw.copy()
-    out[:, :n_node] = _log1p_scale(raw[:, :n_node], norms.node_mu, norms.node_sd)
+    out[..., :n_node] = _log1p_scale(raw[..., :n_node], norms.node_mu, norms.node_sd)
     return out
 
 

@@ -5,13 +5,14 @@ fits the total tower with the measured prefill energy teacher-forced into its
 global features; at inference the predicted prefill energy is used instead.
 Both stages minimize squared error in log-energy space with Adam.
 
-`_TOWERS` is the one table of which graph, globals, norms slot and label each
-tower reads from a sample; featurization, norm fitting, training and
-inference all go through it.  Every GNN evaluation is the batched pass
-(`gnn.forward_batch` / `gnn.backward_batch`) over samples stacked per layer
-topology, usually exactly one: a mini-batch when training, chunks of a whole
-sample set when predicting (`evaluate_params`), and a batch of one for a
-single request (`predict_prefill`, `predict_total`, `predict_sample`).  The
+A sample set is featurized once, into one table (`_table`) that norm
+fitting, both towers, validation and evaluation read; `_TOWERS` says which
+of its fields each tower reads.  Every graph is in canonical node order, so
+every GNN evaluation is the batched pass (`gnn.forward_batch` /
+`gnn.backward_batch`) over rows of one stack with the one constant `preds`:
+a mini-batch when training, chunks of a whole sample set when predicting
+(`evaluate_params`), and a batch of one for a single request
+(`predict_prefill`, `predict_total`, `predict_sample`).  The
 per-sample reference pass and trainer the tests compare against live in
 `tests/gnn_reference.py`.  Training is bit-deterministic for a fixed seed:
 splits, shuffles, and init all come from one seeded generator, and a batch
@@ -21,14 +22,15 @@ stacks its samples in sorted index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import TrainingDivergedError
-from ..workload import GlobalFeatures, LayerGraph, in_neighbor_lists
+from ..workload import LAYER_PREDS, GlobalFeatures, LayerGraph, canonical_layer_graph
 from .data import (
     GLOBAL_DIM,
+    NODE_FEATURE_DIM,
     GraphSample,
     PredictorInputs,
     globals_vector,
@@ -150,9 +152,34 @@ class Adam:
             arr -= np.divide(a, b, out=a)
 
 
+_Table = dict[str, np.ndarray]
+
+
+def _node_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:
+    mats = [node_feature_matrix(canonical_layer_graph(graph)) for graph in graphs]
+    return np.array(mats).reshape(len(mats), len(LAYER_PREDS), NODE_FEATURE_DIM)
+
+
+def _table(samples: Sequence[PredictorInputs]) -> _Table:
+    """Raw inputs of a sample set, one array per sample field, stacked in
+    sample order: (S, 12, NODE_FEATURE_DIM) node tensors in canonical node
+    order, (S, GLOBAL_DIM) global rows, and (S,) labels when there are any."""
+    table = {
+        field: _node_tensor([getattr(s, field) for s in samples])
+        for field in ("prefill_graph", "decode_graph")
+    }
+    for field in ("prefill_globals", "total_globals"):
+        rows = [globals_vector(getattr(s, field)) for s in samples]
+        table[field] = np.array(rows).reshape(len(rows), GLOBAL_DIM)
+    if all(isinstance(s, GraphSample) for s in samples):
+        for field in ("label_prefill_j", "label_total_j"):
+            table[field] = np.array([getattr(s, field) for s in samples], dtype=float)
+    return table
+
+
 @dataclass(frozen=True)
 class _TowerInputs:
-    """Where one tower reads a sample: sample fields and its norms slot."""
+    """Which table fields one tower reads, and its norms slot."""
 
     graph: str  # field holding the layer graph
     globals: str  # field holding the global features
@@ -162,13 +189,16 @@ class _TowerInputs:
     # total tower only); inference fills that slot with predictions instead.
     teacher: str | None = None
 
-    def read(
-        self, samples: Sequence[PredictorInputs]
-    ) -> tuple[list[LayerGraph], list[GlobalFeatures]]:
-        return (
-            [getattr(s, self.graph) for s in samples],
-            [getattr(s, self.globals) for s in samples],
-        )
+    def encode(
+        self, table: _Table, norms: FeatureNorms, prefill_j: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized (h0, g) stacks; prefill_j fills the total tower's
+        prefill-energy column."""
+        raw_g = table[self.globals]
+        if prefill_j is not None:
+            raw_g = np.column_stack([raw_g, prefill_j])
+        h0 = normalize_nodes(table[self.graph], norms)
+        return h0, normalize_globals(raw_g, norms, self.norm_slot)
 
 
 _TOWERS = {
@@ -182,166 +212,114 @@ _TOWERS = {
 }
 
 
-@dataclass(frozen=True)
-class EncodedSample:
-    """Normalized tensors for one sample and one tower."""
-
+class _Row(NamedTuple):
     h0: np.ndarray
-    preds: tuple
+    preds: tuple[tuple[int, ...], ...]
     g: np.ndarray
-
-
-@dataclass(frozen=True)
-class PreparedSample(EncodedSample):
-    """An encoded sample with the tower's label."""
-
     log_target: float
     target_j: float
 
 
-def _labels(samples: Sequence[GraphSample], field: str) -> np.ndarray:
-    return np.array([getattr(s, field) for s in samples])
+@dataclass(frozen=True)
+class _TowerSet:
+    """One tower's labelled inputs over a sample set, stacked in sample order,
+    with the one `preds` of the canonical layer graph.  Indexing and
+    iteration give per-sample rows."""
+
+    h0: np.ndarray  # (S, 12, node_dim)
+    g: np.ndarray  # (S, glob_dim)
+    log_target: np.ndarray  # (S,)
+    target_j: np.ndarray  # (S,)
+    preds: ClassVar[tuple[tuple[int, ...], ...]] = LAYER_PREDS
+
+    def __len__(self) -> int:
+        return len(self.target_j)
+
+    def __getitem__(self, i: int) -> _Row:
+        return _Row(self.h0[i], self.preds, self.g[i],
+                    float(self.log_target[i]), float(self.target_j[i]))
+
+    def __iter__(self) -> Iterator[_Row]:
+        return map(self.__getitem__, range(len(self)))
 
 
-def _raw_inputs(
-    graphs: Sequence[LayerGraph],
-    gfs: Sequence[GlobalFeatures],
-    prefill_j: Sequence[float] | None = None,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Raw node matrices and global rows; prefill_j fills the prefill-energy
-    column of the tower that has one."""
-    raw_g = np.array([globals_vector(gf) for gf in gfs]).reshape(len(gfs), GLOBAL_DIM)
-    if prefill_j is not None:
-        raw_g = np.column_stack([raw_g, prefill_j])
-    return [node_feature_matrix(graph) for graph in graphs], raw_g
-
-
-def _encode(
-    graphs: Sequence[LayerGraph],
-    gfs: Sequence[GlobalFeatures],
-    norms: FeatureNorms,
-    norm_slot: str,
-    prefill_j: Sequence[float] | None = None,
-) -> list[EncodedSample]:
-    node_raws, raw_g = _raw_inputs(graphs, gfs, prefill_j)
-    g = normalize_globals(raw_g, norms, norm_slot)
-    return [
-        EncodedSample(normalize_nodes(raw, norms), in_neighbor_lists(graph), row)
-        for graph, raw, row in zip(graphs, node_raws, g)
-    ]
-
-
-def _prepare(
-    samples: Sequence[GraphSample], norms: FeatureNorms, tower: str
-) -> list[PreparedSample]:
-    """Labelled tensors of the 'prefill', 'total' (teacher-forced) or 'single' tower."""
+def _tower_set(table: _Table, norms: FeatureNorms, tower: str) -> _TowerSet:
     spec = _TOWERS[tower]
-    teacher = None if spec.teacher is None else _labels(samples, spec.teacher)
-    encoded = _encode(*spec.read(samples), norms, spec.norm_slot, teacher)
-    return [
-        PreparedSample(e.h0, e.preds, e.g, float(np.log(t)), float(t))
-        for e, t in zip(encoded, _labels(samples, spec.label))
-    ]
+    teacher = None if spec.teacher is None else table[spec.teacher]
+    target = table[spec.label]
+    return _TowerSet(*spec.encode(table, norms, teacher), np.log(target), target)
+
+
+def _prepare(samples: Sequence[GraphSample], norms: FeatureNorms, tower: str) -> _TowerSet:
+    """Labelled tensors of the 'prefill', 'total' (teacher-forced) or 'single' tower."""
+    return _tower_set(_table(samples), norms, tower)
+
+
+def _fit_norms(table: _Table) -> FeatureNorms:
+    prefill, total = _TOWERS["prefill"], _TOWERS["total"]
+    # node rows interleave each sample's two graphs: the order they are summed in
+    nodes = np.stack([table[prefill.graph], table[total.graph]], axis=1)
+    total_g = np.column_stack([table[total.globals], table[total.teacher]])
+    return fit_feature_norms(
+        nodes.reshape(-1, *nodes.shape[2:]), table[prefill.globals], total_g
+    )
 
 
 def fit_norms(samples: Sequence[GraphSample]) -> FeatureNorms:
     """Feature statistics over the training split (both graphs per sample)."""
-    total = _TOWERS["total"]
-    prefill_nodes, prefill_g = _raw_inputs(*_TOWERS["prefill"].read(samples))
-    total_nodes, total_g = _raw_inputs(
-        *total.read(samples), _labels(samples, total.teacher)
-    )
-    node_raws = [m for pair in zip(prefill_nodes, total_nodes) for m in pair]
-    return fit_feature_norms(node_raws, prefill_g, total_g)
+    return _fit_norms(_table(samples))
 
 
-class _Stacks:
-    """Encoded samples stacked once per layer topology, for batched passes."""
-
-    def __init__(self, encoded: Sequence[EncodedSample]) -> None:
-        self.n = len(encoded)
-        members: dict[tuple, list[int]] = {}
-        for i, e in enumerate(encoded):
-            members.setdefault(e.preds, []).append(i)
-        self.group_of = np.empty(self.n, dtype=int)
-        self.row_of = np.empty(self.n, dtype=int)
-        self.groups = []
-        for gid, (preds, idx) in enumerate(members.items()):
-            self.group_of[idx] = gid
-            self.row_of[idx] = np.arange(len(idx))
-            self.groups.append((
-                preds,
-                np.stack([encoded[i].h0 for i in idx]),
-                np.stack([encoded[i].g for i in idx]),
-            ))
-
-    def batches(
-        self, idx: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, tuple, np.ndarray, np.ndarray]]:
-        """Per topology among the samples at idx: (those indices, preds,
-        stacked h0, stacked g)."""
-        gids = self.group_of[idx]
-        for gid in np.unique(gids):
-            picked = idx[gids == gid]
-            rows = self.row_of[picked]
-            preds, h0, g = self.groups[gid]
-            yield picked, preds, h0[rows], g[rows]
-
-
-def _tower_predictions(tower: TowerParams, stacks: _Stacks) -> np.ndarray:
-    """Predicted energies (joules) in encoded order, batched forward passes."""
-    out = np.empty(stacks.n)
-    for start in range(0, stacks.n, _PREDICT_BATCH):
-        idx = np.arange(start, min(start + _PREDICT_BATCH, stacks.n))
-        for picked, preds, h0, g in stacks.batches(idx):
-            out[picked] = np.exp(forward_batch(tower, h0, preds, g)[0])
+def _tower_predictions(tower: TowerParams, h0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Predicted energies (joules) of stacked inputs, batched forward passes."""
+    out = np.empty(len(h0))
+    for start in range(0, len(h0), _PREDICT_BATCH):
+        rows = slice(start, start + _PREDICT_BATCH)
+        out[rows] = np.exp(forward_batch(tower, h0[rows], LAYER_PREDS, g[rows])[0])
     return out
 
 
 def train_tower(
     tower: TowerParams,
-    train_set: Sequence[PreparedSample],
-    val_set: Sequence[PreparedSample],
+    train_set: _TowerSet,
+    val_set: _TowerSet | Sequence,
     cfg: TrainConfig,
     rng: np.random.Generator,
     label: str,
 ) -> list[dict]:
-    """Adam loop over one tower; returns per-epoch history entries."""
+    """Adam loop over one tower; returns per-epoch history entries.  An empty
+    val_set (such as `[]`) skips validation."""
     if not train_set:
         raise ValueError("empty training set")
-    tower.bh2[0] = float(np.mean([p.log_target for p in train_set]))
+    tower.bh2[0] = float(np.mean(train_set.log_target))
     arrays = tower.arrays()
     adam = Adam(arrays, cfg.learning_rate)
-    stacks, val_stacks = _Stacks(train_set), _Stacks(val_set)
-    log_targets = np.array([p.log_target for p in train_set])
-    truths = np.array([p.target_j for p in val_set])
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = np.sort(order[start:start + cfg.batch_size])
-            parts = [
-                batch_loss_and_grads(tower, h0, preds, g, log_targets[picked])
-                for picked, preds, h0, g in stacks.batches(batch)
-            ]
-            loss_sum = sum(loss for loss, _ in parts)
-            if not np.isfinite(loss_sum):
+            loss, grads = batch_loss_and_grads(
+                tower, train_set.h0[batch], train_set.preds, train_set.g[batch],
+                train_set.log_target[batch],
+            )
+            if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"{label} tower: non-finite loss at epoch {epoch}"
                 )
             scale = 1.0 / len(batch)
-            adam.step(arrays, {k: sum(g[k] for _, g in parts) * scale for k in arrays})
-            epoch_loss += loss_sum
+            adam.step(arrays, {k: grads[k] * scale for k in arrays})
+            epoch_loss += loss
         entry = {
             "tower": label,
             "epoch": epoch,
             "train_loss": epoch_loss / len(train_set),
         }
         if val_set:
-            preds = _tower_predictions(tower, val_stacks)
-            entry["val_mape"] = mape(truths, preds)
-            entry["val_eb10"] = error_bound_share(truths, preds)
+            preds = _tower_predictions(tower, val_set.h0, val_set.g)
+            entry["val_mape"] = mape(val_set.target_j, preds)
+            entry["val_eb10"] = error_bound_share(val_set.target_j, preds)
         history.append(entry)
     return history
 
@@ -355,54 +333,33 @@ def train(
     train_idx, val_idx, _ = split_indices(
         len(dataset), cfg.train_frac, cfg.val_frac, cfg.seed
     )
-    train_samples = [dataset[i] for i in train_idx]
-    val_samples = [dataset[i] for i in val_idx]
+    train_table = _table([dataset[i] for i in train_idx])
+    val_table = _table([dataset[i] for i in val_idx])
 
     params = init_params(cfg.seed)
-    params.norms = fit_norms(train_samples)
+    params.norms = _fit_norms(train_table)
 
     rng = np.random.default_rng(cfg.seed)
-    history = train_tower(
-        params.prefill,
-        _prepare(train_samples, params.norms, "prefill"),
-        _prepare(val_samples, params.norms, "prefill"),
-        cfg,
-        rng,
-        "prefill",
-    )
-    history += train_tower(
-        params.total,
-        _prepare(train_samples, params.norms, "total"),
-        _prepare(val_samples, params.norms, "total"),
-        cfg,
-        rng,
-        "total",
-    )
+    history = []
+    for name, tower in (("prefill", params.prefill), ("total", params.total)):
+        history += train_tower(
+            tower,
+            _tower_set(train_table, params.norms, name),
+            _tower_set(val_table, params.norms, name),
+            cfg,
+            rng,
+            name,
+        )
     return params, history
 
 
-def _energies(
-    tower: TowerParams,
-    norms: FeatureNorms,
-    spec: _TowerInputs,
-    graphs: Sequence[LayerGraph],
-    gfs: Sequence[GlobalFeatures],
-    prefill_j: Sequence[float] | None = None,
-) -> np.ndarray:
-    """One tower's predicted energies (joules) over graphs and their globals."""
-    encoded = _encode(graphs, gfs, norms, spec.norm_slot, prefill_j)
-    return _tower_predictions(tower, _Stacks(encoded))
-
-
-def _predict_chain(
-    params: GnnParams, samples: Sequence[PredictorInputs]
-) -> tuple[np.ndarray, np.ndarray]:
+def _predict_chain(params: GnnParams, table: _Table) -> tuple[np.ndarray, np.ndarray]:
     """Chained inference: the prefill tower runs over the whole set, its
     predicted energies fill the total tower's prefill-energy slot, then the
     total tower runs.  Returns (prefill, total) energies in joules."""
     prefill, total = _TOWERS["prefill"], _TOWERS["total"]
-    prefill_j = _energies(params.prefill, params.norms, prefill, *prefill.read(samples))
-    total_j = _energies(params.total, params.norms, total, *total.read(samples), prefill_j)
+    prefill_j = _tower_predictions(params.prefill, *prefill.encode(table, params.norms))
+    total_j = _tower_predictions(params.total, *total.encode(table, params.norms, prefill_j))
     return prefill_j, total_j
 
 
@@ -412,7 +369,9 @@ def predict_prefill(
     """Prefill energy in joules (strictly positive by construction)."""
     if gf.phase != "prefill":
         raise ValueError("prefill prediction needs prefill-phase globals")
-    return float(_energies(params.prefill, params.norms, _TOWERS["prefill"], [graph], [gf])[0])
+    spec = _TOWERS["prefill"]
+    table = {spec.graph: _node_tensor([graph]), spec.globals: globals_vector(gf)[None]}
+    return float(_tower_predictions(params.prefill, *spec.encode(table, params.norms))[0])
 
 
 def predict_total(
@@ -423,14 +382,15 @@ def predict_total(
         raise ValueError("total prediction needs total-phase globals")
     if gf.prefill_energy_j is None:
         raise ValueError("total prediction needs globals with a prefill energy")
-    return float(_energies(
-        params.total, params.norms, _TOWERS["total"], [graph], [gf], [gf.prefill_energy_j]
-    )[0])
+    spec = _TOWERS["total"]
+    table = {spec.graph: _node_tensor([graph]), spec.globals: globals_vector(gf)[None]}
+    h0, g = spec.encode(table, params.norms, np.array([gf.prefill_energy_j]))
+    return float(_tower_predictions(params.total, h0, g)[0])
 
 
 def predict_sample(params: GnnParams, sample: PredictorInputs) -> tuple[float, float]:
     """Chained inference for one request: predicted prefill energy feeds the total tower."""
-    prefill_j, total_j = _predict_chain(params, [sample])
+    prefill_j, total_j = _predict_chain(params, _table([sample]))
     return float(prefill_j[0]), float(total_j[0])
 
 
@@ -440,7 +400,8 @@ def evaluate_params(
     """Chained-inference metrics for both heads over a sample set."""
     if not samples:
         raise ValueError("evaluation needs at least one sample")
+    table = _table(samples)
     return {
-        name: evaluate_predictions(_labels(samples, _TOWERS[name].label), pred)
-        for name, pred in zip(("prefill", "total"), _predict_chain(params, samples))
+        name: evaluate_predictions(table[_TOWERS[name].label], pred)
+        for name, pred in zip(("prefill", "total"), _predict_chain(params, table))
     }

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -124,11 +126,10 @@ class KernelNode:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         for field in ("flops", "weight_bytes_loaded", "act_bytes_loaded",
-                      "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0")
-        if self.est_time_s < 0:
-            raise ValueError("est_time_s must be >= 0")
+                      "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored",
+                      "est_time_s"):
+            if not 0 <= getattr(self, field) < math.inf:  # NaN fails too
+                raise ValueError(f"{field} must be finite and >= 0")
 
     @property
     def total_bytes(self) -> int:
@@ -244,6 +245,32 @@ _LAYER_EDGES = (
 )
 _LAYER_NODES = 12
 _check_topology(_LAYER_NODES, _LAYER_EDGES)
+_LAYER_KINDS = ("norm", "qkv_proj", "attn_score", "softmax", "attn_value", "out_proj",
+                "residual", "norm", "ffn_up", "ffn_act", "ffn_down", "residual")
+# In-neighbors of each node of the layer graph, in canonical node order.
+LAYER_PREDS = tuple(tuple(s for s, d in _LAYER_EDGES if d == v) for v in range(_LAYER_NODES))
+# (kind, in-degree) names each node of the layer graph: the two norms have
+# in-degree 0 and 1, the two residuals 1 and 2.
+_LAYER_SLOTS = {
+    (kind, len(ps)): v for v, (kind, ps) in enumerate(zip(_LAYER_KINDS, LAYER_PREDS))
+}
+
+
+def canonical_layer_graph(graph: LayerGraph) -> LayerGraph:
+    """The decoder-layer graph in canonical node order: as is when already in
+    it, else with its nodes reordered and `edges=_LAYER_EDGES`.  Any other
+    graph, including one with a duplicated edge, raises ValueError."""
+    kinds = tuple(node.kind for node in graph.nodes)
+    if kinds == _LAYER_KINDS and graph.edges == _LAYER_EDGES:
+        return graph
+    indegree = Counter(dst for _, dst in graph.edges)
+    slots = [_LAYER_SLOTS.get((kind, indegree[v]), -1) for v, kind in enumerate(kinds)]
+    # Matching edges make slots a bijection: nodes sharing a slot would double its
+    # in-degree, or at in-degree 0 its out-degree (a LayerGraph has no isolated node).
+    if sorted((slots[s], slots[d]) for s, d in graph.edges) != sorted(_LAYER_EDGES):
+        raise ValueError("graph is not the decoder-layer topology")
+    nodes = tuple(node for _, node in sorted(zip(slots, graph.nodes)))
+    return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase=graph.phase)
 
 
 def build_layer_graph(
@@ -466,8 +493,12 @@ class GlobalFeatures:
             raise ValueError(f"unknown feature phase {self.phase!r}")
         if self.phase == "prefill" and self.prefill_energy_j is not None:
             raise ValueError("prefill_energy_j only applies to the total phase")
-        if self.prefill_energy_j is not None and self.prefill_energy_j <= 0:
-            raise ValueError("prefill_energy_j must be positive when present")
+        for field in ("total_ops", "layer_count", "hidden_dim", "ffn_dim", "prompt_len",
+                      "output_len", "weight_memory_bytes", "kv_cache_bytes"):
+            if not 0 <= getattr(self, field) < math.inf:  # NaN fails too
+                raise ValueError(f"{field} must be finite and >= 0")
+        if self.prefill_energy_j is not None and not 0 < self.prefill_energy_j < math.inf:
+            raise ValueError("prefill_energy_j must be finite and positive when present")
 
 
 def param_count(cfg: LlmConfig) -> int:

@@ -604,6 +604,46 @@ def test_non_finite_float_arguments_exit_2(capsys, value):
         assert "error:" in captured.err and "finite" in captured.err
 
 
+def _set(*path, value):
+    def mutate(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+_BAD_SAMPLES = {
+    f"{name}-{value}": _set(*path, value=value)
+    for name, path in (
+        ("node flops", ("prefill_graph", "nodes", 2, "flops")),
+        ("node est_time_s", ("decode_graph", "nodes", 5, "est_time_s")),
+        ("total_ops", ("total_globals", "total_ops")),
+        ("kv_cache_bytes", ("prefill_globals", "kv_cache_bytes")),
+    )
+    for value in (float("nan"), float("inf"))
+}
+# the residual-to-residual edge starts at the attention output instead
+_BAD_SAMPLES["foreign topology"] = _set("decode_graph", "edges", 12, value=[5, 11])
+
+
+@pytest.mark.parametrize("mutate", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
+def test_bad_sample_exits_2_with_its_location(capsys, tmp_path, workdir, mutate):
+    lines = (workdir / "tiny.jsonl").read_text().splitlines()
+    doc = json.loads(lines[4])
+    mutate(doc)
+    lines[4] = json.dumps(doc)  # non-finite values as NaN / Infinity tokens
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    for argv in (
+        ("train", "--dataset", path, "--params-out", tmp_path / "params.json"),
+        ("eval", "--dataset", path, "--params", workdir / "params.json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:5: "), err
+
+
 def test_compare_baselines_with_empty_test_split_exits_2(capsys, tmp_path, workdir):
     params = tmp_path / "params.json"
     assert cli.main([

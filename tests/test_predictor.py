@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from co2meter.predictor import (
     init_tower,
     load_params_json,
     mape,
+    node_feature_matrix,
     params_from_json,
     params_to_json,
     predict_prefill,
@@ -56,12 +58,17 @@ from co2meter.predictor.gnn import (
 )
 from co2meter.predictor.training import (
     _prepare,
-    _Stacks,
     _tower_predictions,
     fit_norms,
     train_tower,
 )
-from co2meter.workload import LayerGraph, Request, in_neighbor_lists, with_prefill_energy
+from co2meter.workload import (
+    LAYER_PREDS,
+    LayerGraph,
+    Request,
+    in_neighbor_lists,
+    with_prefill_energy,
+)
 
 QWEN = assets.load_llm_config("qwen15-05b")
 RK3588 = assets.load_device("rk3588")
@@ -206,13 +213,11 @@ def test_evaluate_params_equals_per_sample_chain(dataset20, relabel):
     samples = _with_relabeled_prefill(dataset20, 3) if relabel else dataset20
     params, _ = train(samples, TrainConfig(epochs=2))
     metrics = evaluate_params(params, samples)
-    pairs = []
-    for s in samples:
-        prefill_j = predict_prefill(s.prefill_graph, s.prefill_globals, params)
-        gf = with_prefill_energy(s.total_globals, prefill_j)
-        pairs.append((prefill_j, predict_total(s.decode_graph, gf, params)))
-    want_preds = np.array(pairs).T
-    for got, want in zip(training._predict_chain(params, samples), want_preds):
+    # the reference encodes each graph in its own node order
+    want_preds = np.array([gnn_reference.predict_sample(params, s) for s in samples]).T
+    table = training._table(samples)
+    assert table["prefill_graph"].shape == (20, 12, NODE_FEATURE_DIM)
+    for got, want in zip(training._predict_chain(params, table), want_preds):
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
     for phase, preds in zip(("prefill", "total"), want_preds):
         truths = np.array([getattr(s, f"label_{phase}_j") for s in samples])
@@ -261,6 +266,22 @@ def test_tower_table_reproduces_per_sample_encoding(dataset20):
             assert np.array_equal(p.h0, h0) and np.array_equal(p.g, g), tower
             assert p.preds == preds
             assert (p.target_j, p.log_target) == (getattr(s, label), np.log(getattr(s, label)))
+
+
+def test_train_and_evaluate_featurize_each_graph_once(dataset20, monkeypatch):
+    featurized = []
+
+    def counting(graph):
+        featurized.append(id(graph))
+        return node_feature_matrix(graph)
+
+    monkeypatch.setattr(training, "node_feature_matrix", counting)
+    cfg = TrainConfig(epochs=2)
+    params, _ = train(dataset20, cfg)
+    _, _, test_idx = split_indices(20, cfg.train_frac, cfg.val_frac, cfg.seed)
+    evaluate_params(params, [dataset20[i] for i in test_idx])
+    graphs = [id(g) for s in dataset20 for g in (s.prefill_graph, s.decode_graph)]
+    assert sorted(featurized) == sorted(graphs)
 
 
 def test_prediction_phase_validation(dataset20):
@@ -314,7 +335,16 @@ def _max_rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+class _ReferenceRow(NamedTuple):
+    h0: np.ndarray
+    preds: tuple
+    g: np.ndarray
+    log_target: float
+
+
 def _with_relabeled_prefill(dataset, i, seed=5):
+    """The dataset with sample i's prefill graph relabelled: its edge list
+    differs from every other graph's (the "two topologies" cases)."""
     sample = dataset[i]
     order = np.random.default_rng(seed).permutation(len(sample.prefill_graph.nodes))
     out = list(dataset)
@@ -325,34 +355,43 @@ def _with_relabeled_prefill(dataset, i, seed=5):
 
 
 @pytest.mark.parametrize(
-    "batch, n_groups",
-    [(range(16), 1), (range(16, 20), 1), (range(20), 2)],
+    "batch, relabel",
+    [(range(16), False), (range(16, 20), False), (range(20), True)],
     ids=["full batch", "ragged last batch", "two topologies"],
 )
-def test_batched_pass_matches_per_sample_reference(dataset20, batch, n_groups):
-    samples = _with_relabeled_prefill(dataset20, 3) if n_groups == 2 else dataset20
+def test_batched_pass_matches_per_sample_reference(dataset20, batch, relabel):
+    samples = _with_relabeled_prefill(dataset20, 3) if relabel else dataset20
     params = init_params(42)
     params.norms = fit_norms(samples)
     prepared = _prepare(samples, params.norms, "prefill")
     tower = params.prefill
+    # the relabelled sample lands in the one stack, in canonical node order
+    assert prepared.h0.shape == (20, 12, NODE_FEATURE_DIM) and prepared.preds == LAYER_PREDS
+    canonical = _prepare(dataset20, params.norms, "prefill")
+    assert np.array_equal(prepared.h0, canonical.h0)
 
-    stacks = list(_Stacks(prepared).batches(np.array(batch)))
-    assert len(stacks) == n_groups
-    assert sorted(i for members, *_ in stacks for i in members) == list(batch)
-    log_targets = np.array([p.log_target for p in prepared])
-    parts = [
-        batch_loss_and_grads(tower, h0, preds, g, log_targets[members])
-        for members, preds, h0, g in stacks
+    # the reference encodes each graph in its own node order
+    reference = [
+        _ReferenceRow(
+            *gnn_reference.encode_inputs(s.prefill_graph, s.prefill_globals,
+                                         params.norms, "prefill"),
+            np.log(s.label_prefill_j),
+        )
+        for s in samples
     ]
-    want_loss, want_grads = gnn_reference.batch_loss_and_grads(tower, prepared, batch)
-    assert _max_rel(sum(loss for loss, _ in parts), want_loss) <= 1e-12
+    assert (reference[3].preds != LAYER_PREDS) == relabel
+    rows = np.array(batch)
+    loss, grads = batch_loss_and_grads(
+        tower, prepared.h0[rows], prepared.preds, prepared.g[rows], prepared.log_target[rows]
+    )
+    want_loss, want_grads = gnn_reference.batch_loss_and_grads(tower, reference, batch)
+    assert _max_rel(loss, want_loss) <= 1e-12
     for name, want in want_grads.items():
-        assert _max_rel(sum(g[name] for _, g in parts), want) <= 1e-12, name
+        assert _max_rel(grads[name], want) <= 1e-12, name
 
-    subset = [prepared[i] for i in batch]
     assert _max_rel(
-        _tower_predictions(tower, _Stacks(subset)),
-        gnn_reference.tower_predictions(tower, subset),
+        _tower_predictions(tower, prepared.h0[rows], prepared.g[rows]),
+        gnn_reference.tower_predictions(tower, [reference[i] for i in batch]),
     ) <= 1e-12
 
 
@@ -363,6 +402,11 @@ def test_training_matches_reference_trainer(dataset20, monkeypatch, relabel):
     cfg = TrainConfig(epochs=2, batch_size=6)
     params, history = train(samples, cfg)
     single, single_history = train_single_phase(samples, cfg)
+    if relabel:
+        # the relabelled sample is stored in canonical order: same bits as unrelabelled
+        canonical, canonical_history = train(dataset20, cfg)
+        assert canonical_history == history
+        assert params_to_json(canonical) == params_to_json(params)
 
     monkeypatch.setattr(training, "train_tower", gnn_reference.train_tower)
     monkeypatch.setattr(baselines, "train_tower", gnn_reference.train_tower)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from co2meter import workload as wl
@@ -113,6 +113,83 @@ def test_layer_graph_rejects_self_loops_and_disconnection():
         wl.LayerGraph(nodes=graph.nodes, edges=((0, 1), (1, 2)), phase="prefill")
     with pytest.raises(ValueError, match="out of range"):  # the shared edges, checked once
         wl.LayerGraph(nodes=graph.nodes[:5], edges=graph.edges, phase="prefill")
+
+
+def _relabeled(graph, order):
+    """The same graph with node order[i] moved to position i; nodes past the
+    end of order keep theirs."""
+    order = list(order) + list(range(len(order), len(graph.nodes)))
+    position = {v: i for i, v in enumerate(order)}
+    return wl.LayerGraph(
+        nodes=tuple(graph.nodes[v] for v in order),
+        edges=tuple((position[a], position[b]) for a, b in graph.edges),
+        phase=graph.phase,
+    )
+
+
+_layer_graphs = st.builds(
+    lambda phase, prompt, output: wl.build_layer_graph(Q15, wl.Request(prompt, output), phase),
+    st.sampled_from(wl.GRAPH_PHASES), st.integers(1, 4096), st.integers(1, 512),
+)
+
+
+@given(_layer_graphs, st.permutations(range(12)))
+@settings(max_examples=100, deadline=None)
+def test_any_relabelling_canonicalizes_back(graph, order):
+    assert wl.canonical_layer_graph(graph) is graph
+    canonical = wl.canonical_layer_graph(_relabeled(graph, order))
+    assert canonical.nodes == graph.nodes and canonical.phase == graph.phase
+    assert canonical.edges == graph.edges == wl._LAYER_EDGES
+    assert wl.in_neighbor_lists(canonical) == wl.LAYER_PREDS
+
+
+def _move_edge(graph, data):
+    edges = list(graph.edges)
+    i = data.draw(st.integers(0, len(edges) - 1))
+    moved = data.draw(st.tuples(st.integers(0, 11), st.integers(0, 11)))
+    assume(moved != edges[i])
+    edges[i] = moved
+    return dataclasses.replace(graph, edges=tuple(edges))
+
+
+def _swap_kinds(graph, data):
+    a, b = data.draw(st.lists(st.integers(0, 11), min_size=2, max_size=2, unique=True))
+    nodes = list(graph.nodes)
+    assume(nodes[a].kind != nodes[b].kind)
+    nodes[a] = dataclasses.replace(graph.nodes[a], kind=graph.nodes[b].kind)
+    nodes[b] = dataclasses.replace(graph.nodes[b], kind=graph.nodes[a].kind)
+    return dataclasses.replace(graph, nodes=tuple(nodes))
+
+
+def _duplicate_edge(graph, data):
+    return dataclasses.replace(graph, edges=graph.edges + (data.draw(st.sampled_from(graph.edges)),))
+
+
+def _add_node(graph, data):
+    """A copy of one node, joined to the graph by one edge."""
+    copied, other = data.draw(st.tuples(st.integers(0, 11), st.integers(0, 11)))
+    edge = data.draw(st.sampled_from([(12, other), (other, 12)]))
+    return wl.LayerGraph(
+        nodes=graph.nodes + (graph.nodes[copied],), edges=graph.edges + (edge,),
+        phase=graph.phase,
+    )
+
+
+@given(
+    _layer_graphs,
+    st.sampled_from([_move_edge, _swap_kinds, _duplicate_edge, _add_node]),
+    st.permutations(range(12)),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_other_layer_topologies_are_refused(graph, mutate, order, data):
+    try:
+        broken = mutate(graph, data)
+    except ValueError:  # not even a connected DAG
+        reject()
+    for candidate in (broken, _relabeled(broken, order)):
+        with pytest.raises(ValueError, match="not the decoder-layer topology"):
+            wl.canonical_layer_graph(candidate)
 
 
 def test_in_neighbor_lists_match_edges():
@@ -377,6 +454,20 @@ def test_global_features_prefill_energy_slot():
             wl.global_features(Q15, wl.Request(10, 5), "prefill"),
             prefill_energy_j=1.0,
         )
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_counts_and_features_must_be_finite_and_non_negative(bad):
+    graph = wl.build_layer_graph(Q15, wl.Request(10, 5), "prefill")
+    for field in ("flops", "kv_bytes_loaded", "est_time_s"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(graph.nodes[1], **{field: bad})
+    gf = wl.global_features(Q15, wl.Request(10, 5), "total")
+    for field in ("total_ops", "weight_memory_bytes", "kv_cache_bytes"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(gf, **{field: bad})
+    with pytest.raises(ValueError, match="prefill_energy_j must be finite"):
+        wl.with_prefill_energy(gf, bad)
 
 
 # ---------------------------------------------------------------------------
