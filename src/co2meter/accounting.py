@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -41,8 +42,8 @@ class CarbonIntensity:
     kg_per_kwh: float
 
     def __post_init__(self) -> None:
-        if self.kg_per_kwh <= 0:
-            raise ValueError("carbon intensity must be positive")
+        if not 0 < self.kg_per_kwh < math.inf:  # NaN fails too
+            raise ValueError("carbon intensity must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,12 @@ class PipelineBreakdown:
     total_j: float
 
 
-def _require_model(models: Mapping[str, object], key: str) -> object:
-    if key not in models:
-        raise ConfigurationError(f"pipeline needs a fitted {key!r} model")
-    return models[key]
+def required_models(pipeline: AppPipeline) -> tuple[str, ...]:
+    """Names of the peripheral models `app_energy` reads for a pipeline."""
+    inputs = ("mic",) if isinstance(pipeline.input, MicInput) else ("camera",)
+    if isinstance(pipeline.output, DisplayOutput):
+        return inputs + ("display", "video")
+    return inputs + ("speaker",)
 
 
 def app_energy(
@@ -175,21 +178,20 @@ def app_energy(
 ) -> PipelineBreakdown:
     """Evaluate every stage of a pipeline into joules.
 
-    `models` maps peripheral names (mic/camera/display/video/speaker) to
-    fitted models; `llm_energy` supplies the inference energy for the LLM
-    stage (a trained predictor or the synthetic oracle).
+    `models` maps peripheral names (`required_models(pipeline)`) to fitted
+    models; `llm_energy` supplies the inference energy for the LLM stage (a
+    trained predictor or the synthetic oracle).
     """
     if llm_energy is None:
         raise ConfigurationError("pipeline needs an LLM energy source")
+    for name in required_models(pipeline):
+        if name not in models:
+            raise ConfigurationError(f"pipeline needs a fitted {name!r} model")
 
     if isinstance(pipeline.input, MicInput):
-        input_j = _require_model(models, "mic").energy(
-            pipeline.input.duration_s, pipeline.input.samples
-        )
+        input_j = models["mic"].energy(pipeline.input.duration_s, pipeline.input.samples)
     else:
-        input_j = _require_model(models, "camera").energy(
-            pipeline.input.duration_s, pipeline.input.frames
-        )
+        input_j = models["camera"].energy(pipeline.input.duration_s, pipeline.input.frames)
 
     con_j = pipeline.conversion.energy_j
 
@@ -198,11 +200,11 @@ def app_energy(
         raise ValueError("LLM stage energy must be positive")
 
     if isinstance(pipeline.output, DisplayOutput):
-        panel_w = _require_model(models, "display").power(pipeline.output.grey)
-        video_w = _require_model(models, "video").power(pipeline.output.pixels)
+        panel_w = models["display"].power(pipeline.output.grey)
+        video_w = models["video"].power(pipeline.output.pixels)
         output_j = (panel_w + video_w) * pipeline.output.duration_s
     else:
-        speaker_w = _require_model(models, "speaker").power(pipeline.output.volume)
+        speaker_w = models["speaker"].power(pipeline.output.volume)
         output_j = speaker_w * pipeline.output.duration_s
 
     sys_j = dm.background_energy(

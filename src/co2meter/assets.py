@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Sequence
 
 from .accounting import AppPipeline, CarbonIntensity, load_ci_table, load_pipeline_json
-from .device_models import PeripheralModel, fit_by_name, load_samples_csv
+from .device_models import MODEL_NAMES, PeripheralModel, fit_by_name, load_samples_csv
 from .embodied import SocBom, load_bom_json
 from .errors import UserInputError
 from .workload import DeviceSpec, LlmConfig, load_config_json, load_device_json
@@ -83,14 +84,14 @@ def load_peripheral_masses() -> dict[str, float]:
     return {str(k): float(v) for k, v in doc.items()}
 
 
-def demo_peripheral_models() -> dict[str, PeripheralModel]:
-    """Fit every bundled measurement CSV and return the models by name.
+def demo_peripheral_models(names: Sequence[str] = MODEL_NAMES) -> dict[str, PeripheralModel]:
+    """Fit the named bundled measurement CSVs (default: all six) and return
+    the models by name.
 
     The bundled CSVs are noiseless, so the fits reproduce the generating
     parameters and the result is deterministic.
     """
-    models: dict[str, PeripheralModel] = {}
-    for name in ("net", "camera", "mic", "video", "speaker", "display"):
-        samples = load_samples_csv(measurement_csv(name))
-        models[name] = fit_by_name(name, samples).model
-    return models
+    return {
+        name: fit_by_name(name, load_samples_csv(measurement_csv(name))).model
+        for name in names
+    }

@@ -37,6 +37,7 @@ from .accounting import (
     breakeven_requests,
     load_ci_table,
     load_pipeline_json,
+    required_models,
     total_footprint,
 )
 from .embodied import (
@@ -497,7 +498,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
                 duration_s=pipeline.output.duration_s, volume=_SPEAKER_VOLUME
             ),
         )
-    models = assets.demo_peripheral_models()
+    models = assets.demo_peripheral_models(required_models(pipeline))
     if args.params:
         from . import predictor as pr
         params = pr.load_params_json(args.params)[0]

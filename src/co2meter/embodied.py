@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -53,10 +54,10 @@ class SocBom:
     def __post_init__(self) -> None:
         for field in ("die_area_cm2", "cpa_die_kg_per_cm2", "pcb_area_cm2",
                       "cpa_pcb_kg_per_cm2"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
-        if self.dram_kg < 0:
-            raise ValueError("dram_kg must be >= 0")
+            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
+                raise ValueError(f"{field} must be finite and positive")
+        if not 0 <= self.dram_kg < math.inf:
+            raise ValueError("dram_kg must be finite and >= 0")
         names = [u.name for u in self.units]
         if len(set(names)) != len(names):
             raise ValueError("die unit names must be unique")
@@ -64,8 +65,8 @@ class SocBom:
         if total > 1.0 + _FRACTION_TOL:
             raise ValueError(f"die unit fractions sum to {total} > 1")
         for name, kg in self.peripherals:
-            if not name or kg < 0:
-                raise ValueError("peripherals need a name and kg >= 0")
+            if not name or not 0 <= kg < math.inf:
+                raise ValueError("peripherals need a name and a finite kg >= 0")
 
     def unit(self, name: str) -> DieUnit:
         for u in self.units:

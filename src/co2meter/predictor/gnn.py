@@ -10,16 +10,16 @@ a prefill-energy global slot and predicts whole-request energy.
 There is one pass, `forward_batch` / `backward_batch`: samples that share one
 layer topology stack into (B, N, node_dim) tensors, so each layer is one
 matmul over all B * N node rows and the parameter gradients come out summed
-over the batch.  The predictor stores every graph in canonical node order
-(`workload.canonical_layer_graph`), so all its stacks share one `preds`.  A
-single sample runs as a batch of one (`forward_tower`, `backward_tower`).
-All set reductions (neighbor mean, node pooling) sort their addends by value
-along the node axis before summing, so predictions are bitwise invariant to
-node relabeling.  Backpropagation is hand-derived;
-`grad_check` verifies it against central finite differences, and
-`tests/gnn_reference.py` keeps an independent per-sample pass that the tests
-hold the batched one to.  Which graph, globals and norms slot feed each tower
-is decided in `training`.
+over the batch.  A single sample runs as a batch of one (`forward_tower`,
+`backward_tower`).  Both passes read one row-normalized aggregation matrix
+(the GraphSAGE mean aggregator).  The predictor stores every graph in
+canonical node order (`workload.canonical_layer_graph`), so all its stacks
+share one `preds` and predictions are bitwise invariant to node relabeling;
+node pooling still sorts its addends along the node axis.  Backpropagation
+is hand-derived; `grad_check` verifies it against central finite
+differences, and `tests/gnn_reference.py` keeps an independent per-sample
+pass that the tests hold the batched one to.  Which graph, globals and
+norms slot feed each tower is decided in `training`.
 """
 
 from __future__ import annotations
@@ -194,18 +194,6 @@ def _aggregation_matrix(n: int, preds: tuple[tuple[int, ...], ...]) -> np.ndarra
     return a
 
 
-def _mean_in_neighbors(h: np.ndarray, preds: Sequence[Sequence[int]]) -> np.ndarray:
-    """Mean of each node's in-neighbor rows in a (B, N, F) stack, addends sorted."""
-    out = np.zeros_like(h)
-    for v, ps in enumerate(preds):
-        if ps:
-            addends = h[:, list(ps)]
-            if len(ps) > 2:  # one or two addends sum to the same bits in any order
-                addends = np.sort(addends, axis=1)
-            out[:, v] = addends.sum(axis=1) / len(ps)
-    return out
-
-
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ReLU(x @ w.T + b) over the last axis of a (B, N, K) stack, as one matmul.
 
@@ -230,9 +218,10 @@ def forward_batch(
     `backward_batch`.  Only post-ReLU activations are kept: h > 0 exactly
     where the pre-activation is > 0.
     """
-    c0 = np.concatenate([h0, _mean_in_neighbors(h0, preds)], axis=2)
+    agg = _aggregation_matrix(h0.shape[1], preds)
+    c0 = np.concatenate([h0, agg @ h0], axis=2)
     h1 = _dense_relu(c0, tower.w1, tower.b1)
-    c1 = np.concatenate([h1, _mean_in_neighbors(h1, preds)], axis=2)
+    c1 = np.concatenate([h1, agg @ h1], axis=2)
     h2 = _dense_relu(c1, tower.w2, tower.b2)
 
     pooled = np.sort(h2, axis=1).sum(axis=1) / h2.shape[1]
@@ -240,10 +229,7 @@ def forward_batch(
     u = np.maximum(zh @ tower.wh1.T + tower.bh1, 0.0)
     y = u @ tower.wh2 + tower.bh2[0]
 
-    cache = {
-        "c0": c0, "h1": h1, "c1": c1, "h2": h2, "zh": zh, "u": u,
-        "agg": _aggregation_matrix(h0.shape[1], preds),
-    }
+    cache = {"c0": c0, "h1": h1, "c1": c1, "h2": h2, "zh": zh, "u": u, "agg": agg}
     return y, cache
 
 

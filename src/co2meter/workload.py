@@ -6,7 +6,8 @@ fusion-free accounting: matrix multiplies cost 2*M*N*K FLOPs, softmax / norm /
 residual / activation cost 5 / 7 / 2 / 4 FLOPs per element, and each kernel
 loads its inputs (weights, activations, KV cache) and stores its outputs
 exactly once.  Prefill processes the whole prompt in parallel; decode
-processes one token against a KV cache of the given position.
+processes one token against a KV cache of the given position.  Every
+`LayerGraph` is that layer up to node relabelling (`_layer_slots` decides).
 
 Roofline helpers classify graphs against a device's compute/bandwidth roofs
 and answer bandwidth/compute what-if questions; `kernel_costs` and
@@ -98,8 +99,8 @@ class DeviceSpec:
     def __post_init__(self) -> None:
         for field in ("peak_ops", "mem_bandwidth", "idle_power", "active_power",
                       "dram_capacity"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
+            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
+                raise ValueError(f"{field} must be finite and positive")
         if self.active_power < self.idle_power:
             raise ValueError("active_power must be >= idle_power")
 
@@ -146,7 +147,9 @@ class KernelNode:
 
 @dataclass(frozen=True)
 class LayerGraph:
-    """Directed acyclic dataflow graph of one decoder layer's kernels."""
+    """Dataflow graph of one decoder layer's 12 kernels: `_LAYER_EDGES` over
+    `_LAYER_KINDS` up to node relabelling, anything else raises ValueError
+    (`canonical_layer_graph` undoes the relabelling)."""
 
     nodes: tuple[KernelNode, ...]
     edges: tuple[tuple[int, int], ...]
@@ -155,65 +158,8 @@ class LayerGraph:
     def __post_init__(self) -> None:
         if self.phase not in GRAPH_PHASES:
             raise ValueError(f"unknown graph phase {self.phase!r}")
-        if not self.nodes:
-            raise ValueError("graph needs at least one node")
-        # The decoder-layer topology is checked once, at import; loaded graphs
-        # carry equal edge tuples of their own.
-        if not (len(self.nodes) == _LAYER_NODES and self.edges == _LAYER_EDGES):
-            _check_topology(len(self.nodes), self.edges)
-
-
-def _check_topology(n: int, edges: Sequence[tuple[int, int]]) -> None:
-    """Raise ValueError unless the edges form a weakly connected DAG on n nodes."""
-    for src, dst in edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"edge ({src}, {dst}) out of range")
-        if src == dst:
-            raise ValueError("self-loops are not allowed")
-    _kahn_order(n, edges)  # raises on cycles
-    if n > 1 and _component_count(n, edges) != 1:
-        raise ValueError("graph must be weakly connected")
-
-
-def topological_order(graph: LayerGraph) -> list[int]:
-    """Kahn's algorithm; raises ValueError if the graph has a cycle."""
-    return _kahn_order(len(graph.nodes), graph.edges)
-
-
-def _kahn_order(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for src, dst in edges:
-        indeg[dst] += 1
-        out[src].append(dst)
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order: list[int] = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) != n:
-        raise ValueError("graph contains a cycle")
-    return order
-
-
-def _component_count(n: int, edges: Sequence[tuple[int, int]]) -> int:
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for src, dst in edges:
-        a, b = find(src), find(dst)
-        if a != b:
-            parent[a] = b
-    return len({find(v) for v in range(n)})
+        if not _in_canonical_order(self.nodes, self.edges):
+            _layer_slots(self.nodes, self.edges)
 
 
 def in_neighbor_lists(graph: LayerGraph) -> tuple[tuple[int, ...], ...]:
@@ -244,7 +190,6 @@ _LAYER_EDGES = (
     (_N_RES1, _N_RES2),
 )
 _LAYER_NODES = 12
-_check_topology(_LAYER_NODES, _LAYER_EDGES)
 _LAYER_KINDS = ("norm", "qkv_proj", "attn_score", "softmax", "attn_value", "out_proj",
                 "residual", "norm", "ffn_up", "ffn_act", "ffn_down", "residual")
 # In-neighbors of each node of the layer graph, in canonical node order.
@@ -256,19 +201,32 @@ _LAYER_SLOTS = {
 }
 
 
-def canonical_layer_graph(graph: LayerGraph) -> LayerGraph:
-    """The decoder-layer graph in canonical node order: as is when already in
-    it, else with its nodes reordered and `edges=_LAYER_EDGES`.  Any other
-    graph, including one with a duplicated edge, raises ValueError."""
-    kinds = tuple(node.kind for node in graph.nodes)
-    if kinds == _LAYER_KINDS and graph.edges == _LAYER_EDGES:
-        return graph
-    indegree = Counter(dst for _, dst in graph.edges)
-    slots = [_LAYER_SLOTS.get((kind, indegree[v]), -1) for v, kind in enumerate(kinds)]
-    # Matching edges make slots a bijection: nodes sharing a slot would double its
-    # in-degree, or at in-degree 0 its out-degree (a LayerGraph has no isolated node).
-    if sorted((slots[s], slots[d]) for s, d in graph.edges) != sorted(_LAYER_EDGES):
+def _in_canonical_order(nodes: Sequence[KernelNode], edges: Sequence[tuple[int, int]]) -> bool:
+    return edges == _LAYER_EDGES and tuple(node.kind for node in nodes) == _LAYER_KINDS
+
+
+def _layer_slots(nodes: Sequence[KernelNode], edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Each node's slot in the canonical node order; ValueError unless the graph
+    is the decoder layer up to relabelling, a duplicated edge included."""
+    n = len(nodes)
+    # An endpoint outside 0..11 would index another node (-1) or raise IndexError.
+    if n != _LAYER_NODES or not all(0 <= v < n for edge in edges for v in edge):
         raise ValueError("graph is not the decoder-layer topology")
+    indegree = Counter(dst for _, dst in edges)
+    slots = [_LAYER_SLOTS.get((node.kind, indegree[v]), -1) for v, node in enumerate(nodes)]
+    # Matching edges make slots a bijection: each of the 12 slots is an endpoint
+    # of a layer edge, hence some node's slot, and there are 12 nodes.
+    if sorted((slots[s], slots[d]) for s, d in edges) != sorted(_LAYER_EDGES):
+        raise ValueError("graph is not the decoder-layer topology")
+    return slots
+
+
+def canonical_layer_graph(graph: LayerGraph) -> LayerGraph:
+    """The layer graph in canonical node order: as is when already in it, else
+    with its nodes reordered and `edges=_LAYER_EDGES`."""
+    if _in_canonical_order(graph.nodes, graph.edges):
+        return graph
+    slots = _layer_slots(graph.nodes, graph.edges)
     nodes = tuple(node for _, node in sorted(zip(slots, graph.nodes)))
     return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase=graph.phase)
 

@@ -474,6 +474,24 @@ def test_pipeline_variants_change_the_right_stage(capsys):
     assert (base["total_j"] - speaker["total_j"]) / base["total_j"] > 0.5
 
 
+def test_pipeline_fits_only_the_models_its_stages_read(capsys, monkeypatch):
+    fitted = []
+    fit = assets.fit_by_name
+
+    def counting(name, samples):
+        fitted.append(name)
+        return fit(name, samples)
+
+    monkeypatch.setattr(assets, "fit_by_name", counting)
+    for argv, names in (
+        ((), ["mic", "display", "video"]),
+        (("--input", "camera", "--output", "speaker"), ["camera", "speaker"]),
+    ):
+        fitted.clear()
+        run_json(capsys, "pipeline", *argv)
+        assert fitted == names
+
+
 @pytest.mark.parametrize(
     "stage,kind,flag",
     [
@@ -602,6 +620,33 @@ def test_non_finite_float_arguments_exit_2(capsys, value):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "finite" in captured.err
+
+
+_ESTIMATE = ("estimate", "--prompt-len", "64", "--output-len", "8", "--device")
+_BREAKEVEN = ("breakeven", "--delta-embodied", "1.0", "--delta-energy", "100", "--ci-table")
+_NON_FINITE_FIELDS = [
+    *[("devices/rk3588.json", field, _ESTIMATE) for field in (
+        "peak_ops", "mem_bandwidth", "idle_power", "active_power", "dram_capacity")],
+    *[("boms/rk3588.json", field, ("embodied", "--bom")) for field in (
+        "die_area_cm2", "cpa_die_kg_per_cm2", "pcb_area_cm2", "cpa_pcb_kg_per_cm2",
+        "dram_kg")],
+    ("ci_table.json", "india", _BREAKEVEN),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "asset, field, argv", _NON_FINITE_FIELDS, ids=[f for _, f, _ in _NON_FINITE_FIELDS]
+)
+def test_non_finite_spec_fields_exit_2(capsys, tmp_path, asset, field, argv, value, fmt):
+    doc = json.loads((assets.asset_root() / asset).read_text())
+    doc[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))  # as a NaN / Infinity token
+    code, out, err = run(capsys, *argv, path, "--format", fmt)
+    assert (code, out) == (2, ""), err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 def _set(*path, value):

@@ -1,5 +1,6 @@
 """Embodied carbon: BOM evaluation, attribution, what-if modifications."""
 
+import dataclasses
 import json
 
 import pytest
@@ -141,6 +142,12 @@ def test_bom_unit_names_must_be_unique():
             dram_kg=0.1,
             peripherals=(),
         )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_bom_peripheral_kg_must_be_finite_and_non_negative(value):
+    with pytest.raises(ValueError, match="finite kg"):
+        dataclasses.replace(RK3588, peripherals=(("camera", value),))
 
 
 def test_die_unit_fraction_bounds():

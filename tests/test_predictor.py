@@ -52,8 +52,10 @@ import gnn_reference
 from co2meter.predictor import baselines, training
 from co2meter.predictor.gnn import (
     _aggregation_matrix,
+    backward_batch,
     batch_loss_and_grads,
     fit_feature_norms,
+    forward_batch,
     identity_norms,
 )
 from co2meter.predictor.training import (
@@ -134,17 +136,57 @@ def test_forward_matches_scalar_reference():
     rng = np.random.default_rng(3)
     tower = init_tower(rng, node_dim=2, glob_dim=1)
     h0 = rng.normal(size=(4, 2))
-    # node 3 has three in-neighbours; in column 0 their sum depends on the
-    # order: (1 + 1e-16) + 1e-16 == 1, but (1e-16 + 1e-16) + 1 > 1
+    # node 3 has three in-neighbours, a mean no layer graph takes; their sum in
+    # column 0 depends on the order, (1 + 1e-16) + 1e-16 == 1 but
+    # (1e-16 + 1e-16) + 1 > 1, so the pass meets the sorted reference to 1e-12
     h0[:3, 0] = (1.0, 1e-16, 1e-16)
     preds = ((), (0,), (0, 1), (0, 1, 2))
     g = np.array([0.7])
     y, _ = forward_tower(tower, h0, preds, g)
     assert y == pytest.approx(_reference_forward(tower, h0, preds, g), rel=1e-12)
-    # swapping the labels of nodes 0 and 2 reverses node 3's addends, which
-    # the pass sorts, so the prediction keeps its bits
-    swapped = ((1, 2), (2,), (), (0, 1, 2))
-    assert forward_tower(tower, h0[[2, 1, 0, 3]], swapped, g)[0] == y
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.9),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_pass_equals_reference_row_by_row(batch, seed, zero_share, scale):
+    rng = np.random.default_rng(seed)
+    tower = init_tower(rng, NODE_FEATURE_DIM, GLOBAL_DIM)
+    tower.b1[:] = rng.normal(size=HIDDEN_DIM)
+    tower.b2[:] = rng.normal(size=HIDDEN_DIM)
+    # signed entries, a share of them exactly zero
+    h0 = scale * rng.normal(size=(batch, 12, NODE_FEATURE_DIM))
+    h0[rng.random(h0.shape) < zero_share] = 0.0
+    g = rng.normal(size=(batch, GLOBAL_DIM))
+    dy = rng.normal(size=batch)
+    y, cache = forward_batch(tower, h0, LAYER_PREDS, g)
+    want_y, want_grads = [], []
+    for b in range(batch):
+        ref_y, ref_cache = gnn_reference.forward_tower(tower, h0[b], LAYER_PREDS, g[b])
+        want_y.append(ref_y)
+        want_grads.append(gnn_reference.backward_tower(tower, ref_cache, dy[b]))
+        # each row as a batch of one: the reference's bits
+        row_y, row_cache = forward_batch(tower, h0[b:b + 1], LAYER_PREDS, g[b:b + 1])
+        assert row_y[0] == ref_y
+        grads = backward_batch(tower, row_cache, dy[b:b + 1])
+        for k, want in want_grads[-1].items():
+            assert np.array_equal(grads[k], want), (b, k)
+        # in the stack, both neighbor means are the reference's sorted ones
+        assert np.array_equal(cache["c0"][b], ref_cache["c0"])
+        assert np.array_equal(
+            cache["c1"][b, :, HIDDEN_DIM:],
+            gnn_reference.neighbor_mean(cache["h1"][b], LAYER_PREDS),
+        )
+    # the stack's dense layers are one matmul over batch * 12 rows, whose BLAS
+    # blocking may move the last bits
+    assert _max_rel(y, want_y) <= 1e-12
+    grads = backward_batch(tower, cache, dy)
+    for k in grads:
+        assert _max_rel(grads[k], sum(w[k] for w in want_grads)) <= 1e-12, k
 
 
 def _relabeled(graph: LayerGraph, order: np.ndarray) -> LayerGraph:
@@ -671,10 +713,13 @@ def test_loaded_graphs_skip_the_topology_check_unless_malformed(
     tmp_path, dataset20, monkeypatch
 ):
     checked = []
-    check = workload._check_topology
-    monkeypatch.setattr(
-        workload, "_check_topology", lambda n, edges: (checked.append(n), check(n, edges))
-    )
+    layer_slots = workload._layer_slots
+
+    def counting(nodes, edges):
+        checked.append(len(nodes))
+        return layer_slots(nodes, edges)
+
+    monkeypatch.setattr(workload, "_layer_slots", counting)
     path = tmp_path / "round_trip.jsonl"
     write_dataset_jsonl(path, dataset20)
     assert len(read_dataset_jsonl(path)) == 20
@@ -684,16 +729,20 @@ def test_loaded_graphs_skip_the_topology_check_unless_malformed(
     doc = sample_to_json(dataset20[0])
     edges, nodes = doc["prefill_graph"]["edges"], doc["prefill_graph"]["nodes"]
     bad = tmp_path / "bad.jsonl"
-    for change, message in (
-        ({"edges": edges + [[11, 0]]}, "cycle"),
-        ({"edges": edges + [[3, 3]]}, "self-loops"),
-        ({"nodes": nodes[:11]}, "out of range"),
+    for change in (
+        {"edges": edges + [[11, 0]]},  # a cycle
+        {"edges": edges + [[3, 3]]},  # a self-loop
+        {"nodes": nodes[:11]},
+        {"edges": edges + [[-1, 3]]},
+        {"edges": edges + [[5, 12]]},
     ):
         bad_doc = {**doc, "prefill_graph": {**doc["prefill_graph"], **change}}
         bad.write_text(good + "\n" + json.dumps(bad_doc) + "\n")
-        with pytest.raises(UserInputError, match=rf"bad\.jsonl:2: .*{message}"):
+        with pytest.raises(
+            UserInputError, match=r"bad\.jsonl:2: .*not the decoder-layer topology"
+        ):
             read_dataset_jsonl(bad)
-    assert checked == [12, 12, 11]
+    assert checked == [12, 12, 11, 12, 12]
 
 
 def test_params_json_round_trip(tmp_path, dataset20):
