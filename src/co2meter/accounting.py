@@ -231,7 +231,12 @@ def breakeven_requests(
     ci: CarbonIntensity,
     lifespan_years: float = DEFAULT_LIFESPAN_YEARS,
 ) -> float:
-    """Requests/day at which extra embodied carbon equals operational savings."""
+    """Requests/day at which extra embodied carbon equals operational savings.
+
+    NoBreakEvenError when the saving is not positive or the rate is not a
+    finite number (a saving that rounds to zero carbon, or one too small for
+    the embodied delta).
+    """
     if delta_embodied_kg <= 0:
         raise ValueError("embodied delta must be positive")
     if lifespan_years <= 0:
@@ -240,8 +245,16 @@ def breakeven_requests(
         raise NoBreakEvenError(
             "per-request energy delta must be positive for a break-even to exist"
         )
-    daily_saving_kg = operational_carbon(delta_energy_per_request_j, ci)
-    return delta_embodied_kg / (daily_saving_kg * DAYS_PER_YEAR * lifespan_years)
+    lifetime_saving_kg = (
+        operational_carbon(delta_energy_per_request_j, ci) * DAYS_PER_YEAR * lifespan_years
+    )
+    rate = delta_embodied_kg / lifetime_saving_kg if lifetime_saving_kg > 0 else math.inf
+    if not rate < math.inf:
+        raise NoBreakEvenError(
+            f"a saving of {delta_energy_per_request_j:g} J per request never offsets "
+            f"{delta_embodied_kg:g} kg in {ci.region}: the break-even rate is not finite"
+        )
+    return rate
 
 
 @dataclass(frozen=True)

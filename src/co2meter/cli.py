@@ -52,6 +52,7 @@ from .errors import CO2MeterError, NoBreakEvenError, UserInputError
 from .workload import (
     KernelCost,
     Request,
+    build_layer_graph,
     classify,
     classify_node,
     kernel_costs,
@@ -60,7 +61,6 @@ from .workload import (
     load_device_json,
     phase_intensity,
     phase_totals,
-    request_kernels,
     scaled_device,
     whatif_speedup,
 )
@@ -202,10 +202,10 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     cfg = _resolve_config(args.config)
     dev = _resolve_device(args.device)
     req = Request(args.prompt_len, args.output_len)
-    kernels = request_kernels(cfg, req)
-    rows = kernel_costs(cfg, req, dev, kernels)
+    rows = kernel_costs(cfg, req, dev)
     (prefill_s, prefill_j), (decode_s, decode_j) = phase_totals(rows)
-    mid_graph = kernels.decode()
+    prefill_graph = build_layer_graph(cfg, req, "prefill")
+    mid_graph = build_layer_graph(cfg, req, "decode")
 
     doc = {
         "config": cfg.name,
@@ -215,8 +215,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         "prefill": {
             "energy_j": prefill_j,
             "time_s": prefill_s,
-            "intensity": phase_intensity(kernels.prefill),
-            "boundedness": classify(kernels.prefill, dev),
+            "intensity": phase_intensity(prefill_graph),
+            "boundedness": classify(prefill_graph, dev),
         },
         "decode": {
             "energy_j": decode_j,
@@ -445,10 +445,9 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
     dev = _resolve_device(args.device)
     cfg = _resolve_config(args.config)
     req = Request(args.prompt_len, args.output_len)
-    request = request_kernels(cfg, req)
     kernels = []
-    for phase, graph in (("prefill", request.prefill), ("decode", request.decode())):
-        for node in graph.nodes:
+    for phase in ("prefill", "decode"):
+        for node in build_layer_graph(cfg, req, phase).nodes:
             kernels.append(
                 {
                     "phase": phase,

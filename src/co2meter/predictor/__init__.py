@@ -9,6 +9,7 @@ from .data import (
     PredictorInputs,
     globals_vector,
     node_feature_matrix,
+    node_feature_tensor,
     read_dataset_jsonl,
     sample_from_json,
     sample_to_json,

@@ -5,14 +5,18 @@ phase-specific inputs — the prefill kernel graph with prefill-phase globals,
 and the decode-representative kernel graph (mid-sequence position) with
 whole-request globals — plus the measured prefill and total energies.
 
-Loaded graphs are stored in canonical node order; another topology, or a
-NaN, infinite or negative count or feature, is refused with path and line.
+Every `LayerGraph` is stored in canonical node order, so the node features
+of S graphs are one (S, 12, NODE_FEATURE_DIM) table (`node_feature_tensor`):
+the numeric columns from one `np.array` call, then the kind one-hot, one
+constant block.  A loaded graph of another topology, or with a NaN, infinite
+or negative count or feature, is refused with path and line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -20,13 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import UserInputError
-from ..workload import (
-    GlobalFeatures,
-    KernelNode,
-    LayerGraph,
-    KERNEL_KINDS,
-    canonical_layer_graph,
-)
+from ..workload import KERNEL_KINDS, LAYER_KINDS, GlobalFeatures, KernelNode, LayerGraph
 
 NUMERIC_NODE_FEATURES = (
     "flops",
@@ -54,7 +52,9 @@ GLOBAL_FEATURE_NAMES = (
 NODE_FEATURE_DIM = len(NUMERIC_NODE_FEATURES) + len(KERNEL_KINDS)
 GLOBAL_DIM = len(GLOBAL_FEATURE_NAMES)
 
-_KIND_INDEX = {kind: i for i, kind in enumerate(KERNEL_KINDS)}
+_numeric_features = operator.attrgetter(*NUMERIC_NODE_FEATURES)
+# The kind one-hot of the layer's nodes in canonical order.
+_KIND_ONE_HOT = np.eye(len(KERNEL_KINDS))[[KERNEL_KINDS.index(k) for k in LAYER_KINDS]]
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,19 @@ class GraphSample(PredictorInputs):
             raise ValueError("labels must satisfy 0 < prefill <= total < inf")
 
 
+def node_feature_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:
+    """Raw (S, 12, 18) node features of S graphs, nodes in canonical order:
+    8 numeric columns then a 10-wide kind one-hot."""
+    numeric = np.array(
+        [[_numeric_features(node) for node in graph.nodes] for graph in graphs], dtype=float
+    ).reshape(len(graphs), len(LAYER_KINDS), len(NUMERIC_NODE_FEATURES))
+    one_hot = np.broadcast_to(_KIND_ONE_HOT, (len(graphs), *_KIND_ONE_HOT.shape))
+    return np.concatenate([numeric, one_hot], axis=2)
+
+
 def node_feature_matrix(graph: LayerGraph) -> np.ndarray:
-    """Raw (N, 18) node features: 8 numeric columns then a 10-wide kind one-hot."""
-    n = len(graph.nodes)
-    out = np.zeros((n, NODE_FEATURE_DIM))
-    for i, node in enumerate(graph.nodes):
-        for j, field in enumerate(NUMERIC_NODE_FEATURES):
-            out[i, j] = getattr(node, field)
-        out[i, len(NUMERIC_NODE_FEATURES) + _KIND_INDEX[node.kind]] = 1.0
-    return out
+    """Raw (12, 18) node features of one graph."""
+    return node_feature_tensor([graph])[0]
 
 
 def globals_vector(gf: GlobalFeatures) -> np.ndarray:
@@ -162,7 +166,7 @@ def _graph_to_json(graph: LayerGraph) -> dict:
 def _graph_from_json(doc: Mapping) -> LayerGraph:
     nodes = tuple(KernelNode(**n) for n in doc["nodes"])
     edges = tuple((int(src), int(dst)) for src, dst in doc["edges"])
-    return canonical_layer_graph(LayerGraph(nodes=nodes, edges=edges, phase=doc["phase"]))
+    return LayerGraph(nodes=nodes, edges=edges, phase=doc["phase"])
 
 
 def _globals_to_json(gf: GlobalFeatures) -> dict:

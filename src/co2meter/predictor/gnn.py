@@ -12,14 +12,14 @@ layer topology stack into (B, N, node_dim) tensors, so each layer is one
 matmul over all B * N node rows and the parameter gradients come out summed
 over the batch.  A single sample runs as a batch of one (`forward_tower`,
 `backward_tower`).  Both passes read one row-normalized aggregation matrix
-(the GraphSAGE mean aggregator).  The predictor stores every graph in
-canonical node order (`workload.canonical_layer_graph`), so all its stacks
-share one `preds` and predictions are bitwise invariant to node relabeling;
-node pooling still sorts its addends along the node axis.  Backpropagation
-is hand-derived; `grad_check` verifies it against central finite
-differences, and `tests/gnn_reference.py` keeps an independent per-sample
-pass that the tests hold the batched one to.  Which graph, globals and
-norms slot feed each tower is decided in `training`.
+(the GraphSAGE mean aggregator).  Every `workload.LayerGraph` is stored in
+canonical node order, so all the predictor's stacks share one `preds` and
+predictions are bitwise invariant to node relabeling; node pooling still
+sorts its addends along the node axis.  Backpropagation is hand-derived;
+`grad_check` verifies it against central finite differences, and
+`tests/gnn_reference.py` keeps an independent per-sample pass that the tests
+hold the batched one to.  Which graph, globals and norms slot feed each tower
+is decided in `training`.
 """
 
 from __future__ import annotations

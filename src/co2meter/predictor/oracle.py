@@ -18,8 +18,8 @@ from ..workload import (  # the pricing names are re-exported
     KernelCost,
     LlmConfig,
     Request,
-    RequestKernels,
     apply_roofline,
+    build_layer_graph,
     check_fits_dram,
     global_features,
     kernel_costs,
@@ -27,29 +27,21 @@ from ..workload import (  # the pricing names are re-exported
     phase_costs,
     phase_totals,
     request_energy,
-    request_kernels,
 )
 from .data import GraphSample, PredictorInputs
 
 RequestSampler = Callable[[np.random.Generator], Request]
 
 
-def featurize(
-    cfg: LlmConfig,
-    req: Request,
-    dev: DeviceSpec,
-    kernels: RequestKernels | None = None,
-) -> PredictorInputs:
+def featurize(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> PredictorInputs:
     """Roofline-timed prefill and mid-decode graphs with their globals;
     raises UserInputError like `phase_costs` when the request overflows DRAM."""
     check_fits_dram(cfg, req, dev)
-    if kernels is None:
-        kernels = request_kernels(cfg, req)
     return PredictorInputs(
-        apply_roofline(kernels.prefill, dev),
-        global_features(cfg, req, "prefill", kernels=kernels),
-        apply_roofline(kernels.decode(), dev),
-        global_features(cfg, req, "total", kernels=kernels),
+        apply_roofline(build_layer_graph(cfg, req, "prefill"), dev),
+        global_features(cfg, req, "prefill"),
+        apply_roofline(build_layer_graph(cfg, req, "decode"), dev),
+        global_features(cfg, req, "total"),
     )
 
 
@@ -79,9 +71,8 @@ def make_sample(
     noise_sigma: float,
 ) -> GraphSample:
     """One labeled sample; graphs carry device roofline times as features."""
-    kernels = request_kernels(cfg, req)
-    inputs = featurize(cfg, req, dev, kernels)
-    (_, clean_prefill), (_, clean_decode) = phase_costs(cfg, req, dev, kernels)
+    inputs = featurize(cfg, req, dev)
+    (_, clean_prefill), (_, clean_decode) = phase_costs(cfg, req, dev)
     with np.errstate(over="ignore"):  # GraphSample refuses the infinite label
         noise = (
             np.exp(rng.normal(0.0, noise_sigma, size=2))

@@ -5,10 +5,11 @@ fits the total tower with the measured prefill energy teacher-forced into its
 global features; at inference the predicted prefill energy is used instead.
 Both stages minimize squared error in log-energy space with Adam.
 
-A sample set is featurized once, into one table (`_table`) that norm
-fitting, both towers, validation and evaluation read; `_TOWERS` says which
-of its fields each tower reads.  Every graph is in canonical node order, so
-every GNN evaluation is the batched pass (`gnn.forward_batch` /
+A sample set is featurized once, into one table (`_table`, its node
+tensors from `data.node_feature_tensor`) that norm fitting, both towers,
+validation and evaluation read; `_TOWERS` says which of its fields each
+tower reads.  A `LayerGraph` is in canonical node order from the moment it
+is built, so every GNN evaluation is the batched pass (`gnn.forward_batch` /
 `gnn.backward_batch`) over rows of one stack with the one constant `preds`:
 a mini-batch when training, chunks of a whole sample set when predicting
 (`evaluate_params`), and a batch of one for a single request
@@ -27,14 +28,13 @@ from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ..errors import TrainingDivergedError
-from ..workload import LAYER_PREDS, GlobalFeatures, LayerGraph, canonical_layer_graph
+from ..workload import LAYER_PREDS, GlobalFeatures, LayerGraph
 from .data import (
     GLOBAL_DIM,
-    NODE_FEATURE_DIM,
     GraphSample,
     PredictorInputs,
     globals_vector,
-    node_feature_matrix,
+    node_feature_tensor,
     split_indices,
 )
 from .gnn import (
@@ -155,17 +155,12 @@ class Adam:
 _Table = dict[str, np.ndarray]
 
 
-def _node_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:
-    mats = [node_feature_matrix(canonical_layer_graph(graph)) for graph in graphs]
-    return np.array(mats).reshape(len(mats), len(LAYER_PREDS), NODE_FEATURE_DIM)
-
-
 def _table(samples: Sequence[PredictorInputs]) -> _Table:
     """Raw inputs of a sample set, one array per sample field, stacked in
     sample order: (S, 12, NODE_FEATURE_DIM) node tensors in canonical node
     order, (S, GLOBAL_DIM) global rows, and (S,) labels when there are any."""
     table = {
-        field: _node_tensor([getattr(s, field) for s in samples])
+        field: node_feature_tensor([getattr(s, field) for s in samples])
         for field in ("prefill_graph", "decode_graph")
     }
     for field in ("prefill_globals", "total_globals"):
@@ -370,7 +365,7 @@ def predict_prefill(
     if gf.phase != "prefill":
         raise ValueError("prefill prediction needs prefill-phase globals")
     spec = _TOWERS["prefill"]
-    table = {spec.graph: _node_tensor([graph]), spec.globals: globals_vector(gf)[None]}
+    table = {spec.graph: node_feature_tensor([graph]), spec.globals: globals_vector(gf)[None]}
     return float(_tower_predictions(params.prefill, *spec.encode(table, params.norms))[0])
 
 
@@ -383,7 +378,7 @@ def predict_total(
     if gf.prefill_energy_j is None:
         raise ValueError("total prediction needs globals with a prefill energy")
     spec = _TOWERS["total"]
-    table = {spec.graph: _node_tensor([graph]), spec.globals: globals_vector(gf)[None]}
+    table = {spec.graph: node_feature_tensor([graph]), spec.globals: globals_vector(gf)[None]}
     h0, g = spec.encode(table, params.norms, np.array([gf.prefill_energy_j]))
     return float(_tower_predictions(params.total, h0, g)[0])
 

@@ -6,12 +6,16 @@ fusion-free accounting: matrix multiplies cost 2*M*N*K FLOPs, softmax / norm /
 residual / activation cost 5 / 7 / 2 / 4 FLOPs per element, and each kernel
 loads its inputs (weights, activations, KV cache) and stores its outputs
 exactly once.  Prefill processes the whole prompt in parallel; decode
-processes one token against a KV cache of the given position.  Every
-`LayerGraph` is that layer up to node relabelling (`_layer_slots` decides).
+processes one token against a KV cache of the given position.
+`_layer_counts` is the one place these counts are written: it returns the 12
+kernels' count rows in canonical node order.  `build_layer_graph` wraps the
+rows in `KernelNode`s, and a `LayerGraph` is that layer up to node
+relabelling (`_layer_slots` decides), stored in canonical order.
 
 Roofline helpers classify graphs against a device's compute/bandwidth roofs
 and answer bandwidth/compute what-if questions; `kernel_costs` and
-`phase_costs` price a whole request's time and energy on a device.
+`phase_costs` price a whole request's time and energy on a device straight
+from the count rows, with no graph built.
 """
 
 from __future__ import annotations
@@ -110,6 +114,10 @@ class DeviceSpec:
         return self.peak_ops / self.mem_bandwidth
 
 
+_COUNT_FIELDS = ("flops", "weight_bytes_loaded", "act_bytes_loaded",
+                 "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored")
+
+
 @dataclass(frozen=True)
 class KernelNode:
     """One kernel invocation with its dense FLOP/byte accounting."""
@@ -126,9 +134,7 @@ class KernelNode:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        for field in ("flops", "weight_bytes_loaded", "act_bytes_loaded",
-                      "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored",
-                      "est_time_s"):
+        for field in (*_COUNT_FIELDS, "est_time_s"):
             if not 0 <= getattr(self, field) < math.inf:  # NaN fails too
                 raise ValueError(f"{field} must be finite and >= 0")
 
@@ -148,8 +154,9 @@ class KernelNode:
 @dataclass(frozen=True)
 class LayerGraph:
     """Dataflow graph of one decoder layer's 12 kernels: `_LAYER_EDGES` over
-    `_LAYER_KINDS` up to node relabelling, anything else raises ValueError
-    (`canonical_layer_graph` undoes the relabelling)."""
+    `LAYER_KINDS` up to node relabelling, anything else raises ValueError.
+    A relabelled graph is stored in canonical node order, with
+    `edges=_LAYER_EDGES`."""
 
     nodes: tuple[KernelNode, ...]
     edges: tuple[tuple[int, int], ...]
@@ -158,19 +165,20 @@ class LayerGraph:
     def __post_init__(self) -> None:
         if self.phase not in GRAPH_PHASES:
             raise ValueError(f"unknown graph phase {self.phase!r}")
-        if not _in_canonical_order(self.nodes, self.edges):
-            _layer_slots(self.nodes, self.edges)
+        if self.edges == _LAYER_EDGES and tuple(n.kind for n in self.nodes) == LAYER_KINDS:
+            return
+        slots = _layer_slots(self.nodes, self.edges)
+        object.__setattr__(self, "nodes", tuple(n for _, n in sorted(zip(slots, self.nodes))))
+        object.__setattr__(self, "edges", _LAYER_EDGES)
 
 
 def in_neighbor_lists(graph: LayerGraph) -> tuple[tuple[int, ...], ...]:
-    """Per-node tuple of predecessor indices (dataflow inputs)."""
-    preds: list[list[int]] = [[] for _ in graph.nodes]
-    for src, dst in graph.edges:
-        preds[dst].append(src)
-    return tuple(tuple(p) for p in preds)
+    """Per-node tuple of predecessor indices (dataflow inputs): `LAYER_PREDS`,
+    since every graph is in canonical node order."""
+    return LAYER_PREDS
 
 
-# Node indices within one layer graph, in construction order.
+# Node indices within one layer graph, in canonical order.
 _N_NORM1, _N_QKV, _N_SCORE, _N_SOFTMAX, _N_VALUE, _N_OUT = range(6)
 _N_RES1, _N_NORM2, _N_FFN_UP, _N_FFN_ACT, _N_FFN_DOWN, _N_RES2 = range(6, 12)
 
@@ -190,19 +198,15 @@ _LAYER_EDGES = (
     (_N_RES1, _N_RES2),
 )
 _LAYER_NODES = 12
-_LAYER_KINDS = ("norm", "qkv_proj", "attn_score", "softmax", "attn_value", "out_proj",
-                "residual", "norm", "ffn_up", "ffn_act", "ffn_down", "residual")
+LAYER_KINDS = ("norm", "qkv_proj", "attn_score", "softmax", "attn_value", "out_proj",
+               "residual", "norm", "ffn_up", "ffn_act", "ffn_down", "residual")
 # In-neighbors of each node of the layer graph, in canonical node order.
 LAYER_PREDS = tuple(tuple(s for s, d in _LAYER_EDGES if d == v) for v in range(_LAYER_NODES))
 # (kind, in-degree) names each node of the layer graph: the two norms have
 # in-degree 0 and 1, the two residuals 1 and 2.
 _LAYER_SLOTS = {
-    (kind, len(ps)): v for v, (kind, ps) in enumerate(zip(_LAYER_KINDS, LAYER_PREDS))
+    (kind, len(ps)): v for v, (kind, ps) in enumerate(zip(LAYER_KINDS, LAYER_PREDS))
 }
-
-
-def _in_canonical_order(nodes: Sequence[KernelNode], edges: Sequence[tuple[int, int]]) -> bool:
-    return edges == _LAYER_EDGES and tuple(node.kind for node in nodes) == _LAYER_KINDS
 
 
 def _layer_slots(nodes: Sequence[KernelNode], edges: Sequence[tuple[int, int]]) -> list[int]:
@@ -221,14 +225,27 @@ def _layer_slots(nodes: Sequence[KernelNode], edges: Sequence[tuple[int, int]]) 
     return slots
 
 
-def canonical_layer_graph(graph: LayerGraph) -> LayerGraph:
-    """The layer graph in canonical node order: as is when already in it, else
-    with its nodes reordered and `edges=_LAYER_EDGES`."""
-    if _in_canonical_order(graph.nodes, graph.edges):
-        return graph
-    slots = _layer_slots(graph.nodes, graph.edges)
-    nodes = tuple(node for _, node in sorted(zip(slots, graph.nodes)))
-    return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase=graph.phase)
+def _layer_counts(cfg: LlmConfig, t: int, s: int) -> list[tuple[int, ...]]:
+    """The `_COUNT_FIELDS` of each layer kernel, in canonical node order, for t
+    tokens attending over s KV positions.  Every count is affine in s."""
+    d, f, h = cfg.hidden_dim, cfg.ffn_dim, cfg.num_heads
+    ab, wb = cfg.act_bytes, cfg.weight_bytes
+    norm = (7 * t * d, 2 * d * wb, t * d * ab, t * d * ab, 0, 0)
+    residual = (2 * t * d, 0, 2 * t * d * ab, t * d * ab, 0, 0)
+    return [
+        norm,
+        (6 * t * d * d, 3 * d * d * wb, t * d * ab, t * d * ab, 0, 2 * t * d * ab),  # qkv_proj
+        (2 * t * s * d, 0, t * d * ab, h * t * s * ab, s * d * ab, 0),  # attn_score
+        (5 * h * t * s, 0, h * t * s * ab, h * t * s * ab, 0, 0),  # softmax
+        (2 * t * s * d, 0, h * t * s * ab, t * d * ab, s * d * ab, 0),  # attn_value
+        (2 * t * d * d, d * d * wb, t * d * ab, t * d * ab, 0, 0),  # out_proj
+        residual,
+        norm,
+        (2 * t * d * f, d * f * wb, t * d * ab, t * f * ab, 0, 0),  # ffn_up
+        (4 * t * f, 0, t * f * ab, t * f * ab, 0, 0),  # ffn_act
+        (2 * t * d * f, d * f * wb, t * f * ab, t * d * ab, 0, 0),  # ffn_down
+        residual,
+    ]
 
 
 def build_layer_graph(
@@ -247,55 +264,10 @@ def build_layer_graph(
     if phase not in GRAPH_PHASES:
         raise ValueError(f"unknown phase {phase!r}")
     if phase == "prefill":
-        tokens = req.prompt_len
-        kv_len = req.prompt_len
+        rows = _layer_counts(cfg, req.prompt_len, req.prompt_len)
     else:
-        tokens = 1
-        kv_len = _decode_position(req, position)
-
-    d, f, h = cfg.hidden_dim, cfg.ffn_dim, cfg.num_heads
-    ab, wb = cfg.act_bytes, cfg.weight_bytes
-    t, s = tokens, kv_len
-
-    def norm() -> KernelNode:
-        return KernelNode("norm", flops=7 * t * d, weight_bytes_loaded=2 * d * wb,
-                          act_bytes_loaded=t * d * ab, act_bytes_stored=t * d * ab)
-
-    def residual() -> KernelNode:
-        return KernelNode("residual", flops=2 * t * d,
-                          act_bytes_loaded=2 * t * d * ab,
-                          act_bytes_stored=t * d * ab)
-
-    nodes = (
-        norm(),
-        KernelNode("qkv_proj", flops=6 * t * d * d,
-                   weight_bytes_loaded=3 * d * d * wb,
-                   act_bytes_loaded=t * d * ab, act_bytes_stored=t * d * ab,
-                   kv_bytes_stored=2 * t * d * ab),
-        KernelNode("attn_score", flops=2 * t * s * d,
-                   act_bytes_loaded=t * d * ab, kv_bytes_loaded=s * d * ab,
-                   act_bytes_stored=h * t * s * ab),
-        KernelNode("softmax", flops=5 * h * t * s,
-                   act_bytes_loaded=h * t * s * ab,
-                   act_bytes_stored=h * t * s * ab),
-        KernelNode("attn_value", flops=2 * t * s * d,
-                   act_bytes_loaded=h * t * s * ab, kv_bytes_loaded=s * d * ab,
-                   act_bytes_stored=t * d * ab),
-        KernelNode("out_proj", flops=2 * t * d * d,
-                   weight_bytes_loaded=d * d * wb,
-                   act_bytes_loaded=t * d * ab, act_bytes_stored=t * d * ab),
-        residual(),
-        norm(),
-        KernelNode("ffn_up", flops=2 * t * d * f,
-                   weight_bytes_loaded=d * f * wb,
-                   act_bytes_loaded=t * d * ab, act_bytes_stored=t * f * ab),
-        KernelNode("ffn_act", flops=4 * t * f,
-                   act_bytes_loaded=t * f * ab, act_bytes_stored=t * f * ab),
-        KernelNode("ffn_down", flops=2 * t * d * f,
-                   weight_bytes_loaded=d * f * wb,
-                   act_bytes_loaded=t * f * ab, act_bytes_stored=t * d * ab),
-        residual(),
-    )
+        rows = _layer_counts(cfg, 1, _decode_position(req, position))
+    nodes = tuple(KernelNode(kind, *row) for kind, row in zip(LAYER_KINDS, rows))
     return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase=phase)
 
 
@@ -309,47 +281,6 @@ def _decode_position(req: Request, position: int | None) -> int:
             f"{req.prompt_len + req.output_len}]"
         )
     return position
-
-
-_COUNT_FIELDS = ("flops", "weight_bytes_loaded", "act_bytes_loaded",
-                 "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored")
-
-
-@dataclass(frozen=True)
-class RequestKernels:
-    """A request's kernels: its prefill graph and decode graphs at KV positions 1 and 2.
-
-    Every decode count is affine in the KV position, so the two decode graphs
-    give the graph at any position exactly, in integer arithmetic.
-    """
-
-    req: Request
-    prefill: LayerGraph
-    first: LayerGraph
-    second: LayerGraph
-
-    def decode(self, position: int | None = None) -> LayerGraph:
-        """The decode graph at a KV position (default mid-sequence), as
-        `build_layer_graph` builds it."""
-        offset = _decode_position(self.req, position) - 1
-        nodes = tuple(
-            KernelNode(a.kind, **{
-                f: getattr(a, f) + offset * (getattr(b, f) - getattr(a, f))
-                for f in _COUNT_FIELDS
-            })
-            for a, b in zip(self.first.nodes, self.second.nodes)
-        )
-        return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase="decode")
-
-
-def request_kernels(cfg: LlmConfig, req: Request) -> RequestKernels:
-    """Build a request's three layer graphs once; every consumer reads them."""
-    return RequestKernels(
-        req,
-        build_layer_graph(cfg, req, "prefill"),
-        build_layer_graph(cfg, req, "decode", position=1),
-        build_layer_graph(cfg, req, "decode", position=2),
-    )
 
 
 def graph_flops(graph: LayerGraph) -> int:
@@ -482,23 +413,17 @@ def global_features(
     req: Request,
     phase: str,
     prefill_energy_j: float | None = None,
-    kernels: RequestKernels | None = None,
 ) -> GlobalFeatures:
-    """Aggregate features for the prefill phase or the whole request.
-
-    `kernels`, when given, must be `request_kernels(cfg, req)`; it saves
-    rebuilding the graphs.
-    """
+    """Aggregate features for the prefill phase or the whole request."""
     if phase not in FEATURE_PHASES:
         raise ValueError(f"unknown feature phase {phase!r}")
-    if kernels is None:
-        kernels = request_kernels(cfg, req)
-    prefill_ops = graph_flops(kernels.prefill)
+    prefill_ops = sum(row[0] for row in _layer_counts(cfg, req.prompt_len, req.prompt_len))
     if phase == "prefill":
         total_ops = prefill_ops * cfg.num_layers
         seq_len = req.prompt_len
     else:
-        decode_ops = graph_flops(kernels.decode())
+        mid = _layer_counts(cfg, 1, _decode_position(req, None))
+        decode_ops = sum(row[0] for row in mid)
         total_ops = (prefill_ops + req.output_len * decode_ops) * cfg.num_layers
         seq_len = req.prompt_len + req.output_len
     return GlobalFeatures(
@@ -589,21 +514,23 @@ class _Pricer:
         """`classify_node`'s test on raw counts."""
         return (flops / moved if moved > 0 else 0.0) <= self.ridge
 
-    def prefill(self, node: KernelNode) -> KernelCost:
-        flops, moved = node.flops, node.total_bytes
+    def prefill(self, kind: str, row: Sequence[int]) -> KernelCost:
+        flops, moved = row[0], sum(row[1:])
         time_s = max(flops / self.dev.peak_ops, moved / self.dev.mem_bandwidth)
         memory = self.memory_bound(flops, moved)
         power = self.blend if memory else self.dev.active_power
         return KernelCost(
-            "prefill", node.kind, flops * self.layers, moved * self.layers,
+            "prefill", kind, flops * self.layers, moved * self.layers,
             time_s * self.layers, time_s * power * self.layers,
             MEMORY_BOUND if memory else COMPUTE_BOUND, None,
         )
 
-    def decode(self, first: KernelNode, second: KernelNode, lo: int, hi: int) -> KernelCost:
-        """The kernel at KV positions lo..hi, from its nodes at positions 1 and 2."""
-        dflops, dmoved = second.flops - first.flops, second.total_bytes - first.total_bytes
-        flops0, moved0 = first.flops - dflops, first.total_bytes - dmoved  # position 0
+    def decode(
+        self, kind: str, zero: Sequence[int], one: Sequence[int], lo: int, hi: int
+    ) -> KernelCost:
+        """The kernel at KV positions lo..hi, from its count rows at positions 0 and 1."""
+        flops0, moved0 = zero[0], sum(zero[1:])
+        dflops, dmoved = one[0] - flops0, sum(one[1:]) - moved0
 
         def at(p: int) -> tuple[int, int]:
             return flops0 + p * dflops, moved0 + p * dmoved
@@ -627,7 +554,7 @@ class _Pricer:
             time_s += seg_time
             energy_j += seg_time * power
         return KernelCost(
-            "decode", first.kind, flops * self.layers, moved * self.layers,
+            "decode", kind, flops * self.layers, moved * self.layers,
             time_s * self.layers, energy_j * self.layers,
             MEMORY_BOUND if self.memory_bound(*at(lo)) else COMPUTE_BOUND, flip,
         )
@@ -637,22 +564,19 @@ def kernel_costs(
     cfg: LlmConfig,
     req: Request,
     dev: DeviceSpec,
-    kernels: RequestKernels | None = None,
 ) -> tuple[KernelCost, ...]:
     """Every prefill kernel, then every decode kernel, of one request, noise-free.
 
     Decode covers KV positions prompt_len .. prompt_len + output_len - 1.
-    `kernels`, when given, must be `request_kernels(cfg, req)`.
     Raises UserInputError when weights plus the final K/V cache overflow DRAM.
     """
     check_fits_dram(cfg, req, dev)
-    if kernels is None:
-        kernels = request_kernels(cfg, req)
     pricer = _Pricer(dev, cfg.num_layers)
     lo, hi = req.prompt_len, req.prompt_len + req.output_len - 1
-    return tuple(pricer.prefill(node) for node in kernels.prefill.nodes) + tuple(
-        pricer.decode(a, b, lo, hi)
-        for a, b in zip(kernels.first.nodes, kernels.second.nodes)
+    prefill = _layer_counts(cfg, req.prompt_len, req.prompt_len)
+    zero, one = _layer_counts(cfg, 1, 0), _layer_counts(cfg, 1, 1)
+    return tuple(pricer.prefill(k, row) for k, row in zip(LAYER_KINDS, prefill)) + tuple(
+        pricer.decode(k, a, b, lo, hi) for k, a, b in zip(LAYER_KINDS, zero, one)
     )
 
 
@@ -660,11 +584,10 @@ def phase_costs(
     cfg: LlmConfig,
     req: Request,
     dev: DeviceSpec,
-    kernels: RequestKernels | None = None,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """((prefill_s, prefill_j), (decode_s, decode_j)) of one request, noise-free;
     raises UserInputError like `kernel_costs`."""
-    return phase_totals(kernel_costs(cfg, req, dev, kernels))
+    return phase_totals(kernel_costs(cfg, req, dev))
 
 
 def phase_totals(

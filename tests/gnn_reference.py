@@ -5,7 +5,9 @@ which stacks samples of one topology and runs a single sample as a batch of
 one.  The tests hold it to the per-sample pass here: `forward_tower` and
 `backward_tower` with explicit sorted neighbor sums, and `encode_inputs` /
 `fit_norms` / `fit_norms_single`, which pick each tower's graph, globals and
-norms slot per sample.
+norms slot per sample.  `node_feature_matrix` fills a graph's node features
+one element at a time, and `in_neighbor_lists` reads its edges; the library
+builds one table for all graphs from their canonical order.
 `train_tower` is the Adam loop with one forward/backward per sample and
 gradients summed in a loop; it has the library's signature and consumes the
 generator in the same order.  `ReferenceAdam` is the Adam update written with
@@ -17,14 +19,33 @@ import numpy as np
 from co2meter.errors import TrainingDivergedError
 from co2meter.predictor import (
     HIDDEN_DIM,
+    NODE_FEATURE_DIM,
+    NUMERIC_NODE_FEATURES,
     Adam,
     error_bound_share,
     globals_vector,
     mape,
-    node_feature_matrix,
 )
 from co2meter.predictor.gnn import fit_feature_norms, normalize_globals, normalize_nodes
-from co2meter.workload import in_neighbor_lists
+from co2meter.workload import KERNEL_KINDS
+
+
+def node_feature_matrix(graph):
+    """Raw (N, 18) node features: 8 numeric columns then a 10-wide kind one-hot."""
+    out = np.zeros((len(graph.nodes), NODE_FEATURE_DIM))
+    for i, node in enumerate(graph.nodes):
+        for j, field in enumerate(NUMERIC_NODE_FEATURES):
+            out[i, j] = getattr(node, field)
+        out[i, len(NUMERIC_NODE_FEATURES) + KERNEL_KINDS.index(node.kind)] = 1.0
+    return out
+
+
+def in_neighbor_lists(graph):
+    """Per-node tuple of predecessor indices, read from the graph's edges."""
+    preds = [[] for _ in graph.nodes]
+    for src, dst in graph.edges:
+        preds[dst].append(src)
+    return tuple(tuple(p) for p in preds)
 
 
 def sorted_sum(values):

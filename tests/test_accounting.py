@@ -63,6 +63,10 @@ def test_breakeven_orders_bundled_regions():
 def test_breakeven_requires_positive_savings():
     with pytest.raises(NoBreakEvenError):
         acc.breakeven_requests(1.26, 0.0, GLOBAL_CI)
+    # a saving that rounds to zero carbon, and one whose rate overflows
+    for embodied, energy in ((1.0, 1e-320), (1e308, 1e-308)):
+        with pytest.raises(NoBreakEvenError, match="not finite"):
+            acc.breakeven_requests(embodied, energy, GLOBAL_CI)
     with pytest.raises(NoBreakEvenError):
         acc.breakeven_requests(1.26, -5.0, GLOBAL_CI)
     with pytest.raises(ValueError):

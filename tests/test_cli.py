@@ -622,6 +622,19 @@ def test_non_finite_float_arguments_exit_2(capsys, value):
         assert "error:" in captured.err and "finite" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "embodied, energy",
+    [("1", "1e-320"), ("1e308", "1e-308")],
+    ids=["saving rounds to zero", "rate overflows"],
+)
+def test_breakeven_without_a_finite_rate_exits_2(capsys, embodied, energy, fmt):
+    code, out, err = run(capsys, "breakeven", "--delta-embodied", embodied,
+                         "--delta-energy", energy, "--format", fmt)
+    assert (code, out) == (2, ""), err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 _ESTIMATE = ("estimate", "--prompt-len", "64", "--output-len", "8", "--device")
 _BREAKEVEN = ("breakeven", "--delta-embodied", "1.0", "--delta-energy", "100", "--ci-table")
 _NON_FINITE_FIELDS = [

@@ -14,6 +14,7 @@ from co2meter import assets, cli
 from co2meter import workload as wl
 from co2meter.errors import UserInputError
 from co2meter.predictor import featurize, kernel_costs, make_sample, phase_costs
+from co2meter.predictor import oracle
 from co2meter.workload import (
     COMPUTE_BOUND,
     MEMORY_BOUND,
@@ -76,6 +77,32 @@ def assert_matches_reference(cfg, req, dev):
     table = phase_costs(cfg, req, dev)
     for got, want in zip(table, reference_costs(cfg, req, dev)):
         assert got == pytest.approx(want, rel=REL)  # (seconds, joules)
+
+
+def _counts(graph):
+    return [tuple(getattr(n, f) for f in wl._COUNT_FIELDS) for n in graph.nodes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.integers(1, 64), st.integers(1, 64))
+def test_decode_counts_are_affine_in_the_kv_position(cfg, prompt, output):
+    # the pricer's premise: the rows at positions 0 and 1 give every position
+    zero, one = wl._layer_counts(cfg, 1, 0), wl._layer_counts(cfg, 1, 1)
+    req = Request(prompt, output)
+    for p in range(1, prompt + output + 1):
+        rows = wl._layer_counts(cfg, 1, p)
+        assert rows == [
+            tuple(a + p * (b - a) for a, b in zip(r0, r1)) for r0, r1 in zip(zero, one)
+        ]
+        graph = build_layer_graph(cfg, req, "decode", position=p)
+        assert _counts(graph) == rows
+        assert tuple(n.kind for n in graph.nodes) == wl.LAYER_KINDS
+    prefill = build_layer_graph(cfg, req, "prefill")
+    assert _counts(prefill) == wl._layer_counts(cfg, prompt, prompt)
+    mid = build_layer_graph(cfg, req, "decode")
+    assert _counts(mid) == wl._layer_counts(cfg, 1, prompt + output // 2)
+    with pytest.raises(ValueError, match="outside"):
+        build_layer_graph(cfg, req, "decode", position=prompt + output + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,18 +250,26 @@ def test_estimate_roofline_and_globals_equal_the_graph_builder_path(config):
         assert global_features(cfg, req, "total").total_ops == float(total_ops)
 
 
-def test_estimate_and_make_sample_build_three_layer_graphs(monkeypatch):
-    built = []
-    build = wl.build_layer_graph
+def test_estimate_and_make_sample_build_each_layer_graph_once(monkeypatch):
+    built, graphs = [], []
+    build, post_init = wl.build_layer_graph, wl.LayerGraph.__post_init__
+    for module in (wl, cli, oracle):
+        monkeypatch.setattr(module, "build_layer_graph",
+                            lambda *args, **kw: built.append(args[2]) or build(*args, **kw))
     monkeypatch.setattr(
-        wl, "build_layer_graph", lambda *args, **kw: built.append(args[2]) or build(*args, **kw)
+        wl.LayerGraph, "__post_init__", lambda self: graphs.append(self.phase) or post_init(self)
     )
     _cli_json(["estimate", "--prompt-len", "100", "--output-len", "64"])
-    assert built == ["prefill", "decode", "decode"]
+    assert built == ["prefill", "decode"]
     built.clear()
     cfg, dev = assets.load_llm_config("tinyllama-11b"), assets.load_device("rk3588")
     make_sample(cfg, Request(96, 64), dev, np.random.default_rng(0), 0.05)
-    assert built == ["prefill", "decode", "decode"]
+    assert built == ["prefill", "decode"]
+    # the pricer reads count rows: no graph at all
+    built.clear()
+    graphs.clear()
+    kernel_costs(cfg, Request(96, 64), dev)
+    assert built == graphs == []
 
 
 @settings(max_examples=100, deadline=None)

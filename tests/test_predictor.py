@@ -33,6 +33,7 @@ from co2meter.predictor import (
     load_params_json,
     mape,
     node_feature_matrix,
+    node_feature_tensor,
     params_from_json,
     params_to_json,
     predict_prefill,
@@ -259,6 +260,14 @@ def test_evaluate_params_equals_per_sample_chain(dataset20, relabel):
     want_preds = np.array([gnn_reference.predict_sample(params, s) for s in samples]).T
     table = training._table(samples)
     assert table["prefill_graph"].shape == (20, 12, NODE_FEATURE_DIM)
+    # the relabelled sample is stored in canonical node order: its table rows
+    # and predictions are the canonical sample's
+    canonical = training._table(dataset20)
+    for field, rows in table.items():
+        assert np.array_equal(rows, canonical[field]), field
+    for got, want in zip(training._predict_chain(params, table),
+                         training._predict_chain(params, canonical)):
+        assert np.array_equal(got, want)
     for got, want in zip(training._predict_chain(params, table), want_preds):
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
     for phase, preds in zip(("prefill", "total"), want_preds):
@@ -310,14 +319,34 @@ def test_tower_table_reproduces_per_sample_encoding(dataset20):
             assert (p.target_j, p.log_target) == (getattr(s, label), np.log(getattr(s, label)))
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(workload.GRAPH_PHASES), st.integers(1, 4096),
+                          st.integers(1, 512), st.sampled_from(("rk3588", "agx_orin"))),
+                max_size=6))
+def test_node_feature_tensor_equals_element_wise_reference(requests):
+    graphs = [
+        workload.apply_roofline(
+            workload.build_layer_graph(QWEN, Request(prompt, output), phase),
+            assets.load_device(dev),
+        )
+        for phase, prompt, output, dev in requests
+    ]
+    got = node_feature_tensor(graphs)
+    assert got.shape == (len(graphs), 12, NODE_FEATURE_DIM)
+    want = [gnn_reference.node_feature_matrix(g) for g in graphs]
+    assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+    for graph, matrix in zip(graphs, want):
+        assert node_feature_matrix(graph).tobytes() == matrix.tobytes()
+
+
 def test_train_and_evaluate_featurize_each_graph_once(dataset20, monkeypatch):
     featurized = []
 
-    def counting(graph):
-        featurized.append(id(graph))
-        return node_feature_matrix(graph)
+    def counting(graphs):
+        featurized.extend(map(id, graphs))
+        return node_feature_tensor(graphs)
 
-    monkeypatch.setattr(training, "node_feature_matrix", counting)
+    monkeypatch.setattr(training, "node_feature_tensor", counting)
     cfg = TrainConfig(epochs=2)
     params, _ = train(dataset20, cfg)
     _, _, test_idx = split_indices(20, cfg.train_frac, cfg.val_frac, cfg.seed)
@@ -407,10 +436,14 @@ def test_batched_pass_matches_per_sample_reference(dataset20, batch, relabel):
     params.norms = fit_norms(samples)
     prepared = _prepare(samples, params.norms, "prefill")
     tower = params.prefill
-    # the relabelled sample lands in the one stack, in canonical node order
+    # the relabelled sample is stored in canonical node order: its table rows
+    # and predictions are the canonical sample's
     assert prepared.h0.shape == (20, 12, NODE_FEATURE_DIM) and prepared.preds == LAYER_PREDS
     canonical = _prepare(dataset20, params.norms, "prefill")
     assert np.array_equal(prepared.h0, canonical.h0)
+    assert np.array_equal(prepared.g, canonical.g)
+    assert np.array_equal(_tower_predictions(tower, prepared.h0, prepared.g),
+                          _tower_predictions(tower, canonical.h0, canonical.g))
 
     # the reference encodes each graph in its own node order
     reference = [
@@ -421,7 +454,7 @@ def test_batched_pass_matches_per_sample_reference(dataset20, batch, relabel):
         )
         for s in samples
     ]
-    assert (reference[3].preds != LAYER_PREDS) == relabel
+    assert all(r.preds == LAYER_PREDS for r in reference)
     rows = np.array(batch)
     loss, grads = batch_loss_and_grads(
         tower, prepared.h0[rows], prepared.preds, prepared.g[rows], prepared.log_target[rows]

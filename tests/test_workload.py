@@ -117,12 +117,11 @@ def test_layer_graph_rejects_out_of_range_endpoints():
     graph = wl.build_layer_graph(Q15, wl.Request(4, 4), "prefill")
     # with the first norm moved to node 11, the edge (-1, qkv) would reach it
     # through Python's negative indexing and map onto the layer's first edge
-    moved = _relabeled(graph, list(range(1, 12)) + [0])
-    assert moved.edges[0] == (11, 0)
+    nodes, edges = _relabel(graph.nodes, graph.edges, list(range(1, 12)) + [0])
+    assert edges[0] == (11, 0)
     for edge in ((-1, 0), (11, 12)):
         with pytest.raises(ValueError, match="not the decoder-layer topology"):
-            wl.LayerGraph(nodes=moved.nodes, edges=(edge,) + moved.edges[1:],
-                          phase="prefill")
+            wl.LayerGraph(nodes=nodes, edges=(edge,) + edges[1:], phase="prefill")
 
 
 def _relabeled(graph, order):
@@ -150,11 +149,24 @@ _layer_graphs = st.builds(
 @given(_layer_graphs, st.permutations(range(12)))
 @settings(max_examples=100, deadline=None)
 def test_any_relabelling_canonicalizes_back(graph, order):
-    assert wl.canonical_layer_graph(graph) is graph
-    canonical = wl.canonical_layer_graph(_relabeled(graph, order))
-    assert canonical.nodes == graph.nodes and canonical.phase == graph.phase
-    assert canonical.edges == graph.edges == wl._LAYER_EDGES
-    assert wl.in_neighbor_lists(canonical) == wl.LAYER_PREDS
+    checked = []
+    layer_slots = wl._layer_slots
+
+    def counting(nodes, edges):
+        checked.append(len(nodes))
+        return layer_slots(nodes, edges)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wl, "_layer_slots", counting)
+        relabelled = _relabeled(graph, order)
+        # only a graph outside canonical order is matched, and only once
+        assert checked == ([] if order == list(range(12)) else [12])
+        checked.clear()
+        assert wl.LayerGraph(graph.nodes, graph.edges, graph.phase) == graph
+        assert checked == []
+    assert relabelled == graph
+    assert relabelled.edges == wl._LAYER_EDGES
+    assert wl.in_neighbor_lists(relabelled) == wl.LAYER_PREDS
 
 
 # Each mutation returns (nodes, edges) of a graph that is not the decoder layer.
@@ -256,19 +268,6 @@ def test_decode_flops_match_closed_form(seed):
         cfg, wl.Request(prompt, 64), "decode", position=position
     )
     assert wl.graph_flops(graph) == layer_flops_closed_form(cfg, 1, position)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 64), st.integers(1, 64), st.data())
-def test_request_kernels_give_the_built_decode_graph_at_any_position(prompt, output, data):
-    req = wl.Request(prompt, output)
-    kernels = wl.request_kernels(Q15, req)
-    assert kernels.prefill == wl.build_layer_graph(Q15, req, "prefill")
-    assert kernels.decode() == wl.build_layer_graph(Q15, req, "decode")
-    position = data.draw(st.integers(1, prompt + output))
-    assert kernels.decode(position) == wl.build_layer_graph(Q15, req, "decode", position=position)
-    with pytest.raises(ValueError, match="outside"):
-        kernels.decode(prompt + output + 1)
 
 
 def test_decode_defaults_to_mid_sequence_position():
