@@ -4,9 +4,9 @@
 
 One epoch of `train_tower` over a fixed 140-sample prepared set (five
 mini-batches of at most 32), one batched forward+backward pass over a
-32-sample mini-batch, chained `evaluate_params` over 200 samples, and a
-10-epoch `train` over the same 200 samples (featurization, norm fitting,
-both towers and validation).
+32-sample mini-batch through a reused workspace (as training runs it),
+chained `evaluate_params` over 200 samples, and a 10-epoch `train` over the
+same 200 samples (featurization, norm fitting, both towers and validation).
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from co2meter.predictor import (
     init_params,
     train,
 )
-from co2meter.predictor.gnn import batch_loss_and_grads
+from co2meter.predictor.gnn import Workspace, batch_loss_and_grads
 from co2meter.predictor.training import _prepare, fit_norms, train_tower
 
 CONFIGS = ("qwen15-05b", "tinyllama-11b", "internlm2-18b")
@@ -53,10 +53,11 @@ def test_train_tower_epoch(benchmark, prepared):
 def test_batch_forward_backward(benchmark, prepared):
     params, train_set = prepared
     h0, g, log_target = train_set.h0[:32], train_set.g[:32], train_set.log_target[:32]
-    loss, grads = benchmark(
-        batch_loss_and_grads, params.prefill, h0, train_set.preds, g, log_target
+    workspace = Workspace.allocate(params.prefill, 32, h0.shape[1])
+    loss, grad = benchmark(
+        batch_loss_and_grads, params.prefill, h0, train_set.preds, g, log_target, workspace
     )
-    assert np.isfinite(loss) and set(grads) == set(params.prefill.arrays())
+    assert np.isfinite(loss) and grad.shape == params.prefill.flat.shape
 
 
 def test_evaluate_params(benchmark):

@@ -53,6 +53,7 @@ from .workload import (
     KernelCost,
     Request,
     build_layer_graph,
+    check_fits_dram,
     classify,
     classify_node,
     kernel_costs,
@@ -254,16 +255,15 @@ def _cmd_dataset(args: argparse.Namespace) -> None:
     _emit(args, doc, ("key", "value"), _flat_rows(doc))
 
 
-def _metrics_doc(params, dataset, seed, train_frac, val_frac) -> dict:
+def _metrics_doc(params, table, seed, train_frac, val_frac) -> dict:
+    """Metrics per non-empty split of a dataset's `sample_table`."""
     from . import predictor as pr
-    split = pr.split_indices(len(dataset), train_frac, val_frac, seed)
-    splits = dict(zip(_SPLIT_ORDER, split))
+    split = pr.split_indices(len(table["prefill_graph"]), train_frac, val_frac, seed)
     doc = {}
-    for name in _SPLIT_ORDER:
-        idx = splits[name]
+    for name, idx in zip(_SPLIT_ORDER, split):
         if len(idx) == 0:
             continue
-        metrics = pr.evaluate_params(params, [dataset[i] for i in idx])
+        metrics = pr.evaluate_params(params, pr.table_rows(table, idx))
         doc[name] = {phase: _as_metric_doc(m) for phase, m in metrics.items()}
     return doc
 
@@ -290,7 +290,8 @@ def _cmd_train(args: argparse.Namespace) -> None:
         train_frac=args.train_frac,
         val_frac=args.val_frac,
     )
-    params, history = pr.train(dataset, cfg)
+    table = pr.sample_table(dataset)
+    params, history = pr.train(table, cfg)
     if args.history_out:
         with open(args.history_out, "w") as fh:
             for entry in history:
@@ -305,7 +306,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
         "n_samples": len(dataset),
     }
     pr.save_params_json(args.params_out, params, meta=meta)
-    doc = _metrics_doc(params, dataset, cfg.seed, cfg.train_frac, cfg.val_frac)
+    doc = _metrics_doc(params, table, cfg.seed, cfg.train_frac, cfg.val_frac)
     _emit(args, doc, ("split", "phase", "mape", "eb10", "n"), _metrics_rows(doc))
 
 
@@ -317,7 +318,8 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     train_frac = float(meta.get("train_frac", 0.8))
     val_frac = float(meta.get("val_frac", 0.1))
 
-    doc = _metrics_doc(params, dataset, seed, train_frac, val_frac)
+    table = pr.sample_table(dataset)
+    doc = _metrics_doc(params, table, seed, train_frac, val_frac)
     rows = _metrics_rows(doc)
 
     if args.compare_baselines:
@@ -333,13 +335,14 @@ def _cmd_eval(args: argparse.Namespace) -> None:
             train_frac=train_frac,
             val_frac=val_frac,
         )
-        single, _ = pr.train_single_phase(dataset, bcfg)
+        single, _ = pr.train_single_phase(table, bcfg)
         ridge = pr.fit_ridge_globals(train_samples)
         comparison = {
             "two_phase": doc["test"]["total"],
             "single_phase": _as_metric_doc(
                 pr.evaluate_baseline_total(
-                    pr.predict_single_phase(single, test_samples), test_samples
+                    pr.predict_single_phase(single, pr.table_rows(table, test_idx)),
+                    test_samples,
                 )
             ),
             "ridge": _as_metric_doc(
@@ -445,6 +448,7 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
     dev = _resolve_device(args.device)
     cfg = _resolve_config(args.config)
     req = Request(args.prompt_len, args.output_len)
+    check_fits_dram(cfg, req, dev)
     kernels = []
     for phase in ("prefill", "decode"):
         for node in build_layer_graph(cfg, req, phase).nodes:

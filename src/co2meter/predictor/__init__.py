@@ -43,6 +43,8 @@ from .training import (
     predict_prefill,
     predict_sample,
     predict_total,
+    sample_table,
+    table_rows,
     train,
 )
 from .oracle import (

@@ -25,8 +25,10 @@ from .training import (
     _TOWERS,
     Metrics,
     TrainConfig,
-    _prepare,
-    _table,
+    SampleTable,
+    _as_table,
+    _n_samples,
+    _rows,
     _tower_predictions,
     _tower_set,
     evaluate_predictions,
@@ -84,12 +86,12 @@ class SinglePhaseParams:
 
 
 def train_single_phase(
-    dataset: Sequence[GraphSample], cfg: TrainConfig
+    dataset: Sequence[GraphSample] | SampleTable, cfg: TrainConfig
 ) -> tuple[SinglePhaseParams, list[dict]]:
     train_idx, val_idx, _ = split_indices(
-        len(dataset), cfg.train_frac, cfg.val_frac, cfg.seed
+        _n_samples(dataset), cfg.train_frac, cfg.val_frac, cfg.seed
     )
-    train_table = _table([dataset[i] for i in train_idx])
+    train_table = _rows(dataset, train_idx)
     # The single tower reads no total-phase slot, so those norms stay identity.
     spec = _TOWERS["single"]
     norms = fit_feature_norms(train_table[spec.graph], train_table[spec.globals])
@@ -100,7 +102,7 @@ def train_single_phase(
     history = train_tower(
         tower,
         _tower_set(train_table, norms, "single"),
-        _prepare([dataset[i] for i in val_idx], norms, "single"),
+        _tower_set(_rows(dataset, val_idx), norms, "single"),
         cfg,
         rng,
         "single",
@@ -109,9 +111,9 @@ def train_single_phase(
 
 
 def predict_single_phase(
-    params: SinglePhaseParams, samples: Sequence[GraphSample]
+    params: SinglePhaseParams, samples: Sequence[GraphSample] | SampleTable
 ) -> np.ndarray:
-    h0, g = _TOWERS["single"].encode(_table(samples), params.norms)
+    h0, g = _TOWERS["single"].encode(_as_table(samples), params.norms)
     return _tower_predictions(params.tower, h0, g)
 
 

@@ -163,9 +163,16 @@ def _graph_to_json(graph: LayerGraph) -> dict:
     }
 
 
+def _endpoint(value: object) -> int:
+    """An edge endpoint: an exact JSON integer, never a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"edge endpoint {value!r} is not an integer")
+    return value
+
+
 def _graph_from_json(doc: Mapping) -> LayerGraph:
     nodes = tuple(KernelNode(**n) for n in doc["nodes"])
-    edges = tuple((int(src), int(dst)) for src, dst in doc["edges"])
+    edges = tuple((_endpoint(src), _endpoint(dst)) for src, dst in doc["edges"])
     return LayerGraph(nodes=nodes, edges=edges, phase=doc["phase"])
 
 

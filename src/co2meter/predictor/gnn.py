@@ -13,9 +13,16 @@ matmul over all B * N node rows and the parameter gradients come out summed
 over the batch.  A single sample runs as a batch of one (`forward_tower`,
 `backward_tower`).  Both passes read one row-normalized aggregation matrix
 (the GraphSAGE mean aggregator).  Every `workload.LayerGraph` is stored in
-canonical node order, so all the predictor's stacks share one `preds` and
-predictions are bitwise invariant to node relabeling; node pooling still
-sorts its addends along the node axis.  Backpropagation is hand-derived;
+canonical node order, so all the predictor's stacks share one `preds`, nodes
+are mean-pooled in that order, and predictions are bitwise invariant to node
+relabeling.
+
+A tower's arrays are views of one flat parameter buffer (`TowerParams.flat`),
+and `backward_batch` returns one flat gradient in the same layout, so Adam
+updates one array per step.  The passes write every activation and gradient
+into a `Workspace` with `out=`; training reuses one, sized to a mini-batch,
+for every step, and other callers get a fresh one per pass, with the same
+arithmetic and bits.  Backpropagation is hand-derived;
 `grad_check` verifies it against central finite differences, and
 `tests/gnn_reference.py` keeps an independent per-sample pass that the tests
 hold the batched one to.  Which graph, globals and norms slot feed each tower
@@ -26,7 +33,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -43,7 +51,11 @@ _TOWER_ARRAYS = ("w1", "b1", "w2", "b2", "wh1", "bh1", "wh2", "bh2")
 
 @dataclass
 class TowerParams:
-    """Weights of one encoder+head tower."""
+    """Weights of one encoder+head tower.
+
+    The named arrays are views of one flat float64 buffer, `flat`, filled from
+    the arrays the tower is built with; a gradient and the optimizer state use
+    the same layout (`views`)."""
 
     w1: np.ndarray  # (hidden, 2 * node_dim)
     b1: np.ndarray  # (hidden,)
@@ -53,6 +65,14 @@ class TowerParams:
     bh1: np.ndarray  # (hidden,)
     wh2: np.ndarray  # (hidden,)
     bh2: np.ndarray  # (1,)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.flat = np.concatenate(
+            [np.ravel(getattr(self, name)) for name in _TOWER_ARRAYS], dtype=float
+        )
+        for name, view in self.views(self.flat).items():
+            setattr(self, name, view)
 
     @property
     def glob_dim(self) -> int:
@@ -61,11 +81,21 @@ class TowerParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _TOWER_ARRAYS}
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a flat vector laid out like `flat`, such as a gradient."""
+        out, start = {}, 0
+        for name in _TOWER_ARRAYS:
+            shape = getattr(self, name).shape
+            size = math.prod(shape)
+            out[name] = flat[start:start + size].reshape(shape)
+            start += size
+        return out
+
     def copy(self) -> "TowerParams":
-        return TowerParams(**{k: v.copy() for k, v in self.arrays().items()})
+        return TowerParams(**self.arrays())
 
     def n_params(self) -> int:
-        return sum(v.size for v in self.arrays().values())
+        return self.flat.size
 
 
 @dataclass
@@ -194,16 +224,65 @@ def _aggregation_matrix(n: int, preds: tuple[tuple[int, ...], ...]) -> np.ndarra
     return a
 
 
-def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ReLU(x @ w.T + b) over the last axis of a (B, N, K) stack, as one matmul.
+_ROW_BUFFERS = ("c0", "c1", "h2", "zh", "u", "dc1", "dz2", "dz1", "mask")
 
-    Computed in place: each stack is a few hundred kilobytes, and fresh
-    buffers of that size cost page faults on every mini-batch.
-    """
-    out = x.reshape(-1, x.shape[-1]) @ w.T
-    out += b
-    np.maximum(out, 0.0, out=out)
-    return out.reshape(*x.shape[:-1], w.shape[0])
+
+@dataclass
+class Workspace:
+    """Buffers of one tower's batched pass over up to B samples of N nodes.
+
+    `forward_batch` fills the activations and `backward_batch` the gradient
+    buffers and `grad`, each with `out=`, so a workspace reused across
+    mini-batches makes a training step allocate no large array.  A pass over
+    fewer than B samples uses the leading rows (`head`)."""
+
+    c0: np.ndarray  # (B, N, 2 * node_dim): [h0 ; neighbor mean of h0]
+    c1: np.ndarray  # (B, N, 2 * hidden): [h1 ; neighbor mean of h1]
+    h2: np.ndarray  # (B, N, hidden)
+    zh: np.ndarray  # (B, hidden + glob_dim): [pooled h2 ; globals]
+    u: np.ndarray  # (B, hidden): head activations
+    dc1: np.ndarray  # (B, N, 2 * hidden): gradient of c1
+    dz2: np.ndarray  # (B, N, hidden): gradient of layer 2's pre-activation
+    dz1: np.ndarray  # (B, N, hidden): gradient of layer 1's pre-activation
+    mask: np.ndarray  # (B, N, hidden) bool: where an activation is positive
+    grad: np.ndarray  # (n_params,): flat gradient, laid out like TowerParams.flat
+    agg: np.ndarray | None = None  # aggregation matrix of the pass held
+
+    @classmethod
+    def allocate(cls, tower: TowerParams, rows: int, n_nodes: int) -> "Workspace":
+        nodes = (rows, n_nodes)
+        return cls(
+            c0=np.empty((*nodes, tower.w1.shape[1])),
+            c1=np.empty((*nodes, 2 * HIDDEN_DIM)),
+            h2=np.empty((*nodes, HIDDEN_DIM)),
+            zh=np.empty((rows, tower.wh1.shape[1])),
+            u=np.empty((rows, HIDDEN_DIM)),
+            dc1=np.empty((*nodes, 2 * HIDDEN_DIM)),
+            dz2=np.empty((*nodes, HIDDEN_DIM)),
+            dz1=np.empty((*nodes, HIDDEN_DIM)),
+            mask=np.empty((*nodes, HIDDEN_DIM), dtype=bool),
+            grad=np.empty(tower.n_params()),
+        )
+
+    @property
+    def h1(self) -> np.ndarray:
+        return self.c1[..., :HIDDEN_DIM]
+
+    def head(self, rows: int, agg: np.ndarray) -> "Workspace":
+        """The leading `rows` samples of every per-sample buffer, one `grad`."""
+        return Workspace(
+            *(getattr(self, name)[:rows] for name in _ROW_BUFFERS), grad=self.grad, agg=agg
+        )
+
+
+def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = ReLU(x @ w.T + b) over the last axis of a stack, as one matmul
+    over all its rows; `out` must reshape to rows without a copy, as the
+    leading rows of a workspace buffer do."""
+    rows = out.reshape(-1, w.shape[0])
+    np.matmul(x.reshape(-1, x.shape[-1]), w.T, out=rows)
+    rows += b
+    np.maximum(rows, 0.0, out=rows)
 
 
 def forward_batch(
@@ -211,56 +290,65 @@ def forward_batch(
     h0: np.ndarray,
     preds: tuple[tuple[int, ...], ...],
     g: np.ndarray,
-) -> tuple[np.ndarray, dict]:
+    workspace: Workspace | None = None,
+) -> tuple[np.ndarray, Workspace]:
     """Log-energy predictions (B,) for a stack of samples sharing one topology.
 
-    h0 is (B, N, node_dim) and g is (B, glob_dim); the cache feeds
-    `backward_batch`.  Only post-ReLU activations are kept: h > 0 exactly
-    where the pre-activation is > 0.
+    h0 is (B, N, node_dim) and g is (B, glob_dim).  The activations go to the
+    leading B rows of `workspace` (a fresh one when None), which is returned
+    as the cache `backward_batch` reads.  Only post-ReLU activations are
+    kept: h > 0 exactly where the pre-activation is > 0.
     """
-    agg = _aggregation_matrix(h0.shape[1], preds)
-    c0 = np.concatenate([h0, agg @ h0], axis=2)
-    h1 = _dense_relu(c0, tower.w1, tower.b1)
-    c1 = np.concatenate([h1, agg @ h1], axis=2)
-    h2 = _dense_relu(c1, tower.w2, tower.b2)
+    batch, n = h0.shape[:2]
+    if workspace is None:
+        workspace = Workspace.allocate(tower, batch, n)
+    agg = _aggregation_matrix(n, preds)
+    ws = workspace.head(batch, agg)
+    ws.c0[..., :h0.shape[2]] = h0
+    np.matmul(agg, h0, out=ws.c0[..., h0.shape[2]:])
+    _dense_relu(ws.c0, tower.w1, tower.b1, out=ws.h1)
+    np.matmul(agg, ws.h1, out=ws.c1[..., HIDDEN_DIM:])
+    _dense_relu(ws.c1, tower.w2, tower.b2, out=ws.h2)
 
-    pooled = np.sort(h2, axis=1).sum(axis=1) / h2.shape[1]
-    zh = np.concatenate([pooled, g], axis=1)
-    u = np.maximum(zh @ tower.wh1.T + tower.bh1, 0.0)
-    y = u @ tower.wh2 + tower.bh2[0]
+    pooled = ws.zh[:, :HIDDEN_DIM]
+    np.sum(ws.h2, axis=1, out=pooled)  # canonical node order
+    pooled /= n
+    ws.zh[:, HIDDEN_DIM:] = g
+    _dense_relu(ws.zh, tower.wh1, tower.bh1, out=ws.u)
+    y = ws.u @ tower.wh2 + tower.bh2[0]
+    return y, ws
 
-    cache = {"c0": c0, "h1": h1, "c1": c1, "h2": h2, "zh": zh, "u": u, "agg": agg}
-    return y, cache
 
+def backward_batch(tower: TowerParams, ws: Workspace, dy: np.ndarray) -> np.ndarray:
+    """Flat gradient (`ws.grad`, laid out like `tower.flat`) of
+    sum_b dy[b] * y[b], from the workspace `forward_batch` returned;
+    `tower.views` names its parts."""
+    grads = tower.views(ws.grad)
+    n = ws.h2.shape[1]
 
-def backward_batch(
-    tower: TowerParams, cache: dict, dy: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of sum_b dy[b] * y[b] with respect to every tower array."""
-    h1, h2 = cache["h1"], cache["h2"]
-    n = h2.shape[1]
-
-    du_pre = np.outer(dy, tower.wh2) * (cache["u"] > 0)
-    grads = {
-        "wh2": dy @ cache["u"],
-        "bh2": np.array([dy.sum()]),
-        "wh1": du_pre.T @ cache["zh"],
-        "bh1": du_pre.sum(axis=0),
-    }
+    du_pre = np.outer(dy, tower.wh2)
+    du_pre *= ws.u > 0
+    np.matmul(dy, ws.u, out=grads["wh2"])
+    grads["bh2"][0] = dy.sum()
+    np.matmul(du_pre.T, ws.zh, out=grads["wh1"])
+    np.sum(du_pre, axis=0, out=grads["bh1"])
     dpooled = (du_pre @ tower.wh1)[:, :HIDDEN_DIM]
 
-    dz2 = np.where(h2 > 0, (dpooled / n)[:, None, :], 0.0).reshape(-1, HIDDEN_DIM)
-    grads["w2"] = dz2.T @ cache["c1"].reshape(len(dz2), -1)
-    grads["b2"] = dz2.sum(axis=0)
+    np.greater(ws.h2, 0.0, out=ws.mask)
+    np.multiply(ws.mask, (dpooled / n)[:, None, :], out=ws.dz2)
+    dz2 = ws.dz2.reshape(-1, HIDDEN_DIM)
+    np.matmul(dz2.T, ws.c1.reshape(len(dz2), -1), out=grads["w2"])
+    np.sum(dz2, axis=0, out=grads["b2"])
 
-    dc1 = (dz2 @ tower.w2).reshape(*h2.shape[:2], -1)
-    dz1 = cache["agg"].T @ dc1[..., HIDDEN_DIM:]
-    dz1 += dc1[..., :HIDDEN_DIM]
-    dz1 *= h1 > 0
-    dz1 = dz1.reshape(-1, HIDDEN_DIM)
-    grads["w1"] = dz1.T @ cache["c0"].reshape(len(dz1), -1)
-    grads["b1"] = dz1.sum(axis=0)
-    return grads
+    np.matmul(dz2, tower.w2, out=ws.dc1.reshape(len(dz2), -1))
+    np.matmul(ws.agg.T, ws.dc1[..., HIDDEN_DIM:], out=ws.dz1)
+    ws.dz1 += ws.dc1[..., :HIDDEN_DIM]
+    np.greater(ws.h1, 0.0, out=ws.mask)
+    ws.dz1 *= ws.mask
+    dz1 = ws.dz1.reshape(-1, HIDDEN_DIM)
+    np.matmul(dz1.T, ws.c0.reshape(len(dz1), -1), out=grads["w1"])
+    np.sum(dz1, axis=0, out=grads["b1"])
+    return ws.grad
 
 
 def batch_loss_and_grads(
@@ -269,9 +357,10 @@ def batch_loss_and_grads(
     preds: tuple[tuple[int, ...], ...],
     g: np.ndarray,
     log_target: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Summed squared log-space error of a stack plus its summed gradients."""
-    y, cache = forward_batch(tower, h0, preds, g)
+    workspace: Workspace | None = None,
+) -> tuple[float, np.ndarray]:
+    """Summed squared log-space error of a stack plus its summed flat gradient."""
+    y, cache = forward_batch(tower, h0, preds, g, workspace)
     err = y - log_target
     return float(err @ err), backward_batch(tower, cache, 2.0 * err)
 
@@ -281,25 +370,19 @@ def forward_tower(
     h0: np.ndarray,
     preds: Sequence[Sequence[int]],
     g: np.ndarray,
-) -> tuple[float, dict]:
+) -> tuple[float, Workspace]:
     """Log-energy prediction for one normalized sample, as a batch of one."""
     y, cache = forward_batch(tower, h0[None], tuple(map(tuple, preds)), g[None])
     return float(y[0]), cache
 
 
-def backward_tower(
-    tower: TowerParams, cache: dict, dy: float
-) -> dict[str, np.ndarray]:
-    """Gradients of dy * y with respect to every tower array, for one sample."""
+def backward_tower(tower: TowerParams, cache: Workspace, dy: float) -> np.ndarray:
+    """Flat gradient of dy * y for one sample, laid out like `tower.flat`."""
     return backward_batch(tower, cache, np.array([dy]))
 
 
 # ---------------------------------------------------------------------------
 # Gradient check
-
-
-def flatten_grads(grads: Mapping[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.ravel(grads[name]) for name in _TOWER_ARRAYS])
 
 
 def grad_check(
@@ -318,7 +401,7 @@ def grad_check(
     arrays (all of them when the tower is small).
     """
     y, cache = forward_tower(tower, h0, preds, g)
-    flat_analytic = flatten_grads(backward_tower(tower, cache, 2.0 * (y - log_target)))
+    analytic = backward_tower(tower, cache, 2.0 * (y - log_target))
 
     total = tower.n_params()
     rng = np.random.default_rng(seed)
@@ -327,27 +410,19 @@ def grad_check(
     else:
         picks = rng.choice(total, size=n_checks, replace=False)
 
-    sizes = [tower.arrays()[name].size for name in _TOWER_ARRAYS]
-    offsets = np.cumsum([0] + sizes)
-
     def loss_with(idx: int, delta: float) -> float:
-        arr_i = int(np.searchsorted(offsets, idx, side="right") - 1)
-        name = _TOWER_ARRAYS[arr_i]
-        arr = tower.arrays()[name]
-        flat_idx = idx - offsets[arr_i]
-        old = arr.flat[flat_idx]
-        arr.flat[flat_idx] = old + delta
+        old = tower.flat[idx]
+        tower.flat[idx] = old + delta
         y, _ = forward_tower(tower, h0, preds, g)
-        arr.flat[flat_idx] = old
+        tower.flat[idx] = old
         err = y - log_target
         return err * err
 
     worst = 0.0
     for idx in picks:
         numeric = (loss_with(int(idx), eps) - loss_with(int(idx), -eps)) / (2.0 * eps)
-        analytic = flat_analytic[int(idx)]
-        denom = max(abs(numeric) + abs(analytic), 1e-8)
-        worst = max(worst, abs(numeric - analytic) / denom)
+        denom = max(abs(numeric) + abs(analytic[idx]), 1e-8)
+        worst = max(worst, abs(numeric - analytic[idx]) / denom)
     return worst
 
 

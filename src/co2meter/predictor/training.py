@@ -5,16 +5,21 @@ fits the total tower with the measured prefill energy teacher-forced into its
 global features; at inference the predicted prefill energy is used instead.
 Both stages minimize squared error in log-energy space with Adam.
 
-A sample set is featurized once, into one table (`_table`, its node
+A sample set is featurized once, into one table (`sample_table`, its node
 tensors from `data.node_feature_tensor`) that norm fitting, both towers,
 validation and evaluation read; `_TOWERS` says which of its fields each
-tower reads.  A `LayerGraph` is in canonical node order from the moment it
-is built, so every GNN evaluation is the batched pass (`gnn.forward_batch` /
+tower reads.  `train`, `evaluate_params` and the baselines take a sample
+set or its table, and index a table's rows per split (`table_rows`).  A
+`LayerGraph` is in canonical node order from the moment it is built, so
+every GNN evaluation is the batched pass (`gnn.forward_batch` /
 `gnn.backward_batch`) over rows of one stack with the one constant `preds`:
 a mini-batch when training, chunks of a whole sample set when predicting
 (`evaluate_params`), and a batch of one for a single request
-(`predict_prefill`, `predict_total`, `predict_sample`).  The
-per-sample reference pass and trainer the tests compare against live in
+(`predict_prefill`, `predict_total`, `predict_sample`).  `train_tower`
+allocates one `gnn.Workspace` for its mini-batches and one for validation,
+and steps Adam over the tower's flat parameter buffer with the flat
+gradient, so a training step allocates no large array.  The per-sample
+reference pass and trainer the tests compare against live in
 `tests/gnn_reference.py`.  Training is bit-deterministic for a fixed seed:
 splits, shuffles, and init all come from one seeded generator, and a batch
 stacks its samples in sorted index order.
@@ -41,6 +46,7 @@ from .gnn import (
     GnnParams,
     TowerParams,
     FeatureNorms,
+    Workspace,
     batch_loss_and_grads,
     fit_feature_norms,
     forward_batch,
@@ -109,7 +115,8 @@ def evaluate_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
 
 
 class Adam:
-    """Standard Adam over a named set of parameter arrays (in-place updates)."""
+    """Standard Adam over a named set of parameter arrays (in-place updates);
+    `train_tower` passes one array, the tower's flat buffer."""
 
     def __init__(
         self,
@@ -152,10 +159,10 @@ class Adam:
             arr -= np.divide(a, b, out=a)
 
 
-_Table = dict[str, np.ndarray]
+SampleTable = dict[str, np.ndarray]
 
 
-def _table(samples: Sequence[PredictorInputs]) -> _Table:
+def sample_table(samples: Sequence[PredictorInputs]) -> SampleTable:
     """Raw inputs of a sample set, one array per sample field, stacked in
     sample order: (S, 12, NODE_FEATURE_DIM) node tensors in canonical node
     order, (S, GLOBAL_DIM) global rows, and (S,) labels when there are any."""
@@ -172,6 +179,27 @@ def _table(samples: Sequence[PredictorInputs]) -> _Table:
     return table
 
 
+def table_rows(table: SampleTable, idx: np.ndarray) -> SampleTable:
+    """The `sample_table` of the samples at idx, indexed out of their set's."""
+    return {field: column[idx] for field, column in table.items()}
+
+
+def _rows(data: Sequence[GraphSample] | SampleTable, idx: np.ndarray) -> SampleTable:
+    """Table of data's samples at idx: a `sample_table` is indexed, a
+    sequence of samples is featurized."""
+    if isinstance(data, dict):
+        return table_rows(data, idx)
+    return sample_table([data[i] for i in idx])
+
+
+def _as_table(data: Sequence[PredictorInputs] | SampleTable) -> SampleTable:
+    return data if isinstance(data, dict) else sample_table(data)
+
+
+def _n_samples(data: Sequence[PredictorInputs] | SampleTable) -> int:
+    return len(data["prefill_graph"]) if isinstance(data, dict) else len(data)
+
+
 @dataclass(frozen=True)
 class _TowerInputs:
     """Which table fields one tower reads, and its norms slot."""
@@ -185,7 +213,7 @@ class _TowerInputs:
     teacher: str | None = None
 
     def encode(
-        self, table: _Table, norms: FeatureNorms, prefill_j: np.ndarray | None = None
+        self, table: SampleTable, norms: FeatureNorms, prefill_j: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Normalized (h0, g) stacks; prefill_j fills the total tower's
         prefill-energy column."""
@@ -238,7 +266,7 @@ class _TowerSet:
         return map(self.__getitem__, range(len(self)))
 
 
-def _tower_set(table: _Table, norms: FeatureNorms, tower: str) -> _TowerSet:
+def _tower_set(table: SampleTable, norms: FeatureNorms, tower: str) -> _TowerSet:
     spec = _TOWERS[tower]
     teacher = None if spec.teacher is None else table[spec.teacher]
     target = table[spec.label]
@@ -247,10 +275,10 @@ def _tower_set(table: _Table, norms: FeatureNorms, tower: str) -> _TowerSet:
 
 def _prepare(samples: Sequence[GraphSample], norms: FeatureNorms, tower: str) -> _TowerSet:
     """Labelled tensors of the 'prefill', 'total' (teacher-forced) or 'single' tower."""
-    return _tower_set(_table(samples), norms, tower)
+    return _tower_set(sample_table(samples), norms, tower)
 
 
-def _fit_norms(table: _Table) -> FeatureNorms:
+def _fit_norms(table: SampleTable) -> FeatureNorms:
     prefill, total = _TOWERS["prefill"], _TOWERS["total"]
     # node rows interleave each sample's two graphs: the order they are summed in
     nodes = np.stack([table[prefill.graph], table[total.graph]], axis=1)
@@ -262,15 +290,25 @@ def _fit_norms(table: _Table) -> FeatureNorms:
 
 def fit_norms(samples: Sequence[GraphSample]) -> FeatureNorms:
     """Feature statistics over the training split (both graphs per sample)."""
-    return _fit_norms(_table(samples))
+    return _fit_norms(sample_table(samples))
 
 
-def _tower_predictions(tower: TowerParams, h0: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Predicted energies (joules) of stacked inputs, batched forward passes."""
+def _prediction_workspace(tower: TowerParams, h0: np.ndarray) -> Workspace:
+    return Workspace.allocate(tower, min(len(h0), _PREDICT_BATCH), h0.shape[1])
+
+
+def _tower_predictions(
+    tower: TowerParams, h0: np.ndarray, g: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
+    """Predicted energies (joules) of stacked inputs, batched forward passes
+    of `_PREDICT_BATCH` rows through one workspace."""
+    if workspace is None:
+        workspace = _prediction_workspace(tower, h0)
     out = np.empty(len(h0))
     for start in range(0, len(h0), _PREDICT_BATCH):
         rows = slice(start, start + _PREDICT_BATCH)
-        out[rows] = np.exp(forward_batch(tower, h0[rows], LAYER_PREDS, g[rows])[0])
+        y, _ = forward_batch(tower, h0[rows], LAYER_PREDS, g[rows], workspace)
+        out[rows] = np.exp(y)
     return out
 
 
@@ -287,24 +325,28 @@ def train_tower(
     if not train_set:
         raise ValueError("empty training set")
     tower.bh2[0] = float(np.mean(train_set.log_target))
-    arrays = tower.arrays()
-    adam = Adam(arrays, cfg.learning_rate)
+    flat_params = {"flat": tower.flat}
+    adam = Adam(flat_params, cfg.learning_rate)
+    workspace = Workspace.allocate(
+        tower, min(cfg.batch_size, len(train_set)), train_set.h0.shape[1]
+    )
+    val_workspace = _prediction_workspace(tower, val_set.h0) if val_set else None
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_set))
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = np.sort(order[start:start + cfg.batch_size])
-            loss, grads = batch_loss_and_grads(
+            loss, grad = batch_loss_and_grads(
                 tower, train_set.h0[batch], train_set.preds, train_set.g[batch],
-                train_set.log_target[batch],
+                train_set.log_target[batch], workspace,
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"{label} tower: non-finite loss at epoch {epoch}"
                 )
-            scale = 1.0 / len(batch)
-            adam.step(arrays, {k: grads[k] * scale for k in arrays})
+            grad *= 1.0 / len(batch)
+            adam.step(flat_params, {"flat": grad})
             epoch_loss += loss
         entry = {
             "tower": label,
@@ -312,7 +354,7 @@ def train_tower(
             "train_loss": epoch_loss / len(train_set),
         }
         if val_set:
-            preds = _tower_predictions(tower, val_set.h0, val_set.g)
+            preds = _tower_predictions(tower, val_set.h0, val_set.g, val_workspace)
             entry["val_mape"] = mape(val_set.target_j, preds)
             entry["val_eb10"] = error_bound_share(val_set.target_j, preds)
         history.append(entry)
@@ -320,16 +362,18 @@ def train_tower(
 
 
 def train(
-    dataset: Sequence[GraphSample], cfg: TrainConfig
+    dataset: Sequence[GraphSample] | SampleTable, cfg: TrainConfig
 ) -> tuple[GnnParams, list[dict]]:
-    """Fit both towers on the dataset's train split; returns params + history."""
-    if len(dataset) < 2:
+    """Fit both towers on the dataset's train split; returns params + history.
+
+    The dataset is a sequence of samples or its `sample_table`."""
+    if _n_samples(dataset) < 2:
         raise ValueError("training needs at least two samples")
     train_idx, val_idx, _ = split_indices(
-        len(dataset), cfg.train_frac, cfg.val_frac, cfg.seed
+        _n_samples(dataset), cfg.train_frac, cfg.val_frac, cfg.seed
     )
-    train_table = _table([dataset[i] for i in train_idx])
-    val_table = _table([dataset[i] for i in val_idx])
+    train_table = _rows(dataset, train_idx)
+    val_table = _rows(dataset, val_idx)
 
     params = init_params(cfg.seed)
     params.norms = _fit_norms(train_table)
@@ -348,7 +392,7 @@ def train(
     return params, history
 
 
-def _predict_chain(params: GnnParams, table: _Table) -> tuple[np.ndarray, np.ndarray]:
+def _predict_chain(params: GnnParams, table: SampleTable) -> tuple[np.ndarray, np.ndarray]:
     """Chained inference: the prefill tower runs over the whole set, its
     predicted energies fill the total tower's prefill-energy slot, then the
     total tower runs.  Returns (prefill, total) energies in joules."""
@@ -385,17 +429,18 @@ def predict_total(
 
 def predict_sample(params: GnnParams, sample: PredictorInputs) -> tuple[float, float]:
     """Chained inference for one request: predicted prefill energy feeds the total tower."""
-    prefill_j, total_j = _predict_chain(params, _table([sample]))
+    prefill_j, total_j = _predict_chain(params, sample_table([sample]))
     return float(prefill_j[0]), float(total_j[0])
 
 
 def evaluate_params(
-    params: GnnParams, samples: Sequence[GraphSample]
+    params: GnnParams, samples: Sequence[GraphSample] | SampleTable
 ) -> dict[str, Metrics]:
-    """Chained-inference metrics for both heads over a sample set."""
-    if not samples:
+    """Chained-inference metrics for both heads over a sample set or its
+    `sample_table`."""
+    if not _n_samples(samples):
         raise ValueError("evaluation needs at least one sample")
-    table = _table(samples)
+    table = _as_table(samples)
     return {
         name: evaluate_predictions(table[_TOWERS[name].label], pred)
         for name, pred in zip(("prefill", "total"), _predict_chain(params, table))

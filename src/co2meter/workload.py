@@ -353,7 +353,12 @@ def whatif_speedup(
     modified: DeviceSpec,
     position: int | None = None,
 ) -> float:
-    """Ratio of summed roofline times: base device over modified device."""
+    """Ratio of summed roofline times: base device over modified device.
+
+    Raises UserInputError when the request overflows either device's DRAM.
+    """
+    for dev in (base, modified):
+        check_fits_dram(cfg, req, dev)
     graph = build_layer_graph(cfg, req, phase, position=position)
     return graph_time(graph, base) / graph_time(graph, modified)
 

@@ -3,11 +3,12 @@
 `co2meter.predictor.gnn` has one pass, `forward_batch` / `backward_batch`,
 which stacks samples of one topology and runs a single sample as a batch of
 one.  The tests hold it to the per-sample pass here: `forward_tower` and
-`backward_tower` with explicit sorted neighbor sums, and `encode_inputs` /
-`fit_norms` / `fit_norms_single`, which pick each tower's graph, globals and
-norms slot per sample.  `node_feature_matrix` fills a graph's node features
-one element at a time, and `in_neighbor_lists` reads its edges; the library
-builds one table for all graphs from their canonical order.
+`backward_tower` with explicit sorted neighbor sums and mean pooling in node
+order, and `encode_inputs` / `fit_norms` / `fit_norms_single`, which pick
+each tower's graph, globals and norms slot per sample.
+`node_feature_matrix` fills a graph's node features one element at a time,
+and `in_neighbor_lists` reads its edges; the library builds one table for
+all graphs from their canonical order.
 `train_tower` is the Adam loop with one forward/backward per sample and
 gradients summed in a loop; it has the library's signature and consumes the
 generator in the same order.  `ReferenceAdam` is the Adam update written with
@@ -79,7 +80,7 @@ def forward_tower(tower, h0, preds, g):
     z2 = c1 @ tower.w2.T + tower.b2
     h2 = np.maximum(z2, 0.0)
 
-    pooled = sorted_sum(h2) / len(h2)
+    pooled = h2.sum(axis=0) / len(h2)  # summed in the graph's node order
     zh = np.concatenate([pooled, g])
     u_pre = tower.wh1 @ zh + tower.bh1
     u = np.maximum(u_pre, 0.0)

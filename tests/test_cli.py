@@ -593,10 +593,17 @@ def test_exit_codes_on_bad_inputs(capsys, tmp_path):
 
 
 def test_requests_beyond_dram_exit_2(capsys, tmp_path, workdir):
-    code, out, err = run(capsys, "estimate", "--prompt-len", "100", "--output-len",
-                         "40000", "--device", "rk3568", "--config", "internlm2-18b")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "DRAM" in err
+    request = ("--prompt-len", "100", "--output-len", "40000",
+               "--device", "rk3568", "--config", "internlm2-18b")
+    for argv in (
+        ("estimate", *request),
+        ("roofline", *request),
+        ("whatif", "--scenario", "rk-npu", "--config", "internlm2-18b",
+         "--prompt-lens", "100,200000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "DRAM" in err, argv
 
     doc = json.loads((assets.asset_root() / "pipelines" / "voice_assistant.json").read_text())
     doc["llm"].update(config="internlm2-18b", device="rk3568", output_len=40000)
@@ -683,6 +690,9 @@ _BAD_SAMPLES = {
 }
 # the residual-to-residual edge starts at the attention output instead
 _BAD_SAMPLES["foreign topology"] = _set("decode_graph", "edges", 12, value=[5, 11])
+# endpoints that int() would truncate to the edges they replace
+_BAD_SAMPLES["fractional endpoints"] = _set("prefill_graph", "edges", 0, value=[0.9, 1.2])
+_BAD_SAMPLES["bool endpoint"] = _set("prefill_graph", "edges", 1, value=[True, 2])
 
 
 @pytest.mark.parametrize("mutate", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
@@ -700,6 +710,31 @@ def test_bad_sample_exits_2_with_its_location(capsys, tmp_path, workdir, mutate)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:5: "), err
+
+
+def test_train_and_eval_featurize_each_graph_once(capsys, tmp_path, workdir, monkeypatch):
+    from co2meter.predictor import training
+
+    featurized = []
+    node_feature_tensor = training.node_feature_tensor
+
+    def counting(graphs):
+        featurized.append(len(graphs))
+        return node_feature_tensor(graphs)
+
+    monkeypatch.setattr(training, "node_feature_tensor", counting)
+    dataset = workdir / "tiny.jsonl"
+    n_graphs = 2 * len(read_dataset_jsonl(dataset))
+    for argv in (
+        ("train", "--dataset", dataset, "--params-out", tmp_path / "params.json",
+         "--epochs", "1"),
+        ("eval", "--dataset", dataset, "--params", workdir / "params.json",
+         "--compare-baselines", "--baseline-epochs", "1"),
+    ):
+        featurized.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert sum(featurized) == n_graphs, argv
 
 
 def test_compare_baselines_with_empty_test_split_exits_2(capsys, tmp_path, workdir):

@@ -52,6 +52,7 @@ from co2meter.predictor import (
 import gnn_reference
 from co2meter.predictor import baselines, training
 from co2meter.predictor.gnn import (
+    Workspace,
     _aggregation_matrix,
     backward_batch,
     batch_loss_and_grads,
@@ -173,21 +174,53 @@ def test_batched_pass_equals_reference_row_by_row(batch, seed, zero_share, scale
         # each row as a batch of one: the reference's bits
         row_y, row_cache = forward_batch(tower, h0[b:b + 1], LAYER_PREDS, g[b:b + 1])
         assert row_y[0] == ref_y
-        grads = backward_batch(tower, row_cache, dy[b:b + 1])
+        grads = tower.views(backward_batch(tower, row_cache, dy[b:b + 1]))
         for k, want in want_grads[-1].items():
             assert np.array_equal(grads[k], want), (b, k)
         # in the stack, both neighbor means are the reference's sorted ones
-        assert np.array_equal(cache["c0"][b], ref_cache["c0"])
+        assert np.array_equal(cache.c0[b], ref_cache["c0"])
         assert np.array_equal(
-            cache["c1"][b, :, HIDDEN_DIM:],
-            gnn_reference.neighbor_mean(cache["h1"][b], LAYER_PREDS),
+            cache.c1[b, :, HIDDEN_DIM:],
+            gnn_reference.neighbor_mean(cache.h1[b], LAYER_PREDS),
         )
     # the stack's dense layers are one matmul over batch * 12 rows, whose BLAS
     # blocking may move the last bits
     assert _max_rel(y, want_y) <= 1e-12
-    grads = backward_batch(tower, cache, dy)
+    grads = tower.views(backward_batch(tower, cache, dy))
     for k in grads:
         assert _max_rel(grads[k], sum(w[k] for w in want_grads)) <= 1e-12, k
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.sampled_from([np.nan, -np.inf, 0.0, 1.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_reused_workspace_pass_is_bit_identical_to_a_fresh_one(seed, sizes, junk):
+    rng = np.random.default_rng(seed)
+    tower = init_tower(rng, NODE_FEATURE_DIM, GLOBAL_DIM)
+    tower.b1[:] = rng.normal(size=HIDDEN_DIM)
+    tower.b2[:] = rng.normal(size=HIDDEN_DIM)
+    # sized to the largest batch, so the others use its leading rows, and
+    # filled with junk, which no pass may read
+    workspace = Workspace.allocate(tower, max(sizes), len(LAYER_PREDS))
+    for field in dataclasses.fields(workspace):
+        buffer = getattr(workspace, field.name)
+        if isinstance(buffer, np.ndarray):
+            buffer[...] = junk
+    for batch in sizes + [max(sizes), min(sizes)]:
+        h0 = rng.normal(size=(batch, 12, NODE_FEATURE_DIM))
+        h0[rng.random(h0.shape) < 0.3] = 0.0
+        g = rng.normal(size=(batch, GLOBAL_DIM))
+        dy = rng.normal(size=batch)
+        y, cache = forward_batch(tower, h0, LAYER_PREDS, g, workspace)
+        grad = backward_batch(tower, cache, dy)
+        want_y, want_cache = forward_batch(tower, h0, LAYER_PREDS, g)
+        assert np.array_equal(y, want_y), batch
+        assert np.array_equal(grad, backward_batch(tower, want_cache, dy)), batch
+        assert np.shares_memory(grad, workspace.grad)
+        assert np.shares_memory(cache.c1, workspace.c1)
 
 
 def _relabeled(graph: LayerGraph, order: np.ndarray) -> LayerGraph:
@@ -258,11 +291,11 @@ def test_evaluate_params_equals_per_sample_chain(dataset20, relabel):
     metrics = evaluate_params(params, samples)
     # the reference encodes each graph in its own node order
     want_preds = np.array([gnn_reference.predict_sample(params, s) for s in samples]).T
-    table = training._table(samples)
+    table = training.sample_table(samples)
     assert table["prefill_graph"].shape == (20, 12, NODE_FEATURE_DIM)
     # the relabelled sample is stored in canonical node order: its table rows
     # and predictions are the canonical sample's
-    canonical = training._table(dataset20)
+    canonical = training.sample_table(dataset20)
     for field, rows in table.items():
         assert np.array_equal(rows, canonical[field]), field
     for got, want in zip(training._predict_chain(params, table),
@@ -284,7 +317,7 @@ def test_single_sample_pass_is_bit_identical_to_per_sample_reference(dataset20):
             y, cache = forward_tower(tower, p.h0, p.preds, p.g)
             want_y, want_cache = gnn_reference.forward_tower(tower, p.h0, p.preds, p.g)
             assert y == want_y
-            grads = backward_tower(tower, cache, 2.0 * (y - p.log_target))
+            grads = tower.views(backward_tower(tower, cache, 2.0 * (y - p.log_target)))
             want = gnn_reference.backward_tower(tower, want_cache, 2.0 * (y - p.log_target))
             for k in want:
                 assert np.array_equal(grads[k], want[k]), (name, k)
@@ -462,7 +495,7 @@ def test_batched_pass_matches_per_sample_reference(dataset20, batch, relabel):
     want_loss, want_grads = gnn_reference.batch_loss_and_grads(tower, reference, batch)
     assert _max_rel(loss, want_loss) <= 1e-12
     for name, want in want_grads.items():
-        assert _max_rel(grads[name], want) <= 1e-12, name
+        assert _max_rel(tower.views(grads)[name], want) <= 1e-12, name
 
     assert _max_rel(
         _tower_predictions(tower, prepared.h0[rows], prepared.g[rows]),
@@ -527,6 +560,22 @@ def test_in_place_adam_matches_reference_formula_bit_for_bit():
         assert np.array_equal(params[k], ref_params[k]), k
         assert np.array_equal(adam.m[k], ref.m[k]), k
         assert np.array_equal(adam.v[k], ref.v[k]), k
+
+
+def test_flat_adam_equals_adam_over_the_named_arrays():
+    rng = np.random.default_rng(5)
+    tower = init_tower(rng, NODE_FEATURE_DIM, GLOBAL_DIM)
+    named = tower.copy()
+    flat_adam = Adam({"flat": tower.flat}, lr=0.003)
+    named_adam = Adam(named.arrays(), lr=0.003)
+    for _ in range(30):
+        grad = rng.normal(size=tower.n_params()) * 10.0 ** rng.uniform(-8, 3)
+        flat_adam.step({"flat": tower.flat}, {"flat": grad})
+        named_adam.step(named.arrays(), tower.views(grad))
+    assert np.array_equal(tower.flat, named.flat)
+    for state, named_state in ((flat_adam.m, named_adam.m), (flat_adam.v, named_adam.v)):
+        assert np.array_equal(state["flat"], np.concatenate(
+            [named_state[k].ravel() for k in tower.arrays()]))
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +840,29 @@ def test_params_json_round_trip(tmp_path, dataset20):
     assert np.array_equal(params.norms.glob_mu_total, loaded.norms.glob_mu_total)
     # bit-exact parameters give bit-exact predictions
     assert predict_sample(loaded, dataset20[0]) == predict_sample(params, dataset20[0])
+
+
+def test_towers_keep_their_arrays_in_one_flat_buffer():
+    params = init_params(7)
+    doc = json.dumps(params_to_json(params), sort_keys=True)
+    loaded = params_from_json(json.loads(doc))
+    copied = params.prefill.copy()
+    for tower in (params.prefill, params.total, loaded.prefill, loaded.total, copied):
+        assert tower.flat.dtype == np.float64 and tower.flat.size == tower.n_params()
+        for name, arr in tower.arrays().items():
+            assert np.shares_memory(arr, tower.flat), name
+        assert np.array_equal(
+            tower.flat, np.concatenate([a.ravel() for a in tower.arrays().values()])
+        )
+    assert not np.shares_memory(copied.flat, params.prefill.flat)
+    # a write through a named array lands in the buffer
+    copied.w2[3, 5] = 7.0
+    assert copied.flat[copied.w1.size + copied.b1.size + 3 * copied.w2.shape[1] + 5] == 7.0
+    # the buffer is storage only: the params JSON holds the named arrays alone
+    assert json.dumps(params_to_json(loaded), sort_keys=True) == doc
+    for name in ("prefill", "total"):
+        tower_doc = json.loads(doc)[name]
+        assert tower_doc == {k: v.tolist() for k, v in getattr(params, name).arrays().items()}
 
 
 def test_params_json_rejects_malformed_docs(tmp_path):
