@@ -9,9 +9,6 @@ footprints and break-even analyses.  The `co2meter` CLI exposes each piece.
 
 __version__ = "0.1.0"
 
-import importlib
-
-from . import accounting, assets, device_models, embodied, workload
 from .errors import (
     CO2MeterError,
     ConfigurationError,
@@ -38,8 +35,16 @@ __all__ = [
 ]
 
 
+_SUBMODULES = frozenset(
+    ("accounting", "assets", "device_models", "embodied", "predictor", "workload")
+)
+
+
 def __getattr__(name: str):
-    """Import the numpy-backed `predictor` on first access (PEP 562)."""
-    if name != "predictor":
+    """Import a submodule on first access (PEP 562), so that each CLI
+    subcommand loads only the modules it runs."""
+    if name not in _SUBMODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return importlib.import_module(f"{__name__}.predictor")
+    # __import__, unlike importlib.import_module, is reported by -X importtime
+    __import__(f"{__name__}.{name}")
+    return globals()[name]

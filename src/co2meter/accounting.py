@@ -14,18 +14,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-from . import device_models as dm
-from .embodied import SocBom, soc_embodied
 from .errors import ConfigurationError, NoBreakEvenError, UserInputError
-from .workload import (
-    DeviceSpec,
-    LlmConfig,
-    Request,
-    config_from_json,
-    device_from_json,
-)
+
+if TYPE_CHECKING:
+    from .device_models import PeripheralModel
+    from .embodied import SocBom
+    from .workload import DeviceSpec, LlmConfig, Request
 
 JOULES_PER_KWH = 3.6e6
 DAYS_PER_YEAR = 365.0
@@ -95,7 +91,8 @@ class Conversion:
     energy_j: float
 
     def __post_init__(self) -> None:
-        if self.task not in dm.CONVERSION_TASKS:
+        from .device_models import CONVERSION_TASKS
+        if self.task not in CONVERSION_TASKS:
             raise ValueError(f"unknown conversion task {self.task!r}")
         if self.energy_j < 0:
             raise ValueError("conversion energy must be >= 0")
@@ -173,7 +170,7 @@ def required_models(pipeline: AppPipeline) -> tuple[str, ...]:
 
 def app_energy(
     pipeline: AppPipeline,
-    models: Mapping[str, dm.PeripheralModel],
+    models: Mapping[str, PeripheralModel],
     llm_energy: LlmEnergyFn,
 ) -> PipelineBreakdown:
     """Evaluate every stage of a pipeline into joules.
@@ -182,6 +179,7 @@ def app_energy(
     models; `llm_energy` supplies the inference energy for the LLM stage (a
     trained predictor or the synthetic oracle).
     """
+    from .device_models import background_energy
     if llm_energy is None:
         raise ConfigurationError("pipeline needs an LLM energy source")
     for name in required_models(pipeline):
@@ -207,7 +205,7 @@ def app_energy(
         speaker_w = models["speaker"].power(pipeline.output.volume)
         output_j = speaker_w * pipeline.output.duration_s
 
-    sys_j = dm.background_energy(
+    sys_j = background_energy(
         pipeline.llm.device.idle_power, pipeline.total_duration_s
     )
 
@@ -271,7 +269,11 @@ def total_footprint(
     ci: CarbonIntensity,
 ) -> FootprintReport:
     """Lifetime footprint: embodied plus operational over the usage profile."""
-    embodied_kg = bom if isinstance(bom, (int, float)) else soc_embodied(bom).total
+    if isinstance(bom, (int, float)):
+        embodied_kg = bom
+    else:
+        from .embodied import soc_embodied
+        embodied_kg = soc_embodied(bom).total
     if energy_per_request_j < 0:
         raise ValueError("per-request energy must be >= 0")
     lifetime_requests = usage.requests_per_day * DAYS_PER_YEAR * usage.lifespan_years
@@ -309,6 +311,7 @@ def pipeline_from_json(
     The llm stage's `config` and `device` entries are either inline objects or
     names handed to the resolvers (the bundled-asset loaders in practice).
     """
+    from .workload import Request, config_from_json, device_from_json
 
     def resolve(entry, resolver, inline, what):
         if isinstance(entry, str):

@@ -10,13 +10,15 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .accounting import AppPipeline, CarbonIntensity, load_ci_table, load_pipeline_json
-from .device_models import MODEL_NAMES, PeripheralModel, fit_by_name, load_samples_csv
-from .embodied import SocBom, load_bom_json
 from .errors import UserInputError
-from .workload import DeviceSpec, LlmConfig, load_config_json, load_device_json
+
+if TYPE_CHECKING:
+    from .accounting import AppPipeline, CarbonIntensity
+    from .device_models import PeripheralModel
+    from .embodied import SocBom
+    from .workload import DeviceSpec, LlmConfig
 
 ASSETS_ENV_VAR = "CO2METER_ASSETS"
 
@@ -44,22 +46,27 @@ def list_assets(subdir: str) -> list[str]:
 
 
 def load_device(name: str) -> DeviceSpec:
+    from .workload import load_device_json
     return load_device_json(_named_json("devices", name))
 
 
 def load_bom(name: str) -> SocBom:
+    from .embodied import load_bom_json
     return load_bom_json(_named_json("boms", name))
 
 
 def load_llm_config(name: str) -> LlmConfig:
+    from .workload import load_config_json
     return load_config_json(_named_json("llm_configs", name))
 
 
 def load_carbon_intensities() -> dict[str, CarbonIntensity]:
+    from .accounting import load_ci_table
     return load_ci_table(asset_root() / "ci_table.json")
 
 
 def load_demo_pipeline(name: str = "voice_assistant") -> AppPipeline:
+    from .accounting import load_pipeline_json
     return load_pipeline_json(
         _named_json("pipelines", name),
         config_resolver=load_llm_config,
@@ -84,14 +91,15 @@ def load_peripheral_masses() -> dict[str, float]:
     return {str(k): float(v) for k, v in doc.items()}
 
 
-def demo_peripheral_models(names: Sequence[str] = MODEL_NAMES) -> dict[str, PeripheralModel]:
-    """Fit the named bundled measurement CSVs (default: all six) and return
+def demo_peripheral_models(names: Sequence[str] | None = None) -> dict[str, PeripheralModel]:
+    """Fit the named bundled measurement CSVs (None: all six) and return
     the models by name.
 
     The bundled CSVs are noiseless, so the fits reproduce the generating
     parameters and the result is deterministic.
     """
+    from .device_models import MODEL_NAMES, fit_by_name, load_samples_csv
     return {
         name: fit_by_name(name, load_samples_csv(measurement_csv(name))).model
-        for name in names
+        for name in (MODEL_NAMES if names is None else names)
     }

@@ -4,8 +4,12 @@ Subcommands: fit, estimate, dataset, train, eval, embodied, whatif,
 breakeven, roofline, pipeline.  Global flags `--seed`, `--format`, `--out`
 apply to every subcommand.
 
-The predictor, and with it numpy, is imported only inside the subcommands
-that run it: dataset, train, eval and pipeline --params.
+Each subcommand imports only the modules it runs, inside its own function:
+a cold `fit` loads `device_models`, `estimate` and `roofline` load
+`workload`, `embodied` loads `embodied`, `whatif` loads `workload` and
+`embodied`, `breakeven` loads `accounting`, and `pipeline` loads all of them.
+The predictor, and with it numpy, is imported only by dataset, train, eval
+and pipeline --params.
 
 Every command is deterministic given its arguments: seeds are explicit
 (default 42), emitted artifacts carry no timestamps, and JSON keys are
@@ -26,56 +30,20 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import assets
-from . import device_models as dm
-from .accounting import (
-    CameraInput,
-    LlmStage,
-    SpeakerOutput,
-    UsageProfile,
-    app_energy,
-    breakdown_to_json,
-    breakeven_requests,
-    load_ci_table,
-    load_pipeline_json,
-    required_models,
-    total_footprint,
-)
-from .embodied import (
-    ScaleUnit,
-    SetDram,
-    load_bom_json,
-    report_to_json,
-    soc_embodied,
-    whatif_bom,
-)
 from .errors import CO2MeterError, NoBreakEvenError, UserInputError
-from .workload import (
-    KernelCost,
-    Request,
-    build_layer_graph,
-    check_fits_dram,
-    classify,
-    classify_node,
-    kernel_costs,
-    llm_request_energy,
-    load_config_json,
-    load_device_json,
-    phase_intensity,
-    phase_totals,
-    scaled_device,
-    whatif_speedup,
-)
 
 _SPLIT_ORDER = ("train", "val", "test")
 
 # What-if scenarios pair a device scaling with the BOM change that pays for
-# it: rk-mem quadruples the memory system, rk-npu also scales the NPU 8x.
+# it: rk-mem quadruples the memory system (DRAM footprint set to `dram_kg`),
+# rk-npu also scales the NPU die area 8x (`scale_units`: unit, factor).
 _SCENARIOS = {
-    "rk-mem": {"compute": 1.0, "bandwidth": 4.0, "mods": (SetDram(1.68),)},
+    "rk-mem": {"compute": 1.0, "bandwidth": 4.0, "dram_kg": 1.68, "scale_units": ()},
     "rk-npu": {
         "compute": 8.0,
         "bandwidth": 4.0,
-        "mods": (SetDram(1.68), ScaleUnit("npu", 8.0)),
+        "dram_kg": 1.68,
+        "scale_units": (("npu", 8.0),),
     },
 }
 
@@ -140,19 +108,23 @@ def _resolve(value: str, loader: Callable, bundled: Callable):
 
 
 def _resolve_device(value: str):
+    from .workload import load_device_json
     return _resolve(value, load_device_json, assets.load_device)
 
 
 def _resolve_config(value: str):
+    from .workload import load_config_json
     return _resolve(value, load_config_json, assets.load_llm_config)
 
 
 def _resolve_bom(value: str):
+    from .embodied import load_bom_json
     return _resolve(value, load_bom_json, assets.load_bom)
 
 
 def _resolve_pipeline(value: str):
     if _looks_like_path(value):
+        from .accounting import load_pipeline_json
         return load_pipeline_json(
             value,
             config_resolver=_resolve_config,
@@ -163,6 +135,7 @@ def _resolve_pipeline(value: str):
 
 def _ci_table(args: argparse.Namespace):
     if args.ci_table:
+        from .accounting import load_ci_table
         return load_ci_table(args.ci_table)
     return assets.load_carbon_intensities()
 
@@ -181,6 +154,11 @@ def _ci_for(args: argparse.Namespace):
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
+    from . import device_models as dm
+    if args.model not in dm.MODEL_NAMES:
+        raise UserInputError(
+            f"unknown model name {args.model!r}; have {list(dm.MODEL_NAMES)}"
+        )
     samples = dm.load_samples_csv(args.csv)
     report = dm.fit_by_name(args.model, samples)
     doc = dm.model_to_json(args.model, report)
@@ -196,10 +174,16 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     _emit(args, doc, ("key", "value"), rows)
 
 
-_KERNEL_COLUMNS = tuple(f.name for f in dataclasses.fields(KernelCost))
-
-
 def _cmd_estimate(args: argparse.Namespace) -> None:
+    from .workload import (
+        KernelCost,
+        Request,
+        build_layer_graph,
+        classify,
+        kernel_costs,
+        phase_intensity,
+        phase_totals,
+    )
     cfg = _resolve_config(args.config)
     dev = _resolve_device(args.device)
     req = Request(args.prompt_len, args.output_len)
@@ -231,7 +215,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         _emit(args, doc, ("key", "value"), _flat_rows(doc))
         return
     doc["kernels"] = [dataclasses.asdict(r) for r in rows]
-    _emit(args, doc, _KERNEL_COLUMNS, [dataclasses.astuple(r) for r in rows])
+    columns = tuple(f.name for f in dataclasses.fields(KernelCost))
+    _emit(args, doc, columns, [dataclasses.astuple(r) for r in rows])
 
 
 def _cmd_dataset(args: argparse.Namespace) -> None:
@@ -362,6 +347,7 @@ def _as_metric_doc(m) -> dict:
 
 
 def _cmd_embodied(args: argparse.Namespace) -> None:
+    from .embodied import report_to_json, soc_embodied
     bom = _resolve_bom(args.bom)
     if args.llm_components:
         components = [c for c in args.llm_components.split(",") if c]
@@ -373,19 +359,25 @@ def _cmd_embodied(args: argparse.Namespace) -> None:
 
 
 def _cmd_whatif(args: argparse.Namespace) -> None:
+    from .embodied import ScaleUnit, SetDram, soc_embodied, whatif_bom
+    from .workload import Request, scaled_device, whatif_speedup
     scenario = _SCENARIOS[args.scenario]
+    prompt_lens = [int(p) for p in args.prompt_lens.split(",") if p]
+    if not prompt_lens:
+        raise UserInputError(f"--prompt-lens {args.prompt_lens!r} names no prompt length")
     bom = _resolve_bom(args.bom)
     dev = _resolve_device(args.device)
     cfg = _resolve_config(args.config)
 
+    mods = [SetDram(scenario["dram_kg"])]
+    mods += [ScaleUnit(unit, factor) for unit, factor in scenario["scale_units"]]
     base_report = soc_embodied(bom)
-    mod_report = soc_embodied(whatif_bom(bom, list(scenario["mods"])))
+    mod_report = soc_embodied(whatif_bom(bom, mods))
     modified = scaled_device(
         dev,
         compute_factor=scenario["compute"],
         bandwidth_factor=scenario["bandwidth"],
     )
-    prompt_lens = [int(p) for p in args.prompt_lens.split(",") if p]
     series = [
         {
             "prompt_len": n,
@@ -414,6 +406,7 @@ def _cmd_whatif(args: argparse.Namespace) -> None:
 
 
 def _cmd_breakeven(args: argparse.Namespace) -> None:
+    from .accounting import breakeven_requests
     table = _ci_table(args) if args.region == "all" else {args.region: _ci_for(args)}
     doc = {}
     for region in sorted(table):
@@ -445,6 +438,7 @@ def _roof_points(dev) -> list[dict]:
 
 
 def _cmd_roofline(args: argparse.Namespace) -> None:
+    from .workload import Request, build_layer_graph, check_fits_dram, classify_node
     dev = _resolve_device(args.device)
     cfg = _resolve_config(args.config)
     req = Request(args.prompt_len, args.output_len)
@@ -482,6 +476,18 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> None:
+    from .accounting import (
+        CameraInput,
+        LlmStage,
+        SpeakerOutput,
+        UsageProfile,
+        app_energy,
+        breakdown_to_json,
+        required_models,
+        total_footprint,
+    )
+    from .embodied import soc_embodied
+    from .workload import llm_request_energy
     pipeline = _resolve_pipeline(args.pipeline)
     # A camera or speaker pipeline has no mic sample count or display grey
     # level, so --input mic and --output display can only keep a stage.
@@ -561,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", parents=[common], help="fit a peripheral model from CSV")
-    p.add_argument("model", choices=dm.MODEL_NAMES)
+    p.add_argument("model", help="peripheral model name")
     p.add_argument("csv")
     p.set_defaults(func=_cmd_fit)
 

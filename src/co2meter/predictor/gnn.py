@@ -274,6 +274,26 @@ class Workspace:
             *(getattr(self, name)[:rows] for name in _ROW_BUFFERS), grad=self.grad, agg=agg
         )
 
+    def gather(
+        self, stack: np.ndarray, rows: np.ndarray, preds: tuple[tuple[int, ...], ...]
+    ) -> "Workspace":
+        """The head holding the samples at `rows` of a `c0_stack`, copied
+        straight into `c0`: one copy of the node rows per mini-batch.  The
+        rows must be in range (a permutation's are)."""
+        ws = self.head(len(rows), _aggregation_matrix(stack.shape[1], preds))
+        # mode="clip" into a contiguous `out` writes in place; "raise" would
+        # copy through a temporary
+        np.take(stack, rows, axis=0, out=ws.c0, mode="clip")
+        return ws
+
+
+def c0_stack(h0: np.ndarray) -> np.ndarray:
+    """(S, N, 2 * node_dim) stack laid out like `Workspace.c0`: h0 in the
+    leading columns, zeros where a pass writes the neighbor mean."""
+    stack = np.zeros((*h0.shape[:2], 2 * h0.shape[2]))
+    stack[..., :h0.shape[2]] = h0
+    return stack
+
 
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """out = ReLU(x @ w.T + b) over the last axis of a stack, as one matmul
@@ -302,12 +322,18 @@ def forward_batch(
     batch, n = h0.shape[:2]
     if workspace is None:
         workspace = Workspace.allocate(tower, batch, n)
-    agg = _aggregation_matrix(n, preds)
-    ws = workspace.head(batch, agg)
+    ws = workspace.head(batch, _aggregation_matrix(n, preds))
     ws.c0[..., :h0.shape[2]] = h0
-    np.matmul(agg, h0, out=ws.c0[..., h0.shape[2]:])
+    return _forward_head(tower, ws, g), ws
+
+
+def _forward_head(tower: TowerParams, ws: Workspace, g: np.ndarray) -> np.ndarray:
+    """`forward_batch` over a workspace head whose `c0` holds h0 in its
+    leading columns."""
+    n, node_dim = ws.c0.shape[1], ws.c0.shape[2] // 2
+    np.matmul(ws.agg, ws.c0[..., :node_dim], out=ws.c0[..., node_dim:])
     _dense_relu(ws.c0, tower.w1, tower.b1, out=ws.h1)
-    np.matmul(agg, ws.h1, out=ws.c1[..., HIDDEN_DIM:])
+    np.matmul(ws.agg, ws.h1, out=ws.c1[..., HIDDEN_DIM:])
     _dense_relu(ws.c1, tower.w2, tower.b2, out=ws.h2)
 
     pooled = ws.zh[:, :HIDDEN_DIM]
@@ -315,8 +341,7 @@ def forward_batch(
     pooled /= n
     ws.zh[:, HIDDEN_DIM:] = g
     _dense_relu(ws.zh, tower.wh1, tower.bh1, out=ws.u)
-    y = ws.u @ tower.wh2 + tower.bh2[0]
-    return y, ws
+    return ws.u @ tower.wh2 + tower.bh2[0]
 
 
 def backward_batch(tower: TowerParams, ws: Workspace, dy: np.ndarray) -> np.ndarray:
@@ -361,8 +386,21 @@ def batch_loss_and_grads(
 ) -> tuple[float, np.ndarray]:
     """Summed squared log-space error of a stack plus its summed flat gradient."""
     y, cache = forward_batch(tower, h0, preds, g, workspace)
+    return _squared_loss_and_grads(tower, cache, y, log_target)
+
+
+def gathered_loss_and_grads(
+    tower: TowerParams, ws: Workspace, g: np.ndarray, log_target: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """`batch_loss_and_grads` of the samples a `Workspace.gather` head holds."""
+    return _squared_loss_and_grads(tower, ws, _forward_head(tower, ws, g), log_target)
+
+
+def _squared_loss_and_grads(
+    tower: TowerParams, ws: Workspace, y: np.ndarray, log_target: np.ndarray
+) -> tuple[float, np.ndarray]:
     err = y - log_target
-    return float(err @ err), backward_batch(tower, cache, 2.0 * err)
+    return float(err @ err), backward_batch(tower, ws, 2.0 * err)
 
 
 def forward_tower(

@@ -17,8 +17,9 @@ a mini-batch when training, chunks of a whole sample set when predicting
 (`evaluate_params`), and a batch of one for a single request
 (`predict_prefill`, `predict_total`, `predict_sample`).  `train_tower`
 allocates one `gnn.Workspace` for its mini-batches and one for validation,
-and steps Adam over the tower's flat parameter buffer with the flat
-gradient, so a training step allocates no large array.  The per-sample
+gathers each mini-batch's node rows straight into the first
+(`Workspace.gather`), and steps Adam over the tower's flat parameter buffer
+with the flat gradient, so a training step allocates no large array.  The per-sample
 reference pass and trainer the tests compare against live in
 `tests/gnn_reference.py`.  Training is bit-deterministic for a fixed seed:
 splits, shuffles, and init all come from one seeded generator, and a batch
@@ -47,9 +48,10 @@ from .gnn import (
     TowerParams,
     FeatureNorms,
     Workspace,
-    batch_loss_and_grads,
+    c0_stack,
     fit_feature_norms,
     forward_batch,
+    gathered_loss_and_grads,
     init_params,
     normalize_globals,
     normalize_nodes,
@@ -246,14 +248,19 @@ class _Row(NamedTuple):
 @dataclass(frozen=True)
 class _TowerSet:
     """One tower's labelled inputs over a sample set, stacked in sample order,
-    with the one `preds` of the canonical layer graph.  Indexing and
-    iteration give per-sample rows."""
+    with the one `preds` of the canonical layer graph.  The node features
+    are stored as a `gnn.c0_stack`, so a mini-batch gathers straight into a
+    workspace.  Indexing and iteration give per-sample rows."""
 
-    h0: np.ndarray  # (S, 12, node_dim)
+    c0: np.ndarray  # (S, 12, 2 * node_dim): h0 in the leading columns
     g: np.ndarray  # (S, glob_dim)
     log_target: np.ndarray  # (S,)
     target_j: np.ndarray  # (S,)
     preds: ClassVar[tuple[tuple[int, ...], ...]] = LAYER_PREDS
+
+    @property
+    def h0(self) -> np.ndarray:  # (S, 12, node_dim)
+        return self.c0[..., :self.c0.shape[2] // 2]
 
     def __len__(self) -> int:
         return len(self.target_j)
@@ -270,7 +277,8 @@ def _tower_set(table: SampleTable, norms: FeatureNorms, tower: str) -> _TowerSet
     spec = _TOWERS[tower]
     teacher = None if spec.teacher is None else table[spec.teacher]
     target = table[spec.label]
-    return _TowerSet(*spec.encode(table, norms, teacher), np.log(target), target)
+    h0, g = spec.encode(table, norms, teacher)
+    return _TowerSet(c0_stack(h0), g, np.log(target), target)
 
 
 def _prepare(samples: Sequence[GraphSample], norms: FeatureNorms, tower: str) -> _TowerSet:
@@ -337,9 +345,9 @@ def train_tower(
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = np.sort(order[start:start + cfg.batch_size])
-            loss, grad = batch_loss_and_grads(
-                tower, train_set.h0[batch], train_set.preds, train_set.g[batch],
-                train_set.log_target[batch], workspace,
+            loss, grad = gathered_loss_and_grads(
+                tower, workspace.gather(train_set.c0, batch, train_set.preds),
+                train_set.g[batch], train_set.log_target[batch],
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(

@@ -195,6 +195,52 @@ def test_predictor_loads_on_first_access():
     ]
 
 
+_COLD_BASE = ("co2meter", "co2meter.assets", "co2meter.cli", "co2meter.errors")
+_ALL_COLD = ("accounting", "device_models", "embodied", "workload")
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["fit", "net", str(assets.measurement_csv("net"))], ("device_models",)),
+    (["estimate", "--prompt-len", "100", "--output-len", "20"], ("workload",)),
+    (["roofline"], ("workload",)),
+    (["embodied", "--bom", "rk3588"], ("embodied",)),
+    (["whatif", "--scenario", "rk-npu"], ("embodied", "workload")),
+    (["breakeven", "--delta-embodied", "1.5", "--delta-energy", "120"], ("accounting",)),
+    (["pipeline"], _ALL_COLD),
+    (["pipeline", "--requests-per-day", "100", "--region", "india"], _ALL_COLD),
+], ids=["fit", "estimate", "roofline", "embodied", "whatif", "breakeven", "pipeline",
+        "pipeline-footprint"])
+def test_cold_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    script = (
+        "import sys\n"
+        "from co2meter import cli\n"
+        f"code = cli.main({argv + ['--out', str(tmp_path / 'out')]!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'co2meter'))\n"
+    )
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    expected = sorted({*_COLD_BASE, *(f"co2meter.{m}" for m in modules)})
+    assert proc.stdout == f"0 {expected}\n"
+
+
+def test_bare_import_loads_submodules_on_first_access():
+    # errors holds the exception classes the package re-exports
+    script = (
+        "import sys\n"
+        "import co2meter\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'co2meter'))\n"
+        "print(co2meter.workload.Request.__name__, 'co2meter.workload' in sys.modules)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'co2meter'))\n"
+    )
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['co2meter', 'co2meter.errors']",
+        "Request True",
+        "['co2meter', 'co2meter.errors', 'co2meter.workload']",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # estimate / roofline
 
@@ -425,6 +471,14 @@ def test_whatif_scenarios(capsys):
     assert all(4.0 <= s <= 8.0 for s in speedups.values())
 
 
+@pytest.mark.parametrize("lens", [",", "", ",,"])
+def test_whatif_without_prompt_lengths_exits_2(capsys, lens):
+    code, out, err = run(capsys, "whatif", "--scenario", "rk-npu", "--prompt-lens", lens)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--prompt-lens" in err
+
+
 def test_breakeven_matches_library_and_sorts_by_ci(capsys):
     doc = run_json(capsys, "breakeven", "--delta-embodied", "1.26", "--delta-energy", "150")
     table = assets.load_carbon_intensities()
@@ -476,13 +530,13 @@ def test_pipeline_variants_change_the_right_stage(capsys):
 
 def test_pipeline_fits_only_the_models_its_stages_read(capsys, monkeypatch):
     fitted = []
-    fit = assets.fit_by_name
+    fit = dm.fit_by_name
 
     def counting(name, samples):
         fitted.append(name)
         return fit(name, samples)
 
-    monkeypatch.setattr(assets, "fit_by_name", counting)
+    monkeypatch.setattr(dm, "fit_by_name", counting)
     for argv, names in (
         ((), ["mic", "display", "video"]),
         (("--input", "camera", "--output", "speaker"), ["camera", "speaker"]),
@@ -590,6 +644,14 @@ def test_exit_codes_on_bad_inputs(capsys, tmp_path):
                        "--delta-energy", "100", "--region", "mars")
     assert code == 2
     assert "mars" in err
+
+
+def test_fit_unknown_model_exits_2_before_reading_the_csv(capsys, tmp_path):
+    code, out, err = run(capsys, "fit", "nope", str(tmp_path / "missing.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'nope'" in err and "missing.csv" not in err
+    assert all(repr(name) in err for name in dm.MODEL_NAMES)
 
 
 def test_requests_beyond_dram_exit_2(capsys, tmp_path, workdir):

@@ -253,7 +253,7 @@ def test_estimate_roofline_and_globals_equal_the_graph_builder_path(config):
 def test_estimate_and_make_sample_build_each_layer_graph_once(monkeypatch):
     built, graphs = [], []
     build, post_init = wl.build_layer_graph, wl.LayerGraph.__post_init__
-    for module in (wl, cli, oracle):
+    for module in (wl, oracle):
         monkeypatch.setattr(module, "build_layer_graph",
                             lambda *args, **kw: built.append(args[2]) or build(*args, **kw))
     monkeypatch.setattr(

@@ -56,8 +56,10 @@ from co2meter.predictor.gnn import (
     _aggregation_matrix,
     backward_batch,
     batch_loss_and_grads,
+    c0_stack,
     fit_feature_norms,
     forward_batch,
+    gathered_loss_and_grads,
     identity_norms,
 )
 from co2meter.predictor.training import (
@@ -221,6 +223,31 @@ def test_reused_workspace_pass_is_bit_identical_to_a_fresh_one(seed, sizes, junk
         assert np.array_equal(grad, backward_batch(tower, want_cache, dy)), batch
         assert np.shares_memory(grad, workspace.grad)
         assert np.shares_memory(cache.c1, workspace.c1)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+)
+@settings(max_examples=30, deadline=None)
+def test_gathered_batch_is_bit_identical_to_a_copied_one(seed, sizes):
+    rng = np.random.default_rng(seed)
+    tower = init_tower(rng, NODE_FEATURE_DIM, GLOBAL_DIM)
+    h0 = rng.normal(size=(12, 12, NODE_FEATURE_DIM))
+    g = rng.normal(size=(12, GLOBAL_DIM))
+    log_target = rng.normal(size=12)
+    stack = c0_stack(h0)
+    workspace = Workspace.allocate(tower, max(sizes), len(LAYER_PREDS))
+    for size in sizes:
+        rows = np.sort(rng.choice(len(h0), size, replace=False))
+        loss, grad = gathered_loss_and_grads(
+            tower, workspace.gather(stack, rows, LAYER_PREDS), g[rows], log_target[rows]
+        )
+        want_loss, want_grad = batch_loss_and_grads(
+            tower, h0[rows], LAYER_PREDS, g[rows], log_target[rows]
+        )
+        assert loss == want_loss, size
+        assert np.array_equal(grad, want_grad), size
 
 
 def _relabeled(graph: LayerGraph, order: np.ndarray) -> LayerGraph:
