@@ -5,8 +5,10 @@
 One epoch of `train_tower` over a fixed 140-sample prepared set (five
 mini-batches of at most 32), one batched forward+backward pass over a
 32-sample mini-batch through a reused workspace (as training runs it),
-chained `evaluate_params` over 200 samples, and a 10-epoch `train` over the
-same 200 samples (featurization, norm fitting, both towers and validation).
+chained `evaluate_params` over 200 samples, a 10-epoch `train` over the
+same 200 samples (featurization, norm fitting, both towers and validation),
+and a `save_params_json` + `load_params_json` round trip of both towers and
+fitted norms through a file.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from co2meter.predictor import (
     evaluate_params,
     gen_oracle_dataset,
     init_params,
+    load_params_json,
+    save_params_json,
     train,
 )
 from co2meter.predictor.gnn import Workspace, batch_loss_and_grads
@@ -73,3 +77,15 @@ def test_train(benchmark):
     cfg = TrainConfig(epochs=10, train_frac=0.7, val_frac=0.1)  # the train_eval split
     params, history = benchmark(train, dataset, cfg)
     assert len(history) == 20 and np.isfinite(params.total.bh2[0])
+
+
+def test_params_round_trip(benchmark, prepared, tmp_path):
+    params, _ = prepared
+    path = tmp_path / "params.json"
+
+    def round_trip():
+        save_params_json(path, params)
+        return load_params_json(path)[0]
+
+    loaded = benchmark(round_trip)
+    assert np.array_equal(loaded.total.flat.view(np.uint64), params.total.flat.view(np.uint64))

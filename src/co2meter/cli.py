@@ -299,7 +299,8 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     from . import predictor as pr
     dataset = pr.read_dataset_jsonl(args.dataset)
     params, meta = pr.load_params_json(args.params)
-    seed = int(meta.get("seed", args.seed))
+    # load_params_json checked their types: seed and epochs are integers
+    seed = meta.get("seed", args.seed)
     train_frac = float(meta.get("train_frac", 0.8))
     val_frac = float(meta.get("val_frac", 0.1))
 
@@ -315,7 +316,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
         train_samples = [dataset[i] for i in train_idx]
         test_samples = [dataset[i] for i in test_idx]
         bcfg = pr.TrainConfig(
-            epochs=args.baseline_epochs or int(meta.get("epochs", 200)),
+            epochs=args.baseline_epochs or meta.get("epochs", 200),
             seed=seed,
             train_frac=train_frac,
             val_frac=val_frac,

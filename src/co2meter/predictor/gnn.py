@@ -27,14 +27,25 @@ arithmetic and bits.  Backpropagation is hand-derived;
 `tests/gnn_reference.py` keeps an independent per-sample pass that the tests
 hold the batched one to.  Which graph, globals and norms slot feed each tower
 is decided in `training`.
+
+Params files (`save_params_json` / `load_params_json`) are format version 2:
+a JSON object, keys sorted, whose `format`, `version`, `hidden_dim`,
+`num_rounds` and optional `meta` are plain JSON, and whose `prefill` and
+`total` entries are each tower's `flat` buffer as base64 little-endian float64
+(`"<f8"`), as is every vector under `norms`.  The loader derives every size
+from HIDDEN_DIM, NODE_FEATURE_DIM and GLOBAL_DIM, and refuses a wrong
+envelope, a blob of the wrong length and a non-finite value; the writer
+refuses non-finite values too.  Arrays round-trip bit-exactly.  Version 1
+(decimal lists) is not read: re-run `co2meter train` to rewrite such a file.
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -46,7 +57,34 @@ from .data import GLOBAL_DIM, NODE_FEATURE_DIM, NUMERIC_NODE_FEATURES
 HIDDEN_DIM = 64
 NUM_ROUNDS = 2
 
-_TOWER_ARRAYS = ("w1", "b1", "w2", "b2", "wh1", "bh1", "wh2", "bh2")
+
+def _tower_shapes(node_dim: int, glob_dim: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each named array of a tower, in `TowerParams.flat` order."""
+    return {
+        "w1": (HIDDEN_DIM, 2 * node_dim),
+        "b1": (HIDDEN_DIM,),
+        "w2": (HIDDEN_DIM, 2 * HIDDEN_DIM),
+        "b2": (HIDDEN_DIM,),
+        "wh1": (HIDDEN_DIM, HIDDEN_DIM + glob_dim),
+        "bh1": (HIDDEN_DIM,),
+        "wh2": (HIDDEN_DIM,),
+        "bh2": (1,),
+    }
+
+
+_TOWER_ARRAYS = tuple(_tower_shapes(0, 0))
+# globals each tower reads: the total tower adds a prefill-energy slot
+_TOWER_GLOB_DIMS = {"prefill": GLOBAL_DIM, "total": GLOBAL_DIM + 1}
+
+
+def _split(flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Named views of consecutive runs of `flat` with the given shapes."""
+    out, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return out
 
 
 @dataclass
@@ -83,13 +121,7 @@ class TowerParams:
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a flat vector laid out like `flat`, such as a gradient."""
-        out, start = {}, 0
-        for name in _TOWER_ARRAYS:
-            shape = getattr(self, name).shape
-            size = math.prod(shape)
-            out[name] = flat[start:start + size].reshape(shape)
-            start += size
-        return out
+        return _split(flat, {name: getattr(self, name).shape for name in _TOWER_ARRAYS})
 
     def copy(self) -> "TowerParams":
         return TowerParams(**self.arrays())
@@ -126,35 +158,40 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def init_tower(rng: np.random.Generator, node_dim: int, glob_dim: int) -> TowerParams:
-    return TowerParams(
-        w1=_glorot(rng, (HIDDEN_DIM, 2 * node_dim)),
-        b1=np.zeros(HIDDEN_DIM),
-        w2=_glorot(rng, (HIDDEN_DIM, 2 * HIDDEN_DIM)),
-        b2=np.zeros(HIDDEN_DIM),
-        wh1=_glorot(rng, (HIDDEN_DIM, HIDDEN_DIM + glob_dim)),
-        bh1=np.zeros(HIDDEN_DIM),
-        wh2=_glorot(rng, (HIDDEN_DIM,)),
-        bh2=np.zeros(1),
-    )
+    """Glorot-uniform weights, drawn in flat order, and zero biases."""
+    return TowerParams(**{
+        name: np.zeros(shape) if name.startswith("b") else _glorot(rng, shape)
+        for name, shape in _tower_shapes(node_dim, glob_dim).items()
+    })
+
+
+def _norm_sizes() -> dict[str, int]:
+    """Length of each `FeatureNorms` vector, in field order."""
+    n_node = len(NUMERIC_NODE_FEATURES)
+    return {
+        "node_mu": n_node,
+        "node_sd": n_node,
+        "glob_mu_prefill": GLOBAL_DIM,
+        "glob_sd_prefill": GLOBAL_DIM,
+        "glob_mu_total": GLOBAL_DIM + 1,
+        "glob_sd_total": GLOBAL_DIM + 1,
+    }
 
 
 def identity_norms() -> FeatureNorms:
-    n_node = len(NUMERIC_NODE_FEATURES)
-    return FeatureNorms(
-        node_mu=np.zeros(n_node),
-        node_sd=np.ones(n_node),
-        glob_mu_prefill=np.zeros(GLOBAL_DIM),
-        glob_sd_prefill=np.ones(GLOBAL_DIM),
-        glob_mu_total=np.zeros(GLOBAL_DIM + 1),
-        glob_sd_total=np.ones(GLOBAL_DIM + 1),
-    )
+    return FeatureNorms(**{
+        name: np.zeros(size) if "_mu" in name else np.ones(size)
+        for name, size in _norm_sizes().items()
+    })
 
 
 def init_params(seed: int) -> GnnParams:
     rng = np.random.default_rng(seed)
     return GnnParams(
-        prefill=init_tower(rng, NODE_FEATURE_DIM, GLOBAL_DIM),
-        total=init_tower(rng, NODE_FEATURE_DIM, GLOBAL_DIM + 1),
+        **{
+            name: init_tower(rng, NODE_FEATURE_DIM, glob_dim)
+            for name, glob_dim in _TOWER_GLOB_DIMS.items()
+        },
         norms=identity_norms(),
     )
 
@@ -467,49 +504,124 @@ def grad_check(
 # ---------------------------------------------------------------------------
 # Serialization
 
+_ENVELOPE = {
+    "format": "co2meter-gnn-params",
+    "version": 2,
+    "hidden_dim": HIDDEN_DIM,
+    "num_rounds": NUM_ROUNDS,
+}
+
+
+def _finite(where: str, arr: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise UserInputError(
+            f"predictor params {where}: non-finite value at index {bad[0]}"
+        )
+
+
+def _encode(where: str, arr: np.ndarray) -> str:
+    _finite(where, arr)
+    return base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode(where: str, blob: object, size: int) -> np.ndarray:
+    """The `size` little-endian float64 values of a base64 blob (read-only)."""
+    if not isinstance(blob, str):
+        raise UserInputError(f"predictor params {where}: expected a base64 string")
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise UserInputError(f"predictor params {where}: not base64: {exc}") from exc
+    if len(raw) != 8 * size:
+        raise UserInputError(
+            f"predictor params {where}: {len(raw)} bytes, expected {size} float64"
+            f" values ({8 * size} bytes)"
+        )
+    arr = np.frombuffer(raw, dtype="<f8")
+    _finite(where, arr)
+    return arr
+
+
+# `meta` entries that `eval` reads back, by the JSON type they must have
+_META_INTS = ("seed", "epochs")
+_META_NUMBERS = ("train_frac", "val_frac")
+
+
+def _check_meta(meta: object) -> dict:
+    if not isinstance(meta, dict):
+        raise UserInputError("predictor params meta: expected a JSON object")
+    for key in _META_INTS + _META_NUMBERS:
+        if key not in meta:
+            continue
+        value = meta[key]
+        number = not isinstance(value, bool) and isinstance(value, (int, float))
+        if key in _META_INTS and not (number and isinstance(value, int)):
+            raise UserInputError(f"predictor params meta.{key}: {value!r} is not an integer")
+        if not (number and math.isfinite(value)):
+            raise UserInputError(
+                f"predictor params meta.{key}: {value!r} is not a finite number"
+            )
+    return meta
+
+
+def _entry(doc: Mapping, key: str, where: str = "") -> object:
+    if key not in doc:
+        raise UserInputError(f"predictor params {where}{key}: missing")
+    return doc[key]
+
 
 def params_to_json(params: GnnParams) -> dict:
-    def tower_doc(t: TowerParams) -> dict:
-        return {name: arr.tolist() for name, arr in t.arrays().items()}
-
-    norms = params.norms
+    """The version-2 params document: each tower's `flat` buffer and each norm
+    vector as base64 little-endian float64.  Refuses non-finite values."""
     return {
-        "format": "co2meter-gnn-params",
-        "version": 1,
-        "hidden_dim": HIDDEN_DIM,
-        "num_rounds": NUM_ROUNDS,
-        "prefill": tower_doc(params.prefill),
-        "total": tower_doc(params.total),
+        **_ENVELOPE,
+        **{
+            name: _encode(name, getattr(params, name).flat)
+            for name in _TOWER_GLOB_DIMS
+        },
         "norms": {
-            name: getattr(norms, name).tolist()
-            for name in (f.name for f in fields(FeatureNorms))
+            name: _encode(f"norms.{name}", getattr(params.norms, name))
+            for name in _norm_sizes()
         },
     }
 
 
 def params_from_json(doc: Mapping) -> GnnParams:
-    try:
-        def tower(d: Mapping) -> TowerParams:
-            return TowerParams(**{k: np.array(d[k], dtype=float) for k in _TOWER_ARRAYS})
+    """Parameters of a version-2 document, every array bit-exact; sizes follow
+    from HIDDEN_DIM, NODE_FEATURE_DIM and GLOBAL_DIM."""
+    if not isinstance(doc, Mapping):
+        raise UserInputError("predictor params: expected a JSON object")
+    for key, want in _ENVELOPE.items():
+        got = _entry(doc, key)
+        if key == "version" and got == 1:
+            raise UserInputError(
+                "predictor params version: 1 is the retired text format;"
+                " re-run `co2meter train` to write version 2"
+            )
+        if type(got) is not type(want) or got != want:
+            raise UserInputError(f"predictor params {key}: {got!r}, expected {want!r}")
 
-        norms = FeatureNorms(
-            **{
-                f.name: np.array(doc["norms"][f.name], dtype=float)
-                for f in fields(FeatureNorms)
-            }
-        )
-        return GnnParams(
-            prefill=tower(doc["prefill"]), total=tower(doc["total"]), norms=norms
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UserInputError(f"malformed predictor params: {exc}") from exc
+    towers = {}
+    for name, glob_dim in _TOWER_GLOB_DIMS.items():
+        shapes = _tower_shapes(NODE_FEATURE_DIM, glob_dim)
+        flat = _decode(name, _entry(doc, name), sum(map(math.prod, shapes.values())))
+        towers[name] = TowerParams(**_split(flat, shapes))
+    norms_doc = _entry(doc, "norms")
+    if not isinstance(norms_doc, Mapping):
+        raise UserInputError("predictor params norms: expected a JSON object")
+    norms = FeatureNorms(**{
+        name: _decode(f"norms.{name}", _entry(norms_doc, name, "norms."), size).astype(float)
+        for name, size in _norm_sizes().items()
+    })
+    return GnnParams(**towers, norms=norms)
 
 
 def save_params_json(path: str | Path, params: GnnParams, meta: dict | None = None) -> None:
     doc = params_to_json(params)
     if meta:
         doc["meta"] = meta
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    Path(path).write_text(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 def load_params_json(path: str | Path) -> tuple[GnnParams, dict]:
@@ -517,4 +629,9 @@ def load_params_json(path: str | Path) -> tuple[GnnParams, dict]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UserInputError(f"cannot read predictor params {path}: {exc}") from exc
-    return params_from_json(doc), doc.get("meta", {})
+    try:
+        params = params_from_json(doc)
+        meta = _check_meta(doc.get("meta", {}))
+    except UserInputError as exc:
+        raise UserInputError(f"{path}: {exc}") from exc
+    return params, meta

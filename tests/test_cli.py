@@ -1,5 +1,6 @@
 """CLI behavior: determinism, round trips through files, and exit codes."""
 
+import base64
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from co2meter.accounting import breakeven_requests
 from co2meter.predictor import (
     featurize,
     load_params_json,
+    params_from_json,
     predict_sample,
     read_dataset_jsonl,
 )
@@ -644,6 +646,49 @@ def test_exit_codes_on_bad_inputs(capsys, tmp_path):
                        "--delta-energy", "100", "--region", "mars")
     assert code == 2
     assert "mars" in err
+
+
+def _nan_blob(doc):
+    flat = np.frombuffer(base64.b64decode(doc["prefill"]), dtype="<f8").copy()
+    flat[5] = np.nan
+    return base64.b64encode(flat.tobytes()).decode()
+
+
+def _version_1(doc):
+    """The retired text layout: every array as nested decimal lists."""
+    params = params_from_json(doc)
+    return {
+        **{k: doc[k] for k in ("format", "hidden_dim", "num_rounds", "meta")},
+        "version": 1,
+        **{name: {k: v.tolist() for k, v in getattr(params, name).arrays().items()}
+           for name in ("prefill", "total")},
+        "norms": {k: v.tolist() for k, v in vars(params.norms).items()},
+    }
+
+
+_BAD_PARAMS = {
+    "truncated blob": lambda d: {**d, "total": d["total"][:-8]},
+    "bad base64": lambda d: {**d, "prefill": "*" + d["prefill"][1:]},
+    "nan weight": lambda d: {**d, "prefill": _nan_blob(d)},
+    "version 1": _version_1,
+    "wrong hidden_dim": lambda d: {**d, "hidden_dim": 3},
+    "list meta": lambda d: {**d, "meta": [1, 2]},
+    "float seed": lambda d: {**d, "meta": {**d["meta"], "seed": 1.7}},
+}
+
+
+@pytest.mark.parametrize("mutate", list(_BAD_PARAMS.values()), ids=list(_BAD_PARAMS))
+def test_malformed_params_file_exits_2(capsys, tmp_path, workdir, mutate):
+    doc = mutate(json.loads((workdir / "params.json").read_text()))
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))  # a NaN stays inside its blob
+    for argv in (
+        ("eval", "--dataset", workdir / "tiny.jsonl", "--params", path),
+        ("pipeline", "--params", path),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), (argv[0], err)
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: "), err
 
 
 def test_fit_unknown_model_exits_2_before_reading_the_csv(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Energy predictor: forward/backward correctness, training behavior, data I/O."""
 
+import base64
 import dataclasses
 import json
 from typing import NamedTuple
@@ -52,6 +53,7 @@ from co2meter.predictor import (
 import gnn_reference
 from co2meter.predictor import baselines, training
 from co2meter.predictor.gnn import (
+    FeatureNorms,
     Workspace,
     _aggregation_matrix,
     backward_batch,
@@ -885,16 +887,92 @@ def test_towers_keep_their_arrays_in_one_flat_buffer():
     # a write through a named array lands in the buffer
     copied.w2[3, 5] = 7.0
     assert copied.flat[copied.w1.size + copied.b1.size + 3 * copied.w2.shape[1] + 5] == 7.0
-    # the buffer is storage only: the params JSON holds the named arrays alone
     assert json.dumps(params_to_json(loaded), sort_keys=True) == doc
+    # a params file stores each tower as the bytes of its buffer
     for name in ("prefill", "total"):
-        tower_doc = json.loads(doc)[name]
-        assert tower_doc == {k: v.tolist() for k, v in getattr(params, name).arrays().items()}
+        flat = getattr(params, name).flat
+        assert json.loads(doc)[name] == base64.b64encode(flat.astype("<f8").tobytes()).decode()
+
+
+# finite float64 values the text format could get wrong: signed zeros,
+# subnormals and the ends of the range
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308,
+                1e308, -1e308, np.finfo(float).max, -np.finfo(float).max)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edges=st.lists(
+        st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=40,
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_params_file_round_trips_every_bit(tmp_path_factory, seed, edges):
+    rng = np.random.default_rng(seed)
+    params = init_params(seed)
+    arrays = [params.prefill.flat, params.total.flat,
+              *(getattr(params.norms, f.name) for f in dataclasses.fields(FeatureNorms))]
+    for arr in arrays:
+        # random bit patterns span every exponent, subnormals included
+        values = rng.integers(0, 2**64, size=arr.size, dtype=np.uint64).view(np.float64)
+        values[~np.isfinite(values)] = -0.0
+        at = rng.integers(0, arr.size, size=len(edges))
+        values[at] = edges
+        arr[:] = values
+    path = tmp_path_factory.mktemp("params") / "params.json"
+    save_params_json(path, params, meta={"seed": seed})
+    loaded, meta = load_params_json(path)
+    assert meta == {"seed": seed}
+    reloaded = [loaded.prefill.flat, loaded.total.flat,
+                *(getattr(loaded.norms, f.name) for f in dataclasses.fields(FeatureNorms))]
+    for want, got in zip(arrays, reloaded):
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for name in ("prefill", "total"):
+        tower = getattr(loaded, name)
+        assert all(np.shares_memory(a, tower.flat) for a in tower.arrays().values())
+
+
+@pytest.mark.parametrize("where", ["total", "norms.glob_sd_prefill"])
+def test_params_writer_and_reader_refuse_non_finite_values(tmp_path, where):
+    params = init_params(3)
+    doc = params_to_json(params)
+    arr = params.total.flat if where == "total" else params.norms.glob_sd_prefill
+    arr[2] = np.inf
+    path = tmp_path / "params.json"
+    with pytest.raises(UserInputError) as written:
+        save_params_json(path, params)
+    assert not path.exists()
+    # the same values, smuggled past the writer, meet the same message
+    *outer, key = where.split(".")
+    (doc[outer[0]] if outer else doc)[key] = base64.b64encode(arr.tobytes()).decode()
+    with pytest.raises(UserInputError) as read:
+        params_from_json(doc)
+    assert str(written.value) == str(read.value)
+    assert where in str(read.value) and "non-finite" in str(read.value)
 
 
 def test_params_json_rejects_malformed_docs(tmp_path):
     with pytest.raises(UserInputError):
         params_from_json({"prefill": {}})
+    good = params_to_json(init_params(1))
+    for key, value in (("format", "other"), ("version", 99), ("version", 2.0),
+                       ("hidden_dim", 3), ("hidden_dim", 64.0), ("num_rounds", 1)):
+        with pytest.raises(UserInputError, match=f"params {key}: "):
+            params_from_json({**good, key: value})
+    with pytest.raises(UserInputError, match="re-run `co2meter train`"):
+        params_from_json({**good, "version": 1})
+    for key in ("prefill", "norms"):
+        with pytest.raises(UserInputError, match=f"params {key}: missing"):
+            params_from_json({k: v for k, v in good.items() if k != key})
+    norms = {k: v for k, v in good["norms"].items() if k != "node_sd"}
+    with pytest.raises(UserInputError, match="params norms.node_sd: missing"):
+        params_from_json({**good, "norms": norms})
+    blob = good["total"]
+    for value in (blob[:-8], blob + "AAAAAAAAAAA=", blob[:-4] + "!!!!", 7):
+        with pytest.raises(UserInputError, match="params total: "):
+            params_from_json({**good, "total": value})
     missing = tmp_path / "missing.json"
     with pytest.raises(UserInputError):
         load_params_json(missing)
