@@ -3,15 +3,25 @@
     PYTHONPATH=src python -m pytest bench/ -q
 
 `phase_costs` (internlm2-18b on agx_orin, prompt 500) at three decode
-lengths, and `make_sample` (tinyllama on rk3588, prompt 96, output 64).
+lengths; `kernel_costs` on that request (output 1024) on agx_orin, where no
+decode kernel flips boundedness, and on a board whose ridge sits at
+attn_score's mid-decode intensity, where it flips; an in-process
+`co2meter estimate` of that request to a new `--out` file, unlinked after
+each call (the op `estimate_sweep` times); and `make_sample` (tinyllama on
+rk3588, prompt 96, output 64).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from co2meter import assets
+from co2meter import assets, cli
+from co2meter import workload as wl
 from co2meter.predictor import make_sample, phase_costs
 from co2meter.workload import Request
+
+_SCORE = 2  # attn_score's index in a layer's count rows
 
 
 @pytest.mark.parametrize("output_len", [64, 1024, 4096])
@@ -19,6 +29,30 @@ def test_phase_costs(benchmark, output_len):
     cfg, dev = assets.load_llm_config("internlm2-18b"), assets.load_device("agx_orin")
     (_, prefill_j), (_, decode_j) = benchmark(phase_costs, cfg, Request(500, output_len), dev)
     assert 0 < prefill_j and 0 < decode_j
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["no_flip", "flip"])
+def test_kernel_costs(benchmark, flip):
+    cfg, dev = assets.load_llm_config("internlm2-18b"), assets.load_device("agx_orin")
+    req = Request(500, 1024)
+    if flip:
+        flops, *moved = wl.layer_rows(cfg, req, "decode")[_SCORE]
+        dev = dataclasses.replace(dev, peak_ops=flops / sum(moved) * dev.mem_bandwidth)
+    rows = benchmark(wl.kernel_costs, cfg, req, dev)
+    assert any(r.flip_position is not None for r in rows) == flip
+
+
+def test_cli_estimate(benchmark, tmp_path):
+    out = tmp_path / "estimate.json"
+    argv = ["estimate", "--config", "internlm2-18b", "--device", "agx_orin",
+            "--prompt-len", "500", "--output-len", "1024", "--out", str(out)]
+
+    def estimate():
+        code = cli.main(argv)
+        out.unlink()  # a new file per call, as in estimate_sweep
+        return code
+
+    assert benchmark(estimate) == 0
 
 
 def test_make_sample(benchmark):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import UserInputError
 
@@ -33,12 +33,18 @@ def asset_root() -> Path:
     return root
 
 
-def _named_json(subdir: str, name: str) -> Path:
-    path = asset_root() / subdir / f"{name}.json"
-    if not path.is_file():
-        have = sorted(p.stem for p in (asset_root() / subdir).glob("*.json"))
-        raise UserInputError(f"no bundled {subdir} asset {name!r}; have {have}")
-    return path
+def _named_json(subdir: str, name: str, loader: Callable):
+    """`loader` on `<root>/<subdir>/<name>.json`.  The file is read first; the
+    root and the directory are inspected only when it is missing, to say why."""
+    path = Path(os.environ.get(ASSETS_ENV_VAR) or _DEFAULT_ROOT, subdir, f"{name}.json")
+    try:
+        return loader(path)
+    except UserInputError as exc:
+        missing = (FileNotFoundError, NotADirectoryError, IsADirectoryError)
+        if not isinstance(exc.__cause__, missing):
+            raise
+    have = list_assets(subdir)  # raises when the root is not a directory
+    raise UserInputError(f"no bundled {subdir} asset {name!r}; have {have}")
 
 
 def list_assets(subdir: str) -> list[str]:
@@ -47,17 +53,17 @@ def list_assets(subdir: str) -> list[str]:
 
 def load_device(name: str) -> DeviceSpec:
     from .workload import load_device_json
-    return load_device_json(_named_json("devices", name))
+    return _named_json("devices", name, load_device_json)
 
 
 def load_bom(name: str) -> SocBom:
     from .embodied import load_bom_json
-    return load_bom_json(_named_json("boms", name))
+    return _named_json("boms", name, load_bom_json)
 
 
 def load_llm_config(name: str) -> LlmConfig:
     from .workload import load_config_json
-    return load_config_json(_named_json("llm_configs", name))
+    return _named_json("llm_configs", name, load_config_json)
 
 
 def load_carbon_intensities() -> dict[str, CarbonIntensity]:
@@ -67,11 +73,9 @@ def load_carbon_intensities() -> dict[str, CarbonIntensity]:
 
 def load_demo_pipeline(name: str = "voice_assistant") -> AppPipeline:
     from .accounting import load_pipeline_json
-    return load_pipeline_json(
-        _named_json("pipelines", name),
-        config_resolver=load_llm_config,
-        device_resolver=load_device,
-    )
+    return _named_json("pipelines", name, lambda path: load_pipeline_json(
+        path, config_resolver=load_llm_config, device_resolver=load_device,
+    ))
 
 
 def measurement_csv(name: str) -> Path:

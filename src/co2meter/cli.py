@@ -175,22 +175,14 @@ def _cmd_fit(args: argparse.Namespace) -> None:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
-    from .workload import (
-        KernelCost,
-        Request,
-        build_layer_graph,
-        classify,
-        kernel_costs,
-        phase_intensity,
-        phase_totals,
-    )
+    from . import workload as wl
     cfg = _resolve_config(args.config)
     dev = _resolve_device(args.device)
-    req = Request(args.prompt_len, args.output_len)
-    rows = kernel_costs(cfg, req, dev)
-    (prefill_s, prefill_j), (decode_s, decode_j) = phase_totals(rows)
-    prefill_graph = build_layer_graph(cfg, req, "prefill")
-    mid_graph = build_layer_graph(cfg, req, "decode")
+    req = wl.Request(args.prompt_len, args.output_len)
+    rows = wl.kernel_costs(cfg, req, dev)
+    (prefill_s, prefill_j), (decode_s, decode_j) = wl.phase_totals(rows)
+    prefill = wl.layer_intensity(wl.layer_rows(cfg, req, "prefill"))
+    mid = wl.layer_intensity(wl.layer_rows(cfg, req, "decode"))
 
     doc = {
         "config": cfg.name,
@@ -200,23 +192,22 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         "prefill": {
             "energy_j": prefill_j,
             "time_s": prefill_s,
-            "intensity": phase_intensity(prefill_graph),
-            "boundedness": classify(prefill_graph, dev),
+            "intensity": prefill,
+            "boundedness": wl.boundedness(prefill, dev),
         },
         "decode": {
             "energy_j": decode_j,
             "time_s": decode_s,
-            "intensity_mid": phase_intensity(mid_graph),
-            "boundedness_mid": classify(mid_graph, dev),
+            "intensity_mid": mid,
+            "boundedness_mid": wl.boundedness(mid, dev),
         },
         "total_energy_j": prefill_j + decode_j,
     }
     if not args.breakdown:
         _emit(args, doc, ("key", "value"), _flat_rows(doc))
         return
-    doc["kernels"] = [dataclasses.asdict(r) for r in rows]
-    columns = tuple(f.name for f in dataclasses.fields(KernelCost))
-    _emit(args, doc, columns, [dataclasses.astuple(r) for r in rows])
+    doc["kernels"] = [r._asdict() for r in rows]
+    _emit(args, doc, wl.KernelCost._fields, rows)
 
 
 def _cmd_dataset(args: argparse.Namespace) -> None:
@@ -439,26 +430,18 @@ def _roof_points(dev) -> list[dict]:
 
 
 def _cmd_roofline(args: argparse.Namespace) -> None:
-    from .workload import Request, build_layer_graph, check_fits_dram, classify_node
+    from . import workload as wl
     dev = _resolve_device(args.device)
     cfg = _resolve_config(args.config)
-    req = Request(args.prompt_len, args.output_len)
-    check_fits_dram(cfg, req, dev)
+    req = wl.Request(args.prompt_len, args.output_len)
+    wl.check_fits_dram(cfg, req, dev)
     kernels = []
     for phase in ("prefill", "decode"):
-        for node in build_layer_graph(cfg, req, phase).nodes:
-            kernels.append(
-                {
-                    "phase": phase,
-                    "kind": node.kind,
-                    "intensity": node.arithmetic_intensity,
-                    "perf": min(
-                        dev.peak_ops,
-                        dev.mem_bandwidth * node.arithmetic_intensity,
-                    ),
-                    "boundedness": classify_node(node, dev),
-                }
-            )
+        for kind, row in zip(wl.LAYER_KINDS, wl.layer_rows(cfg, req, phase)):
+            intensity = wl.kernel_intensity(row[0], sum(row[1:]))
+            kernels.append({"phase": phase, "kind": kind, "intensity": intensity,
+                            "perf": min(dev.peak_ops, dev.mem_bandwidth * intensity),
+                            "boundedness": wl.boundedness(intensity, dev)})
     doc = {
         "device": {
             "name": dev.name,

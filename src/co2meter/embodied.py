@@ -137,9 +137,13 @@ def llm_fraction(report: EmbodiedReport, components: Iterable[str]) -> float:
     missing = [k for k in keys if k not in report.per_component]
     if missing:
         raise UserInputError(f"unknown components for attribution: {missing}")
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:  # counted twice, a component would inflate the share
+        raise UserInputError(f"repeated components for attribution: {repeated}")
     if report.total <= 0:
         raise ValueError("report total must be positive")
-    return 100.0 * sum(report.per_component[k] for k in keys) / report.total
+    # Rounding can put a share of every component an ulp above 100.
+    return min(100.0, 100.0 * sum(report.per_component[k] for k in keys) / report.total)
 
 
 def delta_embodied(a: EmbodiedReport, b: EmbodiedReport) -> float:

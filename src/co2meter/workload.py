@@ -8,14 +8,14 @@ loads its inputs (weights, activations, KV cache) and stores its outputs
 exactly once.  Prefill processes the whole prompt in parallel; decode
 processes one token against a KV cache of the given position.
 `_layer_counts` is the one place these counts are written: it returns the 12
-kernels' count rows in canonical node order.  `build_layer_graph` wraps the
-rows in `KernelNode`s, and a `LayerGraph` is that layer up to node
-relabelling (`_layer_slots` decides), stored in canonical order.
+kernels' count rows in canonical node order (`layer_rows` for a phase).
 
-Roofline helpers classify graphs against a device's compute/bandwidth roofs
-and answer bandwidth/compute what-if questions; `kernel_costs` and
-`phase_costs` price a whole request's time and energy on a device straight
-from the count rows, with no graph built.
+The request-level paths (estimate, whatif, roofline) read count rows and build
+no graph: `kernel_costs` prices a request, `layer_intensity`/`kernel_intensity`
+give intensities and `whatif_speedup` sums roofline times.  `build_layer_graph`
+wraps the rows in `KernelNode`s, a `LayerGraph` being that layer up to node
+relabelling (`_layer_slots` decides) stored in canonical order; graphs and the
+graph helpers remain the predictor's input and the tests' reference oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UserInputError
 
@@ -147,8 +147,7 @@ class KernelNode:
     @property
     def arithmetic_intensity(self) -> float:
         """flops per moved byte; 0 when the kernel moves no bytes."""
-        total = self.total_bytes
-        return self.flops / total if total > 0 else 0.0
+        return kernel_intensity(self.flops, self.total_bytes)
 
 
 @dataclass(frozen=True)
@@ -248,13 +247,9 @@ def _layer_counts(cfg: LlmConfig, t: int, s: int) -> list[tuple[int, ...]]:
     ]
 
 
-def build_layer_graph(
-    cfg: LlmConfig,
-    req: Request,
-    phase: str,
-    position: int | None = None,
-) -> LayerGraph:
-    """Expand one decoder layer into its kernel graph for a phase.
+def layer_rows(cfg: LlmConfig, req: Request, phase: str,
+               position: int | None = None) -> list[tuple[int, ...]]:
+    """One decoder layer's count rows for a phase, in canonical node order.
 
     Prefill runs `req.prompt_len` tokens in parallel with self-attention over
     the prompt.  Decode runs one token against a KV cache of length
@@ -264,23 +259,22 @@ def build_layer_graph(
     if phase not in GRAPH_PHASES:
         raise ValueError(f"unknown phase {phase!r}")
     if phase == "prefill":
-        rows = _layer_counts(cfg, req.prompt_len, req.prompt_len)
-    else:
-        rows = _layer_counts(cfg, 1, _decode_position(req, position))
+        return _layer_counts(cfg, req.prompt_len, req.prompt_len)
+    if position is None:
+        position = req.prompt_len + req.output_len // 2
+    elif not 1 <= position <= req.prompt_len + req.output_len:
+        raise ValueError(
+            f"decode position {position} outside [1, {req.prompt_len + req.output_len}]"
+        )
+    return _layer_counts(cfg, 1, position)
+
+
+def build_layer_graph(cfg: LlmConfig, req: Request, phase: str,
+                      position: int | None = None) -> LayerGraph:
+    """One decoder layer's kernel graph for a phase: `layer_rows` as `KernelNode`s."""
+    rows = layer_rows(cfg, req, phase, position)
     nodes = tuple(KernelNode(kind, *row) for kind, row in zip(LAYER_KINDS, rows))
     return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase=phase)
-
-
-def _decode_position(req: Request, position: int | None) -> int:
-    """The KV position of a decode graph; None means mid-sequence."""
-    if position is None:
-        return req.prompt_len + req.output_len // 2
-    if not 1 <= position <= req.prompt_len + req.output_len:
-        raise ValueError(
-            f"decode position {position} outside [1, "
-            f"{req.prompt_len + req.output_len}]"
-        )
-    return position
 
 
 def graph_flops(graph: LayerGraph) -> int:
@@ -293,6 +287,24 @@ def graph_bytes(graph: LayerGraph) -> int:
 
 # ---------------------------------------------------------------------------
 # Roofline
+
+
+def kernel_intensity(flops: int, moved: int) -> float:
+    """flops per moved byte of one kernel's counts; 0 when it moves no bytes."""
+    return flops / moved if moved > 0 else 0.0
+
+
+def layer_intensity(rows: Sequence[Sequence[int]]) -> float:
+    """`phase_intensity` of a layer's count rows: summed flops over summed bytes."""
+    total = sum(sum(row[1:]) for row in rows)
+    if total <= 0:
+        raise ValueError("graph moves no bytes")
+    return sum(row[0] for row in rows) / total
+
+
+def boundedness(intensity: float, dev: DeviceSpec) -> str:
+    """memory_bound when an intensity sits at or below the device's ridge."""
+    return MEMORY_BOUND if intensity <= dev.ridge_point else COMPUTE_BOUND
 
 
 def roofline_time(node: KernelNode, dev: DeviceSpec) -> float:
@@ -308,10 +320,12 @@ def graph_time(graph: LayerGraph, dev: DeviceSpec) -> float:
 def apply_roofline(graph: LayerGraph, dev: DeviceSpec) -> LayerGraph:
     """Copy of the graph with est_time_s populated from the device roofline."""
     nodes = tuple(
-        dataclasses.replace(n, est_time_s=roofline_time(n, dev))
+        KernelNode(n.kind, n.flops, n.weight_bytes_loaded, n.act_bytes_loaded,
+                   n.act_bytes_stored, n.kv_bytes_loaded, n.kv_bytes_stored,
+                   roofline_time(n, dev))
         for n in graph.nodes
     )
-    return dataclasses.replace(graph, nodes=nodes)
+    return LayerGraph(nodes, graph.edges, graph.phase)
 
 
 def phase_intensity(graph: LayerGraph) -> float:
@@ -324,11 +338,11 @@ def phase_intensity(graph: LayerGraph) -> float:
 
 def classify(graph: LayerGraph, dev: DeviceSpec) -> str:
     """memory_bound when aggregate intensity sits at or below the ridge."""
-    return MEMORY_BOUND if phase_intensity(graph) <= dev.ridge_point else COMPUTE_BOUND
+    return boundedness(phase_intensity(graph), dev)
 
 
 def classify_node(node: KernelNode, dev: DeviceSpec) -> str:
-    return MEMORY_BOUND if node.arithmetic_intensity <= dev.ridge_point else COMPUTE_BOUND
+    return boundedness(node.arithmetic_intensity, dev)
 
 
 def scaled_device(
@@ -359,8 +373,10 @@ def whatif_speedup(
     """
     for dev in (base, modified):
         check_fits_dram(cfg, req, dev)
-    graph = build_layer_graph(cfg, req, phase, position=position)
-    return graph_time(graph, base) / graph_time(graph, modified)
+    rows = layer_rows(cfg, req, phase, position)
+    base_s, mod_s = (sum(max(r[0] / d.peak_ops, sum(r[1:]) / d.mem_bandwidth) for r in rows)
+                     for d in (base, modified))
+    return base_s / mod_s
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +438,12 @@ def global_features(
     """Aggregate features for the prefill phase or the whole request."""
     if phase not in FEATURE_PHASES:
         raise ValueError(f"unknown feature phase {phase!r}")
-    prefill_ops = sum(row[0] for row in _layer_counts(cfg, req.prompt_len, req.prompt_len))
+    prefill_ops = sum(row[0] for row in layer_rows(cfg, req, "prefill"))
     if phase == "prefill":
         total_ops = prefill_ops * cfg.num_layers
         seq_len = req.prompt_len
     else:
-        mid = _layer_counts(cfg, 1, _decode_position(req, None))
-        decode_ops = sum(row[0] for row in mid)
+        decode_ops = sum(row[0] for row in layer_rows(cfg, req, "decode"))
         total_ops = (prefill_ops + req.output_len * decode_ops) * cfg.num_layers
         seq_len = req.prompt_len + req.output_len
     return GlobalFeatures(
@@ -467,8 +482,7 @@ def with_prefill_energy(globals_: GlobalFeatures, energy_j: float) -> GlobalFeat
 MEMORY_BOUND_POWER_BLEND = 0.6
 
 
-@dataclass(frozen=True)
-class KernelCost:
+class KernelCost(NamedTuple):
     """One kernel of a request on a device, summed over its phase and all layers."""
 
     phase: str
@@ -492,20 +506,6 @@ def check_fits_dram(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> None:
         )
 
 
-def _flip(pred: Callable[[int], bool], lo: int, hi: int) -> int | None:
-    """First n in (lo, hi] with pred(n) != pred(lo), for a pred that changes at most once."""
-    first = pred(lo)
-    if pred(hi) == first:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid) == first:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 class _Pricer:
     """Roofline time and power of kernel counts on one device."""
 
@@ -517,7 +517,7 @@ class _Pricer:
 
     def memory_bound(self, flops: int, moved: int) -> bool:
         """`classify_node`'s test on raw counts."""
-        return (flops / moved if moved > 0 else 0.0) <= self.ridge
+        return kernel_intensity(flops, moved) <= self.ridge
 
     def prefill(self, kind: str, row: Sequence[int]) -> KernelCost:
         flops, moved = row[0], sum(row[1:])
@@ -536,22 +536,29 @@ class _Pricer:
         """The kernel at KV positions lo..hi, from its count rows at positions 0 and 1."""
         flops0, moved0 = zero[0], sum(zero[1:])
         dflops, dmoved = one[0] - flops0, sum(one[1:]) - moved0
-
-        def at(p: int) -> tuple[int, int]:
-            return flops0 + p * dflops, moved0 + p * dmoved
-
-        flip = _flip(lambda p: self.memory_bound(*at(p)), lo, hi)
-        cuts = [lo, hi + 1] if flip is None else [lo, flip, hi + 1]
+        first = self.memory_bound(flops0 + lo * dflops, moved0 + lo * dmoved)
+        segments = [(lo, hi + 1, first)]
+        flip = None
+        if self.memory_bound(flops0 + hi * dflops, moved0 + hi * dmoved) != first:
+            # The test changes at most once: find the first position it differs.
+            below, flip = lo, hi
+            while flip - below > 1:
+                mid = (below + flip) // 2
+                if self.memory_bound(flops0 + mid * dflops, moved0 + mid * dmoved) == first:
+                    below = mid
+                else:
+                    flip = mid
+            segments = [(lo, flip, first), (flip, hi + 1, not first)]
         flops = moved = 0
         time_s = energy_j = 0.0
-        for start, stop in zip(cuts, cuts[1:]):
+        for start, stop, memory in segments:
             n = stop - start
             position_sum = (start + stop - 1) * n // 2
             seg_flops = n * flops0 + position_sum * dflops
             seg_moved = n * moved0 + position_sum * dmoved
             # A memory-bound kernel's roofline time is its memory time: the
             # two roofs cross at the ridge, up to an ulp at a tie.
-            if self.memory_bound(*at(start)):
+            if memory:
                 seg_time, power = seg_moved / self.dev.mem_bandwidth, self.blend
             else:
                 seg_time, power = seg_flops / self.dev.peak_ops, self.dev.active_power
@@ -561,7 +568,7 @@ class _Pricer:
         return KernelCost(
             "decode", kind, flops * self.layers, moved * self.layers,
             time_s * self.layers, energy_j * self.layers,
-            MEMORY_BOUND if self.memory_bound(*at(lo)) else COMPUTE_BOUND, flip,
+            MEMORY_BOUND if first else COMPUTE_BOUND, flip,
         )
 
 
@@ -578,7 +585,7 @@ def kernel_costs(
     check_fits_dram(cfg, req, dev)
     pricer = _Pricer(dev, cfg.num_layers)
     lo, hi = req.prompt_len, req.prompt_len + req.output_len - 1
-    prefill = _layer_counts(cfg, req.prompt_len, req.prompt_len)
+    prefill = layer_rows(cfg, req, "prefill")
     zero, one = _layer_counts(cfg, 1, 0), _layer_counts(cfg, 1, 1)
     return tuple(pricer.prefill(k, row) for k, row in zip(LAYER_KINDS, prefill)) + tuple(
         pricer.decode(k, a, b, lo, hi) for k, a, b in zip(LAYER_KINDS, zero, one)

@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -456,6 +457,59 @@ def test_embodied_custom_attribution(capsys):
         capsys, "embodied", "--bom", "rk3588", "--llm-components", "die:npu",
     )
     assert doc["llm_fraction_pct"] == pytest.approx(100.0 * 0.0534 / 4.5765, abs=0.01)
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (2, ""), err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("components", ["pcb,pcb", "die:npu,die:npu", "dram,pcb,dram"])
+def test_embodied_repeated_components_exit_2(capsys, components, fmt):
+    assert_one_error_line(*run(capsys, "embodied", "--bom", "rk3588",
+                               "--llm-components", components, "--format", fmt))
+
+
+@pytest.mark.parametrize("flag", ["--device", "--config"])
+def test_unknown_asset_name_exits_2_naming_the_bundled_ones(capsys, flag):
+    code, out, err = run(capsys, "estimate", flag, "no-such-asset",
+                         "--prompt-len", "8", "--output-len", "8")
+    assert_one_error_line(code, out, err)
+    subdir = {"--device": "devices", "--config": "llm_configs"}[flag]
+    have = assets.list_assets(subdir)
+    assert err == f"error: no bundled {subdir} asset 'no-such-asset'; have {have}\n"
+
+
+def test_asset_root_override_serves_its_own_assets(capsys, tmp_path, monkeypatch):
+    root = tmp_path / "assets"
+    shutil.copytree(assets.asset_root() / "llm_configs", root / "llm_configs")
+    (root / "devices").mkdir()
+    doc = json.loads((assets.asset_root() / "devices" / "rk3588.json").read_text())
+    doc["name"] = "bench-board"
+    (root / "devices" / "bench-board.json").write_text(json.dumps(doc))
+    (root / "devices" / "folder.json").mkdir()  # a directory is no asset
+    monkeypatch.setenv(assets.ASSETS_ENV_VAR, str(root))
+    argv = ["estimate", "--prompt-len", "8", "--output-len", "8", "--device"]
+    assert run_json(capsys, *argv, "bench-board")["device"] == "bench-board"
+    for name in ("rk3588", "folder"):
+        code, out, err = run(capsys, *argv, name)
+        assert_one_error_line(code, out, err)
+        assert err == (f"error: no bundled devices asset {name!r}; "
+                       "have ['bench-board', 'folder']\n")
+
+
+@pytest.mark.parametrize("kind", ["file", "missing"])
+def test_asset_root_that_is_no_directory_exits_2(capsys, tmp_path, monkeypatch, kind):
+    root = tmp_path / "assets"
+    if kind == "file":
+        root.write_text("{}")
+    monkeypatch.setenv(assets.ASSETS_ENV_VAR, str(root))
+    for argv in (["estimate", "--prompt-len", "8", "--output-len", "8"],
+                 ["embodied", "--bom", "rk3588"]):
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: asset root {root} is not a directory\n"
 
 
 def test_whatif_scenarios(capsys):

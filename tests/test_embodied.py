@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,42 @@ def test_llm_fraction_validation():
         emb.llm_fraction(report, ["die:gpu"])  # rk3588 has an npu, not a gpu
     with pytest.raises(UserInputError):
         emb.llm_fraction(report, [])
+
+
+@st.composite
+def reports_and_components(draw):
+    """A random BOM's report and a non-repeating list of its component keys."""
+    fractions = draw(st.lists(st.floats(0.001, 0.33), max_size=3))
+    positive = st.floats(0.001, 100.0)
+    bom = emb.SocBom(
+        name="random",
+        die_area_cm2=draw(positive),
+        cpa_die_kg_per_cm2=draw(positive),
+        units=tuple(emb.DieUnit(f"u{i}", f) for i, f in enumerate(fractions)),
+        pcb_area_cm2=draw(positive),
+        cpa_pcb_kg_per_cm2=draw(positive),
+        dram_kg=draw(st.floats(0.0, 100.0)),
+        peripherals=tuple(
+            (f"p{i}", kg) for i, kg in enumerate(draw(st.lists(st.floats(0.0, 100.0), max_size=3)))
+        ),
+    )
+    report = emb.soc_embodied(bom)
+    keys = draw(st.lists(st.sampled_from(sorted(report.per_component)), min_size=1, unique=True))
+    return report, keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports_and_components())
+def test_llm_fraction_is_the_share_of_distinct_components(drawn):
+    report, keys = drawn
+    frac = emb.llm_fraction(report, keys)
+    assert 0.0 <= frac <= 100.0
+    share = math.fsum(report.per_component[k] for k in keys) / math.fsum(
+        report.per_component.values()
+    )
+    assert frac == pytest.approx(100.0 * share, rel=1e-12, abs=1e-12)
+    with pytest.raises(UserInputError, match="repeated components for attribution"):
+        emb.llm_fraction(report, [*keys, keys[-1]])
 
 
 def test_peripheral_components_are_namespaced():

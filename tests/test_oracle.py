@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from co2meter.workload import (
     COMPUTE_BOUND,
     MEMORY_BOUND,
     DeviceSpec,
+    KernelCost,
     LlmConfig,
     Request,
     build_layer_graph,
@@ -26,11 +28,15 @@ from co2meter.workload import (
     classify_node,
     global_features,
     graph_flops,
+    graph_time,
     kv_cache_bytes,
     phase_intensity,
+    roofline_time,
+    scaled_device,
     weight_memory_bytes,
+    whatif_speedup,
 )
-from oracle_reference import reference_costs
+from oracle_reference import kernel_power, reference_costs
 
 REL = 1e-12
 _SCORE = 2  # index of attn_score in a layer graph
@@ -164,6 +170,13 @@ def test_attention_flip_position_near_the_ridge(cfg, prompt, output, kernel, ulp
     assert row.boundedness == classes[0]
     flips = [prompt + i for i in range(1, output) if classes[i] != classes[0]]
     assert row.flip_position == (flips[0] if flips else None)
+    # the kernel's own row, not only the phase totals, sums the per-position loop
+    nodes = [build_layer_graph(cfg, req, "decode", position=p).nodes[kernel]
+             for p in range(prompt, prompt + output)]
+    time_s = sum(roofline_time(n, dev) for n in nodes) * cfg.num_layers
+    energy_j = sum(roofline_time(n, dev) * kernel_power(n, dev) for n in nodes) * cfg.num_layers
+    assert row.time_s == pytest.approx(time_s, rel=REL)
+    assert row.energy_j == pytest.approx(energy_j, rel=REL)
     assert_matches_reference(cfg, req, dev)
 
 
@@ -211,11 +224,71 @@ def test_kernel_rows_sum_to_phase_totals_and_count_every_position(cfg, req, dev)
         assert row.bytes == cfg.num_layers * sum(g.nodes[i].total_bytes for g in decode_graphs)
 
 
-def _cli_json(argv):
+def _cli_text(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
-    return json.loads(out.getvalue())
+    return out.getvalue()
+
+
+def _cli_json(argv):
+    return json.loads(_cli_text(argv))
+
+
+@contextlib.contextmanager
+def _resolving(cfg, dev):
+    """The CLI resolves every --config and --device to these objects."""
+    with mock.patch.object(cli, "_resolve_config", lambda _: cfg), \
+            mock.patch.object(cli, "_resolve_device", lambda _: dev):
+        yield
+
+
+def _request_args(req):
+    return ["--prompt-len", str(req.prompt_len), "--output-len", str(req.output_len)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), requests, devices(), st.floats(0.25, 16.0), st.floats(0.25, 16.0))
+def test_row_paths_equal_the_graph_reference_bit_for_bit(cfg, req, dev, compute, bandwidth):
+    """estimate, roofline and whatif read count rows; each figure equals the
+    one the graph helpers compute from `build_layer_graph`, to the bit."""
+    prefill = build_layer_graph(cfg, req, "prefill")
+    mid = build_layer_graph(cfg, req, "decode")
+    with _resolving(cfg, dev):
+        est = _cli_json(["estimate", *_request_args(req)])
+        kernels = _cli_json(["roofline", *_request_args(req)])["kernels"]
+    assert est["prefill"]["intensity"] == phase_intensity(prefill)
+    assert est["prefill"]["boundedness"] == classify(prefill, dev)
+    assert est["decode"]["intensity_mid"] == phase_intensity(mid)
+    assert est["decode"]["boundedness_mid"] == classify(mid, dev)
+    assert kernels == [
+        {"phase": graph.phase, "kind": node.kind,
+         "intensity": node.arithmetic_intensity,
+         "perf": min(dev.peak_ops, dev.mem_bandwidth * node.arithmetic_intensity),
+         "boundedness": classify_node(node, dev)}
+        for graph in (prefill, mid) for node in graph.nodes
+    ]
+    modified = scaled_device(dev, compute, bandwidth)
+    for graph in (prefill, mid):
+        assert whatif_speedup(cfg, req, graph.phase, dev, modified) == (
+            graph_time(graph, dev) / graph_time(graph, modified)
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs(), requests, devices())
+def test_breakdown_columns_are_the_kernel_cost_fields(cfg, req, dev):
+    rows = kernel_costs(cfg, req, dev)
+    args = ["estimate", *_request_args(req), "--breakdown"]
+    with _resolving(cfg, dev):
+        kernels = _cli_json(args)["kernels"]
+        csv = _cli_text([*args, "--format", "csv"]).splitlines()
+    assert kernels == [r._asdict() for r in rows]
+    assert all(sorted(k) == sorted(KernelCost._fields) for k in kernels)
+    assert csv[0] == ",".join(KernelCost._fields) and len(csv) == 1 + len(rows)
+    for field in KernelCost._fields:
+        with pytest.raises(AttributeError):
+            setattr(rows[0], field, None)
 
 
 @pytest.mark.parametrize("config", _CONFIGS)
@@ -251,6 +324,8 @@ def test_estimate_roofline_and_globals_equal_the_graph_builder_path(config):
 
 
 def test_estimate_and_make_sample_build_each_layer_graph_once(monkeypatch):
+    """`make_sample` builds each of its two layer graphs once; estimate,
+    whatif, roofline and the pricer read count rows and build no graph."""
     built, graphs = [], []
     build, post_init = wl.build_layer_graph, wl.LayerGraph.__post_init__
     for module in (wl, oracle):
@@ -259,17 +334,16 @@ def test_estimate_and_make_sample_build_each_layer_graph_once(monkeypatch):
     monkeypatch.setattr(
         wl.LayerGraph, "__post_init__", lambda self: graphs.append(self.phase) or post_init(self)
     )
-    _cli_json(["estimate", "--prompt-len", "100", "--output-len", "64"])
-    assert built == ["prefill", "decode"]
-    built.clear()
+    for argv in (["estimate", "--prompt-len", "100", "--output-len", "64"],
+                 ["estimate", "--prompt-len", "100", "--output-len", "64", "--breakdown"],
+                 ["whatif", "--scenario", "rk-npu"],
+                 ["roofline"]):
+        _cli_json(argv)
     cfg, dev = assets.load_llm_config("tinyllama-11b"), assets.load_device("rk3588")
-    make_sample(cfg, Request(96, 64), dev, np.random.default_rng(0), 0.05)
-    assert built == ["prefill", "decode"]
-    # the pricer reads count rows: no graph at all
-    built.clear()
-    graphs.clear()
     kernel_costs(cfg, Request(96, 64), dev)
     assert built == graphs == []
+    make_sample(cfg, Request(96, 64), dev, np.random.default_rng(0), 0.05)
+    assert built == ["prefill", "decode"]
 
 
 @settings(max_examples=100, deadline=None)
