@@ -3,8 +3,8 @@
     PYTHONPATH=src python -m pytest bench/ -q
 
 One epoch of `train_tower` over a fixed 140-sample prepared set (five
-mini-batches of at most 32), one batched forward+backward pass over a
-32-sample mini-batch through a reused workspace (as training runs it),
+mini-batches of at most 32), one batched loss-and-gradient pass over a
+32-sample mini-batch gathered into a reused workspace (as training runs it),
 chained `evaluate_params` over 200 samples, a 10-epoch `train` over the
 same 200 samples (featurization, norm fitting, both towers and validation),
 and a `save_params_json` + `load_params_json` round trip of both towers and
@@ -24,7 +24,7 @@ from co2meter.predictor import (
     save_params_json,
     train,
 )
-from co2meter.predictor.gnn import Workspace, batch_loss_and_grads
+from co2meter.predictor.gnn import Workspace, gathered_loss_and_grads
 from co2meter.predictor.training import _prepare, fit_norms, train_tower
 
 CONFIGS = ("qwen15-05b", "tinyllama-11b", "internlm2-18b")
@@ -56,11 +56,15 @@ def test_train_tower_epoch(benchmark, prepared):
 
 def test_batch_forward_backward(benchmark, prepared):
     params, train_set = prepared
-    h0, g, log_target = train_set.h0[:32], train_set.g[:32], train_set.log_target[:32]
-    workspace = Workspace.allocate(params.prefill, 32, h0.shape[1])
-    loss, grad = benchmark(
-        batch_loss_and_grads, params.prefill, h0, train_set.preds, g, log_target, workspace
-    )
+    rows = np.arange(32)
+    g, log_target = train_set.g[rows], train_set.log_target[rows]
+    workspace = Workspace.allocate(params.prefill, len(rows), train_set.h0.shape[1])
+
+    def step():
+        ws = workspace.gather(train_set.c0, rows, train_set.preds)
+        return gathered_loss_and_grads(params.prefill, ws, g, log_target)
+
+    loss, grad = benchmark(step)
     assert np.isfinite(loss) and grad.shape == params.prefill.flat.shape
 
 

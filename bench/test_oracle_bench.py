@@ -2,10 +2,10 @@
 
     PYTHONPATH=src python -m pytest bench/ -q
 
-`phase_costs` (internlm2-18b on agx_orin, prompt 500) at three decode
-lengths; `kernel_costs` on that request (output 1024) on agx_orin, where no
-decode kernel flips boundedness, and on a board whose ridge sits at
-attn_score's mid-decode intensity, where it flips; an in-process
+`phase_totals` of `kernel_costs` (internlm2-18b on agx_orin, prompt 500)
+at three decode lengths; `kernel_costs` on that request (output 1024) on
+agx_orin, where no decode kernel flips boundedness, and on a board whose
+ridge sits at attn_score's mid-decode intensity, where it flips; an in-process
 `co2meter estimate` of that request to a new `--out` file, unlinked after
 each call (the op `estimate_sweep` times); and `make_sample` (tinyllama on
 rk3588, prompt 96, output 64).
@@ -18,16 +18,19 @@ import pytest
 
 from co2meter import assets, cli
 from co2meter import workload as wl
-from co2meter.predictor import make_sample, phase_costs
+from co2meter.predictor import make_sample
 from co2meter.workload import Request
 
 _SCORE = 2  # attn_score's index in a layer's count rows
 
 
 @pytest.mark.parametrize("output_len", [64, 1024, 4096])
-def test_phase_costs(benchmark, output_len):
+def test_phase_totals(benchmark, output_len):
     cfg, dev = assets.load_llm_config("internlm2-18b"), assets.load_device("agx_orin")
-    (_, prefill_j), (_, decode_j) = benchmark(phase_costs, cfg, Request(500, output_len), dev)
+    req = Request(500, output_len)
+    (_, prefill_j), (_, decode_j) = benchmark(
+        lambda: wl.phase_totals(wl.kernel_costs(cfg, req, dev))
+    )
     assert 0 < prefill_j and 0 < decode_j
 
 

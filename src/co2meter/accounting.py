@@ -311,7 +311,7 @@ def pipeline_from_json(
     The llm stage's `config` and `device` entries are either inline objects or
     names handed to the resolvers (the bundled-asset loaders in practice).
     """
-    from .workload import Request, config_from_json, device_from_json
+    from .workload import Request, config_from_json, device_from_json, json_int
 
     def resolve(entry, resolver, inline, what):
         if isinstance(entry, str):
@@ -340,7 +340,8 @@ def pipeline_from_json(
         stage = LlmStage(
             config=resolve(llm["config"], config_resolver, config_from_json, "config"),
             request=Request(
-                prompt_len=int(llm["prompt_len"]), output_len=int(llm["output_len"])
+                prompt_len=json_int(llm["prompt_len"], "prompt_len"),
+                output_len=json_int(llm["output_len"], "output_len"),
             ),
             device=resolve(llm["device"], device_resolver, device_from_json, "device"),
         )

@@ -306,8 +306,9 @@ def _cmd_eval(args: argparse.Namespace) -> None:
                 raise UserInputError(f"--compare-baselines needs a non-empty {name} split")
         train_samples = [dataset[i] for i in train_idx]
         test_samples = [dataset[i] for i in test_idx]
+        epochs = args.baseline_epochs
         bcfg = pr.TrainConfig(
-            epochs=args.baseline_epochs or meta.get("epochs", 200),
+            epochs=meta.get("epochs", 200) if epochs is None else epochs,
             seed=seed,
             train_frac=train_frac,
             val_frac=val_frac,
@@ -471,7 +472,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
         total_footprint,
     )
     from .embodied import soc_embodied
-    from .workload import llm_request_energy
+    from .workload import request_energy
     pipeline = _resolve_pipeline(args.pipeline)
     # A camera or speaker pipeline has no mic sample count or display grey
     # level, so --input mic and --output display can only keep a stage.
@@ -499,7 +500,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     def llm_energy(stage: LlmStage) -> float:
         cfg, req, dev = stage.config, stage.request, stage.device
         if not args.params:
-            return llm_request_energy(cfg, req, dev)
+            return sum(request_energy(cfg, req, dev))
         return pr.predict_sample(params, pr.featurize(cfg, req, dev))[1]
 
     breakdown = app_energy(pipeline, models, llm_energy)

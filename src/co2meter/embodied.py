@@ -146,11 +146,6 @@ def llm_fraction(report: EmbodiedReport, components: Iterable[str]) -> float:
     return min(100.0, 100.0 * sum(report.per_component[k] for k in keys) / report.total)
 
 
-def delta_embodied(a: EmbodiedReport, b: EmbodiedReport) -> float:
-    """Total of b minus total of a (antisymmetric by construction)."""
-    return b.total - a.total
-
-
 # ---------------------------------------------------------------------------
 # What-if edits
 

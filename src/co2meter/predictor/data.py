@@ -9,7 +9,8 @@ Every `LayerGraph` is stored in canonical node order, so the node features
 of S graphs are one (S, 12, NODE_FEATURE_DIM) table (`node_feature_tensor`):
 the numeric columns from one `np.array` call, then the kind one-hot, one
 constant block.  A loaded graph of another topology, or with a NaN, infinite
-or negative count or feature, is refused with path and line.
+or negative count or feature, or a count or edge endpoint that is not an
+exact integer, is refused with path and line.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import UserInputError
-from ..workload import KERNEL_KINDS, LAYER_KINDS, GlobalFeatures, KernelNode, LayerGraph
+from ..workload import (COUNT_FIELDS, KERNEL_KINDS, LAYER_KINDS, GlobalFeatures, KernelNode,
+                        LayerGraph, json_int)
 
 NUMERIC_NODE_FEATURES = (
     "flops",
@@ -53,6 +55,7 @@ NODE_FEATURE_DIM = len(NUMERIC_NODE_FEATURES) + len(KERNEL_KINDS)
 GLOBAL_DIM = len(GLOBAL_FEATURE_NAMES)
 
 _numeric_features = operator.attrgetter(*NUMERIC_NODE_FEATURES)
+_node_counts = operator.attrgetter(*COUNT_FIELDS)
 # The kind one-hot of the layer's nodes in canonical order.
 _KIND_ONE_HOT = np.eye(len(KERNEL_KINDS))[[KERNEL_KINDS.index(k) for k in LAYER_KINDS]]
 
@@ -163,16 +166,16 @@ def _graph_to_json(graph: LayerGraph) -> dict:
     }
 
 
-def _endpoint(value: object) -> int:
-    """An edge endpoint: an exact JSON integer, never a float or a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"edge endpoint {value!r} is not an integer")
-    return value
-
-
 def _graph_from_json(doc: Mapping) -> LayerGraph:
     nodes = tuple(KernelNode(**n) for n in doc["nodes"])
-    edges = tuple((_endpoint(src), _endpoint(dst)) for src, dst in doc["edges"])
+    if {type(c) for node in nodes for c in _node_counts(node)} - {int}:
+        for node in nodes:  # a float or bool count: name it
+            for field in COUNT_FIELDS:
+                json_int(getattr(node, field), field)
+    edges = tuple(
+        (json_int(src, "edge endpoint"), json_int(dst, "edge endpoint"))
+        for src, dst in doc["edges"]
+    )
     return LayerGraph(nodes=nodes, edges=edges, phase=doc["phase"])
 
 
@@ -193,11 +196,11 @@ def _globals_to_json(gf: GlobalFeatures) -> dict:
 def _globals_from_json(doc: Mapping) -> GlobalFeatures:
     return GlobalFeatures(
         total_ops=float(doc["total_ops"]),
-        layer_count=int(doc["layer_count"]),
-        hidden_dim=int(doc["hidden_dim"]),
-        ffn_dim=int(doc["ffn_dim"]),
-        prompt_len=int(doc["prompt_len"]),
-        output_len=int(doc["output_len"]),
+        layer_count=json_int(doc["layer_count"], "layer_count"),
+        hidden_dim=json_int(doc["hidden_dim"], "hidden_dim"),
+        ffn_dim=json_int(doc["ffn_dim"], "ffn_dim"),
+        prompt_len=json_int(doc["prompt_len"], "prompt_len"),
+        output_len=json_int(doc["output_len"], "output_len"),
         weight_memory_bytes=float(doc["weight_memory_bytes"]),
         kv_cache_bytes=float(doc["kv_cache_bytes"]),
         phase=doc["phase"],

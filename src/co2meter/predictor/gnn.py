@@ -21,8 +21,9 @@ A tower's arrays are views of one flat parameter buffer (`TowerParams.flat`),
 and `backward_batch` returns one flat gradient in the same layout, so Adam
 updates one array per step.  The passes write every activation and gradient
 into a `Workspace` with `out=`; training reuses one, sized to a mini-batch,
-for every step, and other callers get a fresh one per pass, with the same
-arithmetic and bits.  Backpropagation is hand-derived;
+for every step (`Workspace.gather` fills it, `gathered_loss_and_grads` runs
+the loss and its gradient), and other callers get a fresh one per pass, with
+the same arithmetic and bits.  Backpropagation is hand-derived;
 `grad_check` verifies it against central finite differences, and
 `tests/gnn_reference.py` keeps an independent per-sample pass that the tests
 hold the batched one to.  Which graph, globals and norms slot feed each tower
@@ -413,30 +414,12 @@ def backward_batch(tower: TowerParams, ws: Workspace, dy: np.ndarray) -> np.ndar
     return ws.grad
 
 
-def batch_loss_and_grads(
-    tower: TowerParams,
-    h0: np.ndarray,
-    preds: tuple[tuple[int, ...], ...],
-    g: np.ndarray,
-    log_target: np.ndarray,
-    workspace: Workspace | None = None,
-) -> tuple[float, np.ndarray]:
-    """Summed squared log-space error of a stack plus its summed flat gradient."""
-    y, cache = forward_batch(tower, h0, preds, g, workspace)
-    return _squared_loss_and_grads(tower, cache, y, log_target)
-
-
 def gathered_loss_and_grads(
     tower: TowerParams, ws: Workspace, g: np.ndarray, log_target: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """`batch_loss_and_grads` of the samples a `Workspace.gather` head holds."""
-    return _squared_loss_and_grads(tower, ws, _forward_head(tower, ws, g), log_target)
-
-
-def _squared_loss_and_grads(
-    tower: TowerParams, ws: Workspace, y: np.ndarray, log_target: np.ndarray
-) -> tuple[float, np.ndarray]:
-    err = y - log_target
+    """Summed squared log-space error of the samples a `Workspace.gather` head
+    holds, plus its summed flat gradient (`ws.grad`)."""
+    err = _forward_head(tower, ws, g) - log_target
     return float(err @ err), backward_batch(tower, ws, 2.0 * err)
 
 

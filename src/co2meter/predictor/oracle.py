@@ -1,8 +1,9 @@
 """Synthetic energy ground truth and dataset generation.
 
-The ground truth is `workload.phase_costs`, re-exported here with the rest of
-the pricing API.  Labels receive one multiplicative log-normal noise factor per
-phase component, so the total label always exceeds the prefill label.
+The ground truth is `workload.request_energy`, the per-phase joules of the
+closed-form `kernel_costs` rows.  Labels receive one multiplicative log-normal
+noise factor per phase component, so the total label always exceeds the
+prefill label.
 """
 
 from __future__ import annotations
@@ -12,20 +13,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import UserInputError
-from ..workload import (  # the pricing names are re-exported
-    MEMORY_BOUND_POWER_BLEND,
+from ..workload import (
     DeviceSpec,
-    KernelCost,
     LlmConfig,
     Request,
     apply_roofline,
     build_layer_graph,
     check_fits_dram,
     global_features,
-    kernel_costs,
-    llm_request_energy,
-    phase_costs,
-    phase_totals,
     request_energy,
 )
 from .data import GraphSample, PredictorInputs
@@ -35,7 +30,7 @@ RequestSampler = Callable[[np.random.Generator], Request]
 
 def featurize(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> PredictorInputs:
     """Roofline-timed prefill and mid-decode graphs with their globals;
-    raises UserInputError like `phase_costs` when the request overflows DRAM."""
+    raises UserInputError like `kernel_costs` when the request overflows DRAM."""
     check_fits_dram(cfg, req, dev)
     return PredictorInputs(
         apply_roofline(build_layer_graph(cfg, req, "prefill"), dev),
@@ -72,7 +67,7 @@ def make_sample(
 ) -> GraphSample:
     """One labeled sample; graphs carry device roofline times as features."""
     inputs = featurize(cfg, req, dev)
-    (_, clean_prefill), (_, clean_decode) = phase_costs(cfg, req, dev)
+    clean_prefill, clean_decode = request_energy(cfg, req, dev)
     with np.errstate(over="ignore"):  # GraphSample refuses the infinite label
         noise = (
             np.exp(rng.normal(0.0, noise_sigma, size=2))

@@ -10,12 +10,15 @@ processes one token against a KV cache of the given position.
 `_layer_counts` is the one place these counts are written: it returns the 12
 kernels' count rows in canonical node order (`layer_rows` for a phase).
 
-The request-level paths (estimate, whatif, roofline) read count rows and build
-no graph: `kernel_costs` prices a request, `layer_intensity`/`kernel_intensity`
-give intensities and `whatif_speedup` sums roofline times.  `build_layer_graph`
-wraps the rows in `KernelNode`s, a `LayerGraph` being that layer up to node
-relabelling (`_layer_slots` decides) stored in canonical order; graphs and the
-graph helpers remain the predictor's input and the tests' reference oracle.
+The request-level paths (estimate, whatif, roofline, the oracle) read count
+rows and build no graph: `kernel_costs` prices each kernel of a request,
+`phase_totals` sums its rows per phase (`request_energy` keeps the joules),
+`layer_intensity`/`kernel_intensity` give intensities and `whatif_speedup`
+sums roofline times.  `build_layer_graph` wraps the rows in `KernelNode`s, a
+`LayerGraph` being that layer up to node relabelling (`_layer_slots` decides)
+stored in canonical order; graphs, `apply_roofline` and `global_features` are
+the predictor's input, and graphs with `roofline_time` / `graph_time` the
+tests' reference oracle.
 """
 
 from __future__ import annotations
@@ -114,8 +117,8 @@ class DeviceSpec:
         return self.peak_ops / self.mem_bandwidth
 
 
-_COUNT_FIELDS = ("flops", "weight_bytes_loaded", "act_bytes_loaded",
-                 "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored")
+COUNT_FIELDS = ("flops", "weight_bytes_loaded", "act_bytes_loaded",
+                "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored")
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class KernelNode:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        for field in (*_COUNT_FIELDS, "est_time_s"):
+        for field in (*COUNT_FIELDS, "est_time_s"):
             if not 0 <= getattr(self, field) < math.inf:  # NaN fails too
                 raise ValueError(f"{field} must be finite and >= 0")
 
@@ -225,7 +228,7 @@ def _layer_slots(nodes: Sequence[KernelNode], edges: Sequence[tuple[int, int]]) 
 
 
 def _layer_counts(cfg: LlmConfig, t: int, s: int) -> list[tuple[int, ...]]:
-    """The `_COUNT_FIELDS` of each layer kernel, in canonical node order, for t
+    """The `COUNT_FIELDS` of each layer kernel, in canonical node order, for t
     tokens attending over s KV positions.  Every count is affine in s."""
     d, f, h = cfg.hidden_dim, cfg.ffn_dim, cfg.num_heads
     ab, wb = cfg.act_bytes, cfg.weight_bytes
@@ -281,10 +284,6 @@ def graph_flops(graph: LayerGraph) -> int:
     return sum(n.flops for n in graph.nodes)
 
 
-def graph_bytes(graph: LayerGraph) -> int:
-    return sum(n.total_bytes for n in graph.nodes)
-
-
 # ---------------------------------------------------------------------------
 # Roofline
 
@@ -330,19 +329,12 @@ def apply_roofline(graph: LayerGraph, dev: DeviceSpec) -> LayerGraph:
 
 def phase_intensity(graph: LayerGraph) -> float:
     """Aggregate arithmetic intensity (total flops / total bytes)."""
-    total = graph_bytes(graph)
-    if total <= 0:
-        raise ValueError("graph moves no bytes")
-    return graph_flops(graph) / total
+    return layer_intensity([(n.flops, n.total_bytes) for n in graph.nodes])
 
 
 def classify(graph: LayerGraph, dev: DeviceSpec) -> str:
     """memory_bound when aggregate intensity sits at or below the ridge."""
     return boundedness(phase_intensity(graph), dev)
-
-
-def classify_node(node: KernelNode, dev: DeviceSpec) -> str:
-    return boundedness(node.arithmetic_intensity, dev)
 
 
 def scaled_device(
@@ -516,7 +508,7 @@ class _Pricer:
         )
 
     def memory_bound(self, flops: int, moved: int) -> bool:
-        """`classify_node`'s test on raw counts."""
+        """`boundedness`'s test on raw counts."""
         return kernel_intensity(flops, moved) <= self.ridge
 
     def prefill(self, kind: str, row: Sequence[int]) -> KernelCost:
@@ -592,16 +584,6 @@ def kernel_costs(
     )
 
 
-def phase_costs(
-    cfg: LlmConfig,
-    req: Request,
-    dev: DeviceSpec,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """((prefill_s, prefill_j), (decode_s, decode_j)) of one request, noise-free;
-    raises UserInputError like `kernel_costs`."""
-    return phase_totals(kernel_costs(cfg, req, dev))
-
-
 def phase_totals(
     rows: Sequence[KernelCost],
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -617,14 +599,10 @@ def phase_totals(
 def request_energy(
     cfg: LlmConfig, req: Request, dev: DeviceSpec
 ) -> tuple[float, float]:
-    """(prefill joules, decode joules) for one request, noise-free."""
-    (_, prefill_j), (_, decode_j) = phase_costs(cfg, req, dev)
+    """(prefill joules, decode joules) for one request, noise-free; raises
+    UserInputError like `kernel_costs`."""
+    (_, prefill_j), (_, decode_j) = phase_totals(kernel_costs(cfg, req, dev))
     return prefill_j, decode_j
-
-
-def llm_request_energy(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> float:
-    """Whole-request inference energy in joules (oracle ground truth)."""
-    return sum(request_energy(cfg, req, dev))
 
 
 # ---------------------------------------------------------------------------
@@ -636,15 +614,19 @@ _CONFIG_FIELDS = ("name", "num_layers", "hidden_dim", "num_heads", "head_dim",
                   "ffn_dim", "vocab_size", "weight_bytes", "act_bytes")
 
 
+def json_int(value: object, field: str) -> int:
+    """An integer field of a JSON document: an exact int, never a float or a
+    bool, so a count is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} {value!r} is not an integer")
+    return value
+
+
 def device_from_json(doc: Mapping) -> DeviceSpec:
     try:
         return DeviceSpec(**{k: doc[k] for k in _DEVICE_FIELDS})
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed device spec: {exc}") from exc
-
-
-def device_to_json(dev: DeviceSpec) -> dict:
-    return {k: getattr(dev, k) for k in _DEVICE_FIELDS}
 
 
 def load_device_json(path: str | Path) -> DeviceSpec:
@@ -657,13 +639,10 @@ def load_device_json(path: str | Path) -> DeviceSpec:
 
 def config_from_json(doc: Mapping) -> LlmConfig:
     try:
-        return LlmConfig(**{k: doc[k] for k in _CONFIG_FIELDS if k in doc})
+        return LlmConfig(**{k: doc[k] if k == "name" else json_int(doc[k], k)
+                            for k in _CONFIG_FIELDS if k in doc})
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed llm config: {exc}") from exc
-
-
-def config_to_json(cfg: LlmConfig) -> dict:
-    return {k: getattr(cfg, k) for k in _CONFIG_FIELDS}
 
 
 def load_config_json(path: str | Path) -> LlmConfig:

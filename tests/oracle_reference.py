@@ -1,14 +1,14 @@
 """Reference oracle: one kernel graph per decode position, summed in a loop.
 
-`co2meter.workload.phase_costs` prices decode from a closed-form affine
-table instead; the tests hold it to this loop.
+`co2meter.workload.kernel_costs` prices decode from a closed-form affine
+table instead; the tests hold `phase_totals` of its rows to this loop.
 """
 
 from co2meter.workload import (
     COMPUTE_BOUND,
     MEMORY_BOUND_POWER_BLEND,
+    boundedness,
     build_layer_graph,
-    classify_node,
     graph_time,
     roofline_time,
 )
@@ -16,7 +16,7 @@ from co2meter.workload import (
 
 def kernel_power(node, dev):
     """Power draw while a kernel runs, from its roofline boundedness."""
-    if classify_node(node, dev) == COMPUTE_BOUND:
+    if boundedness(node.arithmetic_intensity, dev) == COMPUTE_BOUND:
         return dev.active_power
     return dev.idle_power + MEMORY_BOUND_POWER_BLEND * (
         dev.active_power - dev.idle_power

@@ -11,8 +11,7 @@ from co2meter import accounting as acc
 from co2meter import assets
 from co2meter import device_models as dm
 from co2meter.errors import ConfigurationError, NoBreakEvenError, UserInputError
-from co2meter.predictor.oracle import llm_request_energy
-from co2meter.workload import LlmConfig, Request
+from co2meter.workload import LlmConfig, Request, request_energy
 
 GLOBAL_CI = acc.CarbonIntensity("global", 0.48)
 
@@ -145,7 +144,7 @@ def _pipeline():
 
 
 def _oracle(stage):
-    return llm_request_energy(stage.config, stage.request, stage.device)
+    return sum(request_energy(stage.config, stage.request, stage.device))
 
 
 def test_breakdown_stage_arithmetic():

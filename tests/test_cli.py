@@ -854,6 +854,10 @@ _BAD_SAMPLES["foreign topology"] = _set("decode_graph", "edges", 12, value=[5, 1
 # endpoints that int() would truncate to the edges they replace
 _BAD_SAMPLES["fractional endpoints"] = _set("prefill_graph", "edges", 0, value=[0.9, 1.2])
 _BAD_SAMPLES["bool endpoint"] = _set("prefill_graph", "edges", 1, value=[True, 2])
+# integer fields that int() would truncate
+_BAD_SAMPLES["fractional prompt_len"] = _set("prefill_globals", "prompt_len", value=122.9)
+_BAD_SAMPLES["bool layer_count"] = _set("total_globals", "layer_count", value=True)
+_BAD_SAMPLES["fractional kernel count"] = _set("decode_graph", "nodes", 3, "flops", value=1.5)
 
 
 @pytest.mark.parametrize("mutate", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
@@ -871,6 +875,34 @@ def test_bad_sample_exits_2_with_its_location(capsys, tmp_path, workdir, mutate)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:5: "), err
+
+
+_REQUEST = ("--prompt-len", "64", "--output-len", "8")
+
+
+@pytest.mark.parametrize("asset, path, value, argv", [
+    ("llm_configs/qwen15-05b.json", ("num_layers",), 24.5, ("estimate", *_REQUEST, "--config")),
+    ("llm_configs/qwen15-05b.json", ("weight_bytes",), True, ("estimate", *_REQUEST, "--config")),
+    ("pipelines/voice_assistant.json", ("llm", "prompt_len"), 1500.9, ("pipeline", "--pipeline")),
+    ("pipelines/voice_assistant.json", ("llm", "output_len"), True, ("pipeline", "--pipeline")),
+], ids=["config num_layers", "config weight_bytes", "pipeline prompt_len", "pipeline output_len"])
+def test_non_integer_json_fields_exit_2(capsys, tmp_path, asset, path, value, argv):
+    doc = json.loads((assets.asset_root() / asset).read_text())
+    _set(*path, value=value)(doc)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, spec)
+    assert (code, out) == (2, ""), err
+    assert len(err.splitlines()) == 1 and "is not an integer" in err, err
+
+
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_eval_non_positive_baseline_epochs_exit_2(capsys, workdir, epochs):
+    code, out, err = run(capsys, "eval", "--dataset", workdir / "tiny.jsonl",
+                         "--params", workdir / "params.json", "--compare-baselines",
+                         "--baseline-epochs", epochs)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error:") and "epochs" in err, err
 
 
 def test_train_and_eval_featurize_each_graph_once(capsys, tmp_path, workdir, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from co2meter import assets, cli
 from co2meter import workload as wl
 from co2meter.errors import UserInputError
-from co2meter.predictor import featurize, kernel_costs, make_sample, phase_costs
+from co2meter.predictor import featurize, make_sample
 from co2meter.predictor import oracle
 from co2meter.workload import (
     COMPUTE_BOUND,
@@ -23,14 +23,17 @@ from co2meter.workload import (
     KernelCost,
     LlmConfig,
     Request,
+    boundedness,
     build_layer_graph,
     classify,
-    classify_node,
     global_features,
     graph_flops,
     graph_time,
+    kernel_costs,
     kv_cache_bytes,
     phase_intensity,
+    phase_totals,
+    request_energy,
     roofline_time,
     scaled_device,
     weight_memory_bytes,
@@ -80,13 +83,13 @@ def devices(draw, peak_ops=None, mem_bandwidth=None):
 
 
 def assert_matches_reference(cfg, req, dev):
-    table = phase_costs(cfg, req, dev)
+    table = phase_totals(kernel_costs(cfg, req, dev))
     for got, want in zip(table, reference_costs(cfg, req, dev)):
         assert got == pytest.approx(want, rel=REL)  # (seconds, joules)
 
 
 def _counts(graph):
-    return [tuple(getattr(n, f) for f in wl._COUNT_FIELDS) for n in graph.nodes]
+    return [tuple(getattr(n, f) for f in wl.COUNT_FIELDS) for n in graph.nodes]
 
 
 @settings(max_examples=100, deadline=None)
@@ -131,15 +134,18 @@ def test_table_equals_loop_when_attn_score_flips_boundedness(cfg, prompt, output
     bandwidth = 2.0 ** data.draw(st.integers(20, 43))  # keeps the ridge exact
     dev = data.draw(devices(flip.arithmetic_intensity * bandwidth, bandwidth))
     assert dev.ridge_point == flip.arithmetic_intensity
-    assume(classify_node(final, dev) == COMPUTE_BOUND)
-    assert classify_node(first, dev) == MEMORY_BOUND
+    assume(boundedness(final.arithmetic_intensity, dev) == COMPUTE_BOUND)
+    assert boundedness(first.arithmetic_intensity, dev) == MEMORY_BOUND
     assert_matches_reference(cfg, req, dev)
 
 
 def decode_boundedness(cfg, req, dev, kernel):
     """Per-position classes of one decode kernel, from freshly built graphs."""
     return [
-        classify_node(build_layer_graph(cfg, req, "decode", position=p).nodes[kernel], dev)
+        boundedness(
+            build_layer_graph(cfg, req, "decode", position=p).nodes[kernel].arithmetic_intensity,
+            dev,
+        )
         for p in range(req.prompt_len, req.prompt_len + req.output_len)
     ]
 
@@ -211,7 +217,7 @@ def test_kernel_rows_sum_to_phase_totals_and_count_every_position(cfg, req, dev)
         for phase in ("prefill", "decode")
         for node in build_layer_graph(cfg, req, phase).nodes
     ]
-    for phase, (time_s, energy_j) in zip(("prefill", "decode"), phase_costs(cfg, req, dev)):
+    for phase, (time_s, energy_j) in zip(("prefill", "decode"), phase_totals(rows)):
         phase_rows = [r for r in rows if r.phase == phase]
         assert sum(r.time_s for r in phase_rows) == pytest.approx(time_s, rel=REL)
         assert sum(r.energy_j for r in phase_rows) == pytest.approx(energy_j, rel=REL)
@@ -265,7 +271,7 @@ def test_row_paths_equal_the_graph_reference_bit_for_bit(cfg, req, dev, compute,
         {"phase": graph.phase, "kind": node.kind,
          "intensity": node.arithmetic_intensity,
          "perf": min(dev.peak_ops, dev.mem_bandwidth * node.arithmetic_intensity),
-         "boundedness": classify_node(node, dev)}
+         "boundedness": boundedness(node.arithmetic_intensity, dev)}
         for graph in (prefill, mid) for node in graph.nodes
     ]
     modified = scaled_device(dev, compute, bandwidth)
@@ -312,7 +318,7 @@ def test_estimate_roofline_and_globals_equal_the_graph_builder_path(config):
             {"phase": graph.phase, "kind": node.kind,
              "intensity": node.arithmetic_intensity,
              "perf": min(dev.peak_ops, dev.mem_bandwidth * node.arithmetic_intensity),
-             "boundedness": classify_node(node, dev)}
+             "boundedness": boundedness(node.arithmetic_intensity, dev)}
             for graph in (prefill, mid) for node in graph.nodes
         ]
         assert _cli_json(["roofline", *args])["kernels"] == kernels
@@ -350,9 +356,7 @@ def test_estimate_and_make_sample_build_each_layer_graph_once(monkeypatch):
 @given(configs(), requests, devices())
 def test_decode_energy_strictly_increases_with_output_len(cfg, req, dev):
     longer = Request(req.prompt_len, req.output_len + 1)
-    (_, (_, decode_j)), (_, (_, longer_j)) = (
-        phase_costs(cfg, r, dev) for r in (req, longer)
-    )
+    (_, decode_j), (_, longer_j) = (request_energy(cfg, r, dev) for r in (req, longer))
     assert longer_j > decode_j
 
 
@@ -367,9 +371,9 @@ def test_requests_beyond_dram_are_rejected():
     cfg = assets.load_llm_config("internlm2-18b")
     dev = assets.load_device("rk3568")
     fits = (dev.dram_capacity - weight_memory_bytes(cfg)) // kv_cache_bytes(cfg, 1)
-    phase_costs(cfg, Request(1, int(fits) - 1), dev)
+    kernel_costs(cfg, Request(1, int(fits) - 1), dev)
     too_long = Request(1, int(fits))
-    for fn in (phase_costs, featurize):
+    for fn in (kernel_costs, featurize):
         with pytest.raises(UserInputError, match="DRAM"):
             fn(cfg, too_long, dev)
     with pytest.raises(UserInputError):

@@ -57,7 +57,6 @@ from co2meter.predictor.gnn import (
     Workspace,
     _aggregation_matrix,
     backward_batch,
-    batch_loss_and_grads,
     c0_stack,
     fit_feature_norms,
     forward_batch,
@@ -245,9 +244,9 @@ def test_gathered_batch_is_bit_identical_to_a_copied_one(seed, sizes):
         loss, grad = gathered_loss_and_grads(
             tower, workspace.gather(stack, rows, LAYER_PREDS), g[rows], log_target[rows]
         )
-        want_loss, want_grad = batch_loss_and_grads(
-            tower, h0[rows], LAYER_PREDS, g[rows], log_target[rows]
-        )
+        y, cache = forward_batch(tower, h0[rows], LAYER_PREDS, g[rows])
+        err = y - log_target[rows]
+        want_loss, want_grad = float(err @ err), backward_batch(tower, cache, 2.0 * err)
         assert loss == want_loss, size
         assert np.array_equal(grad, want_grad), size
 
@@ -518,8 +517,10 @@ def test_batched_pass_matches_per_sample_reference(dataset20, batch, relabel):
     ]
     assert all(r.preds == LAYER_PREDS for r in reference)
     rows = np.array(batch)
-    loss, grads = batch_loss_and_grads(
-        tower, prepared.h0[rows], prepared.preds, prepared.g[rows], prepared.log_target[rows]
+    workspace = Workspace.allocate(tower, len(rows), prepared.h0.shape[1])
+    loss, grads = gathered_loss_and_grads(
+        tower, workspace.gather(prepared.c0, rows, prepared.preds),
+        prepared.g[rows], prepared.log_target[rows],
     )
     want_loss, want_grads = gnn_reference.batch_loss_and_grads(tower, reference, batch)
     assert _max_rel(loss, want_loss) <= 1e-12
