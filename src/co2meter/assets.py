@@ -25,20 +25,35 @@ ASSETS_ENV_VAR = "CO2METER_ASSETS"
 _DEFAULT_ROOT = Path(__file__).parent / "assets"
 
 
+def _root() -> Path:
+    """The asset root, unchecked: loaders read under it first and call
+    `asset_root` only when a file is missing, to say why."""
+    return Path(os.environ.get(ASSETS_ENV_VAR) or _DEFAULT_ROOT)
+
+
 def asset_root() -> Path:
-    override = os.environ.get(ASSETS_ENV_VAR)
-    root = Path(override) if override else _DEFAULT_ROOT
+    root = _root()
     if not root.is_dir():
         raise UserInputError(f"asset root {root} is not a directory")
     return root
 
 
+def _load(relpath: str, loader: Callable):
+    """`loader` on `<root>/<relpath>`; when the file is missing because the
+    root is no directory, the root's error instead of the loader's."""
+    try:
+        return loader(_root() / relpath)
+    except UserInputError as exc:
+        if isinstance(exc.__cause__, (FileNotFoundError, NotADirectoryError)):
+            asset_root()
+        raise
+
+
 def _named_json(subdir: str, name: str, loader: Callable):
     """`loader` on `<root>/<subdir>/<name>.json`.  The file is read first; the
     root and the directory are inspected only when it is missing, to say why."""
-    path = Path(os.environ.get(ASSETS_ENV_VAR) or _DEFAULT_ROOT, subdir, f"{name}.json")
     try:
-        return loader(path)
+        return loader(_root() / subdir / f"{name}.json")
     except UserInputError as exc:
         missing = (FileNotFoundError, NotADirectoryError, IsADirectoryError)
         if not isinstance(exc.__cause__, missing):
@@ -68,7 +83,7 @@ def load_llm_config(name: str) -> LlmConfig:
 
 def load_carbon_intensities() -> dict[str, CarbonIntensity]:
     from .accounting import load_ci_table
-    return load_ci_table(asset_root() / "ci_table.json")
+    return _load("ci_table.json", load_ci_table)
 
 
 def load_demo_pipeline(name: str = "voice_assistant") -> AppPipeline:
@@ -79,20 +94,24 @@ def load_demo_pipeline(name: str = "voice_assistant") -> AppPipeline:
 
 
 def measurement_csv(name: str) -> Path:
-    path = asset_root() / "measurements" / f"{name}.csv"
+    path = _root() / "measurements" / f"{name}.csv"
     if not path.is_file():
+        asset_root()  # raises when the root is not a directory
         raise UserInputError(f"no bundled measurement file {name!r}")
     return path
 
 
-def load_peripheral_masses() -> dict[str, float]:
-    """Embodied carbon (kg CO2e) of common off-board peripherals."""
-    path = asset_root() / "peripherals.json"
+def _peripheral_masses(path: Path) -> dict[str, float]:
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UserInputError(f"cannot read {path}: {exc}") from exc
     return {str(k): float(v) for k, v in doc.items()}
+
+
+def load_peripheral_masses() -> dict[str, float]:
+    """Embodied carbon (kg CO2e) of common off-board peripherals."""
+    return _load("peripherals.json", _peripheral_masses)
 
 
 def demo_peripheral_models(names: Sequence[str] | None = None) -> dict[str, PeripheralModel]:

@@ -287,6 +287,8 @@ def _cmd_train(args: argparse.Namespace) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
+    if args.baseline_epochs is not None and not args.compare_baselines:
+        raise UserInputError("--baseline-epochs applies only with --compare-baselines")
     from . import predictor as pr
     dataset = pr.read_dataset_jsonl(args.dataset)
     params, meta = pr.load_params_json(args.params)

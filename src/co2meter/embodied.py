@@ -214,22 +214,32 @@ def whatif_bom(bom: SocBom, mods: Sequence[BomMod]) -> SocBom:
 # JSON I/O
 
 
+def _number(value: object, field: str) -> float:
+    """A number field of a BOM as a float: a bool or a string is refused, not
+    read as 1.0 or parsed (`workload.json_number`'s test; a cold `embodied`
+    does not import workload)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} {value!r} is not a number")
+    return float(value)
+
+
+_BOM_NUMBERS = ("die_area_cm2", "cpa_die_kg_per_cm2", "pcb_area_cm2", "cpa_pcb_kg_per_cm2",
+                "dram_kg")
+
+
 def bom_from_json(doc: Mapping) -> SocBom:
     try:
         return SocBom(
             name=doc["name"],
-            die_area_cm2=float(doc["die_area_cm2"]),
-            cpa_die_kg_per_cm2=float(doc["cpa_die_kg_per_cm2"]),
             units=tuple(
-                DieUnit(u["name"], float(u["area_fraction"]))
+                DieUnit(u["name"], _number(u["area_fraction"], f"{u['name']} area_fraction"))
                 for u in doc.get("units", [])
             ),
-            pcb_area_cm2=float(doc["pcb_area_cm2"]),
-            cpa_pcb_kg_per_cm2=float(doc["cpa_pcb_kg_per_cm2"]),
-            dram_kg=float(doc["dram_kg"]),
             peripherals=tuple(
-                (str(name), float(kg)) for name, kg in doc.get("peripherals", [])
+                (str(name), _number(kg, f"peripheral {name} kg"))
+                for name, kg in doc.get("peripherals", [])
             ),
+            **{key: _number(doc[key], key) for key in _BOM_NUMBERS},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed BOM: {exc}") from exc

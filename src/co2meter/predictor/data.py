@@ -5,19 +5,29 @@ phase-specific inputs — the prefill kernel graph with prefill-phase globals,
 and the decode-representative kernel graph (mid-sequence position) with
 whole-request globals — plus the measured prefill and total energies.
 
-Every `LayerGraph` is stored in canonical node order, so the node features
-of S graphs are one (S, 12, NODE_FEATURE_DIM) table (`node_feature_tensor`):
-the numeric columns from one `np.array` call, then the kind one-hot, one
-constant block.  A loaded graph of another topology, or with a NaN, infinite
-or negative count or feature, or a count or edge endpoint that is not an
-exact integer, is refused with path and line.
+Every `LayerGraph` holds its 12 kernels' rows in canonical node order, so the
+node features of S graphs are one (S, 12, NODE_FEATURE_DIM) table
+(`node_feature_tensor`): the rows from one `np.array` call, the arithmetic
+intensity column computed from them, then the kind one-hot, one constant
+block.
+
+Datasets are JSONL, one sample per line, in format version 2.  Each line is
+a JSON object with sorted keys: `"version": 2`, `device_id`, the two labels
+(`label_prefill_j`, `label_total_j`), `prefill_globals` / `total_globals`
+(the `GlobalFeatures` fields by name) and `prefill_graph` / `decode_graph`,
+each `{"phase": ..., "rows": [...]}` with 12 rows of the six `COUNT_FIELDS`
+then `est_time_s`, in `LAYER_KINDS` order.  A graph is checked in one pass
+over its rows: anything but 12 rows of 7, counts that are exact
+non-negative integers and a finite, non-negative `est_time_s` is refused
+with path and line, as are NaN, infinite or negative global features.
+Version 1 lines (24 keyed node dicts and 13 edges per sample, no
+`version`) are refused with a hint to re-run `co2meter dataset`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,8 +35,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..errors import UserInputError
-from ..workload import (COUNT_FIELDS, KERNEL_KINDS, LAYER_KINDS, GlobalFeatures, KernelNode,
-                        LayerGraph, json_int)
+from ..workload import (KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, GlobalFeatures, LayerGraph,
+                        json_int)
 
 NUMERIC_NODE_FEATURES = (
     "flops",
@@ -53,9 +63,8 @@ GLOBAL_FEATURE_NAMES = (
 
 NODE_FEATURE_DIM = len(NUMERIC_NODE_FEATURES) + len(KERNEL_KINDS)
 GLOBAL_DIM = len(GLOBAL_FEATURE_NAMES)
+FORMAT_VERSION = 2
 
-_numeric_features = operator.attrgetter(*NUMERIC_NODE_FEATURES)
-_node_counts = operator.attrgetter(*COUNT_FIELDS)
 # The kind one-hot of the layer's nodes in canonical order.
 _KIND_ONE_HOT = np.eye(len(KERNEL_KINDS))[[KERNEL_KINDS.index(k) for k in LAYER_KINDS]]
 
@@ -96,12 +105,15 @@ class GraphSample(PredictorInputs):
 
 def node_feature_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:
     """Raw (S, 12, 18) node features of S graphs, nodes in canonical order:
-    8 numeric columns then a 10-wide kind one-hot."""
-    numeric = np.array(
-        [[_numeric_features(node) for node in graph.nodes] for graph in graphs], dtype=float
-    ).reshape(len(graphs), len(LAYER_KINDS), len(NUMERIC_NODE_FEATURES))
+    the 7 row columns, the arithmetic intensity, then a 10-wide kind one-hot.
+    The intensity equals `KernelNode.arithmetic_intensity` bit for bit while
+    counts stay below 2**53, as float64 then holds them exactly."""
+    rows = np.array([graph.rows for graph in graphs], dtype=float).reshape(
+        len(graphs), len(LAYER_KINDS), len(ROW_FIELDS))
+    moved = rows[..., 1:6].sum(axis=2)
+    intensity = np.divide(rows[..., 0], moved, out=np.zeros_like(moved), where=moved > 0)
     one_hot = np.broadcast_to(_KIND_ONE_HOT, (len(graphs), *_KIND_ONE_HOT.shape))
-    return np.concatenate([numeric, one_hot], axis=2)
+    return np.concatenate([rows, intensity[..., None], one_hot], axis=2)
 
 
 def node_feature_matrix(graph: LayerGraph) -> np.ndarray:
@@ -147,36 +159,14 @@ def split_indices(
 
 
 def _graph_to_json(graph: LayerGraph) -> dict:
-    return {
-        "phase": graph.phase,
-        "nodes": [
-            {
-                "kind": n.kind,
-                "flops": n.flops,
-                "weight_bytes_loaded": n.weight_bytes_loaded,
-                "act_bytes_loaded": n.act_bytes_loaded,
-                "act_bytes_stored": n.act_bytes_stored,
-                "kv_bytes_loaded": n.kv_bytes_loaded,
-                "kv_bytes_stored": n.kv_bytes_stored,
-                "est_time_s": n.est_time_s,
-            }
-            for n in graph.nodes
-        ],
-        "edges": [[src, dst] for src, dst in graph.edges],
-    }
+    return {"phase": graph.phase, "rows": graph.rows}
 
 
-def _graph_from_json(doc: Mapping) -> LayerGraph:
-    nodes = tuple(KernelNode(**n) for n in doc["nodes"])
-    if {type(c) for node in nodes for c in _node_counts(node)} - {int}:
-        for node in nodes:  # a float or bool count: name it
-            for field in COUNT_FIELDS:
-                json_int(getattr(node, field), field)
-    edges = tuple(
-        (json_int(src, "edge endpoint"), json_int(dst, "edge endpoint"))
-        for src, dst in doc["edges"]
-    )
-    return LayerGraph(nodes=nodes, edges=edges, phase=doc["phase"])
+def _graph_from_json(doc: Mapping, name: str) -> LayerGraph:
+    try:
+        return LayerGraph(rows=doc["rows"], phase=doc["phase"])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _globals_to_json(gf: GlobalFeatures) -> dict:
@@ -208,7 +198,9 @@ def _globals_from_json(doc: Mapping) -> GlobalFeatures:
 
 
 def sample_to_json(sample: GraphSample) -> dict:
+    """The format-version-2 line of a sample."""
     return {
+        "version": FORMAT_VERSION,
         "device_id": sample.device_id,
         "prefill_graph": _graph_to_json(sample.prefill_graph),
         "prefill_globals": _globals_to_json(sample.prefill_globals),
@@ -221,11 +213,18 @@ def sample_to_json(sample: GraphSample) -> dict:
 
 def sample_from_json(doc: Mapping) -> GraphSample:
     try:
+        version = doc["version"] if "version" in doc else None
+        if type(version) is not int or version != FORMAT_VERSION:
+            found = "no version (format 1)" if version is None else f"version {version!r}"
+            raise UserInputError(
+                f"dataset line has {found}, expected version {FORMAT_VERSION};"
+                " re-run `co2meter dataset` to write it"
+            )
         return GraphSample(
             device_id=doc["device_id"],
-            prefill_graph=_graph_from_json(doc["prefill_graph"]),
+            prefill_graph=_graph_from_json(doc["prefill_graph"], "prefill_graph"),
             prefill_globals=_globals_from_json(doc["prefill_globals"]),
-            decode_graph=_graph_from_json(doc["decode_graph"]),
+            decode_graph=_graph_from_json(doc["decode_graph"], "decode_graph"),
             total_globals=_globals_from_json(doc["total_globals"]),
             label_prefill_j=float(doc["label_prefill_j"]),
             label_total_j=float(doc["label_total_j"]),

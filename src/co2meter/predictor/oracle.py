@@ -15,13 +15,14 @@ import numpy as np
 from ..errors import UserInputError
 from ..workload import (
     DeviceSpec,
+    LayerGraph,
     LlmConfig,
     Request,
-    apply_roofline,
-    build_layer_graph,
     check_fits_dram,
     global_features,
+    layer_rows,
     request_energy,
+    timed_rows,
 )
 from .data import GraphSample, PredictorInputs
 
@@ -32,11 +33,13 @@ def featurize(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> PredictorInputs:
     """Roofline-timed prefill and mid-decode graphs with their globals;
     raises UserInputError like `kernel_costs` when the request overflows DRAM."""
     check_fits_dram(cfg, req, dev)
+    prefill, decode = (
+        LayerGraph(rows=timed_rows(layer_rows(cfg, req, phase), dev), phase=phase)
+        for phase in ("prefill", "decode")
+    )
     return PredictorInputs(
-        apply_roofline(build_layer_graph(cfg, req, "prefill"), dev),
-        global_features(cfg, req, "prefill"),
-        apply_roofline(build_layer_graph(cfg, req, "decode"), dev),
-        global_features(cfg, req, "total"),
+        prefill, global_features(cfg, req, "prefill"),
+        decode, global_features(cfg, req, "total"),
     )
 
 

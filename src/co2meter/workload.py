@@ -14,10 +14,12 @@ The request-level paths (estimate, whatif, roofline, the oracle) read count
 rows and build no graph: `kernel_costs` prices each kernel of a request,
 `phase_totals` sums its rows per phase (`request_energy` keeps the joules),
 `layer_intensity`/`kernel_intensity` give intensities and `whatif_speedup`
-sums roofline times.  `build_layer_graph` wraps the rows in `KernelNode`s, a
-`LayerGraph` being that layer up to node relabelling (`_layer_slots` decides)
-stored in canonical order; graphs, `apply_roofline` and `global_features` are
-the predictor's input, and graphs with `roofline_time` / `graph_time` the
+sums `timed_rows` (each row's roofline time).  A `LayerGraph` holds one
+layer's rows with their times, the predictor's input together with
+`global_features`; `build_layer_graph` / `apply_roofline` make one, and its
+`KernelNode`s are built only when asked for.  A graph given as nodes and
+edges is that layer up to node relabelling (`_layer_slots` decides), stored
+in canonical order.  Nodes with `roofline_time` / `graph_time` are the
 tests' reference oracle.
 """
 
@@ -153,33 +155,6 @@ class KernelNode:
         return kernel_intensity(self.flops, self.total_bytes)
 
 
-@dataclass(frozen=True)
-class LayerGraph:
-    """Dataflow graph of one decoder layer's 12 kernels: `_LAYER_EDGES` over
-    `LAYER_KINDS` up to node relabelling, anything else raises ValueError.
-    A relabelled graph is stored in canonical node order, with
-    `edges=_LAYER_EDGES`."""
-
-    nodes: tuple[KernelNode, ...]
-    edges: tuple[tuple[int, int], ...]
-    phase: str
-
-    def __post_init__(self) -> None:
-        if self.phase not in GRAPH_PHASES:
-            raise ValueError(f"unknown graph phase {self.phase!r}")
-        if self.edges == _LAYER_EDGES and tuple(n.kind for n in self.nodes) == LAYER_KINDS:
-            return
-        slots = _layer_slots(self.nodes, self.edges)
-        object.__setattr__(self, "nodes", tuple(n for _, n in sorted(zip(slots, self.nodes))))
-        object.__setattr__(self, "edges", _LAYER_EDGES)
-
-
-def in_neighbor_lists(graph: LayerGraph) -> tuple[tuple[int, ...], ...]:
-    """Per-node tuple of predecessor indices (dataflow inputs): `LAYER_PREDS`,
-    since every graph is in canonical node order."""
-    return LAYER_PREDS
-
-
 # Node indices within one layer graph, in canonical order.
 _N_NORM1, _N_QKV, _N_SCORE, _N_SOFTMAX, _N_VALUE, _N_OUT = range(6)
 _N_RES1, _N_NORM2, _N_FFN_UP, _N_FFN_ACT, _N_FFN_DOWN, _N_RES2 = range(6, 12)
@@ -209,6 +184,99 @@ LAYER_PREDS = tuple(tuple(s for s, d in _LAYER_EDGES if d == v) for v in range(_
 _LAYER_SLOTS = {
     (kind, len(ps)): v for v, (kind, ps) in enumerate(zip(LAYER_KINDS, LAYER_PREDS))
 }
+# A graph row: the six `COUNT_FIELDS`, then est_time_s.
+ROW_FIELDS = (*COUNT_FIELDS, "est_time_s")
+
+
+@dataclass(frozen=True, init=False)
+class LayerGraph:
+    """Dataflow graph of one decoder layer's 12 kernels (`_LAYER_EDGES` over
+    `LAYER_KINDS`), held as one row per kernel in canonical node order: the
+    six `COUNT_FIELDS`, then `est_time_s`.
+
+    `LayerGraph(rows=..., phase=...)` refuses anything but 12 rows of 7 with
+    exact non-negative integer counts and a finite, non-negative time.
+    `LayerGraph(nodes, edges, phase)` takes the layer's `KernelNode`s under
+    any node relabelling and stores them in canonical order; another
+    topology raises ValueError.  `nodes` are built on first access."""
+
+    rows: tuple[tuple[int | float, ...], ...]
+    phase: str
+
+    def __init__(self, nodes: Sequence[KernelNode] | None = None,
+                 edges: Sequence[tuple[int, int]] = _LAYER_EDGES, phase: str = "", *,
+                 rows: Sequence[Sequence[int | float]] | None = None) -> None:
+        if phase not in GRAPH_PHASES:
+            raise ValueError(f"unknown graph phase {phase!r}")
+        if (rows is None) == (nodes is None):
+            raise TypeError("a LayerGraph takes nodes and edges, or rows")
+        if nodes is not None:
+            nodes = tuple(nodes)
+            if tuple(edges) != _LAYER_EDGES or tuple(n.kind for n in nodes) != LAYER_KINDS:
+                slots = _layer_slots(nodes, edges)
+                nodes = tuple(n for _, n in sorted(zip(slots, nodes)))
+            self.__dict__["_nodes"] = nodes
+            rows = tuple(tuple(getattr(n, f) for f in ROW_FIELDS) for n in nodes)
+        else:
+            rows = _checked_rows(rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "phase", phase)
+
+    @property
+    def nodes(self) -> tuple[KernelNode, ...]:
+        if "_nodes" not in self.__dict__:
+            self.__dict__["_nodes"] = tuple(
+                KernelNode(kind, *row) for kind, row in zip(LAYER_KINDS, self.rows))
+        return self.__dict__["_nodes"]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return _LAYER_EDGES
+
+
+_TIME_TYPES = (float, int)
+
+
+def _checked_rows(rows: Sequence[Sequence[int | float]]) -> tuple[tuple[int | float, ...], ...]:
+    """rows as a tuple of tuples, after one pass over their values; ValueError
+    naming the first bad row and field."""
+    if len(rows) != _LAYER_NODES:
+        raise ValueError(f"{len(rows)} rows, expected one per layer kernel ({_LAYER_NODES})")
+    out = []
+    for row in rows:
+        if len(row) != len(ROW_FIELDS) or not _plain_row(*row):
+            _refuse_row(len(out), row)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _plain_row(a: object, b: object, c: object, d: object, e: object, f: object,
+               t: object) -> bool:
+    """The common case, tested fast: six exact non-negative ints, then a
+    finite non-negative number."""
+    return (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is int
+            and min(a, b, c, d, e, f) >= 0
+            and type(t) in _TIME_TYPES and 0.0 <= t < math.inf)
+
+
+def _refuse_row(i: int, row: Sequence) -> None:
+    """ValueError naming row i's first bad field."""
+    where = f"row {i} ({LAYER_KINDS[i]})"
+    if len(row) != len(ROW_FIELDS):
+        raise ValueError(f"{where}: {len(row)} values, expected {len(ROW_FIELDS)} "
+                         f"({', '.join(ROW_FIELDS)})")
+    *counts, t = row
+    for field, value in zip(COUNT_FIELDS, counts):
+        if json_int(value, f"{where} {field}") < 0:
+            raise ValueError(f"{where} {field} {value!r} is negative")
+    if type(t) not in _TIME_TYPES or not 0.0 <= t < math.inf:  # NaN fails too
+        raise ValueError(f"{where} est_time_s {t!r} is not a finite number >= 0")
+
+
+def in_neighbor_lists(graph: LayerGraph) -> tuple[tuple[int, ...], ...]:
+    """Per-node tuple of predecessor indices (dataflow inputs): `LAYER_PREDS`,
+    since every graph is in canonical node order."""
+    return LAYER_PREDS
 
 
 def _layer_slots(nodes: Sequence[KernelNode], edges: Sequence[tuple[int, int]]) -> list[int]:
@@ -274,14 +342,13 @@ def layer_rows(cfg: LlmConfig, req: Request, phase: str,
 
 def build_layer_graph(cfg: LlmConfig, req: Request, phase: str,
                       position: int | None = None) -> LayerGraph:
-    """One decoder layer's kernel graph for a phase: `layer_rows` as `KernelNode`s."""
+    """One decoder layer's kernel graph for a phase: `layer_rows` with zero times."""
     rows = layer_rows(cfg, req, phase, position)
-    nodes = tuple(KernelNode(kind, *row) for kind, row in zip(LAYER_KINDS, rows))
-    return LayerGraph(nodes=nodes, edges=_LAYER_EDGES, phase=phase)
+    return LayerGraph(rows=[(*row, 0.0) for row in rows], phase=phase)
 
 
 def graph_flops(graph: LayerGraph) -> int:
-    return sum(n.flops for n in graph.nodes)
+    return sum(row[0] for row in graph.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +362,7 @@ def kernel_intensity(flops: int, moved: int) -> float:
 
 def layer_intensity(rows: Sequence[Sequence[int]]) -> float:
     """`phase_intensity` of a layer's count rows: summed flops over summed bytes."""
-    total = sum(sum(row[1:]) for row in rows)
+    total = sum(sum(row[1:6]) for row in rows)
     if total <= 0:
         raise ValueError("graph moves no bytes")
     return sum(row[0] for row in rows) / total
@@ -311,25 +378,25 @@ def roofline_time(node: KernelNode, dev: DeviceSpec) -> float:
     return max(node.flops / dev.peak_ops, node.total_bytes / dev.mem_bandwidth)
 
 
+def timed_rows(rows: Sequence[Sequence[int]], dev: DeviceSpec) -> list[tuple[int | float, ...]]:
+    """Each row's six counts, then its `roofline_time` on the device."""
+    peak, bandwidth = dev.peak_ops, dev.mem_bandwidth
+    return [(*row[:6], max(row[0] / peak, sum(row[1:6]) / bandwidth)) for row in rows]
+
+
 def graph_time(graph: LayerGraph, dev: DeviceSpec) -> float:
     """Sum of per-kernel roofline times for one layer."""
-    return sum(roofline_time(n, dev) for n in graph.nodes)
+    return sum(row[6] for row in timed_rows(graph.rows, dev))
 
 
 def apply_roofline(graph: LayerGraph, dev: DeviceSpec) -> LayerGraph:
     """Copy of the graph with est_time_s populated from the device roofline."""
-    nodes = tuple(
-        KernelNode(n.kind, n.flops, n.weight_bytes_loaded, n.act_bytes_loaded,
-                   n.act_bytes_stored, n.kv_bytes_loaded, n.kv_bytes_stored,
-                   roofline_time(n, dev))
-        for n in graph.nodes
-    )
-    return LayerGraph(nodes, graph.edges, graph.phase)
+    return LayerGraph(rows=timed_rows(graph.rows, dev), phase=graph.phase)
 
 
 def phase_intensity(graph: LayerGraph) -> float:
     """Aggregate arithmetic intensity (total flops / total bytes)."""
-    return layer_intensity([(n.flops, n.total_bytes) for n in graph.nodes])
+    return layer_intensity(graph.rows)
 
 
 def classify(graph: LayerGraph, dev: DeviceSpec) -> str:
@@ -366,8 +433,7 @@ def whatif_speedup(
     for dev in (base, modified):
         check_fits_dram(cfg, req, dev)
     rows = layer_rows(cfg, req, phase, position)
-    base_s, mod_s = (sum(max(r[0] / d.peak_ops, sum(r[1:]) / d.mem_bandwidth) for r in rows)
-                     for d in (base, modified))
+    base_s, mod_s = (sum(row[6] for row in timed_rows(rows, d)) for d in (base, modified))
     return base_s / mod_s
 
 
@@ -622,9 +688,18 @@ def json_int(value: object, field: str) -> int:
     return value
 
 
+def json_number(value: object, field: str) -> int | float:
+    """A number field of a JSON document: an int or a float, never a bool or a
+    string, so `true` is refused rather than read as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} {value!r} is not a number")
+    return value
+
+
 def device_from_json(doc: Mapping) -> DeviceSpec:
     try:
-        return DeviceSpec(**{k: doc[k] for k in _DEVICE_FIELDS})
+        return DeviceSpec(**{k: doc[k] if k == "name" else json_number(doc[k], k)
+                             for k in _DEVICE_FIELDS})
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed device spec: {exc}") from exc
 

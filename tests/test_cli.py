@@ -14,6 +14,7 @@ import pytest
 from co2meter import assets, cli
 from co2meter import device_models as dm
 from co2meter.accounting import breakeven_requests
+from co2meter.errors import UserInputError
 from co2meter.predictor import (
     featurize,
     load_params_json,
@@ -21,7 +22,7 @@ from co2meter.predictor import (
     predict_sample,
     read_dataset_jsonl,
 )
-from co2meter.workload import Request
+from co2meter.workload import _LAYER_EDGES, LAYER_KINDS, ROW_FIELDS, Request
 from oracle_reference import reference_costs
 
 TRUTH = json.loads(
@@ -512,6 +513,32 @@ def test_asset_root_that_is_no_directory_exits_2(capsys, tmp_path, monkeypatch, 
         assert err == f"error: asset root {root} is not a directory\n"
 
 
+_ROOT_READERS = {
+    "load_carbon_intensities": assets.load_carbon_intensities,
+    "measurement_csv": lambda: assets.measurement_csv("net"),
+    "load_peripheral_masses": assets.load_peripheral_masses,
+}
+
+
+@pytest.mark.parametrize("kind", ["file", "missing"])
+@pytest.mark.parametrize("reader", list(_ROOT_READERS.values()), ids=list(_ROOT_READERS))
+def test_asset_readers_inspect_the_root_only_when_a_file_is_missing(
+        tmp_path, monkeypatch, reader, kind):
+    inspected = []
+    asset_root = assets.asset_root
+    monkeypatch.setattr(assets, "asset_root", lambda: inspected.append(1) or asset_root())
+    reader()
+    assert inspected == []
+    root = tmp_path / "assets"
+    if kind == "file":
+        root.write_text("{}")
+    monkeypatch.setenv(assets.ASSETS_ENV_VAR, str(root))
+    with pytest.raises(UserInputError) as exc:
+        reader()
+    assert str(exc.value) == f"asset root {root} is not a directory"
+    assert inspected == [1]
+
+
 def test_whatif_scenarios(capsys):
     doc = run_json(capsys, "whatif", "--scenario", "rk-mem")
     assert doc["embodied"]["base_kg"] == pytest.approx(4.5765, abs=5e-4)
@@ -830,6 +857,33 @@ def test_non_finite_spec_fields_exit_2(capsys, tmp_path, asset, field, argv, val
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+# (asset, path to the field, argv, the field as the error names it): every
+# number field of a device spec and of a BOM
+_BOOLEAN_FIELDS = [
+    *[(asset, (field,), argv, field)
+      for asset, field, argv in _NON_FINITE_FIELDS if asset != "ci_table.json"],
+    ("boms/rk3588.json", ("units", 0, "area_fraction"), ("embodied", "--bom"),
+     "npu area_fraction"),
+    ("boms/rk3588.json", ("peripherals", 0, 1), ("embodied", "--bom"), "peripheral camera kg"),
+]
+
+
+@pytest.mark.parametrize(
+    "asset, path, argv, field", _BOOLEAN_FIELDS,
+    ids=[".".join(map(str, p)) for _, p, _, _ in _BOOLEAN_FIELDS],
+)
+def test_boolean_spec_fields_exit_2_naming_the_field(capsys, tmp_path, asset, path, argv, field):
+    doc = json.loads((assets.asset_root() / asset).read_text())
+    if path[0] == "peripherals":
+        doc["peripherals"] = [["camera", 0.5]]
+    _set(*path, value=True)(doc)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, spec)
+    assert_one_error_line(code, out, err)
+    assert err.endswith(f" {field} True is not a number\n"), err
+
+
 def _set(*path, value):
     def mutate(doc):
         *keys, last = path
@@ -839,29 +893,47 @@ def _set(*path, value):
     return mutate
 
 
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+# Each malformed field of a format-2 line, with what the error names.
 _BAD_SAMPLES = {
-    f"{name}-{value}": _set(*path, value=value)
-    for name, path in (
-        ("node flops", ("prefill_graph", "nodes", 2, "flops")),
-        ("node est_time_s", ("decode_graph", "nodes", 5, "est_time_s")),
-        ("total_ops", ("total_globals", "total_ops")),
-        ("kv_cache_bytes", ("prefill_globals", "kv_cache_bytes")),
+    f"{name}-{value}": (_set(*path, value=value), named)
+    for name, path, named in (
+        ("node flops", ("prefill_graph", "rows", 2, 0), "prefill_graph: row 2 (attn_score) flops"),
+        ("node est_time_s", ("decode_graph", "rows", 5, 6), "decode_graph: row 5 (out_proj) est_"),
+        ("total_ops", ("total_globals", "total_ops"), "total_ops"),
+        ("kv_cache_bytes", ("prefill_globals", "kv_cache_bytes"), "kv_cache_bytes"),
     )
     for value in (float("nan"), float("inf"))
 }
-# the residual-to-residual edge starts at the attention output instead
-_BAD_SAMPLES["foreign topology"] = _set("decode_graph", "edges", 12, value=[5, 11])
-# endpoints that int() would truncate to the edges they replace
-_BAD_SAMPLES["fractional endpoints"] = _set("prefill_graph", "edges", 0, value=[0.9, 1.2])
-_BAD_SAMPLES["bool endpoint"] = _set("prefill_graph", "edges", 1, value=[True, 2])
-# integer fields that int() would truncate
-_BAD_SAMPLES["fractional prompt_len"] = _set("prefill_globals", "prompt_len", value=122.9)
-_BAD_SAMPLES["bool layer_count"] = _set("total_globals", "layer_count", value=True)
-_BAD_SAMPLES["fractional kernel count"] = _set("decode_graph", "nodes", 3, "flops", value=1.5)
+_BAD_SAMPLES.update({
+    "wrong row count": (lambda doc: doc["decode_graph"]["rows"].pop(), "decode_graph: 11 rows"),
+    "wrong row width": (lambda doc: doc["prefill_graph"]["rows"][0].pop(),
+                        "prefill_graph: row 0 (norm): 6 values, expected 7"),
+    # counts that int() would truncate
+    "fractional kernel count": (_set("decode_graph", "rows", 3, 0, value=1.5),
+                                "decode_graph: row 3 (softmax) flops 1.5 is not an integer"),
+    "bool kernel count": (_set("prefill_graph", "rows", 1, 1, value=True),
+                          "row 1 (qkv_proj) weight_bytes_loaded True is not an integer"),
+    "negative kernel count": (_set("decode_graph", "rows", 2, 4, value=-1),
+                              "row 2 (attn_score) kv_bytes_loaded -1 is negative"),
+    "negative est_time_s": (_set("prefill_graph", "rows", 11, 6, value=-1e-9),
+                            "row 11 (residual) est_time_s -1e-09"),
+    "bool est_time_s": (_set("prefill_graph", "rows", 4, 6, value=False),
+                        "row 4 (attn_value) est_time_s False"),
+    # integer fields that int() would truncate
+    "fractional prompt_len": (_set("prefill_globals", "prompt_len", value=122.9), "prompt_len"),
+    "bool layer_count": (_set("total_globals", "layer_count", value=True), "layer_count"),
+    "missing version": (_drop("version"), "no version (format 1)"),
+    "version 1": (_set("version", value=1), "version 1, expected version 2"),
+    "float version": (_set("version", value=2.0), "version 2.0, expected version 2"),
+})
 
 
-@pytest.mark.parametrize("mutate", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
-def test_bad_sample_exits_2_with_its_location(capsys, tmp_path, workdir, mutate):
+@pytest.mark.parametrize("mutate, named", list(_BAD_SAMPLES.values()), ids=list(_BAD_SAMPLES))
+def test_bad_sample_exits_2_with_its_location(capsys, tmp_path, workdir, mutate, named):
     lines = (workdir / "tiny.jsonl").read_text().splitlines()
     doc = json.loads(lines[4])
     mutate(doc)
@@ -875,6 +947,38 @@ def test_bad_sample_exits_2_with_its_location(capsys, tmp_path, workdir, mutate)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:5: "), err
+        assert named in err, err
+
+
+def _as_format_1(doc):
+    """A format-2 line as format 1 wrote it: 12 keyed node dicts and the 13
+    layer edges per graph, no version."""
+    doc = dict(doc)
+    del doc["version"]
+    for name in ("prefill_graph", "decode_graph"):
+        graph = doc[name]
+        doc[name] = {
+            "phase": graph["phase"],
+            "nodes": [dict(zip(("kind", *ROW_FIELDS), (kind, *row)))
+                      for kind, row in zip(LAYER_KINDS, graph["rows"])],
+            "edges": [list(edge) for edge in _LAYER_EDGES],
+        }
+    return doc
+
+
+def test_format_1_dataset_exits_2_with_a_hint_to_regenerate(capsys, tmp_path, workdir):
+    lines = (workdir / "tiny.jsonl").read_text().splitlines()
+    path = tmp_path / "v1.jsonl"
+    path.write_text("".join(json.dumps(_as_format_1(json.loads(line)), sort_keys=True) + "\n"
+                            for line in lines))
+    for argv in (
+        ("train", "--dataset", path, "--params-out", tmp_path / "params.json"),
+        ("eval", "--dataset", path, "--params", workdir / "params.json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:1: "), err
+        assert "re-run `co2meter dataset`" in err, err
 
 
 _REQUEST = ("--prompt-len", "64", "--output-len", "8")
@@ -903,6 +1007,13 @@ def test_eval_non_positive_baseline_epochs_exit_2(capsys, workdir, epochs):
                          "--baseline-epochs", epochs)
     assert (code, out) == (2, ""), err
     assert err.startswith("error:") and "epochs" in err, err
+
+
+def test_eval_baseline_epochs_without_compare_baselines_exits_2(capsys, workdir):
+    code, out, err = run(capsys, "eval", "--dataset", workdir / "tiny.jsonl",
+                         "--params", workdir / "params.json", "--baseline-epochs", "5")
+    assert_one_error_line(code, out, err)
+    assert err == "error: --baseline-epochs applies only with --compare-baselines\n"
 
 
 def test_train_and_eval_featurize_each_graph_once(capsys, tmp_path, workdir, monkeypatch):

@@ -15,7 +15,6 @@ from co2meter import assets, cli
 from co2meter import workload as wl
 from co2meter.errors import UserInputError
 from co2meter.predictor import featurize, make_sample
-from co2meter.predictor import oracle
 from co2meter.workload import (
     COMPUTE_BOUND,
     MEMORY_BOUND,
@@ -330,16 +329,15 @@ def test_estimate_roofline_and_globals_equal_the_graph_builder_path(config):
 
 
 def test_estimate_and_make_sample_build_each_layer_graph_once(monkeypatch):
-    """`make_sample` builds each of its two layer graphs once; estimate,
-    whatif, roofline and the pricer read count rows and build no graph."""
-    built, graphs = [], []
-    build, post_init = wl.build_layer_graph, wl.LayerGraph.__post_init__
-    for module in (wl, oracle):
-        monkeypatch.setattr(module, "build_layer_graph",
-                            lambda *args, **kw: built.append(args[2]) or build(*args, **kw))
-    monkeypatch.setattr(
-        wl.LayerGraph, "__post_init__", lambda self: graphs.append(self.phase) or post_init(self)
-    )
+    """`make_sample` builds each of its two layer graphs once, from count rows;
+    estimate, whatif, roofline and the pricer read count rows and build no
+    graph.  None of them builds a `KernelNode`."""
+    graphs, nodes = [], []
+    init, post_init = wl.LayerGraph.__init__, wl.KernelNode.__post_init__
+    monkeypatch.setattr(wl.LayerGraph, "__init__",
+                        lambda self, *a, **kw: graphs.append(kw["phase"]) or init(self, *a, **kw))
+    monkeypatch.setattr(wl.KernelNode, "__post_init__",
+                        lambda self: nodes.append(self.kind) or post_init(self))
     for argv in (["estimate", "--prompt-len", "100", "--output-len", "64"],
                  ["estimate", "--prompt-len", "100", "--output-len", "64", "--breakdown"],
                  ["whatif", "--scenario", "rk-npu"],
@@ -347,9 +345,10 @@ def test_estimate_and_make_sample_build_each_layer_graph_once(monkeypatch):
         _cli_json(argv)
     cfg, dev = assets.load_llm_config("tinyllama-11b"), assets.load_device("rk3588")
     kernel_costs(cfg, Request(96, 64), dev)
-    assert built == graphs == []
+    assert graphs == []
     make_sample(cfg, Request(96, 64), dev, np.random.default_rng(0), 0.05)
-    assert built == ["prefill", "decode"]
+    assert graphs == ["prefill", "decode"]
+    assert nodes == []
 
 
 @settings(max_examples=100, deadline=None)

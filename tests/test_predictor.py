@@ -32,6 +32,7 @@ from co2meter.predictor import (
     init_params,
     init_tower,
     load_params_json,
+    make_sample,
     mape,
     node_feature_matrix,
     node_feature_tensor,
@@ -43,6 +44,7 @@ from co2meter.predictor import (
     predict_total,
     read_dataset_jsonl,
     request_energy,
+    sample_table,
     sample_to_json,
     save_params_json,
     split_indices,
@@ -51,6 +53,9 @@ from co2meter.predictor import (
     write_dataset_jsonl,
 )
 import gnn_reference
+from test_oracle import configs as random_configs
+from test_oracle import devices as random_devices
+from test_oracle import requests as random_requests
 from co2meter.predictor import baselines, training
 from co2meter.predictor.gnn import (
     FeatureNorms,
@@ -821,40 +826,61 @@ def test_dataset_errors_carry_line_numbers(tmp_path, dataset20):
         read_dataset_jsonl(tmp_path / "missing.jsonl")
 
 
-def test_loaded_graphs_skip_the_topology_check_unless_malformed(
-    tmp_path, dataset20, monkeypatch
-):
-    checked = []
-    layer_slots = workload._layer_slots
-
-    def counting(nodes, edges):
-        checked.append(len(nodes))
-        return layer_slots(nodes, edges)
-
-    monkeypatch.setattr(workload, "_layer_slots", counting)
+def test_loaded_graphs_skip_the_topology_check(tmp_path, dataset20, monkeypatch):
+    """Reading builds graphs from their rows: no topology check and no
+    `KernelNode`; a malformed row is refused with its line, graph, row and
+    field (`test_cli`'s `_BAD_SAMPLES` has one case per field)."""
+    checked, nodes = [], []
+    post_init = workload.KernelNode.__post_init__
+    monkeypatch.setattr(workload, "_layer_slots", lambda *a: checked.append(a))
+    monkeypatch.setattr(workload.KernelNode, "__post_init__",
+                        lambda self: nodes.append(self) or post_init(self))
     path = tmp_path / "round_trip.jsonl"
     write_dataset_jsonl(path, dataset20)
-    assert len(read_dataset_jsonl(path)) == 20
-    assert checked == []
+    assert read_dataset_jsonl(path) == dataset20
+    assert checked == nodes == []
 
     good = json.dumps(sample_to_json(dataset20[1]))
-    doc = sample_to_json(dataset20[0])
-    edges, nodes = doc["prefill_graph"]["edges"], doc["prefill_graph"]["nodes"]
+    doc = json.loads(json.dumps(sample_to_json(dataset20[0])))
+    doc["prefill_graph"]["rows"][7][3] = 2.5
     bad = tmp_path / "bad.jsonl"
-    for change in (
-        {"edges": edges + [[11, 0]]},  # a cycle
-        {"edges": edges + [[3, 3]]},  # a self-loop
-        {"nodes": nodes[:11]},
-        {"edges": edges + [[-1, 3]]},
-        {"edges": edges + [[5, 12]]},
-    ):
-        bad_doc = {**doc, "prefill_graph": {**doc["prefill_graph"], **change}}
-        bad.write_text(good + "\n" + json.dumps(bad_doc) + "\n")
-        with pytest.raises(
-            UserInputError, match=r"bad\.jsonl:2: .*not the decoder-layer topology"
-        ):
-            read_dataset_jsonl(bad)
-    assert checked == [12, 12, 11, 12, 12]
+    bad.write_text(good + "\n" + json.dumps(doc) + "\n")
+    with pytest.raises(UserInputError, match=r"bad\.jsonl:2: malformed graph sample: "
+                       r"prefill_graph: row 7 \(norm\) act_bytes_stored 2\.5 is not an integer"):
+        read_dataset_jsonl(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(random_configs(), random_devices(), random_requests),
+             min_size=1, max_size=4),
+    st.permutations(range(12)),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_backed_samples_match_the_node_reference(tmp_path_factory, picks, order, seed):
+    """Format-2 files round-trip samples exactly; `sample_table` equals, bit
+    for bit, node features read off `apply_roofline(build_layer_graph(...))`
+    nodes one element at a time, with `roofline_time` per node; and a
+    relabelled node graph equals the row-backed one."""
+    rng = np.random.default_rng(seed)
+    samples = [make_sample(cfg, req, dev, rng, 0.05) for cfg, dev, req in picks]
+    path = tmp_path_factory.mktemp("v2") / "data.jsonl"
+    write_dataset_jsonl(path, samples)
+    assert read_dataset_jsonl(path) == samples
+
+    table = sample_table(samples)
+    for field, phase in (("prefill_graph", "prefill"), ("decode_graph", "decode")):
+        want = []
+        for cfg, dev, req in picks:
+            graph = workload.apply_roofline(workload.build_layer_graph(cfg, req, phase), dev)
+            assert [n.est_time_s for n in graph.nodes] == [
+                workload.roofline_time(n, dev) for n in graph.nodes]
+            want.append(gnn_reference.node_feature_matrix(graph))
+        assert table[field].tobytes() == np.array(want).tobytes()
+
+    for sample in samples:
+        for graph in (sample.prefill_graph, sample.decode_graph):
+            assert _relabeled(graph, np.array(order)) == graph
 
 
 def test_params_json_round_trip(tmp_path, dataset20):
