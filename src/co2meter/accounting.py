@@ -10,13 +10,13 @@ day justify a board with more embodied carbon but lower per-request energy.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from .errors import ConfigurationError, NoBreakEvenError, UserInputError
+from .errors import (ConfigurationError, NoBreakEvenError, UserInputError, json_int, json_name,
+                     json_number, json_object, read_json)
 
 if TYPE_CHECKING:
     from .device_models import PeripheralModel
@@ -291,13 +291,11 @@ def total_footprint(
 
 def load_ci_table(path: str | Path) -> dict[str, CarbonIntensity]:
     """Flat JSON mapping region -> kgCO2-eq per kWh."""
+    doc = read_json(path, "carbon-intensity table")
     try:
-        doc = json.loads(Path(path).read_text())
-        return {
-            region: CarbonIntensity(region=region, kg_per_kwh=float(value))
-            for region, value in doc.items()
-        }
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+        return {region: CarbonIntensity(region, float(json_number(value, region)))
+                for region, value in json_object(doc, "document").items()}
+    except ValueError as exc:
         raise UserInputError(f"cannot read carbon-intensity table {path}: {exc}") from exc
 
 
@@ -311,7 +309,7 @@ def pipeline_from_json(
     The llm stage's `config` and `device` entries are either inline objects or
     names handed to the resolvers (the bundled-asset loaders in practice).
     """
-    from .workload import Request, config_from_json, device_from_json, json_int
+    from .workload import Request, config_from_json, device_from_json
 
     def resolve(entry, resolver, inline, what):
         if isinstance(entry, str):
@@ -320,21 +318,24 @@ def pipeline_from_json(
             return resolver(entry)
         return inline(entry)
 
+    def number(stage: str, key: str) -> float:
+        return float(json_number(doc[stage][key], f"{stage}.{key}"))
+
     try:
         inp = doc["input"]
         if inp["kind"] == "mic":
             input_stage: InputStage = MicInput(
-                duration_s=float(inp["duration_s"]), samples=float(inp["samples"])
+                duration_s=number("input", "duration_s"), samples=number("input", "samples")
             )
         elif inp["kind"] == "camera":
             input_stage = CameraInput(
-                duration_s=float(inp["duration_s"]), frames=float(inp["frames"])
+                duration_s=number("input", "duration_s"), frames=number("input", "frames")
             )
         else:
             raise ValueError(f"unknown input kind {inp['kind']!r}")
 
         con = doc["conversion"]
-        conversion = Conversion(task=con["task"], energy_j=float(con["energy_j"]))
+        conversion = Conversion(task=con["task"], energy_j=number("conversion", "energy_j"))
 
         llm = doc["llm"]
         stage = LlmStage(
@@ -349,24 +350,24 @@ def pipeline_from_json(
         out = doc["output"]
         if out["kind"] == "display":
             output_stage: OutputStage = DisplayOutput(
-                duration_s=float(out["duration_s"]),
-                grey=float(out["grey"]),
-                pixels=float(out["pixels"]),
+                duration_s=number("output", "duration_s"),
+                grey=number("output", "grey"),
+                pixels=number("output", "pixels"),
             )
         elif out["kind"] == "speaker":
             output_stage = SpeakerOutput(
-                duration_s=float(out["duration_s"]), volume=float(out["volume"])
+                duration_s=number("output", "duration_s"), volume=number("output", "volume")
             )
         else:
             raise ValueError(f"unknown output kind {out['kind']!r}")
 
         return AppPipeline(
-            name=doc.get("name", "pipeline"),
+            name=json_name(doc.get("name", "pipeline"), "name"),
             input=input_stage,
             conversion=conversion,
             llm=stage,
             output=output_stage,
-            total_duration_s=float(doc["total_duration_s"]),
+            total_duration_s=float(json_number(doc["total_duration_s"], "total_duration_s")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed pipeline: {exc}") from exc
@@ -377,11 +378,7 @@ def load_pipeline_json(
     config_resolver: Callable[[str], LlmConfig] | None = None,
     device_resolver: Callable[[str], DeviceSpec] | None = None,
 ) -> AppPipeline:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserInputError(f"cannot read pipeline {path}: {exc}") from exc
-    return pipeline_from_json(doc, config_resolver, device_resolver)
+    return pipeline_from_json(read_json(path, "pipeline"), config_resolver, device_resolver)
 
 
 def breakdown_to_json(b: PipelineBreakdown) -> dict:

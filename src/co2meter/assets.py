@@ -7,12 +7,11 @@ locally measured set of device specs without touching the install.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import UserInputError
+from .errors import UserInputError, json_number, json_object, read_json
 
 if TYPE_CHECKING:
     from .accounting import AppPipeline, CarbonIntensity
@@ -102,11 +101,11 @@ def measurement_csv(name: str) -> Path:
 
 
 def _peripheral_masses(path: Path) -> dict[str, float]:
+    doc = read_json(path, "")
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserInputError(f"cannot read {path}: {exc}") from exc
-    return {str(k): float(v) for k, v in doc.items()}
+        return {k: float(json_number(v, k)) for k, v in json_object(doc, "document").items()}
+    except ValueError as exc:
+        raise UserInputError(f"malformed peripheral masses {path}: {exc}") from exc
 
 
 def load_peripheral_masses() -> dict[str, float]:

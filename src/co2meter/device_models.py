@@ -30,7 +30,7 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FitError, UserInputError
+from .errors import FitError, UserInputError, json_number, read_json
 
 GREY_MAX = 255
 CONVERSION_TASKS = ("ocr", "stt", "tts")
@@ -431,11 +431,11 @@ def model_to_json(name: str, report: FitReport) -> dict:
 def model_from_json(doc: Mapping) -> tuple[str, PeripheralModel, float]:
     """Inverse of model_to_json; returns (name, model, mae)."""
     try:
-        name, params, mae = doc["model"], doc["params"], float(doc["mae"])
+        name, params, mae = doc["model"], doc["params"], float(json_number(doc["mae"], "mae"))
         if name not in MODEL_NAMES:
             raise UserInputError(f"unknown model name {name!r}")
         family = _MODELS[name][1]
-        model = family(*(float(params[key]) for key in _PARAM_KEYS[family]))
+        model = family(*(float(json_number(params[key], key)) for key in _PARAM_KEYS[family]))
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed model document: {exc}") from exc
     return name, model, mae
@@ -446,11 +446,7 @@ def save_model_json(path: str | Path, name: str, report: FitReport) -> None:
 
 
 def load_model_json(path: str | Path) -> tuple[str, PeripheralModel, float]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserInputError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_json(doc)
+    return model_from_json(read_json(path, "model file"))
 
 
 def load_samples_csv(path: str | Path) -> list[MeasurementSample]:

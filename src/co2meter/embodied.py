@@ -11,13 +11,12 @@ right and return new BOMs.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UserInputError
+from .errors import UserInputError, json_name, json_number, read_json
 
 _FRACTION_TOL = 1e-9
 
@@ -214,15 +213,6 @@ def whatif_bom(bom: SocBom, mods: Sequence[BomMod]) -> SocBom:
 # JSON I/O
 
 
-def _number(value: object, field: str) -> float:
-    """A number field of a BOM as a float: a bool or a string is refused, not
-    read as 1.0 or parsed (`workload.json_number`'s test; a cold `embodied`
-    does not import workload)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field} {value!r} is not a number")
-    return float(value)
-
-
 _BOM_NUMBERS = ("die_area_cm2", "cpa_die_kg_per_cm2", "pcb_area_cm2", "cpa_pcb_kg_per_cm2",
                 "dram_kg")
 
@@ -230,16 +220,18 @@ _BOM_NUMBERS = ("die_area_cm2", "cpa_die_kg_per_cm2", "pcb_area_cm2", "cpa_pcb_k
 def bom_from_json(doc: Mapping) -> SocBom:
     try:
         return SocBom(
-            name=doc["name"],
+            name=json_name(doc["name"], "name"),
             units=tuple(
-                DieUnit(u["name"], _number(u["area_fraction"], f"{u['name']} area_fraction"))
+                DieUnit(json_name(u["name"], "unit name"),
+                        float(json_number(u["area_fraction"], f"{u['name']} area_fraction")))
                 for u in doc.get("units", [])
             ),
             peripherals=tuple(
-                (str(name), _number(kg, f"peripheral {name} kg"))
+                (json_name(name, "peripheral name"),
+                 float(json_number(kg, f"peripheral {name} kg")))
                 for name, kg in doc.get("peripherals", [])
             ),
-            **{key: _number(doc[key], key) for key in _BOM_NUMBERS},
+            **{key: float(json_number(doc[key], key)) for key in _BOM_NUMBERS},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed BOM: {exc}") from exc
@@ -261,11 +253,7 @@ def bom_to_json(bom: SocBom) -> dict:
 
 
 def load_bom_json(path: str | Path) -> SocBom:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserInputError(f"cannot read BOM {path}: {exc}") from exc
-    return bom_from_json(doc)
+    return bom_from_json(read_json(path, "BOM"))
 
 
 def report_to_json(report: EmbodiedReport) -> dict:

@@ -19,7 +19,8 @@ each `{"phase": ..., "rows": [...]}` with 12 rows of the six `COUNT_FIELDS`
 then `est_time_s`, in `LAYER_KINDS` order.  A graph is checked in one pass
 over its rows: anything but 12 rows of 7, counts that are exact
 non-negative integers and a finite, non-negative `est_time_s` is refused
-with path and line, as are NaN, infinite or negative global features.
+with path and line, as are global features and labels that are no finite
+JSON numbers (the `errors` rule) or are negative.
 Version 1 lines (24 keyed node dicts and 13 edges per sample, no
 `version`) are refused with a hint to re-run `co2meter dataset`.
 """
@@ -34,9 +35,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import UserInputError
-from ..workload import (KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, GlobalFeatures, LayerGraph,
-                        json_int)
+from ..errors import UserInputError, json_int, json_name, json_number
+from ..workload import KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, GlobalFeatures, LayerGraph
 
 NUMERIC_NODE_FEATURES = (
     "flops",
@@ -183,16 +183,14 @@ def _globals_to_json(gf: GlobalFeatures) -> dict:
     }
 
 
+_GLOBAL_INTS = ("layer_count", "hidden_dim", "ffn_dim", "prompt_len", "output_len")
+_GLOBAL_NUMBERS = ("total_ops", "weight_memory_bytes", "kv_cache_bytes")
+
+
 def _globals_from_json(doc: Mapping) -> GlobalFeatures:
     return GlobalFeatures(
-        total_ops=float(doc["total_ops"]),
-        layer_count=json_int(doc["layer_count"], "layer_count"),
-        hidden_dim=json_int(doc["hidden_dim"], "hidden_dim"),
-        ffn_dim=json_int(doc["ffn_dim"], "ffn_dim"),
-        prompt_len=json_int(doc["prompt_len"], "prompt_len"),
-        output_len=json_int(doc["output_len"], "output_len"),
-        weight_memory_bytes=float(doc["weight_memory_bytes"]),
-        kv_cache_bytes=float(doc["kv_cache_bytes"]),
+        **{key: json_int(doc[key], key) for key in _GLOBAL_INTS},
+        **{key: float(json_number(doc[key], key)) for key in _GLOBAL_NUMBERS},
         phase=doc["phase"],
     )
 
@@ -221,13 +219,13 @@ def sample_from_json(doc: Mapping) -> GraphSample:
                 " re-run `co2meter dataset` to write it"
             )
         return GraphSample(
-            device_id=doc["device_id"],
+            device_id=json_name(doc["device_id"], "device_id"),
             prefill_graph=_graph_from_json(doc["prefill_graph"], "prefill_graph"),
             prefill_globals=_globals_from_json(doc["prefill_globals"]),
             decode_graph=_graph_from_json(doc["decode_graph"], "decode_graph"),
             total_globals=_globals_from_json(doc["total_globals"]),
-            label_prefill_j=float(doc["label_prefill_j"]),
-            label_total_j=float(doc["label_total_j"]),
+            label_prefill_j=float(json_number(doc["label_prefill_j"], "label_prefill_j")),
+            label_total_j=float(json_number(doc["label_total_j"], "label_total_j")),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UserInputError(f"malformed graph sample: {exc}") from exc

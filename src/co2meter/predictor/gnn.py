@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import UserInputError
+from ..errors import UserInputError, json_int, json_number, json_object, read_json
 from .data import GLOBAL_DIM, NODE_FEATURE_DIM, NUMERIC_NODE_FEATURES
 
 HIDDEN_DIM = 64
@@ -526,25 +526,19 @@ def _decode(where: str, blob: object, size: int) -> np.ndarray:
     return arr
 
 
-# `meta` entries that `eval` reads back, by the JSON type they must have
-_META_INTS = ("seed", "epochs")
-_META_NUMBERS = ("train_frac", "val_frac")
+# `meta` entries that `eval` reads back, with the check of each
+_META_FIELDS = {"seed": json_int, "epochs": json_int, "train_frac": json_number,
+                "val_frac": json_number}
 
 
 def _check_meta(meta: object) -> dict:
-    if not isinstance(meta, dict):
-        raise UserInputError("predictor params meta: expected a JSON object")
-    for key in _META_INTS + _META_NUMBERS:
-        if key not in meta:
-            continue
-        value = meta[key]
-        number = not isinstance(value, bool) and isinstance(value, (int, float))
-        if key in _META_INTS and not (number and isinstance(value, int)):
-            raise UserInputError(f"predictor params meta.{key}: {value!r} is not an integer")
-        if not (number and math.isfinite(value)):
-            raise UserInputError(
-                f"predictor params meta.{key}: {value!r} is not a finite number"
-            )
+    try:
+        json_object(meta, "meta")
+        for key, check in _META_FIELDS.items():
+            if key in meta:
+                check(meta[key], f"meta.{key}")
+    except ValueError as exc:
+        raise UserInputError(f"predictor params {exc}") from exc
     return meta
 
 
@@ -608,10 +602,7 @@ def save_params_json(path: str | Path, params: GnnParams, meta: dict | None = No
 
 
 def load_params_json(path: str | Path) -> tuple[GnnParams, dict]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserInputError(f"cannot read predictor params {path}: {exc}") from exc
+    doc = read_json(path, "predictor params")
     try:
         params = params_from_json(doc)
         meta = _check_meta(doc.get("meta", {}))

@@ -26,14 +26,13 @@ tests' reference oracle.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import UserInputError
+from .errors import UserInputError, json_int, json_name, json_number, read_json
 
 KERNEL_KINDS = (
     "qkv_proj",
@@ -269,8 +268,8 @@ def _refuse_row(i: int, row: Sequence) -> None:
     for field, value in zip(COUNT_FIELDS, counts):
         if json_int(value, f"{where} {field}") < 0:
             raise ValueError(f"{where} {field} {value!r} is negative")
-    if type(t) not in _TIME_TYPES or not 0.0 <= t < math.inf:  # NaN fails too
-        raise ValueError(f"{where} est_time_s {t!r} is not a finite number >= 0")
+    if json_number(t, f"{where} est_time_s") < 0:
+        raise ValueError(f"{where} est_time_s {t!r} is negative")
 
 
 def in_neighbor_lists(graph: LayerGraph) -> tuple[tuple[int, ...], ...]:
@@ -680,49 +679,25 @@ _CONFIG_FIELDS = ("name", "num_layers", "hidden_dim", "num_heads", "head_dim",
                   "ffn_dim", "vocab_size", "weight_bytes", "act_bytes")
 
 
-def json_int(value: object, field: str) -> int:
-    """An integer field of a JSON document: an exact int, never a float or a
-    bool, so a count is refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} {value!r} is not an integer")
-    return value
-
-
-def json_number(value: object, field: str) -> int | float:
-    """A number field of a JSON document: an int or a float, never a bool or a
-    string, so `true` is refused rather than read as 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field} {value!r} is not a number")
-    return value
-
-
 def device_from_json(doc: Mapping) -> DeviceSpec:
     try:
-        return DeviceSpec(**{k: doc[k] if k == "name" else json_number(doc[k], k)
+        return DeviceSpec(**{k: json_name(doc[k], k) if k == "name" else json_number(doc[k], k)
                              for k in _DEVICE_FIELDS})
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed device spec: {exc}") from exc
 
 
 def load_device_json(path: str | Path) -> DeviceSpec:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserInputError(f"cannot read device spec {path}: {exc}") from exc
-    return device_from_json(doc)
+    return device_from_json(read_json(path, "device spec"))
 
 
 def config_from_json(doc: Mapping) -> LlmConfig:
     try:
-        return LlmConfig(**{k: doc[k] if k == "name" else json_int(doc[k], k)
+        return LlmConfig(**{k: json_name(doc[k], k) if k == "name" else json_int(doc[k], k)
                             for k in _CONFIG_FIELDS if k in doc})
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed llm config: {exc}") from exc
 
 
 def load_config_json(path: str | Path) -> LlmConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserInputError(f"cannot read llm config {path}: {exc}") from exc
-    return config_from_json(doc)
+    return config_from_json(read_json(path, "llm config"))

@@ -1,6 +1,7 @@
 """CLI behavior: determinism, round trips through files, and exit codes."""
 
 import base64
+import copy
 import json
 import os
 import shutil
@@ -13,7 +14,8 @@ import pytest
 
 from co2meter import assets, cli
 from co2meter import device_models as dm
-from co2meter.accounting import breakeven_requests
+from co2meter.accounting import breakeven_requests, load_ci_table, load_pipeline_json
+from co2meter.embodied import load_bom_json
 from co2meter.errors import UserInputError
 from co2meter.predictor import (
     featurize,
@@ -22,7 +24,8 @@ from co2meter.predictor import (
     predict_sample,
     read_dataset_jsonl,
 )
-from co2meter.workload import _LAYER_EDGES, LAYER_KINDS, ROW_FIELDS, Request
+from co2meter.workload import (_LAYER_EDGES, LAYER_KINDS, ROW_FIELDS, Request, load_config_json,
+                               load_device_json)
 from oracle_reference import reference_costs
 
 TRUTH = json.loads(
@@ -539,6 +542,42 @@ def test_asset_readers_inspect_the_root_only_when_a_file_is_missing(
     assert inspected == [1]
 
 
+# Every JSON loader with what its "cannot read" error calls the file
+_JSON_LOADERS = [
+    ("device spec", load_device_json),
+    ("llm config", load_config_json),
+    ("BOM", load_bom_json),
+    ("carbon-intensity table", load_ci_table),
+    ("pipeline", load_pipeline_json),
+    ("", assets._peripheral_masses),
+    ("model file", dm.load_model_json),
+    ("predictor params", load_params_json),
+]
+_LOADER_IDS = [loader.__name__ for _, loader in _JSON_LOADERS]
+
+
+@pytest.mark.parametrize("content", [None, "{nope"], ids=["missing", "invalid"])
+@pytest.mark.parametrize("what, loader", _JSON_LOADERS, ids=_LOADER_IDS)
+def test_json_loaders_name_the_file_they_cannot_read(tmp_path, what, loader, content):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises((OSError, ValueError)) as cause:
+        json.loads(path.read_text())
+    with pytest.raises(UserInputError) as exc:
+        loader(path)
+    assert str(exc.value) == f"cannot read {what + ' ' if what else ''}{path}: {cause.value}"
+    assert type(exc.value.__cause__) is cause.type
+
+
+@pytest.mark.parametrize("loader", [loader for _, loader in _JSON_LOADERS], ids=_LOADER_IDS)
+def test_json_loaders_refuse_a_document_that_is_no_object(tmp_path, loader):
+    path = tmp_path / "doc.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(UserInputError):
+        loader(path)
+
+
 def test_whatif_scenarios(capsys):
     doc = run_json(capsys, "whatif", "--scenario", "rk-mem")
     assert doc["embodied"]["base_kg"] == pytest.approx(4.5765, abs=5e-4)
@@ -830,58 +869,96 @@ def test_breakeven_without_a_finite_rate_exits_2(capsys, embodied, energy, fmt):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
-_ESTIMATE = ("estimate", "--prompt-len", "64", "--output-len", "8", "--device")
+_REQUEST = ("--prompt-len", "64", "--output-len", "8")
+_ESTIMATE = ("estimate", *_REQUEST, "--device")
 _BREAKEVEN = ("breakeven", "--delta-embodied", "1.0", "--delta-energy", "100", "--ci-table")
+_PIPELINE = ("pipeline", "--format", "csv", "--pipeline")
+_PIPELINE_NUMBERS = [("total_duration_s",), ("input", "duration_s"), ("input", "samples"),
+                     ("input", "frames"), ("conversion", "energy_j"), ("output", "duration_s"),
+                     ("output", "grey"), ("output", "pixels"), ("output", "volume")]
+# (asset, path to the field, argv): every number field of a device spec, a
+# BOM's top level, the carbon-intensity table and a pipeline
 _NON_FINITE_FIELDS = [
-    *[("devices/rk3588.json", field, _ESTIMATE) for field in (
+    *[("devices/rk3588.json", (field,), _ESTIMATE) for field in (
         "peak_ops", "mem_bandwidth", "idle_power", "active_power", "dram_capacity")],
-    *[("boms/rk3588.json", field, ("embodied", "--bom")) for field in (
+    *[("boms/rk3588.json", (field,), ("embodied", "--bom")) for field in (
         "die_area_cm2", "cpa_die_kg_per_cm2", "pcb_area_cm2", "cpa_pcb_kg_per_cm2",
         "dram_kg")],
-    ("ci_table.json", "india", _BREAKEVEN),
+    ("ci_table.json", ("india",), _BREAKEVEN),
+    *[("pipelines/voice_assistant.json", path, _PIPELINE) for path in _PIPELINE_NUMBERS],
 ]
+# What a field's path needs that the bundled asset lacks: a camera input, a
+# speaker output, a BOM peripheral
+_ADDED = {
+    ("input", "frames"): {"kind": "camera", "duration_s": 2.0, "frames": 3},
+    ("output", "volume"): {"kind": "speaker", "duration_s": 480.0, "volume": 60.0},
+    ("peripherals", 0, 1): [["camera", 0.5]],
+}
+
+
+def _spec_file(tmp_path, asset, path, value):
+    """A copy of the bundled asset with the field at path set to value (the
+    whole document when path is empty), written to tmp_path."""
+    doc = json.loads((assets.asset_root() / asset).read_text())
+    if path in _ADDED:
+        doc[path[0]] = copy.deepcopy(_ADDED[path])
+    if path:
+        _set(*path, value=value)(doc)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc if path else value))  # NaN / Infinity as tokens
+    return spec
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize(
-    "asset, field, argv", _NON_FINITE_FIELDS, ids=[f for _, f, _ in _NON_FINITE_FIELDS]
-)
-def test_non_finite_spec_fields_exit_2(capsys, tmp_path, asset, field, argv, value, fmt):
-    doc = json.loads((assets.asset_root() / asset).read_text())
-    doc[field] = value
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))  # as a NaN / Infinity token
-    code, out, err = run(capsys, *argv, path, "--format", fmt)
-    assert (code, out) == (2, ""), err
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                         ids=["nan", "inf", "beyond float"])
+@pytest.mark.parametrize("asset, path, argv", _NON_FINITE_FIELDS,
+                         ids=[".".join(p) for _, p, _ in _NON_FINITE_FIELDS])
+def test_non_finite_spec_fields_exit_2(capsys, tmp_path, asset, path, argv, value, fmt):
+    spec = _spec_file(tmp_path, asset, path, value)
+    code, out, err = run(capsys, *argv, spec, "--format", fmt)
+    assert_one_error_line(code, out, err)
+    assert f" {'.'.join(path)} {value!r} is not a finite number" in err, err
 
 
-# (asset, path to the field, argv, the field as the error names it): every
-# number field of a device spec and of a BOM
+# (asset, path to the field, argv, value, the error's end): every number field
+# above and in a BOM's units and peripherals as a bool, the carbon-intensity
+# and pipeline ones as a string too, names that are no non-empty string, and a
+# carbon-intensity table that is no JSON object
 _BOOLEAN_FIELDS = [
-    *[(asset, (field,), argv, field)
-      for asset, field, argv in _NON_FINITE_FIELDS if asset != "ci_table.json"],
-    ("boms/rk3588.json", ("units", 0, "area_fraction"), ("embodied", "--bom"),
-     "npu area_fraction"),
-    ("boms/rk3588.json", ("peripherals", 0, 1), ("embodied", "--bom"), "peripheral camera kg"),
+    *[(asset, path, argv, True, f"{'.'.join(path)} True is not a number")
+      for asset, path, argv in _NON_FINITE_FIELDS],
+    ("boms/rk3588.json", ("units", 0, "area_fraction"), ("embodied", "--bom"), True,
+     "npu area_fraction True is not a number"),
+    ("boms/rk3588.json", ("peripherals", 0, 1), ("embodied", "--bom"), True,
+     "peripheral camera kg True is not a number"),
+    *[(asset, path, argv, "0.7", f"{'.'.join(path)} '0.7' is not a number")
+      for asset, path, argv in _NON_FINITE_FIELDS if asset.startswith(("ci", "pipelines"))],
+    ("ci_table.json", (), _BREAKEVEN, [1, 2], "document is not a JSON object"),
+    ("devices/rk3588.json", ("name",), _ESTIMATE, 5, "name 5 is not a non-empty string"),
+    ("llm_configs/qwen15-05b.json", ("name",), ("estimate", *_REQUEST, "--config"), None,
+     "name None is not a non-empty string"),
+    ("boms/rk3588.json", ("name",), ("embodied", "--bom"), None,
+     "name None is not a non-empty string"),
+    ("boms/rk3588.json", ("units", 0, "name"), ("embodied", "--bom"), 5,
+     "unit name 5 is not a non-empty string"),
+    ("pipelines/voice_assistant.json", ("name",), _PIPELINE, "",
+     "name '' is not a non-empty string"),
 ]
 
 
-@pytest.mark.parametrize(
-    "asset, path, argv, field", _BOOLEAN_FIELDS,
-    ids=[".".join(map(str, p)) for _, p, _, _ in _BOOLEAN_FIELDS],
-)
-def test_boolean_spec_fields_exit_2_naming_the_field(capsys, tmp_path, asset, path, argv, field):
-    doc = json.loads((assets.asset_root() / asset).read_text())
-    if path[0] == "peripherals":
-        doc["peripherals"] = [["camera", 0.5]]
-    _set(*path, value=True)(doc)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *argv, spec)
+def _field_id(asset, path, value):
+    field = ".".join(map(str, path))
+    return field if value is True else f"{asset.split('/')[0]}:{field or 'document'}={value!r}"
+
+
+@pytest.mark.parametrize("asset, path, argv, value, tail", _BOOLEAN_FIELDS,
+                         ids=[_field_id(a, p, v) for a, p, _, v, _ in _BOOLEAN_FIELDS])
+def test_boolean_spec_fields_exit_2_naming_the_field(capsys, tmp_path, asset, path, argv, value,
+                                                      tail):
+    code, out, err = run(capsys, *argv, _spec_file(tmp_path, asset, path, value))
     assert_one_error_line(code, out, err)
-    assert err.endswith(f" {field} True is not a number\n"), err
+    assert err.endswith(f" {tail}\n"), err
 
 
 def _set(*path, value):
@@ -905,9 +982,19 @@ _BAD_SAMPLES = {
         ("node est_time_s", ("decode_graph", "rows", 5, 6), "decode_graph: row 5 (out_proj) est_"),
         ("total_ops", ("total_globals", "total_ops"), "total_ops"),
         ("kv_cache_bytes", ("prefill_globals", "kv_cache_bytes"), "kv_cache_bytes"),
+        ("label_total_j", ("label_total_j",), "label_total_j"),
     )
     for value in (float("nan"), float("inf"))
 }
+# number globals and labels that float() would accept; a device that is no name
+_BAD_SAMPLES.update({
+    f"{path[-1]}-{value!r}": (_set(*path, value=value), f"{path[-1]} {value!r} is not a number")
+    for path in (("total_globals", "total_ops"), ("prefill_globals", "weight_memory_bytes"),
+                 ("total_globals", "kv_cache_bytes"), ("label_prefill_j",), ("label_total_j",))
+    for value in ("5.0", True)
+})
+_BAD_SAMPLES["device_id-None"] = (_set("device_id", value=None),
+                                  "device_id None is not a non-empty string")
 _BAD_SAMPLES.update({
     "wrong row count": (lambda doc: doc["decode_graph"]["rows"].pop(), "decode_graph: 11 rows"),
     "wrong row width": (lambda doc: doc["prefill_graph"]["rows"][0].pop(),
@@ -981,9 +1068,6 @@ def test_format_1_dataset_exits_2_with_a_hint_to_regenerate(capsys, tmp_path, wo
         assert "re-run `co2meter dataset`" in err, err
 
 
-_REQUEST = ("--prompt-len", "64", "--output-len", "8")
-
-
 @pytest.mark.parametrize("asset, path, value, argv", [
     ("llm_configs/qwen15-05b.json", ("num_layers",), 24.5, ("estimate", *_REQUEST, "--config")),
     ("llm_configs/qwen15-05b.json", ("weight_bytes",), True, ("estimate", *_REQUEST, "--config")),
@@ -991,11 +1075,7 @@ _REQUEST = ("--prompt-len", "64", "--output-len", "8")
     ("pipelines/voice_assistant.json", ("llm", "output_len"), True, ("pipeline", "--pipeline")),
 ], ids=["config num_layers", "config weight_bytes", "pipeline prompt_len", "pipeline output_len"])
 def test_non_integer_json_fields_exit_2(capsys, tmp_path, asset, path, value, argv):
-    doc = json.loads((assets.asset_root() / asset).read_text())
-    _set(*path, value=value)(doc)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *argv, spec)
+    code, out, err = run(capsys, *argv, _spec_file(tmp_path, asset, path, value))
     assert (code, out) == (2, ""), err
     assert len(err.splitlines()) == 1 and "is not an integer" in err, err
 

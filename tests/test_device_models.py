@@ -1,6 +1,7 @@
 """Peripheral energy/power models: arithmetic, fits, invariants, I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -481,6 +482,21 @@ def test_model_json_round_trip_all_families():
         assert got_name == name
         assert got_model == model
         assert got_mae == 0.0
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (("mae",), math.nan, "mae nan is not a finite number"),
+    (("mae",), "0.001", "mae '0.001' is not a number"),
+    (("mae",), True, "mae True is not a number"),
+    (("params", "alpha"), math.inf, "alpha inf is not a finite number"),
+    (("params", "alpha"), "-0.05", "alpha '-0.05' is not a number"),
+    (("params", "beta"), True, "beta True is not a number"),
+], ids=["mae-nan", "mae-str", "mae-bool", "alpha-inf", "alpha-str", "beta-bool"])
+def test_model_from_json_refuses_what_is_no_finite_number(path, value, error):
+    doc = dm.model_to_json("speaker", dm.FitReport(dm.SpeakerPowerModel(-0.05, 0.2), 1e-3, 0, 2))
+    (doc["params"] if len(path) == 2 else doc)[path[-1]] = value
+    with pytest.raises(UserInputError, match=f"^malformed model document: {re.escape(error)}$"):
+        dm.model_from_json(doc)
 
 
 def test_model_file_round_trip(tmp_path):
