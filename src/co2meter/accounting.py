@@ -20,7 +20,6 @@ from .errors import (ConfigurationError, NoBreakEvenError, UserInputError, json_
 
 if TYPE_CHECKING:
     from .device_models import PeripheralModel
-    from .embodied import SocBom
     from .workload import DeviceSpec, LlmConfig, Request
 
 JOULES_PER_KWH = 3.6e6
@@ -263,17 +262,12 @@ class FootprintReport:
 
 
 def total_footprint(
-    bom: SocBom | float,
+    embodied_kg: float,
     usage: UsageProfile,
     energy_per_request_j: float,
     ci: CarbonIntensity,
 ) -> FootprintReport:
-    """Lifetime footprint: embodied plus operational over the usage profile."""
-    if isinstance(bom, (int, float)):
-        embodied_kg = bom
-    else:
-        from .embodied import soc_embodied
-        embodied_kg = soc_embodied(bom).total
+    """Lifetime footprint: embodied kg plus operational over the usage profile."""
     if energy_per_request_j < 0:
         raise ValueError("per-request energy must be >= 0")
     lifetime_requests = usage.requests_per_day * DAYS_PER_YEAR * usage.lifespan_years

@@ -306,8 +306,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
         for name, idx in (("train", train_idx), ("test", test_idx)):
             if len(idx) == 0:
                 raise UserInputError(f"--compare-baselines needs a non-empty {name} split")
-        train_samples = [dataset[i] for i in train_idx]
-        test_samples = [dataset[i] for i in test_idx]
+        train, test = (pr.table_rows(table, idx) for idx in (train_idx, test_idx))
         epochs = args.baseline_epochs
         bcfg = pr.TrainConfig(
             epochs=meta.get("epochs", 200) if epochs is None else epochs,
@@ -316,18 +315,13 @@ def _cmd_eval(args: argparse.Namespace) -> None:
             val_frac=val_frac,
         )
         single, _ = pr.train_single_phase(table, bcfg)
-        ridge = pr.fit_ridge_globals(train_samples)
+        ridge = pr.fit_ridge_globals(train)
         comparison = {
             "two_phase": doc["test"]["total"],
             "single_phase": _as_metric_doc(
-                pr.evaluate_baseline_total(
-                    pr.predict_single_phase(single, pr.table_rows(table, test_idx)),
-                    test_samples,
-                )
+                pr.evaluate_baseline_total(pr.predict_single_phase(single, test), test)
             ),
-            "ridge": _as_metric_doc(
-                pr.evaluate_baseline_total(ridge.predict(test_samples), test_samples)
-            ),
+            "ridge": _as_metric_doc(pr.evaluate_baseline_total(ridge.predict(test), test)),
         }
         doc = {"metrics": doc, "comparison": comparison}
         for scheme in ("two_phase", "single_phase", "ridge"):

@@ -4,6 +4,12 @@
   feature vector to log total energy (no graph structure at all);
 * single-phase GNN: the same tower architecture trained once on total energy,
   without phase separation or a prefill-energy feature.
+
+Both read the same `training.sample_table` as the two-phase predictor: each
+public function takes a sample set or its table and turns it into a table
+once (`training._as_table`).  Ridge reads the table's `total_globals` and
+`label_total_j` columns; the single-phase GNN trains on `train`'s split
+(`training._split_tables`) in `train`'s tower loop (`training._train_towers`).
 """
 
 from __future__ import annotations
@@ -13,28 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import GLOBAL_DIM, GraphSample, globals_vector
-from .gnn import (
-    NODE_FEATURE_DIM,
-    FeatureNorms,
-    TowerParams,
-    fit_feature_norms,
-    init_tower,
-)
-from .training import (
-    _TOWERS,
-    Metrics,
-    TrainConfig,
-    SampleTable,
-    _as_table,
-    _n_samples,
-    _rows,
-    _tower_predictions,
-    _tower_set,
-    evaluate_predictions,
-    split_indices,
-    train_tower,
-)
+from .data import GLOBAL_DIM, GraphSample
+from .gnn import NODE_FEATURE_DIM, FeatureNorms, TowerParams, fit_feature_norms, init_tower
+from .training import (_TOWERS, Metrics, SampleTable, TrainConfig, _as_table, _split_tables,
+                       _tower_predictions, _train_towers, evaluate_predictions)
 
 _RIDGE_LAMBDA = 1e-3
 
@@ -47,31 +35,21 @@ class RidgeBaseline:
     mu: np.ndarray
     sd: np.ndarray
 
-    def predict(self, samples: Sequence[GraphSample]) -> np.ndarray:
-        x = _ridge_design(samples, self.mu, self.sd)
-        return np.exp(x @ self.weights)
-
-
-def _ridge_raw(samples: Sequence[GraphSample]) -> np.ndarray:
-    return np.array([globals_vector(s.total_globals) for s in samples])
-
-
-def _ridge_design(
-    samples: Sequence[GraphSample], mu: np.ndarray, sd: np.ndarray
-) -> np.ndarray:
-    x = (np.log1p(_ridge_raw(samples)) - mu) / sd
-    return np.column_stack([x, np.ones(len(x))])
+    def predict(self, samples: Sequence[GraphSample] | SampleTable) -> np.ndarray:
+        x = (np.log1p(_as_table(samples)["total_globals"]) - self.mu) / self.sd
+        return np.exp(np.column_stack([x, np.ones(len(x))]) @ self.weights)
 
 
 def fit_ridge_globals(
-    samples: Sequence[GraphSample], lam: float = _RIDGE_LAMBDA
+    samples: Sequence[GraphSample] | SampleTable, lam: float = _RIDGE_LAMBDA
 ) -> RidgeBaseline:
-    raw = np.log1p(_ridge_raw(samples))
+    table = _as_table(samples)
+    raw = np.log1p(table["total_globals"])
     mu = raw.mean(axis=0)
     sd = raw.std(axis=0)
     sd[sd < 1e-12] = 1.0
     x = np.column_stack([(raw - mu) / sd, np.ones(len(raw))])
-    y = np.log([s.label_total_j for s in samples])
+    y = np.log(table["label_total_j"])
     gram = x.T @ x + lam * np.eye(x.shape[1])
     weights = np.linalg.solve(gram, x.T @ y)
     return RidgeBaseline(weights=weights, mu=mu, sd=sd)
@@ -88,25 +66,12 @@ class SinglePhaseParams:
 def train_single_phase(
     dataset: Sequence[GraphSample] | SampleTable, cfg: TrainConfig
 ) -> tuple[SinglePhaseParams, list[dict]]:
-    train_idx, val_idx, _ = split_indices(
-        _n_samples(dataset), cfg.train_frac, cfg.val_frac, cfg.seed
-    )
-    train_table = _rows(dataset, train_idx)
+    tables = _split_tables(dataset, cfg)
     # The single tower reads no total-phase slot, so those norms stay identity.
     spec = _TOWERS["single"]
-    norms = fit_feature_norms(train_table[spec.graph], train_table[spec.globals])
-    tower = init_tower(
-        np.random.default_rng(cfg.seed), NODE_FEATURE_DIM, GLOBAL_DIM
-    )
-    rng = np.random.default_rng(cfg.seed)
-    history = train_tower(
-        tower,
-        _tower_set(train_table, norms, "single"),
-        _tower_set(_rows(dataset, val_idx), norms, "single"),
-        cfg,
-        rng,
-        "single",
-    )
+    norms = fit_feature_norms(tables[0][spec.graph], tables[0][spec.globals])
+    tower = init_tower(np.random.default_rng(cfg.seed), NODE_FEATURE_DIM, GLOBAL_DIM)
+    history = _train_towers({"single": tower}, norms, tables, cfg)
     return SinglePhaseParams(tower=tower, norms=norms), history
 
 
@@ -118,7 +83,6 @@ def predict_single_phase(
 
 
 def evaluate_baseline_total(
-    predictions: np.ndarray, samples: Sequence[GraphSample]
+    predictions: np.ndarray, samples: Sequence[GraphSample] | SampleTable
 ) -> Metrics:
-    truths = np.array([s.label_total_j for s in samples])
-    return evaluate_predictions(truths, predictions)
+    return evaluate_predictions(_as_table(samples)["label_total_j"], predictions)

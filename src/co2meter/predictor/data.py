@@ -18,9 +18,9 @@ a JSON object with sorted keys: `"version": 2`, `device_id`, the two labels
 each `{"phase": ..., "rows": [...]}` with 12 rows of the six `COUNT_FIELDS`
 then `est_time_s`, in `LAYER_KINDS` order.  A graph is checked in one pass
 over its rows: anything but 12 rows of 7, counts that are exact
-non-negative integers and a finite, non-negative `est_time_s` is refused
-with path and line, as are global features and labels that are no finite
-JSON numbers (the `errors` rule) or are negative.
+non-negative integers and a non-negative `est_time_s`, all of which a float
+can hold, is refused with path and line, as are global features and labels
+that are no finite JSON numbers (the `errors` rule) or are negative.
 Version 1 lines (24 keyed node dicts and 13 edges per sample, no
 `version`) are refused with a hint to re-run `co2meter dataset`.
 """
@@ -49,17 +49,14 @@ NUMERIC_NODE_FEATURES = (
     "arithmetic_intensity",
 )
 
-GLOBAL_FEATURE_NAMES = (
-    "total_ops",
-    "layer_count",
-    "hidden_dim",
-    "ffn_dim",
-    "prompt_len",
-    "output_len",
-    "weight_memory_bytes",
-    "kv_cache_bytes",
-    "phase_flag",
+# The `GlobalFeatures` fields of the global feature vector, in its order, with
+# their type: a dataset line holds each by name, integers as exact ints.
+_GLOBAL_FIELDS = (
+    ("total_ops", float), ("layer_count", int), ("hidden_dim", int), ("ffn_dim", int),
+    ("prompt_len", int), ("output_len", int), ("weight_memory_bytes", float),
+    ("kv_cache_bytes", float),
 )
+GLOBAL_FEATURE_NAMES = (*(name for name, _ in _GLOBAL_FIELDS), "phase_flag")
 
 NODE_FEATURE_DIM = len(NUMERIC_NODE_FEATURES) + len(KERNEL_KINDS)
 GLOBAL_DIM = len(GLOBAL_FEATURE_NAMES)
@@ -124,18 +121,7 @@ def node_feature_matrix(graph: LayerGraph) -> np.ndarray:
 def globals_vector(gf: GlobalFeatures) -> np.ndarray:
     """Raw global feature vector (the prefill-energy slot is not part of it)."""
     phase_flag = 0.0 if gf.phase == "prefill" else 1.0
-    values = [
-        gf.total_ops,
-        float(gf.layer_count),
-        float(gf.hidden_dim),
-        float(gf.ffn_dim),
-        float(gf.prompt_len),
-        float(gf.output_len),
-        gf.weight_memory_bytes,
-        gf.kv_cache_bytes,
-        phase_flag,
-    ]
-    return np.array(values)
+    return np.array([*(float(getattr(gf, name)) for name, _ in _GLOBAL_FIELDS), phase_flag])
 
 
 def split_indices(
@@ -170,27 +156,20 @@ def _graph_from_json(doc: Mapping, name: str) -> LayerGraph:
 
 
 def _globals_to_json(gf: GlobalFeatures) -> dict:
-    return {
-        "total_ops": gf.total_ops,
-        "layer_count": gf.layer_count,
-        "hidden_dim": gf.hidden_dim,
-        "ffn_dim": gf.ffn_dim,
-        "prompt_len": gf.prompt_len,
-        "output_len": gf.output_len,
-        "weight_memory_bytes": gf.weight_memory_bytes,
-        "kv_cache_bytes": gf.kv_cache_bytes,
-        "phase": gf.phase,
-    }
+    return {**{name: getattr(gf, name) for name, _ in _GLOBAL_FIELDS}, "phase": gf.phase}
 
 
-_GLOBAL_INTS = ("layer_count", "hidden_dim", "ffn_dim", "prompt_len", "output_len")
-_GLOBAL_NUMBERS = ("total_ops", "weight_memory_bytes", "kv_cache_bytes")
+def _global_from_json(value: object, name: str, kind: type) -> int | float:
+    """A global feature field: a number a float can hold, an exact int where
+    the field is one."""
+    if kind is int:
+        json_int(value, name)
+    return kind(json_number(value, name))
 
 
 def _globals_from_json(doc: Mapping) -> GlobalFeatures:
     return GlobalFeatures(
-        **{key: json_int(doc[key], key) for key in _GLOBAL_INTS},
-        **{key: float(json_number(doc[key], key)) for key in _GLOBAL_NUMBERS},
+        **{name: _global_from_json(doc[name], name, kind) for name, kind in _GLOBAL_FIELDS},
         phase=doc["phase"],
     )
 

@@ -8,8 +8,13 @@ Both stages minimize squared error in log-energy space with Adam.
 A sample set is featurized once, into one table (`sample_table`, its node
 tensors from `data.node_feature_tensor`) that norm fitting, both towers,
 validation and evaluation read; `_TOWERS` says which of its fields each
-tower reads.  `train`, `evaluate_params` and the baselines take a sample
-set or its table, and index a table's rows per split (`table_rows`).  A
+tower reads.  The table is the only form the internals take: each entry
+point (`train`, `evaluate_params`, `fit_norms`, `_prepare` and the
+baselines) takes a sample set or its table and turns it into a table once
+(`_as_table`), and both trainers split it with `_split_tables`, which
+indexes a table's rows (`table_rows`) or featurizes only the train and
+validation samples of a sequence.  The two-phase predictor and the
+single-phase baseline train their towers in one loop (`_train_towers`).  A
 `LayerGraph` is in canonical node order from the moment it is built, so
 every GNN evaluation is the batched pass (`gnn.forward_batch` /
 `gnn.backward_batch`) over rows of one stack with the one constant `preds`:
@@ -186,20 +191,24 @@ def table_rows(table: SampleTable, idx: np.ndarray) -> SampleTable:
     return {field: column[idx] for field, column in table.items()}
 
 
-def _rows(data: Sequence[GraphSample] | SampleTable, idx: np.ndarray) -> SampleTable:
-    """Table of data's samples at idx: a `sample_table` is indexed, a
-    sequence of samples is featurized."""
-    if isinstance(data, dict):
-        return table_rows(data, idx)
-    return sample_table([data[i] for i in idx])
-
-
 def _as_table(data: Sequence[PredictorInputs] | SampleTable) -> SampleTable:
+    """data's `sample_table`: a table is returned as it is, a sequence of
+    samples is featurized."""
     return data if isinstance(data, dict) else sample_table(data)
 
 
-def _n_samples(data: Sequence[PredictorInputs] | SampleTable) -> int:
-    return len(data["prefill_graph"]) if isinstance(data, dict) else len(data)
+def _split_tables(data: Sequence[GraphSample] | SampleTable,
+                  cfg: TrainConfig) -> tuple[SampleTable, SampleTable]:
+    """Tables of the train and validation splits of data: a `sample_table`
+    is indexed, of a sequence of samples only those two splits are featurized."""
+    is_table = isinstance(data, dict)
+    n = len(data["prefill_graph"] if is_table else data)
+    if n < 2:
+        raise ValueError("training needs at least two samples")
+    return tuple(
+        table_rows(data, idx) if is_table else sample_table([data[i] for i in idx])
+        for idx in split_indices(n, cfg.train_frac, cfg.val_frac, cfg.seed)[:2]
+    )
 
 
 @dataclass(frozen=True)
@@ -273,7 +282,11 @@ class _TowerSet:
         return map(self.__getitem__, range(len(self)))
 
 
-def _tower_set(table: SampleTable, norms: FeatureNorms, tower: str) -> _TowerSet:
+def _prepare(data: Sequence[GraphSample] | SampleTable, norms: FeatureNorms,
+             tower: str) -> _TowerSet:
+    """Labelled tensors of the 'prefill', 'total' (teacher-forced) or 'single'
+    tower over a sample set or its table."""
+    table = _as_table(data)
     spec = _TOWERS[tower]
     teacher = None if spec.teacher is None else table[spec.teacher]
     target = table[spec.label]
@@ -281,12 +294,9 @@ def _tower_set(table: SampleTable, norms: FeatureNorms, tower: str) -> _TowerSet
     return _TowerSet(c0_stack(h0), g, np.log(target), target)
 
 
-def _prepare(samples: Sequence[GraphSample], norms: FeatureNorms, tower: str) -> _TowerSet:
-    """Labelled tensors of the 'prefill', 'total' (teacher-forced) or 'single' tower."""
-    return _tower_set(sample_table(samples), norms, tower)
-
-
-def _fit_norms(table: SampleTable) -> FeatureNorms:
+def fit_norms(data: Sequence[GraphSample] | SampleTable) -> FeatureNorms:
+    """Feature statistics over the training split (both graphs per sample)."""
+    table = _as_table(data)
     prefill, total = _TOWERS["prefill"], _TOWERS["total"]
     # node rows interleave each sample's two graphs: the order they are summed in
     nodes = np.stack([table[prefill.graph], table[total.graph]], axis=1)
@@ -294,11 +304,6 @@ def _fit_norms(table: SampleTable) -> FeatureNorms:
     return fit_feature_norms(
         nodes.reshape(-1, *nodes.shape[2:]), table[prefill.globals], total_g
     )
-
-
-def fit_norms(samples: Sequence[GraphSample]) -> FeatureNorms:
-    """Feature statistics over the training split (both graphs per sample)."""
-    return _fit_norms(sample_table(samples))
 
 
 def _prediction_workspace(tower: TowerParams, h0: np.ndarray) -> Workspace:
@@ -369,35 +374,29 @@ def train_tower(
     return history
 
 
+def _train_towers(towers: Mapping[str, TowerParams], norms: FeatureNorms,
+                  tables: tuple[SampleTable, SampleTable], cfg: TrainConfig) -> list[dict]:
+    """`train_tower` over each named tower in turn, on the (train, validation)
+    tables, with one generator seeded from cfg; returns their history."""
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for name, tower in towers.items():
+        train_set, val_set = (_prepare(table, norms, name) for table in tables)
+        history += train_tower(tower, train_set, val_set, cfg, rng, name)
+    return history
+
+
 def train(
     dataset: Sequence[GraphSample] | SampleTable, cfg: TrainConfig
 ) -> tuple[GnnParams, list[dict]]:
     """Fit both towers on the dataset's train split; returns params + history.
 
     The dataset is a sequence of samples or its `sample_table`."""
-    if _n_samples(dataset) < 2:
-        raise ValueError("training needs at least two samples")
-    train_idx, val_idx, _ = split_indices(
-        _n_samples(dataset), cfg.train_frac, cfg.val_frac, cfg.seed
-    )
-    train_table = _rows(dataset, train_idx)
-    val_table = _rows(dataset, val_idx)
-
+    tables = _split_tables(dataset, cfg)
     params = init_params(cfg.seed)
-    params.norms = _fit_norms(train_table)
-
-    rng = np.random.default_rng(cfg.seed)
-    history = []
-    for name, tower in (("prefill", params.prefill), ("total", params.total)):
-        history += train_tower(
-            tower,
-            _tower_set(train_table, params.norms, name),
-            _tower_set(val_table, params.norms, name),
-            cfg,
-            rng,
-            name,
-        )
-    return params, history
+    params.norms = fit_norms(tables[0])
+    towers = {"prefill": params.prefill, "total": params.total}
+    return params, _train_towers(towers, params.norms, tables, cfg)
 
 
 def _predict_chain(params: GnnParams, table: SampleTable) -> tuple[np.ndarray, np.ndarray]:
@@ -446,9 +445,9 @@ def evaluate_params(
 ) -> dict[str, Metrics]:
     """Chained-inference metrics for both heads over a sample set or its
     `sample_table`."""
-    if not _n_samples(samples):
-        raise ValueError("evaluation needs at least one sample")
     table = _as_table(samples)
+    if not len(table["prefill_graph"]):
+        raise ValueError("evaluation needs at least one sample")
     return {
         name: evaluate_predictions(table[_TOWERS[name].label], pred)
         for name, pred in zip(("prefill", "total"), _predict_chain(params, table))

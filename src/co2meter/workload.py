@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import UserInputError, json_int, json_name, json_number, read_json
 
@@ -194,7 +195,8 @@ class LayerGraph:
     six `COUNT_FIELDS`, then `est_time_s`.
 
     `LayerGraph(rows=..., phase=...)` refuses anything but 12 rows of 7 with
-    exact non-negative integer counts and a finite, non-negative time.
+    exact non-negative integer counts and a non-negative time, all of which a
+    float can hold.
     `LayerGraph(nodes, edges, phase)` takes the layer's `KernelNode`s under
     any node relabelling and stores them in canonical order; another
     topology raises ValueError.  `nodes` are built on first access."""
@@ -234,6 +236,7 @@ class LayerGraph:
 
 
 _TIME_TYPES = (float, int)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _checked_rows(rows: Sequence[Sequence[int | float]]) -> tuple[tuple[int | float, ...], ...]:
@@ -252,24 +255,25 @@ def _checked_rows(rows: Sequence[Sequence[int | float]]) -> tuple[tuple[int | fl
 def _plain_row(a: object, b: object, c: object, d: object, e: object, f: object,
                t: object) -> bool:
     """The common case, tested fast: six exact non-negative ints, then a
-    finite non-negative number."""
+    non-negative number, all of which a float can hold."""
     return (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is int
-            and min(a, b, c, d, e, f) >= 0
-            and type(t) in _TIME_TYPES and 0.0 <= t < math.inf)
+            and min(a, b, c, d, e, f) >= 0 and max(a, b, c, d, e, f) <= _FLOAT_MAX
+            and type(t) in _TIME_TYPES and 0.0 <= t <= _FLOAT_MAX)
 
 
-def _refuse_row(i: int, row: Sequence) -> None:
-    """ValueError naming row i's first bad field."""
+def _refuse_row(i: int, row: Sequence) -> NoReturn:
+    """ValueError naming the first field of row i that `_plain_row` refuses."""
     where = f"row {i} ({LAYER_KINDS[i]})"
     if len(row) != len(ROW_FIELDS):
         raise ValueError(f"{where}: {len(row)} values, expected {len(ROW_FIELDS)} "
                          f"({', '.join(ROW_FIELDS)})")
-    *counts, t = row
-    for field, value in zip(COUNT_FIELDS, counts):
-        if json_int(value, f"{where} {field}") < 0:
-            raise ValueError(f"{where} {field} {value!r} is negative")
-    if json_number(t, f"{where} est_time_s") < 0:
-        raise ValueError(f"{where} est_time_s {t!r} is negative")
+    for field, value in zip(ROW_FIELDS, row):
+        name = f"{where} {field}"
+        if field != "est_time_s":
+            json_int(value, name)
+        if json_number(value, name) < 0:
+            raise ValueError(f"{name} {value!r} is negative")
+    raise ValueError(f"{where} {row!r} is not a row of counts and a time")
 
 
 def in_neighbor_lists(graph: LayerGraph) -> tuple[tuple[int, ...], ...]:

@@ -118,13 +118,6 @@ def test_total_footprint_arithmetic():
     )
 
 
-def test_total_footprint_accepts_bom():
-    usage = acc.UsageProfile(requests_per_day=0.0, lifespan_years=5.0)
-    report = acc.total_footprint(assets.load_bom("rk3588"), usage, 100.0, GLOBAL_CI)
-    assert report.embodied_kg == pytest.approx(4.5765, abs=1e-9)
-    assert report.operational_kg == 0.0
-
-
 # ---------------------------------------------------------------------------
 # App pipeline accounting
 

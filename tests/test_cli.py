@@ -18,11 +18,17 @@ from co2meter.accounting import breakeven_requests, load_ci_table, load_pipeline
 from co2meter.embodied import load_bom_json
 from co2meter.errors import UserInputError
 from co2meter.predictor import (
+    TrainConfig,
+    evaluate_baseline_total,
     featurize,
+    fit_ridge_globals,
     load_params_json,
     params_from_json,
     predict_sample,
+    predict_single_phase,
     read_dataset_jsonl,
+    split_indices,
+    train_single_phase,
 )
 from co2meter.workload import (_LAYER_EDGES, LAYER_KINDS, ROW_FIELDS, Request, load_config_json,
                                load_device_json)
@@ -434,6 +440,28 @@ def test_eval_compare_baselines_csv_rows(capsys, workdir):
     assert ["train", "prefill"] in series
     assert ["test", "two_phase"] in series
     assert ["test", "ridge"] in series
+
+
+def test_eval_baseline_rows_equal_library_calls_on_samples(capsys, workdir):
+    """The CLI hands each baseline the rows of one table; the library on
+    sample lists gives the same bits."""
+    doc = run_json(
+        capsys, "eval", "--dataset", str(workdir / "tiny.jsonl"),
+        "--params", str(workdir / "params.json"),
+        "--compare-baselines", "--baseline-epochs", "2",
+    )
+    dataset = read_dataset_jsonl(workdir / "tiny.jsonl")
+    _, meta = load_params_json(workdir / "params.json")
+    cfg = TrainConfig(epochs=2, seed=meta["seed"], train_frac=meta["train_frac"],
+                      val_frac=meta["val_frac"])
+    train_idx, _, test_idx = split_indices(len(dataset), cfg.train_frac, cfg.val_frac, cfg.seed)
+    test = [dataset[i] for i in test_idx]
+    single, _ = train_single_phase(dataset, cfg)
+    ridge = fit_ridge_globals([dataset[i] for i in train_idx])
+    for scheme, preds in (("single_phase", predict_single_phase(single, test)),
+                          ("ridge", ridge.predict(test))):
+        m = evaluate_baseline_total(preds, test)
+        assert doc["comparison"][scheme] == {"mape": m.mape, "eb10": m.eb10, "n": m.n}, scheme
 
 
 # ---------------------------------------------------------------------------
@@ -974,6 +1002,7 @@ def _drop(key):
     return lambda doc: doc.pop(key)
 
 
+_HUGE = 10**400
 # Each malformed field of a format-2 line, with what the error names.
 _BAD_SAMPLES = {
     f"{name}-{value}": (_set(*path, value=value), named)
@@ -1008,6 +1037,15 @@ _BAD_SAMPLES.update({
                               "row 2 (attn_score) kv_bytes_loaded -1 is negative"),
     "negative est_time_s": (_set("prefill_graph", "rows", 11, 6, value=-1e-9),
                             "row 11 (residual) est_time_s -1e-09"),
+    # integers no float can hold, which would overflow in featurization
+    "kernel count beyond float": (
+        _set("prefill_graph", "rows", 2, 0, value=_HUGE),
+        f"prefill_graph: row 2 (attn_score) flops {_HUGE} is not a finite number"),
+    "est_time_s beyond float": (
+        _set("decode_graph", "rows", 5, 6, value=_HUGE),
+        f"decode_graph: row 5 (out_proj) est_time_s {_HUGE} is not a finite number"),
+    "layer_count beyond float": (_set("total_globals", "layer_count", value=_HUGE),
+                                 f"layer_count {_HUGE} is not a finite number"),
     "bool est_time_s": (_set("prefill_graph", "rows", 4, 6, value=False),
                         "row 4 (attn_value) est_time_s False"),
     # integer fields that int() would truncate

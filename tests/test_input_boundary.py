@@ -5,7 +5,9 @@
 lines one by one in `predictor.data.read_dataset_jsonl` and checks them with
 the same helpers.  This reads the package sources with `ast` and runs none of
 them, so a new loader that parses JSON or type-tests a bool on its own fails
-here.
+here.  The same scan holds the predictor to one input boundary of its own:
+only `training._as_table` and `training._split_tables` tell a sample set
+from its `sample_table`.
 """
 
 import ast
@@ -44,14 +46,15 @@ def _parses_json(call: ast.Call, json_names: set[str]) -> bool:
     return isinstance(func, ast.Name) and func.id in json_names
 
 
-def _tests_for_bool(call: ast.Call) -> bool:
-    """`isinstance(x, bool)` or `isinstance(x, (..., bool, ...))`."""
+def _isinstance_kinds(call: ast.Call) -> set[str]:
+    """The type names `isinstance(x, T)` or `isinstance(x, (..., T, ...))`
+    tests; none for any other call."""
     if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
             and len(call.args) == 2):
-        return False
+        return set()
     kinds = call.args[1]
     kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-    return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+    return {k.id for k in kinds if isinstance(k, ast.Name)}
 
 
 def _scan(path: Path) -> tuple[set, list]:
@@ -64,7 +67,7 @@ def _scan(path: Path) -> tuple[set, list]:
     for function, looping, call in _calls(tree):
         if _parses_json(call, json_names):
             parsers.add((_module(path), function, looping))
-        if _tests_for_bool(call):
+        if "bool" in _isinstance_kinds(call):
             bool_tests.append(call.lineno)
     return parsers, bool_tests
 
@@ -87,3 +90,20 @@ def test_the_boundary_is_scanned():
     found = set().union(*(_scan(path)[0] for path in SOURCES))
     assert found == PARSERS
     assert _scan(PACKAGE / "errors.py")[1]
+
+
+# The predictor's internals take one `training.sample_table`; a sample set is
+# told from its table only where it is turned into one.
+TABLE_TESTS = {("predictor/training.py", "_as_table"), ("predictor/training.py", "_split_tables")}
+
+
+def _dict_tests(path: Path) -> set:
+    """(module, enclosing function) of each `isinstance` test for a dict."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {(_module(path), function) for function, _, call in _calls(tree)
+            if "dict" in _isinstance_kinds(call)}
+
+
+def test_samples_or_table_is_decided_in_two_places():
+    found = set().union(*(_dict_tests(p) for p in SOURCES if _module(p).startswith("predictor/")))
+    assert found == TABLE_TESTS

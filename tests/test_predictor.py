@@ -46,6 +46,7 @@ from co2meter.predictor import (
     request_energy,
     sample_table,
     sample_to_json,
+    table_rows,
     save_params_json,
     split_indices,
     train,
@@ -56,7 +57,7 @@ import gnn_reference
 from test_oracle import configs as random_configs
 from test_oracle import devices as random_devices
 from test_oracle import requests as random_requests
-from co2meter.predictor import baselines, training
+from co2meter.predictor import training
 from co2meter.predictor.gnn import (
     FeatureNorms,
     Workspace,
@@ -552,7 +553,6 @@ def test_training_matches_reference_trainer(dataset20, monkeypatch, relabel):
         assert params_to_json(canonical) == params_to_json(params)
 
     monkeypatch.setattr(training, "train_tower", gnn_reference.train_tower)
-    monkeypatch.setattr(baselines, "train_tower", gnn_reference.train_tower)
     ref_params, ref_history = train(samples, cfg)
     ref_single, ref_single_history = train_single_phase(samples, cfg)
 
@@ -1063,22 +1063,47 @@ def test_norms_give_unit_scale_and_handle_constants(dataset20):
 # Baselines
 
 
-def test_ridge_baseline_beats_constant_prediction(dataset20):
-    ridge = fit_ridge_globals(dataset20)
-    preds = ridge.predict(dataset20)
+def _as_samples_or_table(dataset, form):
+    """dataset as given ("samples") or as its `sample_table` ("table"), and
+    in the other form."""
+    table = sample_table(dataset)
+    return (dataset, table) if form == "samples" else (table, dataset)
+
+
+@pytest.mark.parametrize("form", ["samples", "table"])
+def test_ridge_baseline_beats_constant_prediction(dataset20, form):
+    data, other = _as_samples_or_table(dataset20, form)
+    ridge = fit_ridge_globals(data)
+    preds = ridge.predict(data)
     assert np.all(preds > 0)
     truths = np.array([s.label_total_j for s in dataset20])
     constant = np.full_like(truths, truths.mean())
     assert mape(truths, preds) < mape(truths, constant)
-    assert evaluate_baseline_total(preds, dataset20).n == 20
+    assert evaluate_baseline_total(preds, data).n == 20
+    # a sample list and its table give the same bits
+    assert np.array_equal(ridge.predict(other), preds)
+    assert np.array_equal(fit_ridge_globals(other).predict(other), preds)
+    assert evaluate_baseline_total(preds, other) == evaluate_baseline_total(preds, data)
 
 
-def test_single_phase_baseline_runs_and_predicts(dataset20):
-    params, history = train_single_phase(dataset20, TrainConfig(epochs=3))
+@pytest.mark.parametrize("form", ["samples", "table"])
+def test_single_phase_baseline_runs_and_predicts(dataset20, form):
+    data, other = _as_samples_or_table(dataset20, form)
+    params, history = train_single_phase(data, TrainConfig(epochs=3))
     assert [e["tower"] for e in history] == ["single"] * 3
-    preds = predict_single_phase(params, dataset20[:5])
+    first5 = dataset20[:5] if form == "samples" else table_rows(data, np.arange(5))
+    preds = predict_single_phase(params, first5)
     assert preds.shape == (5,)
     assert np.all(preds > 0) and np.all(np.isfinite(preds))
+    # a sample list and its table give the same bits
+    other_params, other_history = train_single_phase(other, TrainConfig(epochs=3))
+    assert other_history == history
+    for name, want in params.tower.arrays().items():
+        assert np.array_equal(other_params.tower.arrays()[name], want), name
+    _assert_same_norms(other_params.norms, params.norms)
+    assert np.array_equal(predict_single_phase(other_params, first5), preds)
+    assert np.array_equal(predict_single_phase(params, other), predict_single_phase(params, data))
+    assert evaluate_baseline_total(preds, first5) == evaluate_baseline_total(preds, dataset20[:5])
     # the single tower reads no total-phase globals, so none are fitted
     assert np.array_equal(params.norms.glob_mu_total, identity_norms().glob_mu_total)
     assert np.array_equal(params.norms.glob_sd_total, identity_norms().glob_sd_total)

@@ -124,6 +124,15 @@ def test_layer_graph_rejects_out_of_range_endpoints():
             wl.LayerGraph(nodes=nodes, edges=(edge,) + edges[1:], phase="prefill")
 
 
+def test_layer_graph_refuses_a_row_every_field_check_passes():
+    """A float subclass passes every field check, yet no plain row holds it,
+    so the row is refused rather than stored."""
+    rows = [list(row) for row in wl.build_layer_graph(Q15, wl.Request(4, 4), "prefill").rows]
+    rows[3][6] = np.float64(rows[3][6])
+    with pytest.raises(ValueError, match=r"^row 3 \(softmax\) .* is not a row of counts and a time"):
+        wl.LayerGraph(rows=rows, phase="prefill")
+
+
 def _relabeled(graph, order):
     """The same graph with node order[i] moved to position i."""
     return wl.LayerGraph(*_relabel(graph.nodes, graph.edges, order), phase=graph.phase)
