@@ -295,22 +295,19 @@ def load_ci_table(path: str | Path) -> dict[str, CarbonIntensity]:
 
 def pipeline_from_json(
     doc: Mapping,
-    config_resolver: Callable[[str], LlmConfig] | None = None,
-    device_resolver: Callable[[str], DeviceSpec] | None = None,
+    config_resolver: Callable[[str], LlmConfig],
+    device_resolver: Callable[[str], DeviceSpec],
 ) -> AppPipeline:
     """Build an AppPipeline from a JSON document.
 
     The llm stage's `config` and `device` entries are either inline objects or
-    names handed to the resolvers (the bundled-asset loaders in practice).
+    names handed to the resolvers, which every caller passes: the bundled-asset
+    loaders, or the CLI's asset-or-path resolution.
     """
     from .workload import Request, config_from_json, device_from_json
 
-    def resolve(entry, resolver, inline, what):
-        if isinstance(entry, str):
-            if resolver is None:
-                raise ConfigurationError(f"no resolver for {what} name {entry!r}")
-            return resolver(entry)
-        return inline(entry)
+    def resolve(entry, resolver, inline):
+        return resolver(entry) if isinstance(entry, str) else inline(entry)
 
     def number(stage: str, key: str) -> float:
         return float(json_number(doc[stage][key], f"{stage}.{key}"))
@@ -333,12 +330,12 @@ def pipeline_from_json(
 
         llm = doc["llm"]
         stage = LlmStage(
-            config=resolve(llm["config"], config_resolver, config_from_json, "config"),
+            config=resolve(llm["config"], config_resolver, config_from_json),
             request=Request(
                 prompt_len=json_int(llm["prompt_len"], "prompt_len"),
                 output_len=json_int(llm["output_len"], "output_len"),
             ),
-            device=resolve(llm["device"], device_resolver, device_from_json, "device"),
+            device=resolve(llm["device"], device_resolver, device_from_json),
         )
 
         out = doc["output"]
@@ -369,8 +366,8 @@ def pipeline_from_json(
 
 def load_pipeline_json(
     path: str | Path,
-    config_resolver: Callable[[str], LlmConfig] | None = None,
-    device_resolver: Callable[[str], DeviceSpec] | None = None,
+    config_resolver: Callable[[str], LlmConfig],
+    device_resolver: Callable[[str], DeviceSpec],
 ) -> AppPipeline:
     return pipeline_from_json(read_json(path, "pipeline"), config_resolver, device_resolver)
 

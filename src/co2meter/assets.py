@@ -11,7 +11,7 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import UserInputError, json_number, json_object, read_json
+from .errors import UserInputError
 
 if TYPE_CHECKING:
     from .accounting import AppPipeline, CarbonIntensity
@@ -35,17 +35,6 @@ def asset_root() -> Path:
     if not root.is_dir():
         raise UserInputError(f"asset root {root} is not a directory")
     return root
-
-
-def _load(relpath: str, loader: Callable):
-    """`loader` on `<root>/<relpath>`; when the file is missing because the
-    root is no directory, the root's error instead of the loader's."""
-    try:
-        return loader(_root() / relpath)
-    except UserInputError as exc:
-        if isinstance(exc.__cause__, (FileNotFoundError, NotADirectoryError)):
-            asset_root()
-        raise
 
 
 def _named_json(subdir: str, name: str, loader: Callable):
@@ -81,8 +70,15 @@ def load_llm_config(name: str) -> LlmConfig:
 
 
 def load_carbon_intensities() -> dict[str, CarbonIntensity]:
+    """The bundled table; when it is missing because the root is no
+    directory, the root's error instead of the table's."""
     from .accounting import load_ci_table
-    return _load("ci_table.json", load_ci_table)
+    try:
+        return load_ci_table(_root() / "ci_table.json")
+    except UserInputError as exc:
+        if isinstance(exc.__cause__, (FileNotFoundError, NotADirectoryError)):
+            asset_root()
+        raise
 
 
 def load_demo_pipeline(name: str = "voice_assistant") -> AppPipeline:
@@ -98,19 +94,6 @@ def measurement_csv(name: str) -> Path:
         asset_root()  # raises when the root is not a directory
         raise UserInputError(f"no bundled measurement file {name!r}")
     return path
-
-
-def _peripheral_masses(path: Path) -> dict[str, float]:
-    doc = read_json(path, "")
-    try:
-        return {k: float(json_number(v, k)) for k, v in json_object(doc, "document").items()}
-    except ValueError as exc:
-        raise UserInputError(f"malformed peripheral masses {path}: {exc}") from exc
-
-
-def load_peripheral_masses() -> dict[str, float]:
-    """Embodied carbon (kg CO2e) of common off-board peripherals."""
-    return _load("peripherals.json", _peripheral_masses)
 
 
 def demo_peripheral_models(names: Sequence[str] | None = None) -> dict[str, PeripheralModel]:

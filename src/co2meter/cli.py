@@ -347,11 +347,18 @@ def _cmd_embodied(args: argparse.Namespace) -> None:
     _emit(args, report_to_json(report), ("component", "kg_co2eq"), rows)
 
 
+def _prompt_len(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise UserInputError(f"--prompt-lens entry {entry!r} is not an integer") from None
+
+
 def _cmd_whatif(args: argparse.Namespace) -> None:
     from .embodied import ScaleUnit, SetDram, soc_embodied, whatif_bom
     from .workload import Request, scaled_device, whatif_speedup
     scenario = _SCENARIOS[args.scenario]
-    prompt_lens = [int(p) for p in args.prompt_lens.split(",") if p]
+    prompt_lens = [_prompt_len(p) for p in args.prompt_lens.split(",") if p]
     if not prompt_lens:
         raise UserInputError(f"--prompt-lens {args.prompt_lens!r} names no prompt length")
     bom = _resolve_bom(args.bom)

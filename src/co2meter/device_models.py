@@ -23,12 +23,11 @@ on a face of the quadrant.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import FitError, UserInputError, json_number, read_json
 
@@ -441,10 +440,6 @@ def model_from_json(doc: Mapping) -> tuple[str, PeripheralModel, float]:
     return name, model, mae
 
 
-def save_model_json(path: str | Path, name: str, report: FitReport) -> None:
-    Path(path).write_text(json.dumps(model_to_json(name, report), sort_keys=True))
-
-
 def load_model_json(path: str | Path) -> tuple[str, PeripheralModel, float]:
     return model_from_json(read_json(path, "model file"))
 
@@ -479,10 +474,3 @@ def load_samples_csv(path: str | Path) -> list[MeasurementSample]:
         except ValueError as exc:
             raise UserInputError(f"{path}:{lineno}: {exc}") from exc
     return samples
-
-
-def save_samples_csv(path: str | Path, samples: Iterable[MeasurementSample]) -> None:
-    lines = [",".join(_CSV_HEADER)]
-    for s in samples:
-        lines.append(f"{s.kind},{s.predictor!r},{s.duration_s!r},{s.observed!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -83,10 +83,6 @@ class EmbodiedReport:
     total: float
     llm_fraction: float | None = None
 
-    @property
-    def die_total(self) -> float:
-        return sum(v for k, v in self.per_component.items() if k.startswith("die:"))
-
 
 def unit_embodied(area_cm2: float, cpa_kg_per_cm2: float) -> float:
     """Carbon of one area-priced component."""
@@ -235,21 +231,6 @@ def bom_from_json(doc: Mapping) -> SocBom:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed BOM: {exc}") from exc
-
-
-def bom_to_json(bom: SocBom) -> dict:
-    return {
-        "name": bom.name,
-        "die_area_cm2": bom.die_area_cm2,
-        "cpa_die_kg_per_cm2": bom.cpa_die_kg_per_cm2,
-        "units": [
-            {"name": u.name, "area_fraction": u.area_fraction} for u in bom.units
-        ],
-        "pcb_area_cm2": bom.pcb_area_cm2,
-        "cpa_pcb_kg_per_cm2": bom.cpa_pcb_kg_per_cm2,
-        "dram_kg": bom.dram_kg,
-        "peripherals": [[name, kg] for name, kg in bom.peripherals],
-    }
 
 
 def load_bom_json(path: str | Path) -> SocBom:

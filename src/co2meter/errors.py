@@ -1,13 +1,13 @@
 """Exception hierarchy shared across the package, and the JSON input boundary.
 
 Every JSON input file (device specs, LLM configs, BOMs, the carbon-intensity
-table, pipelines, peripheral masses, fitted-model files, params files) is read
-by `read_json`; its fields are checked by `json_number`, `json_int`,
-`json_name` and `json_object`, which raise ValueError naming the field.  The
-rule: a number is a finite JSON number, never a bool, a string, NaN or
-Infinity; an integer is an exact int; a name is a non-empty string.  Dataset
-lines are parsed one by one in `predictor.data.read_dataset_jsonl` and checked
-with the same helpers.
+table, pipelines, fitted-model files, params files) is read by `read_json`;
+its fields are checked by `json_number`, `json_int`, `json_name` and
+`json_object`, which raise ValueError naming the field.  The rule: a number
+is a finite JSON number, never a bool, a string, NaN or Infinity; an integer
+is an exact int; a name is a non-empty string.  Dataset lines are parsed one
+by one in `predictor.data.read_dataset_jsonl` and checked with the same
+helpers.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ class TrainingDivergedError(CO2MeterError):
 
 def read_json(path: str | Path, what: str) -> object:
     """The parsed document at path, else UserInputError "cannot read <what>
-    <path>" caused by the OSError (the asset readers look for it) or parse error."""
+    <path>" caused by the OSError (the asset readers look for it) or the
+    parse's ValueError: a JSONDecodeError, or an integer too long to convert."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserInputError(f"cannot read {what + ' ' if what else ''}{path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise UserInputError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def json_number(value: object, field: str) -> int | float:

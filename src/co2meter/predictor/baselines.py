@@ -40,9 +40,7 @@ class RidgeBaseline:
         return np.exp(np.column_stack([x, np.ones(len(x))]) @ self.weights)
 
 
-def fit_ridge_globals(
-    samples: Sequence[GraphSample] | SampleTable, lam: float = _RIDGE_LAMBDA
-) -> RidgeBaseline:
+def fit_ridge_globals(samples: Sequence[GraphSample] | SampleTable) -> RidgeBaseline:
     table = _as_table(samples)
     raw = np.log1p(table["total_globals"])
     mu = raw.mean(axis=0)
@@ -50,7 +48,7 @@ def fit_ridge_globals(
     sd[sd < 1e-12] = 1.0
     x = np.column_stack([(raw - mu) / sd, np.ones(len(raw))])
     y = np.log(table["label_total_j"])
-    gram = x.T @ x + lam * np.eye(x.shape[1])
+    gram = x.T @ x + _RIDGE_LAMBDA * np.eye(x.shape[1])
     weights = np.linalg.solve(gram, x.T @ y)
     return RidgeBaseline(weights=weights, mu=mu, sd=sd)
 

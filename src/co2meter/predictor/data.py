@@ -103,8 +103,9 @@ class GraphSample(PredictorInputs):
 def node_feature_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:
     """Raw (S, 12, 18) node features of S graphs, nodes in canonical order:
     the 7 row columns, the arithmetic intensity, then a 10-wide kind one-hot.
-    The intensity equals `KernelNode.arithmetic_intensity` bit for bit while
-    counts stay below 2**53, as float64 then holds them exactly."""
+    The intensity equals `workload.kernel_intensity` of a row's flops and moved
+    bytes bit for bit while counts stay below 2**53, as float64 then holds
+    them exactly."""
     rows = np.array([graph.rows for graph in graphs], dtype=float).reshape(
         len(graphs), len(LAYER_KINDS), len(ROW_FIELDS))
     moved = rows[..., 1:6].sum(axis=2)
@@ -167,11 +168,14 @@ def _global_from_json(value: object, name: str, kind: type) -> int | float:
     return kind(json_number(value, name))
 
 
-def _globals_from_json(doc: Mapping) -> GlobalFeatures:
-    return GlobalFeatures(
-        **{name: _global_from_json(doc[name], name, kind) for name, kind in _GLOBAL_FIELDS},
-        phase=doc["phase"],
-    )
+def _globals_from_json(doc: Mapping, field: str) -> GlobalFeatures:
+    try:
+        return GlobalFeatures(
+            **{name: _global_from_json(doc[name], name, kind) for name, kind in _GLOBAL_FIELDS},
+            phase=doc["phase"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from exc
 
 
 def sample_to_json(sample: GraphSample) -> dict:
@@ -200,9 +204,9 @@ def sample_from_json(doc: Mapping) -> GraphSample:
         return GraphSample(
             device_id=json_name(doc["device_id"], "device_id"),
             prefill_graph=_graph_from_json(doc["prefill_graph"], "prefill_graph"),
-            prefill_globals=_globals_from_json(doc["prefill_globals"]),
+            prefill_globals=_globals_from_json(doc["prefill_globals"], "prefill_globals"),
             decode_graph=_graph_from_json(doc["decode_graph"], "decode_graph"),
-            total_globals=_globals_from_json(doc["total_globals"]),
+            total_globals=_globals_from_json(doc["total_globals"], "total_globals"),
             label_prefill_j=float(json_number(doc["label_prefill_j"], "label_prefill_j")),
             label_total_j=float(json_number(doc["label_total_j"], "label_total_j")),
         )
@@ -227,9 +231,11 @@ def read_dataset_jsonl(path: str | Path) -> list[GraphSample]:
         if not line.strip():
             continue
         try:
-            samples.append(sample_from_json(json.loads(line)))
-        except json.JSONDecodeError as exc:
+            doc = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
             raise UserInputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            samples.append(sample_from_json(doc))
         except UserInputError as exc:
             raise UserInputError(f"{path}:{lineno}: {exc}") from exc
     return samples

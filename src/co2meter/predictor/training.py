@@ -99,10 +99,11 @@ def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(np.abs(y_pred - y_true) / y_true) * 100.0)
 
 
-def error_bound_share(
-    y_true: np.ndarray, y_pred: np.ndarray, bound: float = 0.10
-) -> float:
-    """Share (percent) of predictions with relative error <= bound."""
+_ERROR_BOUND = 0.10
+
+
+def error_bound_share(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Share (percent) of predictions with relative error <= 10 %."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if y_true.size == 0:
@@ -110,7 +111,7 @@ def error_bound_share(
     if np.any(y_true <= 0):
         raise ValueError("error-bound share needs positive ground-truth values")
     rel = np.abs(y_pred - y_true) / y_true
-    return float(np.mean(rel <= bound) * 100.0)
+    return float(np.mean(rel <= _ERROR_BOUND) * 100.0)
 
 
 def evaluate_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
@@ -121,22 +122,16 @@ def evaluate_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
     )
 
 
-class Adam:
-    """Standard Adam over a named set of parameter arrays (in-place updates);
-    `train_tower` passes one array, the tower's flat buffer."""
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+
+class Adam:
+    """Standard Adam (`_BETA1`, `_BETA2`, `_EPS`) over a named set of parameter
+    arrays (in-place updates); `train_tower` passes one array, the tower's
+    flat buffer."""
+
+    def __init__(self, arrays: Mapping[str, np.ndarray], lr: float) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
@@ -148,21 +143,21 @@ class Adam:
         """m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
         param -= (lr * m/bc1) / (sqrt(v/bc2) + eps), in place, in that order."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - _BETA1 ** self.t
+        bc2 = 1.0 - _BETA2 ** self.t
         for name, arr in arrays.items():
             grad, m, v = grads[name], self.m[name], self.v[name]
             a, b = self._scratch[name]
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, grad, out=a)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, grad, out=a)
+            m *= _BETA1
+            m += np.multiply(1.0 - _BETA1, grad, out=a)
+            v *= _BETA2
+            np.multiply(1.0 - _BETA2, grad, out=a)
             v += np.multiply(a, grad, out=a)
             np.divide(m, bc1, out=a)
             a *= self.lr
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += _EPS
             arr -= np.divide(a, b, out=a)
 
 

@@ -19,8 +19,8 @@ layer's rows with their times, the predictor's input together with
 `global_features`; `build_layer_graph` / `apply_roofline` make one, and its
 `KernelNode`s are built only when asked for.  A graph given as nodes and
 edges is that layer up to node relabelling (`_layer_slots` decides), stored
-in canonical order.  Nodes with `roofline_time` / `graph_time` are the
-tests' reference oracle.
+in canonical order.  The tests' reference oracle, which prices each node of
+a graph per decode position, lives in `tests/oracle_reference.py`.
 """
 
 from __future__ import annotations
@@ -142,17 +142,6 @@ class KernelNode:
         for field in (*COUNT_FIELDS, "est_time_s"):
             if not 0 <= getattr(self, field) < math.inf:  # NaN fails too
                 raise ValueError(f"{field} must be finite and >= 0")
-
-    @property
-    def total_bytes(self) -> int:
-        return (self.weight_bytes_loaded + self.act_bytes_loaded
-                + self.act_bytes_stored + self.kv_bytes_loaded
-                + self.kv_bytes_stored)
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """flops per moved byte; 0 when the kernel moves no bytes."""
-        return kernel_intensity(self.flops, self.total_bytes)
 
 
 # Node indices within one layer graph, in canonical order.
@@ -376,13 +365,9 @@ def boundedness(intensity: float, dev: DeviceSpec) -> str:
     return MEMORY_BOUND if intensity <= dev.ridge_point else COMPUTE_BOUND
 
 
-def roofline_time(node: KernelNode, dev: DeviceSpec) -> float:
-    """Latency lower bound: max of compute time and memory-move time."""
-    return max(node.flops / dev.peak_ops, node.total_bytes / dev.mem_bandwidth)
-
-
 def timed_rows(rows: Sequence[Sequence[int]], dev: DeviceSpec) -> list[tuple[int | float, ...]]:
-    """Each row's six counts, then its `roofline_time` on the device."""
+    """Each row's six counts, then its roofline time on the device: the max of
+    its compute time and its memory-move time."""
     peak, bandwidth = dev.peak_ops, dev.mem_bandwidth
     return [(*row[:6], max(row[0] / peak, sum(row[1:6]) / bandwidth)) for row in rows]
 
@@ -427,7 +412,6 @@ def whatif_speedup(
     phase: str,
     base: DeviceSpec,
     modified: DeviceSpec,
-    position: int | None = None,
 ) -> float:
     """Ratio of summed roofline times: base device over modified device.
 
@@ -435,7 +419,7 @@ def whatif_speedup(
     """
     for dev in (base, modified):
         check_fits_dram(cfg, req, dev)
-    rows = layer_rows(cfg, req, phase, position)
+    rows = layer_rows(cfg, req, phase)
     base_s, mod_s = (sum(row[6] for row in timed_rows(rows, d)) for d in (base, modified))
     return base_s / mod_s
 

@@ -29,14 +29,18 @@ from co2meter.predictor import (
 )
 from co2meter.predictor.gnn import fit_feature_norms, normalize_globals, normalize_nodes
 from co2meter.workload import KERNEL_KINDS
+from oracle_reference import arithmetic_intensity
 
 
 def node_feature_matrix(graph):
-    """Raw (N, 18) node features: 8 numeric columns then a 10-wide kind one-hot."""
+    """Raw (N, 18) node features: 8 numeric columns then a 10-wide kind one-hot.
+    Each column is the node field of its name, the intensity computed by
+    `oracle_reference.arithmetic_intensity`."""
     out = np.zeros((len(graph.nodes), NODE_FEATURE_DIM))
     for i, node in enumerate(graph.nodes):
         for j, field in enumerate(NUMERIC_NODE_FEATURES):
-            out[i, j] = getattr(node, field)
+            out[i, j] = (arithmetic_intensity(node) if field == "arithmetic_intensity"
+                         else getattr(node, field))
         out[i, len(NUMERIC_NODE_FEATURES) + KERNEL_KINDS.index(node.kind)] = 1.0
     return out
 

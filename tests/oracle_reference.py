@@ -1,7 +1,9 @@
 """Reference oracle: one kernel graph per decode position, summed in a loop.
 
 `co2meter.workload.kernel_costs` prices decode from a closed-form affine
-table instead; the tests hold `phase_totals` of its rows to this loop.
+table instead; the tests hold `phase_totals` of its rows to this loop.  It
+prices each `KernelNode` of a graph by its own byte total, intensity and
+roofline time, written out here field by field.
 """
 
 from co2meter.workload import (
@@ -10,13 +12,29 @@ from co2meter.workload import (
     boundedness,
     build_layer_graph,
     graph_time,
-    roofline_time,
 )
+
+
+def total_bytes(node):
+    """Every byte a kernel loads or stores."""
+    return (node.weight_bytes_loaded + node.act_bytes_loaded + node.act_bytes_stored
+            + node.kv_bytes_loaded + node.kv_bytes_stored)
+
+
+def arithmetic_intensity(node):
+    """flops per moved byte; 0 when the kernel moves no bytes."""
+    moved = total_bytes(node)
+    return node.flops / moved if moved > 0 else 0.0
+
+
+def roofline_time(node, dev):
+    """Latency lower bound: max of compute time and memory-move time."""
+    return max(node.flops / dev.peak_ops, total_bytes(node) / dev.mem_bandwidth)
 
 
 def kernel_power(node, dev):
     """Power draw while a kernel runs, from its roofline boundedness."""
-    if boundedness(node.arithmetic_intensity, dev) == COMPUTE_BOUND:
+    if boundedness(arithmetic_intensity(node), dev) == COMPUTE_BOUND:
         return dev.active_power
     return dev.idle_power + MEMORY_BOUND_POWER_BLEND * (
         dev.active_power - dev.idle_power

@@ -249,7 +249,7 @@ def test_pipeline_from_json_inline_definitions():
         },
         "output": {"kind": "speaker", "duration_s": 10.0, "volume": 50.0},
     }
-    pipe = acc.pipeline_from_json(doc)
+    pipe = acc.pipeline_from_json(doc, assets.load_llm_config, assets.load_device)
     assert isinstance(pipe.output, acc.SpeakerOutput)
     assert pipe.llm.request == Request(16, 4)
     assert isinstance(pipe.llm.config, LlmConfig)

@@ -4,6 +4,7 @@ import base64
 import copy
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 
 from co2meter import assets, cli
 from co2meter import device_models as dm
-from co2meter.accounting import breakeven_requests, load_ci_table, load_pipeline_json
+from co2meter import accounting
+from co2meter.accounting import breakeven_requests, load_ci_table
 from co2meter.embodied import load_bom_json
 from co2meter.errors import UserInputError
 from co2meter.predictor import (
@@ -547,7 +549,6 @@ def test_asset_root_that_is_no_directory_exits_2(capsys, tmp_path, monkeypatch, 
 _ROOT_READERS = {
     "load_carbon_intensities": assets.load_carbon_intensities,
     "measurement_csv": lambda: assets.measurement_csv("net"),
-    "load_peripheral_masses": assets.load_peripheral_masses,
 }
 
 
@@ -570,6 +571,11 @@ def test_asset_readers_inspect_the_root_only_when_a_file_is_missing(
     assert inspected == [1]
 
 
+def load_pipeline_json(path):
+    """The pipeline loader, resolving names to bundled assets."""
+    return accounting.load_pipeline_json(path, assets.load_llm_config, assets.load_device)
+
+
 # Every JSON loader with what its "cannot read" error calls the file
 _JSON_LOADERS = [
     ("device spec", load_device_json),
@@ -577,7 +583,6 @@ _JSON_LOADERS = [
     ("BOM", load_bom_json),
     ("carbon-intensity table", load_ci_table),
     ("pipeline", load_pipeline_json),
-    ("", assets._peripheral_masses),
     ("model file", dm.load_model_json),
     ("predictor params", load_params_json),
 ]
@@ -594,7 +599,7 @@ def test_json_loaders_name_the_file_they_cannot_read(tmp_path, what, loader, con
         json.loads(path.read_text())
     with pytest.raises(UserInputError) as exc:
         loader(path)
-    assert str(exc.value) == f"cannot read {what + ' ' if what else ''}{path}: {cause.value}"
+    assert str(exc.value) == f"cannot read {what} {path}: {cause.value}"
     assert type(exc.value.__cause__) is cause.type
 
 
@@ -627,6 +632,13 @@ def test_whatif_without_prompt_lengths_exits_2(capsys, lens):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--prompt-lens" in err
+
+
+@pytest.mark.parametrize("lens, entry", [("a,1", "a"), ("50,1.5", "1.5"), ("50, x", " x")])
+def test_whatif_prompt_length_that_is_no_integer_exits_2(capsys, lens, entry):
+    code, out, err = run(capsys, "whatif", "--scenario", "rk-npu", "--prompt-lens", lens)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: --prompt-lens entry {entry!r} is not an integer\n"
 
 
 def test_breakeven_matches_library_and_sorts_by_ci(capsys):
@@ -1009,15 +1021,17 @@ _BAD_SAMPLES = {
     for name, path, named in (
         ("node flops", ("prefill_graph", "rows", 2, 0), "prefill_graph: row 2 (attn_score) flops"),
         ("node est_time_s", ("decode_graph", "rows", 5, 6), "decode_graph: row 5 (out_proj) est_"),
-        ("total_ops", ("total_globals", "total_ops"), "total_ops"),
-        ("kv_cache_bytes", ("prefill_globals", "kv_cache_bytes"), "kv_cache_bytes"),
+        ("total_ops", ("total_globals", "total_ops"), "total_globals: total_ops"),
+        ("kv_cache_bytes", ("prefill_globals", "kv_cache_bytes"),
+         "prefill_globals: kv_cache_bytes"),
         ("label_total_j", ("label_total_j",), "label_total_j"),
     )
     for value in (float("nan"), float("inf"))
 }
 # number globals and labels that float() would accept; a device that is no name
 _BAD_SAMPLES.update({
-    f"{path[-1]}-{value!r}": (_set(*path, value=value), f"{path[-1]} {value!r} is not a number")
+    f"{path[-1]}-{value!r}": (_set(*path, value=value),
+                              f"{': '.join(path)} {value!r} is not a number")
     for path in (("total_globals", "total_ops"), ("prefill_globals", "weight_memory_bytes"),
                  ("total_globals", "kv_cache_bytes"), ("label_prefill_j",), ("label_total_j",))
     for value in ("5.0", True)
@@ -1045,12 +1059,17 @@ _BAD_SAMPLES.update({
         _set("decode_graph", "rows", 5, 6, value=_HUGE),
         f"decode_graph: row 5 (out_proj) est_time_s {_HUGE} is not a finite number"),
     "layer_count beyond float": (_set("total_globals", "layer_count", value=_HUGE),
-                                 f"layer_count {_HUGE} is not a finite number"),
+                                 f"total_globals: layer_count {_HUGE} is not a finite number"),
+    "prefill layer_count beyond float": (
+        _set("prefill_globals", "layer_count", value=_HUGE),
+        f"malformed graph sample: prefill_globals: layer_count {_HUGE} is not a finite number"),
     "bool est_time_s": (_set("prefill_graph", "rows", 4, 6, value=False),
                         "row 4 (attn_value) est_time_s False"),
     # integer fields that int() would truncate
-    "fractional prompt_len": (_set("prefill_globals", "prompt_len", value=122.9), "prompt_len"),
-    "bool layer_count": (_set("total_globals", "layer_count", value=True), "layer_count"),
+    "fractional prompt_len": (_set("prefill_globals", "prompt_len", value=122.9),
+                              "prefill_globals: prompt_len"),
+    "bool layer_count": (_set("total_globals", "layer_count", value=True),
+                         "total_globals: layer_count"),
     "missing version": (_drop("version"), "no version (format 1)"),
     "version 1": (_set("version", value=1), "version 1, expected version 2"),
     "float version": (_set("version", value=2.0), "version 2.0, expected version 2"),
@@ -1073,6 +1092,28 @@ def test_bad_sample_exits_2_with_its_location(capsys, tmp_path, workdir, mutate,
         assert (code, out) == (2, ""), err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:5: "), err
         assert named in err, err
+
+
+_LONG_INT = "9" * 5000  # past the digits Python converts to an int by default
+
+
+def test_integer_too_long_to_convert_exits_2_with_its_location(capsys, tmp_path, workdir):
+    """json.loads refuses such an integer with a ValueError that is no
+    JSONDecodeError; the readers still name the dataset line or the file."""
+    lines = (workdir / "tiny.jsonl").read_text().splitlines()
+    lines[1] = re.sub(r'"label_total_j": [^,}]+', f'"label_total_j": {_LONG_INT}', lines[1])
+    dataset = tmp_path / "long.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "train", "--dataset", dataset, "--params-out", tmp_path / "p.json")
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: {dataset}:2: invalid JSON: Exceeds the limit"), err
+
+    text = (assets.asset_root() / "devices" / "rk3588.json").read_text()
+    spec = tmp_path / "device.json"
+    spec.write_text(re.sub(r'"peak_ops": [^,}]+', f'"peak_ops": {_LONG_INT}', text))
+    code, out, err = run(capsys, *_ESTIMATE, spec)
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: cannot read device spec {spec}: Exceeds the limit"), err
 
 
 def _as_format_1(doc):

@@ -1,7 +1,9 @@
 """Peripheral energy/power models: arithmetic, fits, invariants, I/O."""
 
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,10 +501,22 @@ def test_model_from_json_refuses_what_is_no_finite_number(path, value, error):
         dm.model_from_json(doc)
 
 
+def save_model_json(path, name, report):
+    """The fitted-model file `load_model_json` reads."""
+    Path(path).write_text(json.dumps(dm.model_to_json(name, report), sort_keys=True))
+
+
+def save_samples_csv(path, samples):
+    """The measurement CSV `load_samples_csv` reads, every float by its repr."""
+    lines = [",".join(dm._CSV_HEADER)]
+    lines += [f"{s.kind},{s.predictor!r},{s.duration_s!r},{s.observed!r}" for s in samples]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def test_model_file_round_trip(tmp_path):
     report = dm.FitReport(dm.SpeakerPowerModel(-0.05, 0.2), 1e-3, 2e-3, 26)
     path = tmp_path / "speaker.json"
-    dm.save_model_json(path, "speaker", report)
+    save_model_json(path, "speaker", report)
     name, model, mae = dm.load_model_json(path)
     assert (name, model, mae) == ("speaker", report.model, 1e-3)
 
@@ -514,7 +528,7 @@ def test_samples_csv_round_trip(tmp_path):
         dm.MeasurementSample("energy", 0.0, 3.0, 1.0 / 3.0),
     ]
     path = tmp_path / "s.csv"
-    dm.save_samples_csv(path, samples)
+    save_samples_csv(path, samples)
     assert dm.load_samples_csv(path) == samples
 
 
@@ -534,7 +548,7 @@ def test_samples_csv_round_trip(tmp_path):
 def test_samples_csv_round_trip_property(tmp_path_factory, rows):
     samples = [dm.MeasurementSample(k, p, d, o) for k, p, d, o in rows]
     path = tmp_path_factory.mktemp("csv") / "s.csv"
-    dm.save_samples_csv(path, samples)
+    save_samples_csv(path, samples)
     assert dm.load_samples_csv(path) == samples
 
 

@@ -33,12 +33,17 @@ from co2meter.workload import (
     phase_intensity,
     phase_totals,
     request_energy,
-    roofline_time,
     scaled_device,
     weight_memory_bytes,
     whatif_speedup,
 )
-from oracle_reference import kernel_power, reference_costs
+from oracle_reference import (
+    arithmetic_intensity,
+    kernel_power,
+    reference_costs,
+    roofline_time,
+    total_bytes,
+)
 
 REL = 1e-12
 _SCORE = 2  # index of attn_score in a layer graph
@@ -131,10 +136,10 @@ def test_table_equals_loop_when_attn_score_flips_boundedness(cfg, prompt, output
         for p in (prompt, data.draw(st.integers(prompt, last - 1)), last)
     )
     bandwidth = 2.0 ** data.draw(st.integers(20, 43))  # keeps the ridge exact
-    dev = data.draw(devices(flip.arithmetic_intensity * bandwidth, bandwidth))
-    assert dev.ridge_point == flip.arithmetic_intensity
-    assume(boundedness(final.arithmetic_intensity, dev) == COMPUTE_BOUND)
-    assert boundedness(first.arithmetic_intensity, dev) == MEMORY_BOUND
+    dev = data.draw(devices(arithmetic_intensity(flip) * bandwidth, bandwidth))
+    assert dev.ridge_point == arithmetic_intensity(flip)
+    assume(boundedness(arithmetic_intensity(final), dev) == COMPUTE_BOUND)
+    assert boundedness(arithmetic_intensity(first), dev) == MEMORY_BOUND
     assert_matches_reference(cfg, req, dev)
 
 
@@ -142,7 +147,7 @@ def decode_boundedness(cfg, req, dev, kernel):
     """Per-position classes of one decode kernel, from freshly built graphs."""
     return [
         boundedness(
-            build_layer_graph(cfg, req, "decode", position=p).nodes[kernel].arithmetic_intensity,
+            arithmetic_intensity(build_layer_graph(cfg, req, "decode", position=p).nodes[kernel]),
             dev,
         )
         for p in range(req.prompt_len, req.prompt_len + req.output_len)
@@ -165,7 +170,7 @@ def test_attention_flip_position_near_the_ridge(cfg, prompt, output, kernel, ulp
     the roof the class does not imply."""
     req = Request(prompt, output)
     at = data.draw(st.integers(prompt, prompt + output - 2))
-    ridge = build_layer_graph(cfg, req, "decode", position=at).nodes[kernel].arithmetic_intensity
+    ridge = arithmetic_intensity(build_layer_graph(cfg, req, "decode", position=at).nodes[kernel])
     for _ in range(abs(ulps)):
         ridge = math.nextafter(ridge, math.inf if ulps > 0 else 0.0)
     bandwidth = data.draw(st.one_of(st.floats(1e6, 1e13), st.integers(20, 43).map(2.0.__pow__)))
@@ -192,8 +197,8 @@ def test_ffn_roof_flips_between_prefill_and_decode(cfg, prompt, output, kernel, 
     """A ridge between an FFN kernel's decode and prefill intensities makes it
     compute-bound in prefill and memory-bound at every decode position."""
     req = Request(prompt, output)
-    low = build_layer_graph(cfg, req, "decode").nodes[kernel].arithmetic_intensity
-    high = build_layer_graph(cfg, req, "prefill").nodes[kernel].arithmetic_intensity
+    low = arithmetic_intensity(build_layer_graph(cfg, req, "decode").nodes[kernel])
+    high = arithmetic_intensity(build_layer_graph(cfg, req, "prefill").nodes[kernel])
     ridge = low + share * (high - low)
     assume(low < ridge < high)
     bandwidth = data.draw(st.floats(1e6, 1e13))
@@ -226,7 +231,7 @@ def test_kernel_rows_sum_to_phase_totals_and_count_every_position(cfg, req, dev)
     ]
     for i, row in enumerate(rows[12:]):
         assert row.flops == cfg.num_layers * sum(g.nodes[i].flops for g in decode_graphs)
-        assert row.bytes == cfg.num_layers * sum(g.nodes[i].total_bytes for g in decode_graphs)
+        assert row.bytes == cfg.num_layers * sum(total_bytes(g.nodes[i]) for g in decode_graphs)
 
 
 def _cli_text(argv):
@@ -268,9 +273,9 @@ def test_row_paths_equal_the_graph_reference_bit_for_bit(cfg, req, dev, compute,
     assert est["decode"]["boundedness_mid"] == classify(mid, dev)
     assert kernels == [
         {"phase": graph.phase, "kind": node.kind,
-         "intensity": node.arithmetic_intensity,
-         "perf": min(dev.peak_ops, dev.mem_bandwidth * node.arithmetic_intensity),
-         "boundedness": boundedness(node.arithmetic_intensity, dev)}
+         "intensity": arithmetic_intensity(node),
+         "perf": min(dev.peak_ops, dev.mem_bandwidth * arithmetic_intensity(node)),
+         "boundedness": boundedness(arithmetic_intensity(node), dev)}
         for graph in (prefill, mid) for node in graph.nodes
     ]
     modified = scaled_device(dev, compute, bandwidth)
@@ -315,9 +320,9 @@ def test_estimate_roofline_and_globals_equal_the_graph_builder_path(config):
 
         kernels = [
             {"phase": graph.phase, "kind": node.kind,
-             "intensity": node.arithmetic_intensity,
-             "perf": min(dev.peak_ops, dev.mem_bandwidth * node.arithmetic_intensity),
-             "boundedness": boundedness(node.arithmetic_intensity, dev)}
+             "intensity": arithmetic_intensity(node),
+             "perf": min(dev.peak_ops, dev.mem_bandwidth * arithmetic_intensity(node)),
+             "boundedness": boundedness(arithmetic_intensity(node), dev)}
             for graph in (prefill, mid) for node in graph.nodes
         ]
         assert _cli_json(["roofline", *args])["kernels"] == kernels

@@ -54,6 +54,7 @@ from co2meter.predictor import (
     write_dataset_jsonl,
 )
 import gnn_reference
+from oracle_reference import roofline_time
 from test_oracle import configs as random_configs
 from test_oracle import devices as random_devices
 from test_oracle import requests as random_requests
@@ -874,7 +875,7 @@ def test_row_backed_samples_match_the_node_reference(tmp_path_factory, picks, or
         for cfg, dev, req in picks:
             graph = workload.apply_roofline(workload.build_layer_graph(cfg, req, phase), dev)
             assert [n.est_time_s for n in graph.nodes] == [
-                workload.roofline_time(n, dev) for n in graph.nodes]
+                roofline_time(n, dev) for n in graph.nodes]
             want.append(gnn_reference.node_feature_matrix(graph))
         assert table[field].tobytes() == np.array(want).tobytes()
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from co2meter import workload as wl
+from oracle_reference import arithmetic_intensity, roofline_time
 
 Q15 = wl.LlmConfig(
     name="q15",
@@ -380,8 +381,9 @@ def test_roofline_time_is_max_form():
         kv_bytes_loaded=0,
         kv_bytes_stored=0,
     )
-    t = wl.roofline_time(node, RK3588)
+    t = roofline_time(node, RK3588)
     assert t == max(1000 / 6e12, 500 / 51.2e9)
+    assert wl.timed_rows([(1000, 0, 400, 100, 0, 0)], RK3588) == [(1000, 0, 400, 100, 0, 0, t)]
 
 
 def test_classify_tie_is_memory_bound():
@@ -395,8 +397,8 @@ def test_classify_tie_is_memory_bound():
         kv_bytes_loaded=0,
         kv_bytes_stored=0,
     )
-    assert node.arithmetic_intensity == dev.ridge_point
-    assert wl.boundedness(node.arithmetic_intensity, dev) == "memory_bound"
+    assert arithmetic_intensity(node) == dev.ridge_point
+    assert wl.boundedness(arithmetic_intensity(node), dev) == "memory_bound"
 
 
 def test_decode_is_memory_bound_prefill_intensity_grows():
@@ -492,16 +494,37 @@ def test_counts_and_features_must_be_finite_and_non_negative(bad):
 # JSON I/O
 
 
-def test_device_json_round_trip(tmp_path):
-    path = tmp_path / "dev.json"
-    path.write_text(json.dumps(dataclasses.asdict(RK3588)))
-    assert wl.load_device_json(path) == RK3588
+_POSITIVE = st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                     st.integers(1, 2**64))
 
 
-def test_config_json_round_trip(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dataclasses.asdict(Q15)))
-    assert wl.load_config_json(path) == Q15
+@st.composite
+def valid_devices(draw):
+    idle, active = sorted(draw(st.lists(_POSITIVE, min_size=2, max_size=2)))
+    return wl.DeviceSpec(draw(st.text(min_size=1)), draw(_POSITIVE), draw(_POSITIVE),
+                         idle, active, draw(_POSITIVE))
+
+
+@st.composite
+def valid_configs(draw):
+    heads, head_dim = draw(st.integers(1, 2**20)), draw(st.integers(1, 2**20))
+    sizes, widths = st.integers(1, 2**40), st.sampled_from((1, 2, 4))
+    return wl.LlmConfig(draw(st.text(min_size=1)), draw(sizes), heads * head_dim, heads,
+                        head_dim, draw(sizes), draw(sizes), draw(widths), draw(widths))
+
+
+@given(valid_devices())
+@settings(max_examples=100, deadline=None)
+def test_device_json_round_trip(dev):
+    doc = json.loads(json.dumps(dataclasses.asdict(dev), allow_nan=False))
+    assert wl.device_from_json(doc) == dev
+
+
+@given(valid_configs())
+@settings(max_examples=100, deadline=None)
+def test_config_json_round_trip(cfg):
+    doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert wl.config_from_json(doc) == cfg
 
 
 def test_load_device_json_malformed(tmp_path):
