@@ -7,8 +7,9 @@ at three decode lengths; `kernel_costs` on that request (output 1024) on
 agx_orin, where no decode kernel flips boundedness, and on a board whose
 ridge sits at attn_score's mid-decode intensity, where it flips; an in-process
 `co2meter estimate` of that request to a new `--out` file, unlinked after
-each call (the op `estimate_sweep` times); and `make_sample` (tinyllama on
-rk3588, prompt 96, output 64).
+each call (the op `estimate_sweep` times); `make_sample` (tinyllama on
+rk3588, prompt 96, output 64); and a warm `load_llm_config` plus
+`load_device` of bundled names, the asset loads each estimate makes.
 """
 
 import dataclasses
@@ -63,3 +64,11 @@ def test_make_sample(benchmark):
     rng = np.random.default_rng(0)
     sample = benchmark(make_sample, cfg, Request(96, 64), dev, rng, 0.05)
     assert sample.label_total_j > sample.label_prefill_j
+
+
+def test_load_bundled_assets(benchmark):
+    def load():
+        return assets.load_llm_config("internlm2-18b"), assets.load_device("agx_orin")
+
+    warm = load()  # the first load of a name reads and parses its file
+    assert benchmark(load) == warm

@@ -3,6 +3,11 @@
 The asset root defaults to the package's `assets/` directory and can be
 overridden with the CO2METER_ASSETS environment variable, e.g. to swap in a
 locally measured set of device specs without touching the install.
+
+A bundled device, LLM config or BOM is parsed once per process and re-read
+when its file's stat signature changes, CPython's rule for source-timestamp
+bytecode: an edit that keeps both size and mtime goes unseen.  Pipelines, the
+CI table and measurement CSVs are read on every call.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ if TYPE_CHECKING:
 
 ASSETS_ENV_VAR = "CO2METER_ASSETS"
 
-_DEFAULT_ROOT = Path(__file__).parent / "assets"
+_DEFAULT_ROOT = str(Path(__file__).parent / "assets")
+_PARSED: dict[str, tuple] = {}  # asset path -> (stat signature, parsed frozen object)
 
 
 def _root() -> Path:
@@ -50,23 +56,37 @@ def _named_json(subdir: str, name: str, loader: Callable):
     raise UserInputError(f"no bundled {subdir} asset {name!r}; have {have}")
 
 
+def _parsed_once(subdir: str, name: str, loader: Callable):
+    """`_named_json`, kept while the file's stat signature holds.  A file that
+    cannot be stat'ed or loaded goes through `_named_json` and is not kept."""
+    path = os.path.join(os.environ.get(ASSETS_ENV_VAR) or _DEFAULT_ROOT, subdir, name + ".json")
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):  # ValueError: a NUL in the name
+        return _named_json(subdir, name, loader)
+    signature = (st.st_mtime_ns, st.st_ctime_ns, st.st_size, st.st_ino, st.st_dev)
+    if _PARSED.get(path, (None,))[0] != signature:
+        _PARSED[path] = (signature, _named_json(subdir, name, loader))
+    return _PARSED[path][1]
+
+
 def list_assets(subdir: str) -> list[str]:
     return sorted(p.stem for p in (asset_root() / subdir).glob("*.json"))
 
 
 def load_device(name: str) -> DeviceSpec:
     from .workload import load_device_json
-    return _named_json("devices", name, load_device_json)
+    return _parsed_once("devices", name, load_device_json)
 
 
 def load_bom(name: str) -> SocBom:
     from .embodied import load_bom_json
-    return _named_json("boms", name, load_bom_json)
+    return _parsed_once("boms", name, load_bom_json)
 
 
 def load_llm_config(name: str) -> LlmConfig:
     from .workload import load_config_json
-    return _named_json("llm_configs", name, load_config_json)
+    return _parsed_once("llm_configs", name, load_config_json)
 
 
 def load_carbon_intensities() -> dict[str, CarbonIntensity]:

@@ -25,6 +25,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,12 +40,8 @@ _SPLIT_ORDER = ("train", "val", "test")
 # rk-npu also scales the NPU die area 8x (`scale_units`: unit, factor).
 _SCENARIOS = {
     "rk-mem": {"compute": 1.0, "bandwidth": 4.0, "dram_kg": 1.68, "scale_units": ()},
-    "rk-npu": {
-        "compute": 8.0,
-        "bandwidth": 4.0,
-        "dram_kg": 1.68,
-        "scale_units": (("npu", 8.0),),
-    },
+    "rk-npu": {"compute": 8.0, "bandwidth": 4.0, "dram_kg": 1.68,
+               "scale_units": (("npu", 8.0),)},
 }
 
 # Camera/speaker stage parameters used when swapping pipeline variants.
@@ -64,9 +61,7 @@ def _csv_cell(value: object) -> str:
 
 
 def _render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
+    lines = [",".join(header), *(",".join(_csv_cell(c) for c in row) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -98,7 +93,7 @@ def _flat_rows(doc: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _looks_like_path(value: str) -> bool:
-    return value.endswith(".json") or "/" in value or Path(value).is_file()
+    return value.endswith(".json") or "/" in value or os.path.isfile(value)
 
 
 def _resolve(value: str, loader: Callable, bundled: Callable):
@@ -143,9 +138,7 @@ def _ci_table(args: argparse.Namespace):
 def _ci_for(args: argparse.Namespace):
     table = _ci_table(args)
     if args.region not in table:
-        raise UserInputError(
-            f"unknown region {args.region!r}; have {sorted(table)}"
-        )
+        raise UserInputError(f"unknown region {args.region!r}; have {sorted(table)}")
     return table[args.region]
 
 
@@ -156,9 +149,7 @@ def _ci_for(args: argparse.Namespace):
 def _cmd_fit(args: argparse.Namespace) -> None:
     from . import device_models as dm
     if args.model not in dm.MODEL_NAMES:
-        raise UserInputError(
-            f"unknown model name {args.model!r}; have {list(dm.MODEL_NAMES)}"
-        )
+        raise UserInputError(f"unknown model name {args.model!r}; have {list(dm.MODEL_NAMES)}")
     samples = dm.load_samples_csv(args.csv)
     report = dm.fit_by_name(args.model, samples)
     doc = dm.model_to_json(args.model, report)
@@ -178,11 +169,14 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
     from . import workload as wl
     cfg = _resolve_config(args.config)
     dev = _resolve_device(args.device)
-    req = wl.Request(args.prompt_len, args.output_len)
+    req = _request(args)
     rows = wl.kernel_costs(cfg, req, dev)
     (prefill_s, prefill_j), (decode_s, decode_j) = wl.phase_totals(rows)
-    prefill = wl.layer_intensity(wl.layer_rows(cfg, req, "prefill"))
-    mid = wl.layer_intensity(wl.layer_rows(cfg, req, "decode"))
+    # Summed over layers: the layer count cancels in the correctly rounded
+    # int division, so this is the layer's `layer_intensity`.
+    prefill_rows = rows[:len(wl.LAYER_KINDS)]
+    prefill = sum(r.flops for r in prefill_rows) / sum(r.bytes for r in prefill_rows)
+    mid = wl.decode_intensity(cfg, req.prompt_len + req.output_len // 2)
 
     doc = {
         "config": cfg.name,
@@ -204,7 +198,7 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         "total_energy_j": prefill_j + decode_j,
     }
     if not args.breakdown:
-        _emit(args, doc, ("key", "value"), _flat_rows(doc))
+        _emit(args, doc, ("key", "value"), _flat_rows(doc) if args.format == "csv" else ())
         return
     doc["kernels"] = [r._asdict() for r in rows]
     _emit(args, doc, wl.KernelCost._fields, rows)
@@ -349,9 +343,21 @@ def _cmd_embodied(args: argparse.Namespace) -> None:
 
 def _prompt_len(entry: str) -> int:
     try:
-        return int(entry)
+        value = int(entry)
     except ValueError:
         raise UserInputError(f"--prompt-lens entry {entry!r} is not an integer") from None
+    if value < 1:
+        raise UserInputError(f"--prompt-lens entry {entry!r} must be >= 1")
+    return value
+
+
+def _request(args: argparse.Namespace):
+    """--prompt-len and --output-len as a request, refusing a length below 1 by its flag."""
+    from .workload import Request
+    for flag, value in (("--prompt-len", args.prompt_len), ("--output-len", args.output_len)):
+        if value < 1:
+            raise UserInputError(f"{flag} {value} must be >= 1")
+    return Request(args.prompt_len, args.output_len)
 
 
 def _cmd_whatif(args: argparse.Namespace) -> None:
@@ -421,23 +427,16 @@ def _cmd_breakeven(args: argparse.Namespace) -> None:
 
 
 def _roof_points(dev) -> list[dict]:
-    points = []
-    for half_step in range(-8, 29):
-        intensity = 2.0 ** (half_step / 2.0)
-        points.append(
-            {
-                "intensity": intensity,
-                "perf": min(dev.peak_ops, dev.mem_bandwidth * intensity),
-            }
-        )
-    return points
+    intensities = (2.0 ** (half_step / 2.0) for half_step in range(-8, 29))
+    return [{"intensity": i, "perf": min(dev.peak_ops, dev.mem_bandwidth * i)}
+            for i in intensities]
 
 
 def _cmd_roofline(args: argparse.Namespace) -> None:
     from . import workload as wl
     dev = _resolve_device(args.device)
     cfg = _resolve_config(args.config)
-    req = wl.Request(args.prompt_len, args.output_len)
+    req = _request(args)
     wl.check_fits_dram(cfg, req, dev)
     kernels = []
     for phase in ("prefill", "decode"):
@@ -457,9 +456,7 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
         "kernels": kernels,
     }
     rows = [("roof", p["intensity"], p["perf"]) for p in doc["roof"]]
-    rows += [
-        (f"{k['phase']}:{k['kind']}", k["intensity"], k["perf"]) for k in kernels
-    ]
+    rows += [(f"{k['phase']}:{k['kind']}", k["intensity"], k["perf"]) for k in kernels]
     _emit(args, doc, ("series", "intensity", "perf"), rows)
 
 

@@ -43,11 +43,11 @@ class TrainingDivergedError(CO2MeterError):
 
 def read_json(path: str | Path, what: str) -> object:
     """The parsed document at path, else UserInputError "cannot read <what>
-    <path>" caused by the OSError (the asset readers look for it) or the
-    parse's ValueError: a JSONDecodeError, or an integer too long to convert."""
+    <path>" caused by the OSError (the asset readers look for it) or the parse's
+    JSONDecodeError, ValueError (an int too long) or RecursionError (deep nesting)."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UserInputError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -232,7 +232,7 @@ def read_dataset_jsonl(path: str | Path) -> list[GraphSample]:
             continue
         try:
             doc = json.loads(line)
-        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
+        except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
             raise UserInputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:
             samples.append(sample_from_json(doc))

@@ -26,6 +26,7 @@ a graph per decode position, lives in `tests/oracle_reference.py`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 from collections import Counter
@@ -522,7 +523,10 @@ def with_prefill_energy(globals_: GlobalFeatures, energy_j: float) -> GlobalFeat
 # functions, is monotone, so boundedness flips at most once per request (a
 # binary search over the exact float test finds it), and the roofs cross at
 # the ridge: on each side the summed time is one arithmetic series over exact
-# integer counts.  A request costs O(kernels) at any length.
+# integer counts.  A request costs O(kernels) at any length; it builds only its
+# prefill rows, as the fixed-size `_decode_lines` cache holds each config's
+# decode lines.  The `_Pricer` is not cached: keyed on the device, 6e12 and
+# 6000000000000 would share one, yet divide a count above 2**53 differently.
 
 MEMORY_BOUND_POWER_BLEND = 0.6
 
@@ -575,12 +579,9 @@ class _Pricer:
             MEMORY_BOUND if memory else COMPUTE_BOUND, None,
         )
 
-    def decode(
-        self, kind: str, zero: Sequence[int], one: Sequence[int], lo: int, hi: int
-    ) -> KernelCost:
-        """The kernel at KV positions lo..hi, from its count rows at positions 0 and 1."""
-        flops0, moved0 = zero[0], sum(zero[1:])
-        dflops, dmoved = one[0] - flops0, sum(one[1:]) - moved0
+    def decode(self, kind: str, line: tuple[int, int, int, int], lo: int, hi: int) -> KernelCost:
+        """The kernel at KV positions lo..hi, from its `_decode_lines` entry."""
+        flops0, moved0, dflops, dmoved = line
         first = self.memory_bound(flops0 + lo * dflops, moved0 + lo * dmoved)
         segments = [(lo, hi + 1, first)]
         flip = None
@@ -617,6 +618,22 @@ class _Pricer:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _decode_lines(cfg: LlmConfig) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Each kernel's decode line, its (flops, bytes) at KV position 0 and their
+    growth per position, then the layer's summed line."""
+    lines = tuple((a[0], sum(a[1:]), b[0] - a[0], sum(b[1:]) - sum(a[1:]))
+                  for a, b in zip(_layer_counts(cfg, 1, 0), _layer_counts(cfg, 1, 1)))
+    return lines, tuple(map(sum, zip(*lines)))
+
+
+def decode_intensity(cfg: LlmConfig, position: int) -> float:
+    """`layer_intensity(layer_rows(cfg, req, "decode", position))`, exactly:
+    the counts are affine in the position with integer coefficients."""
+    flops0, moved0, dflops, dmoved = _decode_lines(cfg)[1]
+    return (flops0 + position * dflops) / (moved0 + position * dmoved)
+
+
 def kernel_costs(
     cfg: LlmConfig,
     req: Request,
@@ -631,9 +648,8 @@ def kernel_costs(
     pricer = _Pricer(dev, cfg.num_layers)
     lo, hi = req.prompt_len, req.prompt_len + req.output_len - 1
     prefill = layer_rows(cfg, req, "prefill")
-    zero, one = _layer_counts(cfg, 1, 0), _layer_counts(cfg, 1, 1)
     return tuple(pricer.prefill(k, row) for k, row in zip(LAYER_KINDS, prefill)) + tuple(
-        pricer.decode(k, a, b, lo, hi) for k, a, b in zip(LAYER_KINDS, zero, one)
+        pricer.decode(k, line, lo, hi) for k, line in zip(LAYER_KINDS, _decode_lines(cfg)[0])
     )
 
 

@@ -641,6 +641,25 @@ def test_whatif_prompt_length_that_is_no_integer_exits_2(capsys, lens, entry):
     assert err == f"error: --prompt-lens entry {entry!r} is not an integer\n"
 
 
+@pytest.mark.parametrize("lens, entry", [("0", "0"), ("50,-3", "-3")])
+def test_whatif_prompt_length_below_1_exits_2_naming_the_entry(capsys, lens, entry):
+    code, out, err = run(capsys, "whatif", "--scenario", "rk-npu", "--prompt-lens", lens)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: --prompt-lens entry {entry!r} must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "roofline"])
+@pytest.mark.parametrize("prompt, output, flag, value", [
+    ("0", "4", "--prompt-len", 0), ("4", "0", "--output-len", 0),
+    ("-2", "-5", "--prompt-len", -2), ("4", "-1", "--output-len", -1),
+])
+def test_request_length_below_1_exits_2_naming_the_flag(capsys, command, prompt, output,
+                                                        flag, value):
+    code, out, err = run(capsys, command, "--prompt-len", prompt, "--output-len", output)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {flag} {value} must be >= 1\n"
+
+
 def test_breakeven_matches_library_and_sorts_by_ci(capsys):
     doc = run_json(capsys, "breakeven", "--delta-embodied", "1.26", "--delta-energy", "150")
     table = assets.load_carbon_intensities()
@@ -849,6 +868,19 @@ def test_malformed_params_file_exits_2(capsys, tmp_path, workdir, mutate):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), (argv[0], err)
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: "), err
+
+
+def test_json_nested_deeper_than_the_recursion_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * (sys.getrecursionlimit() * 20))
+    for argv, where in (
+        (("estimate", "--device", path, *_REQUEST), f"error: cannot read device spec {path}: "),
+        (("train", "--dataset", path, "--params-out", tmp_path / "params.json"),
+         f"error: {path}:1: invalid JSON: "),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, out, err)
+        assert err.startswith(where) and "recursion" in err, err
 
 
 def test_fit_unknown_model_exits_2_before_reading_the_csv(capsys, tmp_path):

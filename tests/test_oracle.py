@@ -87,7 +87,12 @@ def devices(draw, peak_ops=None, mem_bandwidth=None):
 
 
 def assert_matches_reference(cfg, req, dev):
+    """kernel_costs, priced from the config's cached decode lines, against the
+    per-position reference."""
+    kernel_costs(cfg, req, dev)  # builds the config's cache entry, or reuses it
+    hits = wl._decode_lines.cache_info().hits
     table = phase_totals(kernel_costs(cfg, req, dev))
+    assert wl._decode_lines.cache_info().hits == hits + 1
     for got, want in zip(table, reference_costs(cfg, req, dev)):
         assert got == pytest.approx(want, rel=REL)  # (seconds, joules)
 
@@ -283,6 +288,18 @@ def test_row_paths_equal_the_graph_reference_bit_for_bit(cfg, req, dev, compute,
         assert whatif_speedup(cfg, req, graph.phase, dev, modified) == (
             graph_time(graph, dev) / graph_time(graph, modified)
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), st.builds(Request, st.integers(1, 10**6), st.integers(1, 10**6)), devices())
+def test_estimate_intensities_equal_layer_intensity_bit_for_bit(cfg, req, dev):
+    """estimate takes its prefill intensity from the priced rows and its
+    mid-decode one from the cached decode lines; both equal `layer_intensity`
+    of that phase's count rows, for requests up to a million tokens."""
+    with _resolving(cfg, dev):
+        est = _cli_json(["estimate", *_request_args(req)])
+    assert est["prefill"]["intensity"] == wl.layer_intensity(wl.layer_rows(cfg, req, "prefill"))
+    assert est["decode"]["intensity_mid"] == wl.layer_intensity(wl.layer_rows(cfg, req, "decode"))
 
 
 @settings(max_examples=30, deadline=None)
