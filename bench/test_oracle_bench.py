@@ -12,13 +12,12 @@ rk3588, prompt 96, output 64); and a warm `load_llm_config` plus
 `load_device` of bundled names, the asset loads each estimate makes.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from co2meter import assets, cli
 from co2meter import workload as wl
+from co2meter.errors import replace
 from co2meter.predictor import make_sample
 from co2meter.workload import Request
 
@@ -41,7 +40,7 @@ def test_kernel_costs(benchmark, flip):
     req = Request(500, 1024)
     if flip:
         flops, *moved = wl.layer_rows(cfg, req, "decode")[_SCORE]
-        dev = dataclasses.replace(dev, peak_ops=flops / sum(moved) * dev.mem_bandwidth)
+        dev = replace(dev, peak_ops=flops / sum(moved) * dev.mem_bandwidth)
     rows = benchmark(wl.kernel_costs, cfg, req, dev)
     assert any(r.flip_position is not None for r in rows) == flip
 

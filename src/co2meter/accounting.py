@@ -9,14 +9,12 @@ day justify a board with more embodied carbon but lower per-request energy.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from .errors import (ConfigurationError, NoBreakEvenError, UserInputError, json_int, json_name,
-                     json_number, json_object, read_json)
+from .errors import (ConfigurationError, NoBreakEvenError, Record, UserInputError, json_int,
+                     json_name, json_number, json_object, read_json)
 
 if TYPE_CHECKING:
     from .device_models import PeripheralModel
@@ -29,8 +27,7 @@ DEFAULT_LIFESPAN_YEARS = 5.0
 BREAKDOWN_KEYS = ("input", "con", "llm", "output", "sys")
 
 
-@dataclass(frozen=True)
-class CarbonIntensity:
+class CarbonIntensity(Record):
     """Grid carbon intensity in kgCO2-eq per kWh."""
 
     region: str
@@ -41,8 +38,7 @@ class CarbonIntensity:
             raise ValueError("carbon intensity must be finite and positive")
 
 
-@dataclass(frozen=True)
-class UsageProfile:
+class UsageProfile(Record):
     requests_per_day: float
     lifespan_years: float = DEFAULT_LIFESPAN_YEARS
 
@@ -64,8 +60,7 @@ def operational_carbon(energy_j: float, ci: CarbonIntensity) -> float:
 # Application pipeline
 
 
-@dataclass(frozen=True)
-class MicInput:
+class MicInput(Record):
     duration_s: float
     samples: float
 
@@ -74,8 +69,7 @@ class MicInput:
             raise ValueError("mic input needs duration > 0 and samples >= 0")
 
 
-@dataclass(frozen=True)
-class CameraInput:
+class CameraInput(Record):
     duration_s: float
     frames: float
 
@@ -84,8 +78,7 @@ class CameraInput:
             raise ValueError("camera input needs duration > 0 and frames >= 0")
 
 
-@dataclass(frozen=True)
-class Conversion:
+class Conversion(Record):
     task: str
     energy_j: float
 
@@ -97,15 +90,13 @@ class Conversion:
             raise ValueError("conversion energy must be >= 0")
 
 
-@dataclass(frozen=True)
-class LlmStage:
+class LlmStage(Record):
     config: LlmConfig
     request: Request
     device: DeviceSpec
 
 
-@dataclass(frozen=True)
-class DisplayOutput:
+class DisplayOutput(Record):
     duration_s: float
     grey: float
     pixels: float
@@ -115,8 +106,7 @@ class DisplayOutput:
             raise ValueError("display output needs duration > 0 and pixels >= 0")
 
 
-@dataclass(frozen=True)
-class SpeakerOutput:
+class SpeakerOutput(Record):
     duration_s: float
     volume: float
 
@@ -131,8 +121,7 @@ OutputStage = DisplayOutput | SpeakerOutput
 LlmEnergyFn = Callable[[LlmStage], float]
 
 
-@dataclass(frozen=True)
-class AppPipeline:
+class AppPipeline(Record):
     """One end-to-end assistant request on a device."""
 
     name: str
@@ -151,8 +140,7 @@ class AppPipeline:
             )
 
 
-@dataclass(frozen=True)
-class PipelineBreakdown:
+class PipelineBreakdown(Record):
     """Per-stage energy in joules, keyed input/con/llm/output/sys."""
 
     stages: dict[str, float]
@@ -254,8 +242,7 @@ def breakeven_requests(
     return rate
 
 
-@dataclass(frozen=True)
-class FootprintReport:
+class FootprintReport(Record):
     embodied_kg: float
     operational_kg: float
     total_kg: float

@@ -9,7 +9,9 @@ a cold `fit` loads `device_models`, `estimate` and `roofline` load
 `workload`, `embodied` loads `embodied`, `whatif` loads `workload` and
 `embodied`, `breakeven` loads `accounting`, and `pipeline` loads all of them.
 The predictor, and with it numpy, is imported only by dataset, train, eval
-and pipeline --params.
+and pipeline --params.  No subcommand loads `dataclasses` (nor `inspect`
+through it): the value classes derive from `errors.Record`, which generates
+no code.
 
 Every command is deterministic given its arguments: seeds are explicit
 (default 42), emitted artifacts carry no timestamps, and JSON keys are
@@ -21,7 +23,6 @@ values), 1 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import assets
-from .errors import CO2MeterError, NoBreakEvenError, UserInputError
+from .errors import CO2MeterError, NoBreakEvenError, UserInputError, replace
 
 _SPLIT_ORDER = ("train", "val", "test")
 
@@ -481,12 +482,12 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     if args.output == "display" and isinstance(pipeline.output, SpeakerOutput):
         raise UserInputError(f"--output display: pipeline {pipeline.name!r} has a speaker")
     if args.input == "camera":
-        pipeline = dataclasses.replace(
+        pipeline = replace(
             pipeline,
             input=CameraInput(duration_s=_CAMERA_DURATION_S, frames=_CAMERA_FRAMES),
         )
     if args.output == "speaker":
-        pipeline = dataclasses.replace(
+        pipeline = replace(
             pipeline,
             output=SpeakerOutput(
                 duration_s=pipeline.output.duration_s, volume=_SPEAKER_VOLUME

@@ -25,11 +25,10 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import FitError, UserInputError, json_number, read_json
+from .errors import FitError, Record, UserInputError, json_number, read_json
 
 GREY_MAX = 255
 CONVERSION_TASKS = ("ocr", "stt", "tts")
@@ -52,8 +51,7 @@ _LM_MAX_ITER = 200
 _LM_STEP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MeasurementSample:
+class MeasurementSample(Record):
     """One observed (predictor, duration) -> energy/power measurement."""
 
     kind: str
@@ -75,8 +73,7 @@ class MeasurementSample:
             raise ValueError("observed value must be >= 0")
 
 
-@dataclass(frozen=True)
-class LinearRateModel:
+class LinearRateModel(Record):
     """Energy = static_power_w * duration + marginal_energy_j * units."""
 
     static_power_w: float
@@ -92,8 +89,7 @@ class LinearRateModel:
         return self.static_power_w * duration_s + self.marginal_energy_j * units
 
 
-@dataclass(frozen=True)
-class VideoPowerModel:
+class VideoPowerModel(Record):
     """Power = static_power_w + power_per_pixel_w * pixels."""
 
     static_power_w: float
@@ -109,8 +105,7 @@ class VideoPowerModel:
         return self.static_power_w + self.power_per_pixel_w * pixels
 
 
-@dataclass(frozen=True)
-class SpeakerPowerModel:
+class SpeakerPowerModel(Record):
     """Power = 1 / (1 + exp(alpha * volume) + beta)."""
 
     alpha: float
@@ -123,8 +118,7 @@ class SpeakerPowerModel:
         return 1.0 / den
 
 
-@dataclass(frozen=True)
-class DisplayPowerModel:
+class DisplayPowerModel(Record):
     """Power = a + b * grey + c * grey^2 over the uniform panel grey level."""
 
     a: float
@@ -157,8 +151,7 @@ PeripheralModel = (
 )
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     """A fitted model plus its in-sample error summary."""
 
     model: PeripheralModel
@@ -318,8 +311,15 @@ def _speaker_grid_init(
     A point is admissible when its denominator is finite and above 1e-9 at
     every volume (rounding is monotone, so the row's least entry plus beta is
     the least denominator); a tie goes to the first point in alpha-major order.
+    The sse terms are >= 0 and fsum is correctly rounded, so one term, or the
+    fsum of a few samples' terms, never exceeds the point's sse: a point whose
+    bound already reaches the best sse cannot win (a win needs sse < best),
+    and skipping it leaves the result bit for bit the same.
     """
+    n = len(volumes)
+    probe = list(dict.fromkeys((n - 1, 0, n // 3, 2 * n // 3)))
     best: tuple[float, float, float] | None = None
+    best_sse = math.inf
     for alpha in _SPEAKER_ALPHA_GRID:
         try:
             growth = _speaker_denominators(alpha, 0.0, volumes)
@@ -328,12 +328,18 @@ def _speaker_grid_init(
         if not all(map(math.isfinite, growth)):
             continue
         lowest = min(growth)
+        pairs = list(zip(growth, observed))
+        few = [pairs[i] for i in probe]
+        g0, o0 = few[0]
         for beta in _SPEAKER_BETA_GRID:
             if not lowest + beta > 1e-9:
                 continue
-            sse = math.fsum([(1.0 / (g + beta) - o) ** 2 for g, o in zip(growth, observed)])
-            if best is None or sse < best[2]:
-                best = (alpha, beta, sse)
+            if ((1.0 / (g0 + beta) - o0) ** 2 >= best_sse
+                    or math.fsum([(1.0 / (g + beta) - o) ** 2 for g, o in few]) >= best_sse):
+                continue
+            sse = math.fsum([(1.0 / (g + beta) - o) ** 2 for g, o in pairs])
+            if best is None or sse < best_sse:
+                best, best_sse = (alpha, beta, sse), sse
     if best is None:
         raise FitError("no admissible speaker parameters on the search grid")
     return best
@@ -423,7 +429,9 @@ def fit_by_name(name: str, samples: Sequence[MeasurementSample]) -> FitReport:
 def model_to_json(name: str, report: FitReport) -> dict:
     if name not in MODEL_NAMES:
         raise UserInputError(f"unknown model name {name!r}")
-    params = dict(zip(_PARAM_KEYS[type(report.model)], astuple(report.model)))
+    model = report.model
+    params = {key: getattr(model, field)
+              for key, field in zip(_PARAM_KEYS[type(model)], model._fields)}
     return {"model": name, "params": params, "mae": report.mae}
 
 

@@ -10,21 +10,18 @@ right and return new BOMs.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UserInputError, json_name, json_number, read_json
+from .errors import Record, UserInputError, json_name, json_number, read_json, replace
 
 _FRACTION_TOL = 1e-9
 
 DIE_OTHER = "die:other"
 
 
-@dataclass(frozen=True)
-class DieUnit:
+class DieUnit(Record):
     """Named block on the die, as a fraction of the total die area."""
 
     name: str
@@ -37,8 +34,7 @@ class DieUnit:
             raise ValueError("area_fraction must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class SocBom:
+class SocBom(Record):
     """Bill of materials for one board."""
 
     name: str
@@ -74,8 +70,7 @@ class SocBom:
         raise UserInputError(f"BOM {self.name!r} has no die unit {name!r}")
 
 
-@dataclass(frozen=True)
-class EmbodiedReport:
+class EmbodiedReport(Record):
     """Per-component embodied carbon (kgCO2-eq) and its total."""
 
     bom_name: str
@@ -118,7 +113,7 @@ def soc_embodied(bom: SocBom, attributable: Iterable[str] | None = None) -> Embo
     total = sum(components.values())
     report = EmbodiedReport(bom_name=bom.name, per_component=components, total=total)
     if attributable is not None:
-        report = dataclasses.replace(
+        report = replace(
             report, llm_fraction=llm_fraction(report, attributable)
         )
     return report
@@ -145,8 +140,7 @@ def llm_fraction(report: EmbodiedReport, components: Iterable[str]) -> float:
 # What-if edits
 
 
-@dataclass(frozen=True)
-class ScaleUnit:
+class ScaleUnit(Record):
     """Grow (or shrink) a die unit's area by `factor`; the die resizes with it."""
 
     unit: str
@@ -166,13 +160,12 @@ class ScaleUnit:
             if u.name == self.unit:
                 area *= self.factor
             units.append(DieUnit(u.name, area / new_die_area))
-        return dataclasses.replace(
+        return replace(
             bom, die_area_cm2=new_die_area, units=tuple(units)
         )
 
 
-@dataclass(frozen=True)
-class SetDram:
+class SetDram(Record):
     """Replace the DRAM footprint with a fixed kgCO2-eq value."""
 
     dram_kg: float
@@ -180,11 +173,10 @@ class SetDram:
     def apply(self, bom: SocBom) -> SocBom:
         if self.dram_kg < 0:
             raise ValueError("dram_kg must be >= 0")
-        return dataclasses.replace(bom, dram_kg=self.dram_kg)
+        return replace(bom, dram_kg=self.dram_kg)
 
 
-@dataclass(frozen=True)
-class SetPcbArea:
+class SetPcbArea(Record):
     """Resize the PCB."""
 
     area_cm2: float
@@ -192,7 +184,7 @@ class SetPcbArea:
     def apply(self, bom: SocBom) -> SocBom:
         if self.area_cm2 <= 0:
             raise ValueError("PCB area must be positive")
-        return dataclasses.replace(bom, pcb_area_cm2=self.area_cm2)
+        return replace(bom, pcb_area_cm2=self.area_cm2)
 
 
 BomMod = ScaleUnit | SetDram | SetPcbArea

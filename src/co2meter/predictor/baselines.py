@@ -14,11 +14,11 @@ once (`training._as_table`).  Ridge reads the table's `total_globals` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..errors import Record
 from .data import GLOBAL_DIM, GraphSample
 from .gnn import NODE_FEATURE_DIM, FeatureNorms, TowerParams, fit_feature_norms, init_tower
 from .training import (_TOWERS, Metrics, SampleTable, TrainConfig, _as_table, _split_tables,
@@ -27,8 +27,7 @@ from .training import (_TOWERS, Metrics, SampleTable, TrainConfig, _as_table, _s
 _RIDGE_LAMBDA = 1e-3
 
 
-@dataclass
-class RidgeBaseline:
+class RidgeBaseline(Record, frozen=False):
     """Linear map from normalized global features to log total energy."""
 
     weights: np.ndarray  # (GLOBAL_DIM + 1,) — affine term last
@@ -53,8 +52,7 @@ def fit_ridge_globals(samples: Sequence[GraphSample] | SampleTable) -> RidgeBase
     return RidgeBaseline(weights=weights, mu=mu, sd=sd)
 
 
-@dataclass
-class SinglePhaseParams:
+class SinglePhaseParams(Record, frozen=False):
     """One tower trained directly on total energy (no prefill feature)."""
 
     tower: TowerParams

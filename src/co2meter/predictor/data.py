@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import UserInputError, json_int, json_name, json_number
+from ..errors import Record, UserInputError, json_int, json_name, json_number
 from ..workload import KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, GlobalFeatures, LayerGraph
 
 NUMERIC_NODE_FEATURES = (
@@ -66,8 +65,7 @@ FORMAT_VERSION = 2
 _KIND_ONE_HOT = np.eye(len(KERNEL_KINDS))[[KERNEL_KINDS.index(k) for k in LAYER_KINDS]]
 
 
-@dataclass(frozen=True)
-class PredictorInputs:
+class PredictorInputs(Record):
     """One request on one device as the predictor sees it: phase graphs and globals."""
 
     prefill_graph: LayerGraph
@@ -86,7 +84,6 @@ class PredictorInputs:
             raise ValueError("total_globals must be total-phase features")
 
 
-@dataclass(frozen=True, kw_only=True)
 class GraphSample(PredictorInputs):
     """Predictor inputs with the device and the measured phase energies."""
 

@@ -46,13 +46,12 @@ import base64
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import UserInputError, json_int, json_number, json_object, read_json
+from ..errors import Record, UserInputError, json_int, json_number, json_object, read_json
 from .data import GLOBAL_DIM, NODE_FEATURE_DIM, NUMERIC_NODE_FEATURES
 
 HIDDEN_DIM = 64
@@ -88,13 +87,12 @@ def _split(flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]) -> dict[str,
     return out
 
 
-@dataclass
-class TowerParams:
+class TowerParams(Record, frozen=False):
     """Weights of one encoder+head tower.
 
-    The named arrays are views of one flat float64 buffer, `flat`, filled from
-    the arrays the tower is built with; a gradient and the optimizer state use
-    the same layout (`views`)."""
+    The named arrays are views of one flat float64 buffer, `flat` (an
+    attribute, not a field), filled from the arrays the tower is built with;
+    a gradient and the optimizer state use the same layout (`views`)."""
 
     w1: np.ndarray  # (hidden, 2 * node_dim)
     b1: np.ndarray  # (hidden,)
@@ -104,7 +102,6 @@ class TowerParams:
     bh1: np.ndarray  # (hidden,)
     wh2: np.ndarray  # (hidden,)
     bh2: np.ndarray  # (1,)
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.flat = np.concatenate(
@@ -131,8 +128,7 @@ class TowerParams:
         return self.flat.size
 
 
-@dataclass
-class FeatureNorms:
+class FeatureNorms(Record, frozen=False):
     """log1p + z-score statistics frozen from the training split."""
 
     node_mu: np.ndarray  # (len(NUMERIC_NODE_FEATURES),)
@@ -143,8 +139,7 @@ class FeatureNorms:
     glob_sd_total: np.ndarray
 
 
-@dataclass
-class GnnParams:
+class GnnParams(Record, frozen=False):
     """Everything needed to reproduce predictions: two towers plus norms."""
 
     prefill: TowerParams
@@ -265,8 +260,7 @@ def _aggregation_matrix(n: int, preds: tuple[tuple[int, ...], ...]) -> np.ndarra
 _ROW_BUFFERS = ("c0", "c1", "h2", "zh", "u", "dc1", "dz2", "dz1", "mask")
 
 
-@dataclass
-class Workspace:
+class Workspace(Record, frozen=False):
     """Buffers of one tower's batched pass over up to B samples of N nodes.
 
     `forward_batch` fills the activations and `backward_batch` the gradient

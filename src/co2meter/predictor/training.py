@@ -33,12 +33,11 @@ stacks its samples in sorted index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import TrainingDivergedError
+from ..errors import Record, TrainingDivergedError
 from ..workload import LAYER_PREDS, GlobalFeatures, LayerGraph
 from .data import (
     GLOBAL_DIM,
@@ -66,8 +65,7 @@ from .gnn import (
 _PREDICT_BATCH = 256
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     epochs: int = 200
     learning_rate: float = 0.001
     batch_size: int = 32
@@ -81,8 +79,7 @@ class TrainConfig:
         split_indices(0, self.train_frac, self.val_frac, self.seed)  # checks the fractions
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(Record):
     mape: float
     eb10: float
     n: int
@@ -206,8 +203,7 @@ def _split_tables(data: Sequence[GraphSample] | SampleTable,
     )
 
 
-@dataclass(frozen=True)
-class _TowerInputs:
+class _TowerInputs(Record):
     """Which table fields one tower reads, and its norms slot."""
 
     graph: str  # field holding the layer graph
@@ -249,8 +245,7 @@ class _Row(NamedTuple):
     target_j: float
 
 
-@dataclass(frozen=True)
-class _TowerSet:
+class _TowerSet(Record):
     """One tower's labelled inputs over a sample set, stacked in sample order,
     with the one `preds` of the canonical layer graph.  The node features
     are stored as a `gnn.c0_stack`, so a mini-batch gathers straight into a

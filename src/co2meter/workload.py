@@ -25,16 +25,14 @@ a graph per decode position, lives in `tests/oracle_reference.py`.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, NoReturn, Sequence
 
-from .errors import UserInputError, json_int, json_name, json_number, read_json
+from .errors import Record, UserInputError, json_int, json_name, json_number, read_json, replace
 
 KERNEL_KINDS = (
     "qkv_proj",
@@ -58,8 +56,7 @@ MEMORY_BOUND = "memory_bound"
 COMPUTE_BOUND = "compute_bound"
 
 
-@dataclass(frozen=True)
-class LlmConfig:
+class LlmConfig(Record):
     """Shape of a decoder-only transformer plus its numeric byte widths."""
 
     name: str
@@ -83,8 +80,7 @@ class LlmConfig:
             raise ValueError(f"byte widths must be one of {_BYTE_WIDTHS}")
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(Record):
     """One inference request: prompt tokens in, generated tokens out."""
 
     prompt_len: int
@@ -95,8 +91,7 @@ class Request:
             raise ValueError("prompt_len and output_len must be >= 1")
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(Record):
     """Accelerator throughput/power envelope used for roofline estimates."""
 
     name: str
@@ -124,8 +119,7 @@ COUNT_FIELDS = ("flops", "weight_bytes_loaded", "act_bytes_loaded",
                 "act_bytes_stored", "kv_bytes_loaded", "kv_bytes_stored")
 
 
-@dataclass(frozen=True)
-class KernelNode:
+class KernelNode(Record):
     """One kernel invocation with its dense FLOP/byte accounting."""
 
     kind: str
@@ -178,8 +172,7 @@ _LAYER_SLOTS = {
 ROW_FIELDS = (*COUNT_FIELDS, "est_time_s")
 
 
-@dataclass(frozen=True, init=False)
-class LayerGraph:
+class LayerGraph(Record):
     """Dataflow graph of one decoder layer's 12 kernels (`_LAYER_EDGES` over
     `LAYER_KINDS`), held as one row per kernel in canonical node order: the
     six `COUNT_FIELDS`, then `est_time_s`.
@@ -399,7 +392,7 @@ def scaled_device(
     bandwidth_factor: float = 1.0,
 ) -> DeviceSpec:
     """Device with peak_ops/mem_bandwidth scaled (factors must be positive)."""
-    return dataclasses.replace(
+    return replace(
         dev,
         name=f"{dev.name}[x{compute_factor:g}ops,x{bandwidth_factor:g}bw]",
         peak_ops=dev.peak_ops * compute_factor,
@@ -429,8 +422,7 @@ def whatif_speedup(
 # Global (whole-request) features
 
 
-@dataclass(frozen=True)
-class GlobalFeatures:
+class GlobalFeatures(Record):
     """Request-level summary features for one prediction phase."""
 
     total_ops: float
@@ -509,7 +501,7 @@ def global_features(
 def with_prefill_energy(globals_: GlobalFeatures, energy_j: float) -> GlobalFeatures:
     if globals_.phase != "total":
         raise ValueError("prefill energy attaches to total-phase features")
-    return dataclasses.replace(globals_, prefill_energy_j=energy_j)
+    return replace(globals_, prefill_energy_j=energy_j)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,19 @@
 
 `co2meter.device_models` fits in plain Python (Householder QR, a loop over
 the speaker grid and a closed-form 2x2 LM step); the tests hold it to these.
+`speaker_grid_loop` is that loop without the library's pruning, the
+reference its pruned grid must equal bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from co2meter.device_models import (
     _LM_MAX_ITER,
     _LM_STEP_TOL,
+    _SPEAKER_ALPHA_GRID,
+    _SPEAKER_BETA_GRID,
     DisplayPowerModel,
     LinearRateModel,
     SpeakerPowerModel,
@@ -86,6 +92,28 @@ def speaker_grid_init(volumes, observed):
     best = admissible[np.argmin(sse[admissible])]
     i, j = divmod(int(best), BETA_GRID.size)
     return float(ALPHA_GRID[i]), float(BETA_GRID[j]), float(sse[best])
+
+
+def speaker_grid_loop(volumes, observed):
+    """Best (alpha, beta, sse) visiting every grid point in alpha-major order,
+    each with the full fsum of its squared residuals; the first point wins a tie."""
+    best = None
+    for alpha in _SPEAKER_ALPHA_GRID:
+        try:
+            growth = [1.0 + math.exp(alpha * v) for v in volumes]
+        except OverflowError:
+            continue
+        if not all(map(math.isfinite, growth)):
+            continue
+        for beta in _SPEAKER_BETA_GRID:
+            if not min(growth) + beta > 1e-9:
+                continue
+            sse = math.fsum([(1.0 / (g + beta) - o) ** 2 for g, o in zip(growth, observed)])
+            if best is None or sse < best[2]:
+                best = (alpha, beta, sse)
+    if best is None:
+        raise FitError("no admissible speaker parameters on the search grid")
+    return best
 
 
 def fit_speaker(samples):

@@ -1,6 +1,5 @@
 """Operational carbon, break-even analysis, and app pipeline accounting."""
 
-import dataclasses
 import json
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from co2meter import accounting as acc
 from co2meter import assets
 from co2meter import device_models as dm
-from co2meter.errors import ConfigurationError, NoBreakEvenError, UserInputError
+from co2meter.errors import ConfigurationError, NoBreakEvenError, UserInputError, replace
 from co2meter.workload import LlmConfig, Request, request_energy
 
 GLOBAL_CI = acc.CarbonIntensity("global", 0.48)
@@ -171,7 +170,7 @@ def test_llm_energy_must_be_positive():
 def test_pipeline_duration_validation():
     pipe = _pipeline()
     with pytest.raises(ValueError):
-        dataclasses.replace(pipe, total_duration_s=10.0)
+        replace(pipe, total_duration_s=10.0)
 
 
 def test_demo_pipeline_output_dominates():
@@ -182,7 +181,7 @@ def test_demo_pipeline_output_dominates():
 def test_speaker_variant_halves_total():
     pipe = _pipeline()
     breakdown = acc.app_energy(pipe, _models(), _oracle)
-    swapped = dataclasses.replace(
+    swapped = replace(
         pipe, output=acc.SpeakerOutput(duration_s=480.0, volume=60.0)
     )
     swapped_breakdown = acc.app_energy(swapped, _models(), _oracle)
@@ -192,7 +191,7 @@ def test_speaker_variant_halves_total():
 def test_camera_snapshot_cheaper_than_mic_stream():
     pipe = _pipeline()
     mic_breakdown = acc.app_energy(pipe, _models(), _oracle)
-    cam = dataclasses.replace(
+    cam = replace(
         pipe, input=acc.CameraInput(duration_s=2.0, frames=3.0)
     )
     cam_breakdown = acc.app_energy(cam, _models(), _oracle)

@@ -231,11 +231,13 @@ def test_cold_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
         "from co2meter import cli\n"
         f"code = cli.main({argv + ['--out', str(tmp_path / 'out')]!r})\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'co2meter'))\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
     )
     proc = _fresh_python(script)
     assert proc.returncode == 0, proc.stderr
     expected = sorted({*_COLD_BASE, *(f"co2meter.{m}" for m in modules)})
-    assert proc.stdout == f"0 {expected}\n"
+    # nor does it load dataclasses, or inspect through it
+    assert proc.stdout == f"0 {expected}\n[]\n"
 
 
 def test_bare_import_loads_submodules_on_first_access():

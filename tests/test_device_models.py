@@ -385,6 +385,26 @@ def test_speaker_grid_without_admissible_point():
         ref.speaker_grid_init(volumes, observed)
 
 
+# Volumes: a few repeated values give equal sse at many points (all zero makes
+# every alpha row the same), +-1e20 and NaN leave no admissible point.
+_GRID_VOLUMES = st.one_of(st.floats(-200.0, 200.0), st.sampled_from([0.0, 1e20, -1e20, math.nan]))
+_GRID_OBSERVED = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 0.5, 1e-300]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_GRID_VOLUMES, _GRID_OBSERVED), min_size=1, max_size=12))
+def test_pruned_speaker_grid_equals_full_loop_bit_for_bit(pairs):
+    volumes, observed = map(list, zip(*pairs))
+    try:
+        want = ref.speaker_grid_loop(volumes, observed)
+    except FitError:
+        with pytest.raises(FitError, match="no admissible"):
+            dm._speaker_grid_init(volumes, observed)
+        return
+    got = dm._speaker_grid_init(volumes, observed)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 @pytest.mark.parametrize("case", range(3), ids=["bundled", "noisy", "overflow"])
 def test_fit_speaker_matches_fit_from_reference_grid(case):
     volumes, observed = list(_speaker_cases())[case]

@@ -1,6 +1,5 @@
 """Embodied carbon: BOM evaluation, attribution, what-if modifications."""
 
-import dataclasses
 import json
 import math
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from co2meter import assets, cli
 from co2meter import embodied as emb
-from co2meter.errors import UserInputError
+from co2meter.errors import UserInputError, replace
 
 RK3588 = emb.SocBom(
     name="rk3588",
@@ -181,7 +180,7 @@ def test_bom_unit_names_must_be_unique():
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_bom_peripheral_kg_must_be_finite_and_non_negative(value):
     with pytest.raises(ValueError, match="finite kg"):
-        dataclasses.replace(RK3588, peripherals=(("camera", value),))
+        replace(RK3588, peripherals=(("camera", value),))
 
 
 def test_die_unit_fraction_bounds():

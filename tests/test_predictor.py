@@ -1,7 +1,6 @@
 """Energy predictor: forward/backward correctness, training behavior, data I/O."""
 
 import base64
-import dataclasses
 import json
 from typing import NamedTuple
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from co2meter import assets, workload
-from co2meter.errors import TrainingDivergedError, UserInputError
+from co2meter.errors import TrainingDivergedError, UserInputError, replace
 from co2meter.predictor import (
     GLOBAL_DIM,
     HIDDEN_DIM,
@@ -215,8 +214,8 @@ def test_reused_workspace_pass_is_bit_identical_to_a_fresh_one(seed, sizes, junk
     # sized to the largest batch, so the others use its leading rows, and
     # filled with junk, which no pass may read
     workspace = Workspace.allocate(tower, max(sizes), len(LAYER_PREDS))
-    for field in dataclasses.fields(workspace):
-        buffer = getattr(workspace, field.name)
+    for field in workspace._fields:
+        buffer = getattr(workspace, field)
         if isinstance(buffer, np.ndarray):
             buffer[...] = junk
     for batch in sizes + [max(sizes), min(sizes)]:
@@ -361,8 +360,8 @@ def test_single_sample_pass_is_bit_identical_to_per_sample_reference(dataset20):
 
 
 def _assert_same_norms(got, want):
-    for field in dataclasses.fields(got):
-        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    for field in got._fields:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_tower_table_reproduces_per_sample_encoding(dataset20):
@@ -487,7 +486,7 @@ def _with_relabeled_prefill(dataset, i, seed=5):
     sample = dataset[i]
     order = np.random.default_rng(seed).permutation(len(sample.prefill_graph.nodes))
     out = list(dataset)
-    out[i] = dataclasses.replace(
+    out[i] = replace(
         sample, prefill_graph=_relabeled(sample.prefill_graph, order)
     )
     return out
@@ -775,14 +774,14 @@ def test_generator_validation():
 
 def test_sample_label_validation(dataset20):
     with pytest.raises(ValueError):
-        dataclasses.replace(dataset20[0], label_prefill_j=0.0)
+        replace(dataset20[0], label_prefill_j=0.0)
     with pytest.raises(ValueError):
-        dataclasses.replace(dataset20[0], label_prefill_j=dataset20[0].label_total_j * 2)
+        replace(dataset20[0], label_prefill_j=dataset20[0].label_total_j * 2)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            dataclasses.replace(dataset20[0], label_total_j=bad)
+            replace(dataset20[0], label_total_j=bad)
         with pytest.raises(ValueError):
-            dataclasses.replace(dataset20[0], label_prefill_j=bad, label_total_j=bad)
+            replace(dataset20[0], label_prefill_j=bad, label_total_j=bad)
 
 
 def test_overflowing_noise_is_a_user_error():
@@ -940,7 +939,7 @@ def test_params_file_round_trips_every_bit(tmp_path_factory, seed, edges):
     rng = np.random.default_rng(seed)
     params = init_params(seed)
     arrays = [params.prefill.flat, params.total.flat,
-              *(getattr(params.norms, f.name) for f in dataclasses.fields(FeatureNorms))]
+              *(getattr(params.norms, f) for f in FeatureNorms._fields)]
     for arr in arrays:
         # random bit patterns span every exponent, subnormals included
         values = rng.integers(0, 2**64, size=arr.size, dtype=np.uint64).view(np.float64)
@@ -953,7 +952,7 @@ def test_params_file_round_trips_every_bit(tmp_path_factory, seed, edges):
     loaded, meta = load_params_json(path)
     assert meta == {"seed": seed}
     reloaded = [loaded.prefill.flat, loaded.total.flat,
-                *(getattr(loaded.norms, f.name) for f in dataclasses.fields(FeatureNorms))]
+                *(getattr(loaded.norms, f) for f in FeatureNorms._fields)]
     for want, got in zip(arrays, reloaded):
         assert got.dtype == np.float64 and got.flags.writeable
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -1,6 +1,5 @@
 """Transformer layer graphs, FLOP/byte accounting, roofline classification."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from co2meter import workload as wl
+from co2meter.errors import replace
 from oracle_reference import arithmetic_intensity, roofline_time
 
 Q15 = wl.LlmConfig(
@@ -49,21 +49,21 @@ def layer_flops_closed_form(cfg: wl.LlmConfig, t: int, s: int) -> int:
 
 def test_config_validates_head_factorization():
     with pytest.raises(ValueError):
-        dataclasses.replace(Q15, num_heads=10)
+        replace(Q15, num_heads=10)
 
 
 def test_config_validates_byte_widths():
     with pytest.raises(ValueError):
-        dataclasses.replace(Q15, weight_bytes=3)
+        replace(Q15, weight_bytes=3)
     with pytest.raises(ValueError):
-        dataclasses.replace(Q15, act_bytes=0)
+        replace(Q15, act_bytes=0)
 
 
 def test_device_validates_powers():
     with pytest.raises(ValueError):
-        dataclasses.replace(RK3588, active_power=0.5)  # below idle
+        replace(RK3588, active_power=0.5)  # below idle
     with pytest.raises(ValueError):
-        dataclasses.replace(RK3588, peak_ops=0.0)
+        replace(RK3588, peak_ops=0.0)
 
 
 def test_ridge_point():
@@ -195,8 +195,8 @@ def _swap_kinds(graph, data):
     a, b = data.draw(st.lists(st.integers(0, 11), min_size=2, max_size=2, unique=True))
     nodes = list(graph.nodes)
     assume(nodes[a].kind != nodes[b].kind)
-    nodes[a] = dataclasses.replace(graph.nodes[a], kind=graph.nodes[b].kind)
-    nodes[b] = dataclasses.replace(graph.nodes[b], kind=graph.nodes[a].kind)
+    nodes[a] = replace(graph.nodes[a], kind=graph.nodes[b].kind)
+    nodes[b] = replace(graph.nodes[b], kind=graph.nodes[a].kind)
     return tuple(nodes), graph.edges
 
 
@@ -387,7 +387,7 @@ def test_roofline_time_is_max_form():
 
 
 def test_classify_tie_is_memory_bound():
-    dev = dataclasses.replace(RK3588, peak_ops=1e12, mem_bandwidth=1e9)
+    dev = replace(RK3588, peak_ops=1e12, mem_bandwidth=1e9)
     node = wl.KernelNode(
         kind="norm",
         flops=1000_000,
@@ -470,7 +470,7 @@ def test_global_features_prefill_energy_slot():
     filled = wl.with_prefill_energy(gf, 0.25)
     assert filled.prefill_energy_j == 0.25
     with pytest.raises(ValueError):
-        dataclasses.replace(
+        replace(
             wl.global_features(Q15, wl.Request(10, 5), "prefill"),
             prefill_energy_j=1.0,
         )
@@ -481,11 +481,11 @@ def test_counts_and_features_must_be_finite_and_non_negative(bad):
     graph = wl.build_layer_graph(Q15, wl.Request(10, 5), "prefill")
     for field in ("flops", "kv_bytes_loaded", "est_time_s"):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            dataclasses.replace(graph.nodes[1], **{field: bad})
+            replace(graph.nodes[1], **{field: bad})
     gf = wl.global_features(Q15, wl.Request(10, 5), "total")
     for field in ("total_ops", "weight_memory_bytes", "kv_cache_bytes"):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            dataclasses.replace(gf, **{field: bad})
+            replace(gf, **{field: bad})
     with pytest.raises(ValueError, match="prefill_energy_j must be finite"):
         wl.with_prefill_energy(gf, bad)
 
@@ -516,14 +516,14 @@ def valid_configs(draw):
 @given(valid_devices())
 @settings(max_examples=100, deadline=None)
 def test_device_json_round_trip(dev):
-    doc = json.loads(json.dumps(dataclasses.asdict(dev), allow_nan=False))
+    doc = json.loads(json.dumps({f: getattr(dev, f) for f in dev._fields}, allow_nan=False))
     assert wl.device_from_json(doc) == dev
 
 
 @given(valid_configs())
 @settings(max_examples=100, deadline=None)
 def test_config_json_round_trip(cfg):
-    doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    doc = json.loads(json.dumps({f: getattr(cfg, f) for f in cfg._fields}))
     assert wl.config_from_json(doc) == cfg
 
 
