@@ -13,8 +13,9 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from .errors import (ConfigurationError, NoBreakEvenError, Record, UserInputError, json_int,
-                     json_name, json_number, json_object, read_json)
+from .errors import (ConfigurationError, Finite, NoBreakEvenError, NonNegative, Positive, Record,
+                     UserInputError, check_range, json_int, json_name, json_number, json_object,
+                     read_json)
 
 if TYPE_CHECKING:
     from .device_models import PeripheralModel
@@ -31,28 +32,17 @@ class CarbonIntensity(Record):
     """Grid carbon intensity in kgCO2-eq per kWh."""
 
     region: str
-    kg_per_kwh: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.kg_per_kwh < math.inf:  # NaN fails too
-            raise ValueError("carbon intensity must be finite and positive")
+    kg_per_kwh: Positive
 
 
 class UsageProfile(Record):
-    requests_per_day: float
-    lifespan_years: float = DEFAULT_LIFESPAN_YEARS
-
-    def __post_init__(self) -> None:
-        if self.requests_per_day < 0:
-            raise ValueError("requests_per_day must be >= 0")
-        if self.lifespan_years <= 0:
-            raise ValueError("lifespan_years must be positive")
+    requests_per_day: NonNegative
+    lifespan_years: Positive = DEFAULT_LIFESPAN_YEARS
 
 
 def operational_carbon(energy_j: float, ci: CarbonIntensity) -> float:
     """kgCO2-eq of consuming `energy_j` joules on the given grid."""
-    if energy_j < 0:
-        raise ValueError("energy must be >= 0")
+    check_range(energy_j, "NonNegative", "energy_j")
     return energy_j / JOULES_PER_KWH * ci.kg_per_kwh
 
 
@@ -61,33 +51,23 @@ def operational_carbon(energy_j: float, ci: CarbonIntensity) -> float:
 
 
 class MicInput(Record):
-    duration_s: float
-    samples: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.samples < 0:
-            raise ValueError("mic input needs duration > 0 and samples >= 0")
+    duration_s: Positive
+    samples: NonNegative
 
 
 class CameraInput(Record):
-    duration_s: float
-    frames: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.frames < 0:
-            raise ValueError("camera input needs duration > 0 and frames >= 0")
+    duration_s: Positive
+    frames: NonNegative
 
 
 class Conversion(Record):
     task: str
-    energy_j: float
+    energy_j: NonNegative
 
     def __post_init__(self) -> None:
         from .device_models import CONVERSION_TASKS
         if self.task not in CONVERSION_TASKS:
             raise ValueError(f"unknown conversion task {self.task!r}")
-        if self.energy_j < 0:
-            raise ValueError("conversion energy must be >= 0")
 
 
 class LlmStage(Record):
@@ -97,22 +77,14 @@ class LlmStage(Record):
 
 
 class DisplayOutput(Record):
-    duration_s: float
-    grey: float
-    pixels: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.pixels < 0:
-            raise ValueError("display output needs duration > 0 and pixels >= 0")
+    duration_s: Positive
+    grey: NonNegative
+    pixels: NonNegative
 
 
 class SpeakerOutput(Record):
-    duration_s: float
-    volume: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("speaker output needs duration > 0")
+    duration_s: Positive
+    volume: Finite
 
 
 InputStage = MicInput | CameraInput
@@ -129,7 +101,7 @@ class AppPipeline(Record):
     conversion: Conversion
     llm: LlmStage
     output: OutputStage
-    total_duration_s: float
+    total_duration_s: Positive
 
     def __post_init__(self) -> None:
         longest = max(self.input.duration_s, self.output.duration_s)
@@ -222,10 +194,9 @@ def breakeven_requests(
     finite number (a saving that rounds to zero carbon, or one too small for
     the embodied delta).
     """
-    if delta_embodied_kg <= 0:
-        raise ValueError("embodied delta must be positive")
-    if lifespan_years <= 0:
-        raise ValueError("lifespan must be positive")
+    check_range(delta_embodied_kg, "Positive", "delta_embodied_kg")
+    check_range(lifespan_years, "Positive", "lifespan_years")
+    check_range(delta_energy_per_request_j, "Finite", "delta_energy_per_request_j")
     if delta_energy_per_request_j <= 0:
         raise NoBreakEvenError(
             "per-request energy delta must be positive for a break-even to exist"
@@ -255,8 +226,8 @@ def total_footprint(
     ci: CarbonIntensity,
 ) -> FootprintReport:
     """Lifetime footprint: embodied kg plus operational over the usage profile."""
-    if energy_per_request_j < 0:
-        raise ValueError("per-request energy must be >= 0")
+    check_range(embodied_kg, "NonNegative", "embodied_kg")
+    check_range(energy_per_request_j, "NonNegative", "energy_per_request_j")
     lifetime_requests = usage.requests_per_day * DAYS_PER_YEAR * usage.lifespan_years
     operational_kg = operational_carbon(energy_per_request_j * lifetime_requests, ci)
     return FootprintReport(

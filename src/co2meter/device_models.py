@@ -28,7 +28,8 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import FitError, Record, UserInputError, json_number, read_json
+from .errors import (Finite, FitError, NonNegative, Record, UserInputError, check_range,
+                     json_number, read_json)
 
 GREY_MAX = 255
 CONVERSION_TASKS = ("ocr", "stt", "tts")
@@ -55,61 +56,45 @@ class MeasurementSample(Record):
     """One observed (predictor, duration) -> energy/power measurement."""
 
     kind: str
-    predictor: float
-    duration_s: float
-    observed: float
+    predictor: NonNegative
+    duration_s: Finite
+    observed: NonNegative
 
     def __post_init__(self) -> None:
         if self.kind not in SAMPLE_KINDS:
             raise ValueError(f"unknown sample kind {self.kind!r}")
-        values = (self.predictor, self.duration_s, self.observed)
-        if not all(map(math.isfinite, values)):
-            raise ValueError("predictor, duration_s and observed must be finite")
-        if self.predictor < 0:
-            raise ValueError("predictor count must be >= 0")
         if self.kind == "energy" and self.duration_s <= 0:
             raise ValueError("energy samples need a positive duration")
-        if self.observed < 0:
-            raise ValueError("observed value must be >= 0")
 
 
 class LinearRateModel(Record):
     """Energy = static_power_w * duration + marginal_energy_j * units."""
 
-    static_power_w: float
-    marginal_energy_j: float
-
-    def __post_init__(self) -> None:
-        if self.static_power_w < 0 or self.marginal_energy_j < 0:
-            raise ValueError("linear-rate parameters must be >= 0")
+    static_power_w: NonNegative
+    marginal_energy_j: NonNegative
 
     def energy(self, duration_s: float, units: float) -> float:
-        if duration_s < 0 or units < 0:
-            raise ValueError("duration and unit count must be >= 0")
+        check_range(duration_s, "NonNegative", "duration_s")
+        check_range(units, "NonNegative", "units")
         return self.static_power_w * duration_s + self.marginal_energy_j * units
 
 
 class VideoPowerModel(Record):
     """Power = static_power_w + power_per_pixel_w * pixels."""
 
-    static_power_w: float
-    power_per_pixel_w: float
-
-    def __post_init__(self) -> None:
-        if self.static_power_w < 0 or self.power_per_pixel_w < 0:
-            raise ValueError("video power parameters must be >= 0")
+    static_power_w: NonNegative
+    power_per_pixel_w: NonNegative
 
     def power(self, pixels: float) -> float:
-        if pixels < 0:
-            raise ValueError("pixel count must be >= 0")
+        check_range(pixels, "NonNegative", "pixels")
         return self.static_power_w + self.power_per_pixel_w * pixels
 
 
 class SpeakerPowerModel(Record):
     """Power = 1 / (1 + exp(alpha * volume) + beta)."""
 
-    alpha: float
-    beta: float
+    alpha: Finite
+    beta: Finite
 
     def power(self, volume: float) -> float:
         den = 1.0 + math.exp(self.alpha * volume) + self.beta
@@ -121,9 +106,9 @@ class SpeakerPowerModel(Record):
 class DisplayPowerModel(Record):
     """Power = a + b * grey + c * grey^2 over the uniform panel grey level."""
 
-    a: float
-    b: float
-    c: float
+    a: Finite
+    b: Finite
+    c: Finite
 
     def __post_init__(self) -> None:
         if self._min_power() <= 0:
@@ -162,8 +147,8 @@ class FitReport(Record):
 
 def background_energy(idle_power_w: float, duration_s: float) -> float:
     """Idle platform energy over the whole observation window."""
-    if idle_power_w < 0 or duration_s < 0:
-        raise ValueError("idle power and duration must be >= 0")
+    check_range(idle_power_w, "NonNegative", "idle_power_w")
+    check_range(duration_s, "NonNegative", "duration_s")
     return idle_power_w * duration_s
 
 

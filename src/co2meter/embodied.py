@@ -14,7 +14,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import Record, UserInputError, json_name, json_number, read_json, replace
+from .errors import (NonNegative, Positive, Record, UserInputError, check_range, json_name,
+                     json_number, read_json, replace)
 
 _FRACTION_TOL = 1e-9
 
@@ -38,21 +39,15 @@ class SocBom(Record):
     """Bill of materials for one board."""
 
     name: str
-    die_area_cm2: float
-    cpa_die_kg_per_cm2: float
+    die_area_cm2: Positive
+    cpa_die_kg_per_cm2: Positive
     units: tuple[DieUnit, ...]
-    pcb_area_cm2: float
-    cpa_pcb_kg_per_cm2: float
-    dram_kg: float
+    pcb_area_cm2: Positive
+    cpa_pcb_kg_per_cm2: Positive
+    dram_kg: NonNegative
     peripherals: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for field in ("die_area_cm2", "cpa_die_kg_per_cm2", "pcb_area_cm2",
-                      "cpa_pcb_kg_per_cm2"):
-            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
-                raise ValueError(f"{field} must be finite and positive")
-        if not 0 <= self.dram_kg < math.inf:
-            raise ValueError("dram_kg must be finite and >= 0")
         names = [u.name for u in self.units]
         if len(set(names)) != len(names):
             raise ValueError("die unit names must be unique")
@@ -81,8 +76,8 @@ class EmbodiedReport(Record):
 
 def unit_embodied(area_cm2: float, cpa_kg_per_cm2: float) -> float:
     """Carbon of one area-priced component."""
-    if area_cm2 < 0 or cpa_kg_per_cm2 < 0:
-        raise ValueError("area and carbon-per-area must be >= 0")
+    check_range(area_cm2, "NonNegative", "area_cm2")
+    check_range(cpa_kg_per_cm2, "NonNegative", "cpa_kg_per_cm2")
     return area_cm2 * cpa_kg_per_cm2
 
 
@@ -144,11 +139,9 @@ class ScaleUnit(Record):
     """Grow (or shrink) a die unit's area by `factor`; the die resizes with it."""
 
     unit: str
-    factor: float
+    factor: Positive
 
     def apply(self, bom: SocBom) -> SocBom:
-        if self.factor <= 0:
-            raise ValueError("scale factor must be positive")
         target = bom.unit(self.unit)
         unit_area = target.area_fraction * bom.die_area_cm2
         new_die_area = bom.die_area_cm2 + (self.factor - 1.0) * unit_area
@@ -168,22 +161,18 @@ class ScaleUnit(Record):
 class SetDram(Record):
     """Replace the DRAM footprint with a fixed kgCO2-eq value."""
 
-    dram_kg: float
+    dram_kg: NonNegative
 
     def apply(self, bom: SocBom) -> SocBom:
-        if self.dram_kg < 0:
-            raise ValueError("dram_kg must be >= 0")
         return replace(bom, dram_kg=self.dram_kg)
 
 
 class SetPcbArea(Record):
     """Resize the PCB."""
 
-    area_cm2: float
+    area_cm2: Positive
 
     def apply(self, bom: SocBom) -> SocBom:
-        if self.area_cm2 <= 0:
-            raise ValueError("PCB area must be positive")
         return replace(bom, pcb_area_cm2=self.area_cm2)
 
 

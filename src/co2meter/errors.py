@@ -12,12 +12,20 @@ helpers.
 `Record` is the base of the package's value classes: fields from annotations,
 a generic `__init__` that binds arguments like a dataclass's and runs
 `__post_init__` checks, and `replace` to rebuild one with changes.  It
-generates no code, so a cold process pays no `exec` per class.
+generates no code, so a cold process pays no `exec` per class.  A field
+annotated with one of the aliases `Positive`, `NonNegative` or `Finite`
+must hold a number in that range, never NaN or an infinity: `__init__`
+refuses any other with ValueError "<Class>.<field> must be finite and
+positive, got <value>" (">= 0" / "finite" for the other two), and
+`check_range` applies the same rule to a function's argument.  The aliases
+are `float` at run time, so the rule reads the annotation's text, which
+only `from __future__ import annotations` keeps.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 from typing import ClassVar, NoReturn
@@ -89,6 +97,27 @@ def json_object(value: object, field: str) -> dict:
     return value
 
 
+# Annotation aliases for a number's range, checked by `check_range`.
+Positive = NonNegative = Finite = float
+
+# Each alias's lower bound, whether the bound itself is in range, and wording.
+_RANGES = {
+    "Positive": (0.0, False, "finite and positive"),
+    "NonNegative": (0.0, True, "finite and >= 0"),
+    "Finite": (-math.inf, False, "finite"),
+}
+
+
+def check_range(value: float, alias: str, what: str) -> None:
+    """ValueError "<what> must be finite and positive, got <value>" (the
+    wording of the alias named `alias`) unless value lies in its range:
+    0 < value < inf for Positive, 0 <= value < inf for NonNegative,
+    -inf < value < inf for Finite.  NaN is in none of them."""
+    low, closed, words = _RANGES[alias]
+    if not (low < value < math.inf or closed and value == low):
+        raise ValueError(f"{what} must be {words}, got {value}")
+
+
 _NO_DEFAULT = object()
 
 
@@ -101,21 +130,31 @@ class Record:
     `__post_init__`.  Equality is by class and field tuple, the hash is the
     field tuple's, and the repr reads `Name(field=value, ...)`.  A record is
     frozen unless its class says `frozen=False`: assigning or deleting an
-    attribute raises AttributeError, and a frozen one is hashable."""
+    attribute raises AttributeError, and a frozen one is hashable.
+
+    A field annotated `Positive`, `NonNegative` or `Finite` is checked by
+    `check_range` once the fields are set and before `__post_init__`, so a
+    class states such a range in its annotation rather than in code."""
 
     _fields: ClassVar[tuple[str, ...]] = ()
     _field_set: ClassVar[frozenset[str]] = frozenset()
     _defaults: ClassVar[dict[str, object]] = {}
+    # (position, alias, "<Class>.<field>") of each field with a range alias
+    _ranges: ClassVar[tuple[tuple[int, str, str], ...]] = ()
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         defaults: dict[str, object] = {}
+        kinds: dict[str, str] = {}
         for klass in reversed(cls.__mro__):
             for name, kind in klass.__dict__.get("__annotations__", {}).items():
                 if str(kind).split("[", 1)[0] not in ("ClassVar", "typing.ClassVar"):
                     defaults[name] = klass.__dict__.get(name, _NO_DEFAULT)
+                    kinds[name] = str(kind)
         cls._fields, cls._field_set = tuple(defaults), frozenset(defaults)
         cls._defaults = {k: v for k, v in defaults.items() if v is not _NO_DEFAULT}
+        cls._ranges = tuple((i, kinds[name], f"{cls.__qualname__}.{name}")
+                            for i, name in enumerate(defaults) if kinds[name] in _RANGES)
         if not frozen:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
             cls.__hash__ = None  # type: ignore[assignment]
@@ -133,6 +172,8 @@ class Record:
         # instances of a class share one key table instead of a dict each.
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
+        for i, alias, what in self._ranges:
+            check_range(args[i], alias, what)
         self.__post_init__()
 
     def __post_init__(self) -> None:

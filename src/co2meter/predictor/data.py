@@ -28,13 +28,12 @@ Version 1 lines (24 keyed node dicts and 13 edges per sample, no
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import Record, UserInputError, json_int, json_name, json_number
+from ..errors import Positive, Record, UserInputError, json_int, json_name, json_number
 from ..workload import KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, GlobalFeatures, LayerGraph
 
 NUMERIC_NODE_FEATURES = (
@@ -88,13 +87,13 @@ class GraphSample(PredictorInputs):
     """Predictor inputs with the device and the measured phase energies."""
 
     device_id: str
-    label_prefill_j: float
-    label_total_j: float
+    label_prefill_j: Positive
+    label_total_j: Positive
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 < self.label_prefill_j <= self.label_total_j < math.inf:
-            raise ValueError("labels must satisfy 0 < prefill <= total < inf")
+        if self.label_prefill_j > self.label_total_j:
+            raise ValueError("labels must satisfy prefill <= total")
 
 
 def node_feature_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:

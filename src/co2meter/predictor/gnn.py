@@ -72,7 +72,6 @@ def _tower_shapes(node_dim: int, glob_dim: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-_TOWER_ARRAYS = tuple(_tower_shapes(0, 0))
 # globals each tower reads: the total tower adds a prefill-energy slot
 _TOWER_GLOB_DIMS = {"prefill": GLOBAL_DIM, "total": GLOBAL_DIM + 1}
 
@@ -105,7 +104,7 @@ class TowerParams(Record, frozen=False):
 
     def __post_init__(self) -> None:
         self.flat = np.concatenate(
-            [np.ravel(getattr(self, name)) for name in _TOWER_ARRAYS], dtype=float
+            [np.ravel(getattr(self, name)) for name in self._fields], dtype=float
         )
         for name, view in self.views(self.flat).items():
             setattr(self, name, view)
@@ -115,11 +114,11 @@ class TowerParams(Record, frozen=False):
         return self.wh1.shape[1] - HIDDEN_DIM
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _TOWER_ARRAYS}
+        return {name: getattr(self, name) for name in self._fields}
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a flat vector laid out like `flat`, such as a gradient."""
-        return _split(flat, {name: getattr(self, name).shape for name in _TOWER_ARRAYS})
+        return _split(flat, {name: getattr(self, name).shape for name in self._fields})
 
     def copy(self) -> "TowerParams":
         return TowerParams(**self.arrays())

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import UserInputError
+from ..errors import UserInputError, check_range
 from ..workload import (
     DeviceSpec,
     LayerGraph,
@@ -98,8 +98,7 @@ def gen_oracle_dataset(
     """Deterministic synthetic dataset over a config/device grid."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    check_range(noise_sigma, "NonNegative", "noise_sigma")
     if n > 0 and (not configs or not devices):
         raise ValueError("need at least one config and one device")
     rng = np.random.default_rng(seed)

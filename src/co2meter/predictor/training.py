@@ -37,7 +37,7 @@ from typing import ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import Record, TrainingDivergedError
+from ..errors import Positive, Record, TrainingDivergedError
 from ..workload import LAYER_PREDS, GlobalFeatures, LayerGraph
 from .data import (
     GLOBAL_DIM,
@@ -67,15 +67,15 @@ _PREDICT_BATCH = 256
 
 class TrainConfig(Record):
     epochs: int = 200
-    learning_rate: float = 0.001
+    learning_rate: Positive = 0.001
     batch_size: int = 32
     seed: int = 42
     train_frac: float = 0.8
     val_frac: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs/batch_size/learning_rate must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs/batch_size must be positive")
         split_indices(0, self.train_frac, self.val_frac, self.seed)  # checks the fractions
 
 

@@ -32,7 +32,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Mapping, NamedTuple, NoReturn, Sequence
 
-from .errors import Record, UserInputError, json_int, json_name, json_number, read_json, replace
+from .errors import (NonNegative, Positive, Record, UserInputError, json_int, json_name,
+                     json_number, read_json, replace)
 
 KERNEL_KINDS = (
     "qkv_proj",
@@ -95,17 +96,13 @@ class DeviceSpec(Record):
     """Accelerator throughput/power envelope used for roofline estimates."""
 
     name: str
-    peak_ops: float  # flops (or int ops) per second
-    mem_bandwidth: float  # bytes per second
-    idle_power: float  # watts
-    active_power: float  # watts
-    dram_capacity: float  # bytes
+    peak_ops: Positive  # flops (or int ops) per second
+    mem_bandwidth: Positive  # bytes per second
+    idle_power: Positive  # watts
+    active_power: Positive  # watts
+    dram_capacity: Positive  # bytes
 
     def __post_init__(self) -> None:
-        for field in ("peak_ops", "mem_bandwidth", "idle_power", "active_power",
-                      "dram_capacity"):
-            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
-                raise ValueError(f"{field} must be finite and positive")
         if self.active_power < self.idle_power:
             raise ValueError("active_power must be >= idle_power")
 
@@ -123,20 +120,17 @@ class KernelNode(Record):
     """One kernel invocation with its dense FLOP/byte accounting."""
 
     kind: str
-    flops: int
-    weight_bytes_loaded: int = 0
-    act_bytes_loaded: int = 0
-    act_bytes_stored: int = 0
-    kv_bytes_loaded: int = 0
-    kv_bytes_stored: int = 0
-    est_time_s: float = 0.0
+    flops: NonNegative  # the six counts are ints
+    weight_bytes_loaded: NonNegative = 0
+    act_bytes_loaded: NonNegative = 0
+    act_bytes_stored: NonNegative = 0
+    kv_bytes_loaded: NonNegative = 0
+    kv_bytes_stored: NonNegative = 0
+    est_time_s: NonNegative = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        for field in (*COUNT_FIELDS, "est_time_s"):
-            if not 0 <= getattr(self, field) < math.inf:  # NaN fails too
-                raise ValueError(f"{field} must be finite and >= 0")
 
 
 # Node indices within one layer graph, in canonical order.
@@ -425,14 +419,14 @@ def whatif_speedup(
 class GlobalFeatures(Record):
     """Request-level summary features for one prediction phase."""
 
-    total_ops: float
-    layer_count: int
-    hidden_dim: int
-    ffn_dim: int
-    prompt_len: int
-    output_len: int
-    weight_memory_bytes: float
-    kv_cache_bytes: float
+    total_ops: NonNegative
+    layer_count: NonNegative  # the five counts and lengths are ints
+    hidden_dim: NonNegative
+    ffn_dim: NonNegative
+    prompt_len: NonNegative
+    output_len: NonNegative
+    weight_memory_bytes: NonNegative
+    kv_cache_bytes: NonNegative
     phase: str  # "prefill" or "total"
     prefill_energy_j: float | None = None
 
@@ -441,10 +435,6 @@ class GlobalFeatures(Record):
             raise ValueError(f"unknown feature phase {self.phase!r}")
         if self.phase == "prefill" and self.prefill_energy_j is not None:
             raise ValueError("prefill_energy_j only applies to the total phase")
-        for field in ("total_ops", "layer_count", "hidden_dim", "ffn_dim", "prompt_len",
-                      "output_len", "weight_memory_bytes", "kv_cache_bytes"):
-            if not 0 <= getattr(self, field) < math.inf:  # NaN fails too
-                raise ValueError(f"{field} must be finite and >= 0")
         if self.prefill_energy_j is not None and not 0 < self.prefill_energy_j < math.inf:
             raise ValueError("prefill_energy_j must be finite and positive when present")
 
@@ -669,16 +659,10 @@ def request_energy(
 # ---------------------------------------------------------------------------
 # JSON I/O
 
-_DEVICE_FIELDS = ("name", "peak_ops", "mem_bandwidth", "idle_power",
-                  "active_power", "dram_capacity")
-_CONFIG_FIELDS = ("name", "num_layers", "hidden_dim", "num_heads", "head_dim",
-                  "ffn_dim", "vocab_size", "weight_bytes", "act_bytes")
-
-
 def device_from_json(doc: Mapping) -> DeviceSpec:
     try:
         return DeviceSpec(**{k: json_name(doc[k], k) if k == "name" else json_number(doc[k], k)
-                             for k in _DEVICE_FIELDS})
+                             for k in DeviceSpec._fields})
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed device spec: {exc}") from exc
 
@@ -690,7 +674,7 @@ def load_device_json(path: str | Path) -> DeviceSpec:
 def config_from_json(doc: Mapping) -> LlmConfig:
     try:
         return LlmConfig(**{k: json_name(doc[k], k) if k == "name" else json_int(doc[k], k)
-                            for k in _CONFIG_FIELDS if k in doc})
+                            for k in LlmConfig._fields if k in doc})
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed llm config: {exc}") from exc
 

@@ -6,11 +6,20 @@ value).  Equality, hash and repr are compared with the field tuple and with
 a `dataclasses.make_dataclass` twin of the same fields; a bad argument list
 must raise the twin's TypeError word for word.  An `ast` scan keeps the
 package free of `dataclasses` and of generated code.
+
+A field annotated `Positive`, `NonNegative` or `Finite` refuses NaN, the
+infinities and any number outside its range, naming the class and field,
+and accepts the range's edge; every other float field is listed in
+`UNRANGED`.  The functions that check a number argument refuse the same
+values, and an `ast` scan requires `from __future__ import annotations`
+wherever a record class is defined, since the aliases work only as text.
 """
 
 import ast
 import dataclasses
 import importlib
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +32,7 @@ from co2meter import assets
 from co2meter import device_models as dm
 from co2meter import embodied as emb
 from co2meter import workload as wl
-from co2meter.errors import Record, UserInputError, replace
+from co2meter.errors import NoBreakEvenError, Record, UserInputError, replace
 from co2meter.predictor import baselines, gnn, oracle, training
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "co2meter"
@@ -239,3 +248,142 @@ def test_missing_config_fields_are_named_like_a_dataclass():
         wl.config_from_json(doc)
     assert str(exc.value) == ("malformed llm config: LlmConfig.__init__() missing 2 required "
                               "positional arguments: 'hidden_dim' and 'num_heads'")
+
+
+# ---------------------------------------------------------------------------
+# Range aliases
+
+# Float fields without a range alias: bounds an alias cannot state, checked by
+# hand, and the results of a computation.
+UNRANGED = {
+    ("DieUnit", "area_fraction"), ("TrainConfig", "train_frac"), ("TrainConfig", "val_frac"),
+    ("EmbodiedReport", "total"), ("EmbodiedReport", "llm_fraction"), ("FitReport", "mae"),
+    ("FitReport", "max_abs_err"), ("FootprintReport", "embodied_kg"),
+    ("FootprintReport", "operational_kg"), ("FootprintReport", "total_kg"),
+    ("Metrics", "mape"), ("Metrics", "eb10"), ("PipelineBreakdown", "total_j"),
+}
+ALIASES = ("Positive", "NonNegative", "Finite")
+TINY, HUGE = math.ulp(0.0), sys.float_info.max
+# Per alias: values just outside the range, and its edges, which are inside.
+OUTSIDE = {"Positive": (0.0, -0.0, -TINY), "NonNegative": (-TINY, -HUGE), "Finite": ()}
+EDGES = {"Positive": (TINY, HUGE), "NonNegative": (0.0, -0.0, HUGE), "Finite": (-HUGE, HUGE)}
+WORDS = {"Positive": "finite and positive", "NonNegative": "finite and >= 0", "Finite": "finite"}
+
+
+def _in_range(value, alias):
+    if alias == "Finite":
+        return math.isfinite(value)
+    return (0.0 < value if alias == "Positive" else 0.0 <= value) and value < math.inf
+
+
+def _annotation(cls, field):
+    """The text of field's annotation in the nearest class that declares it."""
+    return next(str(k.__annotations__[field]) for k in cls.__mro__
+                if field in k.__dict__.get("__annotations__", {}))
+
+
+def _ranged_fields():
+    """(class, field) of every field that has a range alias or whose example
+    holds a float, less `UNRANGED`."""
+    return sorted((name, f) for name, cls in RECORDS.items() for f in cls._fields
+                  if _annotation(cls, f) in ALIASES
+                  or type(getattr(EXAMPLES[name], f)) is float and (name, f) not in UNRANGED)
+
+
+def _range_error(name, field, value):
+    """The text of the range error `name`'s constructor raises for field=value,
+    else None (also when another check refuses the record)."""
+    cls = RECORDS[name]
+    try:
+        cls(**{**{f: getattr(EXAMPLES[name], f) for f in cls._fields}, field: value})
+    except ValueError as exc:
+        if str(exc).startswith(f"{name}.{field} must be finite"):
+            return str(exc)
+    return None
+
+
+def test_unranged_fields_have_no_alias_and_still_exist():
+    for name, field in UNRANGED:
+        assert field in RECORDS[name]._fields
+        assert _annotation(RECORDS[name], field) not in ALIASES
+
+
+@pytest.mark.parametrize("name, field", _ranged_fields())
+@settings(max_examples=25, deadline=None)
+@given(value=st.floats())
+def test_range_alias_refuses_nan_infinities_and_numbers_outside(name, field, value):
+    for bad in (math.nan, math.inf, -math.inf):
+        assert _range_error(name, field, bad) is not None
+    alias = _annotation(RECORDS[name], field)
+    assert alias in ALIASES
+    for bad in (math.nan, math.inf, -math.inf, *OUTSIDE[alias]):
+        assert _range_error(name, field, bad) == f"{name}.{field} must be {WORDS[alias]}, got {bad}"
+    for edge in EDGES[alias]:
+        assert _range_error(name, field, edge) is None
+    assert (_range_error(name, field, value) is None) == _in_range(value, alias)
+
+
+def _ci():
+    return assets.load_carbon_intensities()["global"]
+
+
+# (call with one argument left open, its name, its alias)
+ARGUMENT_CHECKS = {
+    "operational_carbon": (lambda v: acc.operational_carbon(v, _ci()), "energy_j", "NonNegative"),
+    "total_footprint.embodied": (
+        lambda v: acc.total_footprint(v, acc.UsageProfile(1.0), 1.0, _ci()),
+        "embodied_kg", "NonNegative"),
+    "total_footprint.energy": (
+        lambda v: acc.total_footprint(1.0, acc.UsageProfile(1.0), v, _ci()),
+        "energy_per_request_j", "NonNegative"),
+    "breakeven.embodied": (lambda v: acc.breakeven_requests(v, 1.0, _ci()),
+                           "delta_embodied_kg", "Positive"),
+    "breakeven.lifespan": (lambda v: acc.breakeven_requests(1.0, 1.0, _ci(), v),
+                           "lifespan_years", "Positive"),
+    "breakeven.energy": (lambda v: acc.breakeven_requests(1.0, v, _ci()),
+                         "delta_energy_per_request_j", "Finite"),
+    "background_energy.power": (lambda v: dm.background_energy(v, 1.0),
+                                "idle_power_w", "NonNegative"),
+    "background_energy.duration": (lambda v: dm.background_energy(1.0, v),
+                                   "duration_s", "NonNegative"),
+    "unit_embodied.area": (lambda v: emb.unit_embodied(v, 1.0), "area_cm2", "NonNegative"),
+    "unit_embodied.cpa": (lambda v: emb.unit_embodied(1.0, v), "cpa_kg_per_cm2", "NonNegative"),
+    "LinearRateModel.energy.duration": (lambda v: dm.LinearRateModel(1.0, 1.0).energy(v, 1.0),
+                                        "duration_s", "NonNegative"),
+    "LinearRateModel.energy.units": (lambda v: dm.LinearRateModel(1.0, 1.0).energy(1.0, v),
+                                     "units", "NonNegative"),
+    "VideoPowerModel.power": (lambda v: dm.VideoPowerModel(1.0, 1.0).power(v),
+                              "pixels", "NonNegative"),
+    "gen_oracle_dataset": (lambda v: oracle.gen_oracle_dataset([], [], 0, noise_sigma=v),
+                           "noise_sigma", "NonNegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGUMENT_CHECKS))
+def test_number_arguments_refuse_nan_infinities_and_numbers_outside(case):
+    call, arg, alias = ARGUMENT_CHECKS[case]
+    for bad in (math.nan, math.inf, -math.inf, *OUTSIDE[alias]):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == f"{arg} must be {WORDS[alias]}, got {bad}"
+    for edge in EDGES[alias]:
+        try:
+            call(edge)
+        except (ValueError, NoBreakEvenError) as exc:  # another check, such as a zero saving
+            assert not str(exc).startswith(f"{arg} must be finite")
+
+
+def test_every_module_with_a_record_class_keeps_annotations_as_text():
+    """Without `from __future__ import annotations` an alias evaluates to
+    `float`, and the fields it annotates go unchecked."""
+    modules = {cls.__module__ for cls in RECORDS.values()}
+    missing = []
+    for module in sorted(modules):
+        path = SRC.parent.joinpath(*module.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        tree = ast.parse(path.read_text())
+        if not any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                   and any(a.name == "annotations" for a in node.names)
+                   for node in tree.body):
+            missing.append(module)
+    assert modules and not missing
