@@ -5,13 +5,18 @@ grid carbon intensity.  An application pipeline stitches the peripheral models
 and an LLM energy source into a per-request energy breakdown over the stages
 input / con / llm / output / sys.  Break-even answers how many requests per
 day justify a board with more embodied carbon but lower per-request energy.
+
+Each input and output stage is one class: its fields are the numbers a
+pipeline file gives it, `models` names the peripheral models it reads and
+`energy(models)` is its formula.  `STAGE_KINDS` maps a pipeline file's
+`kind` to the class, so adding a peripheral stage touches nothing else.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
 
 from .errors import (ConfigurationError, Finite, NoBreakEvenError, NonNegative, Positive, Record,
                      UserInputError, check_range, json_int, json_name, json_number, json_object,
@@ -53,11 +58,19 @@ def operational_carbon(energy_j: float, ci: CarbonIntensity) -> float:
 class MicInput(Record):
     duration_s: Positive
     samples: NonNegative
+    models: ClassVar[tuple[str, ...]] = ("mic",)
+
+    def energy(self, models: Mapping[str, PeripheralModel]) -> float:
+        return models["mic"].energy(self.duration_s, self.samples)
 
 
 class CameraInput(Record):
     duration_s: Positive
     frames: NonNegative
+    models: ClassVar[tuple[str, ...]] = ("camera",)
+
+    def energy(self, models: Mapping[str, PeripheralModel]) -> float:
+        return models["camera"].energy(self.duration_s, self.frames)
 
 
 class Conversion(Record):
@@ -80,15 +93,34 @@ class DisplayOutput(Record):
     duration_s: Positive
     grey: NonNegative
     pixels: NonNegative
+    models: ClassVar[tuple[str, ...]] = ("display", "video")
+
+    def __post_init__(self) -> None:
+        from .device_models import GREY_MAX
+        if self.grey > GREY_MAX:
+            raise ValueError(f"DisplayOutput.grey must be <= {GREY_MAX}, got {self.grey}")
+
+    def energy(self, models: Mapping[str, PeripheralModel]) -> float:
+        panel_w = models["display"].power(self.grey)
+        return (panel_w + models["video"].power(self.pixels)) * self.duration_s
 
 
 class SpeakerOutput(Record):
     duration_s: Positive
     volume: Finite
+    models: ClassVar[tuple[str, ...]] = ("speaker",)
+
+    def energy(self, models: Mapping[str, PeripheralModel]) -> float:
+        return models["speaker"].power(self.volume) * self.duration_s
 
 
 InputStage = MicInput | CameraInput
 OutputStage = DisplayOutput | SpeakerOutput
+# A pipeline file's stage `kind` -> its class, per side.
+STAGE_KINDS = {
+    "input": {"mic": MicInput, "camera": CameraInput},
+    "output": {"display": DisplayOutput, "speaker": SpeakerOutput},
+}
 
 LlmEnergyFn = Callable[[LlmStage], float]
 
@@ -121,10 +153,7 @@ class PipelineBreakdown(Record):
 
 def required_models(pipeline: AppPipeline) -> tuple[str, ...]:
     """Names of the peripheral models `app_energy` reads for a pipeline."""
-    inputs = ("mic",) if isinstance(pipeline.input, MicInput) else ("camera",)
-    if isinstance(pipeline.output, DisplayOutput):
-        return inputs + ("display", "video")
-    return inputs + ("speaker",)
+    return pipeline.input.models + pipeline.output.models
 
 
 def app_energy(
@@ -145,36 +174,12 @@ def app_energy(
         if name not in models:
             raise ConfigurationError(f"pipeline needs a fitted {name!r} model")
 
-    if isinstance(pipeline.input, MicInput):
-        input_j = models["mic"].energy(pipeline.input.duration_s, pipeline.input.samples)
-    else:
-        input_j = models["camera"].energy(pipeline.input.duration_s, pipeline.input.frames)
-
-    con_j = pipeline.conversion.energy_j
-
+    input_j = pipeline.input.energy(models)
     llm_j = float(llm_energy(pipeline.llm))
-    if llm_j <= 0:
-        raise ValueError("LLM stage energy must be positive")
-
-    if isinstance(pipeline.output, DisplayOutput):
-        panel_w = models["display"].power(pipeline.output.grey)
-        video_w = models["video"].power(pipeline.output.pixels)
-        output_j = (panel_w + video_w) * pipeline.output.duration_s
-    else:
-        speaker_w = models["speaker"].power(pipeline.output.volume)
-        output_j = speaker_w * pipeline.output.duration_s
-
-    sys_j = background_energy(
-        pipeline.llm.device.idle_power, pipeline.total_duration_s
-    )
-
-    stages = {
-        "input": input_j,
-        "con": con_j,
-        "llm": llm_j,
-        "output": output_j,
-        "sys": sys_j,
-    }
+    check_range(llm_j, "Positive", "LLM stage energy")
+    parts = (input_j, pipeline.conversion.energy_j, llm_j, pipeline.output.energy(models),
+             background_energy(pipeline.llm.device.idle_power, pipeline.total_duration_s))
+    stages = dict(zip(BREAKDOWN_KEYS, parts))
     return PipelineBreakdown(stages=stages, total_j=sum(stages.values()))
 
 
@@ -229,7 +234,12 @@ def total_footprint(
     check_range(embodied_kg, "NonNegative", "embodied_kg")
     check_range(energy_per_request_j, "NonNegative", "energy_per_request_j")
     lifetime_requests = usage.requests_per_day * DAYS_PER_YEAR * usage.lifespan_years
-    operational_kg = operational_carbon(energy_per_request_j * lifetime_requests, ci)
+    lifetime_j = energy_per_request_j * lifetime_requests
+    if not lifetime_j < math.inf:  # NaN too: 0 J times infinitely many requests
+        raise ValueError(f"lifetime energy is not finite: {energy_per_request_j} J per request "
+                         f"at requests_per_day {usage.requests_per_day} over lifespan_years "
+                         f"{usage.lifespan_years}")
+    operational_kg = operational_carbon(lifetime_j, ci)
     return FootprintReport(
         embodied_kg=float(embodied_kg),
         operational_kg=operational_kg,
@@ -270,52 +280,29 @@ def pipeline_from_json(
     def number(stage: str, key: str) -> float:
         return float(json_number(doc[stage][key], f"{stage}.{key}"))
 
-    try:
-        inp = doc["input"]
-        if inp["kind"] == "mic":
-            input_stage: InputStage = MicInput(
-                duration_s=number("input", "duration_s"), samples=number("input", "samples")
-            )
-        elif inp["kind"] == "camera":
-            input_stage = CameraInput(
-                duration_s=number("input", "duration_s"), frames=number("input", "frames")
-            )
-        else:
-            raise ValueError(f"unknown input kind {inp['kind']!r}")
+    def stage(side: str) -> InputStage | OutputStage:
+        kind = doc[side]["kind"]
+        cls = STAGE_KINDS[side].get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError(f"unknown {side} kind {kind!r}")
+        return cls(*[number(side, field) for field in cls._fields])
 
-        con = doc["conversion"]
-        conversion = Conversion(task=con["task"], energy_j=number("conversion", "energy_j"))
-
-        llm = doc["llm"]
-        stage = LlmStage(
+    def llm_stage(llm: Mapping) -> LlmStage:
+        return LlmStage(
             config=resolve(llm["config"], config_resolver, config_from_json),
-            request=Request(
-                prompt_len=json_int(llm["prompt_len"], "prompt_len"),
-                output_len=json_int(llm["output_len"], "output_len"),
-            ),
+            request=Request(prompt_len=json_int(llm["prompt_len"], "prompt_len"),
+                            output_len=json_int(llm["output_len"], "output_len")),
             device=resolve(llm["device"], device_resolver, device_from_json),
         )
 
-        out = doc["output"]
-        if out["kind"] == "display":
-            output_stage: OutputStage = DisplayOutput(
-                duration_s=number("output", "duration_s"),
-                grey=number("output", "grey"),
-                pixels=number("output", "pixels"),
-            )
-        elif out["kind"] == "speaker":
-            output_stage = SpeakerOutput(
-                duration_s=number("output", "duration_s"), volume=number("output", "volume")
-            )
-        else:
-            raise ValueError(f"unknown output kind {out['kind']!r}")
-
+    try:  # arguments run in stage order, then name and total, as written
         return AppPipeline(
+            input=stage("input"),
+            conversion=Conversion(task=doc["conversion"]["task"],
+                                  energy_j=number("conversion", "energy_j")),
+            llm=llm_stage(doc["llm"]),
+            output=stage("output"),
             name=json_name(doc.get("name", "pipeline"), "name"),
-            input=input_stage,
-            conversion=conversion,
-            llm=stage,
-            output=output_stage,
             total_duration_s=float(json_number(doc["total_duration_s"], "total_duration_s")),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -331,6 +318,4 @@ def load_pipeline_json(
 
 
 def breakdown_to_json(b: PipelineBreakdown) -> dict:
-    doc = {k: b.stages[k] for k in BREAKDOWN_KEYS}
-    doc["total_j"] = b.total_j
-    return doc
+    return {**b.stages, "total_j": b.total_j}

@@ -33,7 +33,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import Positive, Record, UserInputError, json_int, json_name, json_number
+from ..errors import (Positive, Record, UserInputError, check_range, json_int, json_name,
+                      json_number)
 from ..workload import KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, GlobalFeatures, LayerGraph
 
 NUMERIC_NODE_FEATURES = (
@@ -125,7 +126,9 @@ def split_indices(
     n: int, train_frac: float, val_frac: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic shuffled train/val/test index split; val and test may be empty."""
-    if not 0 < train_frac <= 1 or val_frac < 0 or train_frac + val_frac > 1:
+    check_range(train_frac, "Positive", "train_frac")
+    check_range(val_frac, "NonNegative", "val_frac")
+    if train_frac + val_frac > 1:
         raise ValueError("invalid split fractions")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(round(n * train_frac))

@@ -1,6 +1,8 @@
 """Operational carbon, break-even analysis, and app pipeline accounting."""
 
 import json
+import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,17 @@ def test_breakeven_closure():
     assert a.total_kg == pytest.approx(b.total_kg, rel=1e-6)
 
 
+@pytest.mark.parametrize("usage", [acc.UsageProfile(1e306), acc.UsageProfile(1.0, 1e306)],
+                         ids=["requests_per_day", "lifespan_years"])
+@pytest.mark.parametrize("energy", [2.0, 0.0])
+def test_total_footprint_that_overflows_names_the_usage(usage, energy):
+    with pytest.raises(ValueError) as exc:
+        acc.total_footprint(1.0, usage, energy, GLOBAL_CI)
+    assert str(exc.value) == (
+        f"lifetime energy is not finite: {energy} J per request at requests_per_day "
+        f"{usage.requests_per_day} over lifespan_years {usage.lifespan_years}")
+
+
 def test_total_footprint_arithmetic():
     usage = acc.UsageProfile(requests_per_day=100.0, lifespan_years=5.0)
     report = acc.total_footprint(4.5765, usage, 1000.0, GLOBAL_CI)
@@ -165,6 +178,63 @@ def test_missing_model_raises_configuration_error():
 def test_llm_energy_must_be_positive():
     with pytest.raises(ValueError):
         acc.app_energy(_pipeline(), _models(), lambda stage: 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_llm_energy_must_be_finite(value):
+    with pytest.raises(ValueError) as exc:
+        acc.app_energy(_pipeline(), _models(), lambda stage: value)
+    assert str(exc.value) == f"LLM stage energy must be finite and positive, got {value}"
+
+
+_INPUTS = {"mic": acc.MicInput(420.0, 6.72e6), "camera": acc.CameraInput(2.0, 3.0)}
+_OUTPUTS = {"display": acc.DisplayOutput(480.0, 128.0, 384000.0),
+            "speaker": acc.SpeakerOutput(480.0, 60.0)}
+
+
+class _Recording(Mapping):
+    """The given models, noting each key read by subscript (not by `in`)."""
+
+    def __init__(self, models):
+        self.models, self.read = models, []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return self.models[key]
+
+    def __contains__(self, key):
+        return key in self.models
+
+    def __iter__(self):
+        return iter(self.models)
+
+    def __len__(self):
+        return len(self.models)
+
+
+@pytest.mark.parametrize("output", sorted(_OUTPUTS))
+@pytest.mark.parametrize("input", sorted(_INPUTS))
+def test_app_energy_reads_exactly_the_models_its_stages_declare(input, output):
+    pipe = replace(_pipeline(), input=_INPUTS[input], output=_OUTPUTS[output])
+    models = _Recording(_models())
+    acc.app_energy(pipe, models, _oracle)
+    assert sorted(models.read) == sorted(acc.required_models(pipe))
+
+
+def test_stage_kind_table_covers_every_stage_class():
+    tables = acc.STAGE_KINDS
+    assert set(tables["input"].values()) == {type(x) for x in _INPUTS.values()}
+    assert set(tables["output"].values()) == {type(x) for x in _OUTPUTS.values()}
+    for classes in tables.values():
+        for cls in classes.values():
+            assert cls.models and set(cls.models) <= set(dm.MODEL_NAMES)
+
+
+def test_display_grey_above_the_panel_range_is_refused_when_built():
+    acc.DisplayOutput(1.0, float(dm.GREY_MAX), 0.0)
+    with pytest.raises(ValueError) as exc:
+        acc.DisplayOutput(1.0, 255.5, 0.0)
+    assert str(exc.value) == "DisplayOutput.grey must be <= 255, got 255.5"
 
 
 def test_pipeline_duration_validation():
@@ -263,12 +333,21 @@ def test_pipeline_from_json_rejects_unknown_stage_kind():
         "llm": {"config": "qwen15-05b", "device": "rk3588", "prompt_len": 1, "output_len": 1},
         "output": {"kind": "speaker", "duration_s": 1.0, "volume": 10.0},
     }
-    with pytest.raises(UserInputError):
+    with pytest.raises(UserInputError, match=r"^malformed pipeline: unknown input kind 'lidar'$"):
         acc.pipeline_from_json(
             doc,
             config_resolver=assets.load_llm_config,
             device_resolver=assets.load_device,
         )
+
+
+@pytest.mark.parametrize("side, kind", [("output", "hologram"), ("input", ["mic"])])
+def test_pipeline_from_json_names_the_unknown_kind(side, kind):
+    doc = json.loads((assets.asset_root() / "pipelines" / "voice_assistant.json").read_text())
+    doc[side]["kind"] = kind
+    with pytest.raises(UserInputError) as exc:
+        acc.pipeline_from_json(doc, assets.load_llm_config, assets.load_device)
+    assert str(exc.value) == f"malformed pipeline: unknown {side} kind {kind!r}"
 
 
 def test_ci_table_round_trip(tmp_path):

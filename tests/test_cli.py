@@ -24,11 +24,13 @@ from co2meter.predictor import (
     evaluate_baseline_total,
     featurize,
     fit_ridge_globals,
+    init_params,
     load_params_json,
     params_from_json,
     predict_sample,
     predict_single_phase,
     read_dataset_jsonl,
+    save_params_json,
     split_indices,
     train_single_phase,
 )
@@ -750,6 +752,70 @@ def test_pipeline_swap_without_stage_parameters_exits_2(capsys, tmp_path, stage,
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag[0]} {flag[1]}:")
+
+
+def _pipeline_file(tmp_path, side, stage):
+    """The bundled pipeline, its `side` stage replaced by `stage`, written to tmp_path."""
+    doc = json.loads((assets.asset_root() / "pipelines" / "voice_assistant.json").read_text())
+    doc[side] = stage
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+_STAGE_FILES = {
+    ("input", "mic"): {"kind": "mic", "duration_s": 420.0, "samples": 6720000},
+    ("input", "camera"): {"kind": "camera", "duration_s": 2.0, "frames": 3},
+    ("output", "display"): {"kind": "display", "duration_s": 480.0, "grey": 128, "pixels": 384000},
+    ("output", "speaker"): {"kind": "speaker", "duration_s": 480.0, "volume": 60.0},
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("side, kind", sorted(_STAGE_FILES), ids=lambda v: v)
+def test_pipeline_stage_missing_a_field_exits_2(capsys, tmp_path, side, kind, fmt):
+    cls = accounting.STAGE_KINDS[side][kind]
+    assert set(_STAGE_FILES[side, kind]) == {"kind", *cls._fields}
+    path = _pipeline_file(tmp_path, side, _STAGE_FILES[side, kind])
+    assert run(capsys, "pipeline", "--pipeline", path, "--format", fmt)[0] == 0
+    for field in cls._fields:
+        stage = {k: v for k, v in _STAGE_FILES[side, kind].items() if k != field}
+        path = _pipeline_file(tmp_path, side, stage)
+        code, out, err = run(capsys, "pipeline", "--pipeline", path, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: malformed pipeline: {field!r}\n")
+
+
+def test_pipeline_grey_above_the_panel_range_exits_2(capsys, tmp_path):
+    stage = {**_STAGE_FILES["output", "display"], "grey": 300}
+    path = _pipeline_file(tmp_path, "output", stage)
+    code, out, err = run(capsys, "pipeline", "--pipeline", path)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed pipeline: DisplayOutput.grey must be <= 255, got 300.0\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("usage", [("--requests-per-day", "1e306"),
+                                   ("--requests-per-day", "1", "--lifespan", "1e306")],
+                         ids=["requests-per-day", "lifespan"])
+def test_pipeline_footprint_that_overflows_names_the_usage(capsys, usage, fmt):
+    code, out, err = run(capsys, "pipeline", *usage, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: lifetime energy is not finite: \S+ J per request at "
+                        r"requests_per_day \S+ over lifespan_years \S+\n", err), err
+    requests = float(err.split("requests_per_day ")[1].split()[0])
+    lifespan = float(err.split("lifespan_years ")[1])
+    assert (requests, lifespan) == ((1e306, 5.0) if len(usage) == 2 else (1.0, 1e306))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_pipeline_with_params_whose_llm_energy_overflows_exits_2(capsys, tmp_path, fmt):
+    params = init_params(0)
+    params.total.bh2[0] = 1000.0  # finite, so the file loads; its energy is not
+    path = tmp_path / "params.json"
+    save_params_json(path, params)
+    code, out, err = run(capsys, "pipeline", "--params", path, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: LLM stage energy must be finite and positive, got inf\n"
 
 
 def test_pipeline_with_predictor_params(capsys, workdir):

@@ -688,10 +688,20 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
     # the split rule is split_indices' own
-    for train_frac, val_frac in ((0.9, 0.2), (0.0, 0.1), (1.5, 0.0), (0.8, -0.1)):
+    for train_frac, val_frac in ((0.9, 0.2), (1.5, 0.0)):
         with pytest.raises(ValueError, match="invalid split fractions"):
             TrainConfig(train_frac=train_frac, val_frac=val_frac)
     TrainConfig(train_frac=1.0, val_frac=0.0)
+    # a fraction outside its own range, NaN included, is named
+    for train_frac, val_frac, text in (
+        (0.0, 0.1, "train_frac must be finite and positive, got 0.0"),
+        (float("nan"), 0.1, "train_frac must be finite and positive, got nan"),
+        (0.8, -0.1, "val_frac must be finite and >= 0, got -0.1"),
+        (0.8, float("nan"), "val_frac must be finite and >= 0, got nan"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(train_frac=train_frac, val_frac=val_frac)
+        assert str(exc.value) == text
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from co2meter import device_models as dm
 from co2meter import embodied as emb
 from co2meter import workload as wl
 from co2meter.errors import NoBreakEvenError, Record, UserInputError, replace
-from co2meter.predictor import baselines, gnn, oracle, training
+from co2meter.predictor import baselines, gnn, oracle, split_indices, training
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "co2meter"
 
@@ -356,6 +356,8 @@ ARGUMENT_CHECKS = {
                               "pixels", "NonNegative"),
     "gen_oracle_dataset": (lambda v: oracle.gen_oracle_dataset([], [], 0, noise_sigma=v),
                            "noise_sigma", "NonNegative"),
+    "split_indices.train": (lambda v: split_indices(10, v, 0.0, 0), "train_frac", "Positive"),
+    "split_indices.val": (lambda v: split_indices(10, 0.8, v, 0), "val_frac", "NonNegative"),
 }
 
 
