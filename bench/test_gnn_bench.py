@@ -16,6 +16,7 @@ import pytest
 
 from co2meter import assets
 from co2meter.predictor import (
+    TowerParams,
     TrainConfig,
     evaluate_params,
     gen_oracle_dataset,
@@ -48,7 +49,7 @@ def test_train_tower_epoch(benchmark, prepared):
     cfg = TrainConfig(epochs=1)
 
     def one_epoch():
-        tower = params.prefill.copy()
+        tower = TowerParams(**params.prefill.arrays())
         train_tower(tower, train_set, [], cfg, np.random.default_rng(0), "prefill")
 
     benchmark(one_epoch)

@@ -240,10 +240,12 @@ def total_footprint(
                          f"at requests_per_day {usage.requests_per_day} over lifespan_years "
                          f"{usage.lifespan_years}")
     operational_kg = operational_carbon(lifetime_j, ci)
+    total_kg = float(embodied_kg) + operational_kg
+    if not total_kg < math.inf:  # operational_kg >= 0, so it is finite when total_kg is
+        raise ValueError(f"lifetime carbon is not finite: {embodied_kg} kg embodied plus "
+                         f"{lifetime_j} J in region {ci.region!r} at {ci.kg_per_kwh} kg/kWh")
     return FootprintReport(
-        embodied_kg=float(embodied_kg),
-        operational_kg=operational_kg,
-        total_kg=float(embodied_kg) + operational_kg,
+        embodied_kg=float(embodied_kg), operational_kg=operational_kg, total_kg=total_kg
     )
 
 

@@ -267,15 +267,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
         with open(args.history_out, "w") as fh:
             for entry in history:
                 fh.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
-    meta = {
-        "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "train_frac": cfg.train_frac,
-        "val_frac": cfg.val_frac,
-        "n_samples": len(dataset),
-    }
+    meta = {**{name: getattr(cfg, name) for name in cfg._fields}, "n_samples": len(dataset)}
     pr.save_params_json(args.params_out, params, meta=meta)
     doc = _metrics_doc(params, table, cfg.seed, cfg.train_frac, cfg.val_frac)
     _emit(args, doc, ("split", "phase", "mape", "eb10", "n"), _metrics_rows(doc))
@@ -289,8 +281,9 @@ def _cmd_eval(args: argparse.Namespace) -> None:
     params, meta = pr.load_params_json(args.params)
     # load_params_json checked their types: seed and epochs are integers
     seed = meta.get("seed", args.seed)
-    train_frac = float(meta.get("train_frac", 0.8))
-    val_frac = float(meta.get("val_frac", 0.1))
+    default = pr.TrainConfig()
+    train_frac = float(meta.get("train_frac", default.train_frac))
+    val_frac = float(meta.get("val_frac", default.val_frac))
 
     table = pr.sample_table(dataset)
     doc = _metrics_doc(params, table, seed, train_frac, val_frac)
@@ -304,7 +297,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
         train, test = (pr.table_rows(table, idx) for idx in (train_idx, test_idx))
         epochs = args.baseline_epochs
         bcfg = pr.TrainConfig(
-            epochs=meta.get("epochs", 200) if epochs is None else epochs,
+            epochs=meta.get("epochs", default.epochs) if epochs is None else epochs,
             seed=seed,
             train_frac=train_frac,
             val_frac=val_frac,

@@ -1,4 +1,5 @@
-"""Two-phase graph-network energy predictor and its training pipeline."""
+"""Two-phase graph-network energy predictor, its training pipeline and the
+baselines it is compared against."""
 
 from .data import (
     GLOBAL_DIM,
@@ -35,17 +36,23 @@ from .gnn import (
 from .training import (
     Adam,
     Metrics,
+    RidgeBaseline,
+    SinglePhaseParams,
     TrainConfig,
     error_bound_share,
+    evaluate_baseline_total,
     evaluate_params,
     evaluate_predictions,
+    fit_ridge_globals,
     mape,
     predict_prefill,
     predict_sample,
+    predict_single_phase,
     predict_total,
     sample_table,
     table_rows,
     train,
+    train_single_phase,
 )
 from .oracle import (
     featurize,
@@ -54,14 +61,6 @@ from .oracle import (
     request_energy,
     sample_regime_mixed_request,
     sample_trace_request,
-)
-from .baselines import (
-    RidgeBaseline,
-    SinglePhaseParams,
-    evaluate_baseline_total,
-    fit_ridge_globals,
-    predict_single_phase,
-    train_single_phase,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

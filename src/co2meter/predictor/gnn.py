@@ -109,19 +109,12 @@ class TowerParams(Record, frozen=False):
         for name, view in self.views(self.flat).items():
             setattr(self, name, view)
 
-    @property
-    def glob_dim(self) -> int:
-        return self.wh1.shape[1] - HIDDEN_DIM
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self._fields}
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a flat vector laid out like `flat`, such as a gradient."""
         return _split(flat, {name: getattr(self, name).shape for name in self._fields})
-
-    def copy(self) -> "TowerParams":
-        return TowerParams(**self.arrays())
 
     def n_params(self) -> int:
         return self.flat.size
@@ -199,6 +192,15 @@ def _log1p_scale(raw: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return (np.log1p(raw) - mu) / sd
 
 
+def column_stats(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard deviation of mat; a column whose sd is
+    below 1e-12 gets sd 1, so scaling by it leaves the column centred."""
+    mu = mat.mean(axis=0)
+    sd = mat.std(axis=0)
+    sd[sd < 1e-12] = 1.0
+    return mu, sd
+
+
 def fit_feature_norms(
     node_raws: Sequence[np.ndarray],
     glob_raw_prefill: np.ndarray,
@@ -211,20 +213,13 @@ def fit_feature_norms(
     """
     n_node = len(NUMERIC_NODE_FEATURES)
     stacked = np.log1p(np.vstack([m[:, :n_node] for m in node_raws]))
-
-    def stats(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu = mat.mean(axis=0)
-        sd = mat.std(axis=0)
-        sd[sd < 1e-12] = 1.0
-        return mu, sd
-
-    node_mu, node_sd = stats(stacked)
-    gp_mu, gp_sd = stats(np.log1p(glob_raw_prefill))
+    node_mu, node_sd = column_stats(stacked)
+    gp_mu, gp_sd = column_stats(np.log1p(glob_raw_prefill))
     if glob_raw_total is None:
         ident = identity_norms()
         gt_mu, gt_sd = ident.glob_mu_total, ident.glob_sd_total
     else:
-        gt_mu, gt_sd = stats(np.log1p(glob_raw_total))
+        gt_mu, gt_sd = column_stats(np.log1p(glob_raw_total))
     return FeatureNorms(node_mu, node_sd, gp_mu, gp_sd, gt_mu, gt_sd)
 
 

@@ -1,15 +1,22 @@
-"""Two-stage training for the energy predictor, chained inference, metrics.
+"""Two-stage training for the energy predictor, chained inference, metrics,
+and the baselines the predictor is compared against.
 
 Stage one fits the prefill tower on measured prefill energies.  Stage two
 fits the total tower with the measured prefill energy teacher-forced into its
 global features; at inference the predicted prefill energy is used instead.
 Both stages minimize squared error in log-energy space with Adam.
 
+Two baselines stand in for the prior methods: a closed-form ridge regression
+from the whole-request global feature vector to log total energy (no graph
+structure at all, `fit_ridge_globals`), and a single-phase GNN, the same tower
+architecture trained once on total energy without phase separation or a
+prefill-energy feature (`train_single_phase`).
+
 A sample set is featurized once, into one table (`sample_table`, its node
-tensors from `data.node_feature_tensor`) that norm fitting, both towers,
-validation and evaluation read; `_TOWERS` says which of its fields each
-tower reads.  The table is the only form the internals take: each entry
-point (`train`, `evaluate_params`, `fit_norms`, `_prepare` and the
+tensors from `data.node_feature_tensor`) that norm fitting, every tower,
+validation, evaluation and the ridge fit read; `_TOWERS` says which of its
+fields each tower reads.  The table is the only form the internals take: each
+entry point (`train`, `evaluate_params`, `fit_norms`, `_prepare` and the
 baselines) takes a sample set or its table and turns it into a table once
 (`_as_table`), and both trainers split it with `_split_tables`, which
 indexes a table's rows (`table_rows`) or featurizes only the train and
@@ -48,15 +55,18 @@ from .data import (
     split_indices,
 )
 from .gnn import (
+    NODE_FEATURE_DIM,
     GnnParams,
     TowerParams,
     FeatureNorms,
     Workspace,
     c0_stack,
+    column_stats,
     fit_feature_norms,
     forward_batch,
     gathered_loss_and_grads,
     init_params,
+    init_tower,
     normalize_globals,
     normalize_nodes,
 )
@@ -85,15 +95,21 @@ class Metrics(Record):
     n: int
 
 
-def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute percentage error; truths must be positive."""
+def _relative_errors(y_true: np.ndarray, y_pred: np.ndarray, what: str) -> np.ndarray:
+    """|y_pred - y_true| / y_true per value; ValueError naming `what` unless
+    there are truths and all of them are positive."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if y_true.size == 0:
-        raise ValueError("mape needs at least one value")
+        raise ValueError(f"{what} needs at least one value")
     if np.any(y_true <= 0):
-        raise ValueError("mape needs positive ground-truth values")
-    return float(np.mean(np.abs(y_pred - y_true) / y_true) * 100.0)
+        raise ValueError(f"{what} needs positive ground-truth values")
+    return np.abs(y_pred - y_true) / y_true
+
+
+def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Mean absolute percentage error; truths must be positive."""
+    return float(np.mean(_relative_errors(y_true, y_pred, "mape")) * 100.0)
 
 
 _ERROR_BOUND = 0.10
@@ -101,13 +117,7 @@ _ERROR_BOUND = 0.10
 
 def error_bound_share(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Share (percent) of predictions with relative error <= 10 %."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.size == 0:
-        raise ValueError("error-bound share needs at least one value")
-    if np.any(y_true <= 0):
-        raise ValueError("error-bound share needs positive ground-truth values")
-    rel = np.abs(y_pred - y_true) / y_true
+    rel = _relative_errors(y_true, y_pred, "error-bound share")
     return float(np.mean(rel <= _ERROR_BOUND) * 100.0)
 
 
@@ -311,7 +321,8 @@ def _tower_predictions(
     for start in range(0, len(h0), _PREDICT_BATCH):
         rows = slice(start, start + _PREDICT_BATCH)
         y, _ = forward_batch(tower, h0[rows], LAYER_PREDS, g[rows], workspace)
-        out[rows] = np.exp(y)
+        with np.errstate(over="ignore"):  # an inf energy is for the caller to refuse
+            out[rows] = np.exp(y)
     return out
 
 
@@ -399,15 +410,22 @@ def _predict_chain(params: GnnParams, table: SampleTable) -> tuple[np.ndarray, n
     return prefill_j, total_j
 
 
+def _predict_one(params: GnnParams, tower: str, graph: LayerGraph, gf: GlobalFeatures,
+                 prefill_j: np.ndarray | None = None) -> float:
+    """One request's energy in joules from the named tower of params."""
+    spec = _TOWERS[tower]
+    table = {spec.graph: node_feature_tensor([graph]), spec.globals: globals_vector(gf)[None]}
+    h0, g = spec.encode(table, params.norms, prefill_j)
+    return float(_tower_predictions(getattr(params, tower), h0, g)[0])
+
+
 def predict_prefill(
     graph: LayerGraph, gf: GlobalFeatures, params: GnnParams
 ) -> float:
     """Prefill energy in joules (strictly positive by construction)."""
     if gf.phase != "prefill":
         raise ValueError("prefill prediction needs prefill-phase globals")
-    spec = _TOWERS["prefill"]
-    table = {spec.graph: node_feature_tensor([graph]), spec.globals: globals_vector(gf)[None]}
-    return float(_tower_predictions(params.prefill, *spec.encode(table, params.norms))[0])
+    return _predict_one(params, "prefill", graph, gf)
 
 
 def predict_total(
@@ -418,10 +436,7 @@ def predict_total(
         raise ValueError("total prediction needs total-phase globals")
     if gf.prefill_energy_j is None:
         raise ValueError("total prediction needs globals with a prefill energy")
-    spec = _TOWERS["total"]
-    table = {spec.graph: node_feature_tensor([graph]), spec.globals: globals_vector(gf)[None]}
-    h0, g = spec.encode(table, params.norms, np.array([gf.prefill_energy_j]))
-    return float(_tower_predictions(params.total, h0, g)[0])
+    return _predict_one(params, "total", graph, gf, np.array([gf.prefill_energy_j]))
 
 
 def predict_sample(params: GnnParams, sample: PredictorInputs) -> tuple[float, float]:
@@ -442,3 +457,64 @@ def evaluate_params(
         name: evaluate_predictions(table[_TOWERS[name].label], pred)
         for name, pred in zip(("prefill", "total"), _predict_chain(params, table))
     }
+
+
+# ---------------------------------------------------------------------------
+# Baselines
+
+_RIDGE_LAMBDA = 1e-3
+
+
+class RidgeBaseline(Record, frozen=False):
+    """Linear map from normalized global features to log total energy."""
+
+    weights: np.ndarray  # (GLOBAL_DIM + 1,) — affine term last
+    mu: np.ndarray
+    sd: np.ndarray
+
+    def predict(self, samples: Sequence[GraphSample] | SampleTable) -> np.ndarray:
+        x = (np.log1p(_as_table(samples)["total_globals"]) - self.mu) / self.sd
+        return np.exp(np.column_stack([x, np.ones(len(x))]) @ self.weights)
+
+
+def fit_ridge_globals(samples: Sequence[GraphSample] | SampleTable) -> RidgeBaseline:
+    table = _as_table(samples)
+    raw = np.log1p(table["total_globals"])
+    mu, sd = column_stats(raw)
+    x = np.column_stack([(raw - mu) / sd, np.ones(len(raw))])
+    y = np.log(table["label_total_j"])
+    gram = x.T @ x + _RIDGE_LAMBDA * np.eye(x.shape[1])
+    weights = np.linalg.solve(gram, x.T @ y)
+    return RidgeBaseline(weights=weights, mu=mu, sd=sd)
+
+
+class SinglePhaseParams(Record, frozen=False):
+    """One tower trained directly on total energy (no prefill feature)."""
+
+    tower: TowerParams
+    norms: FeatureNorms
+
+
+def train_single_phase(
+    dataset: Sequence[GraphSample] | SampleTable, cfg: TrainConfig
+) -> tuple[SinglePhaseParams, list[dict]]:
+    tables = _split_tables(dataset, cfg)
+    # The single tower reads no total-phase slot, so those norms stay identity.
+    spec = _TOWERS["single"]
+    norms = fit_feature_norms(tables[0][spec.graph], tables[0][spec.globals])
+    tower = init_tower(np.random.default_rng(cfg.seed), NODE_FEATURE_DIM, GLOBAL_DIM)
+    history = _train_towers({"single": tower}, norms, tables, cfg)
+    return SinglePhaseParams(tower=tower, norms=norms), history
+
+
+def predict_single_phase(
+    params: SinglePhaseParams, samples: Sequence[GraphSample] | SampleTable
+) -> np.ndarray:
+    h0, g = _TOWERS["single"].encode(_as_table(samples), params.norms)
+    return _tower_predictions(params.tower, h0, g)
+
+
+def evaluate_baseline_total(
+    predictions: np.ndarray, samples: Sequence[GraphSample] | SampleTable
+) -> Metrics:
+    return evaluate_predictions(_as_table(samples)["label_total_j"], predictions)

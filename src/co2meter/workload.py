@@ -175,8 +175,9 @@ class LayerGraph(Record):
     exact non-negative integer counts and a non-negative time, all of which a
     float can hold.
     `LayerGraph(nodes, edges, phase)` takes the layer's `KernelNode`s under
-    any node relabelling and stores them in canonical order; another
-    topology raises ValueError.  `nodes` are built on first access."""
+    any node relabelling and stores their rows in canonical order, refused
+    like `rows`; another topology raises ValueError.  `nodes` are built from
+    the rows on first access."""
 
     rows: tuple[tuple[int | float, ...], ...]
     phase: str
@@ -193,11 +194,8 @@ class LayerGraph(Record):
             if tuple(edges) != _LAYER_EDGES or tuple(n.kind for n in nodes) != LAYER_KINDS:
                 slots = _layer_slots(nodes, edges)
                 nodes = tuple(n for _, n in sorted(zip(slots, nodes)))
-            self.__dict__["_nodes"] = nodes
-            rows = tuple(tuple(getattr(n, f) for f in ROW_FIELDS) for n in nodes)
-        else:
-            rows = _checked_rows(rows)
-        object.__setattr__(self, "rows", rows)
+            rows = [[getattr(n, f) for f in ROW_FIELDS] for n in nodes]
+        object.__setattr__(self, "rows", _checked_rows(rows))
         object.__setattr__(self, "phase", phase)
 
     @property
@@ -457,21 +455,16 @@ def kv_cache_bytes(cfg: LlmConfig, seq_len: int) -> int:
     return 2 * cfg.num_layers * cfg.hidden_dim * seq_len * cfg.act_bytes
 
 
-def global_features(
-    cfg: LlmConfig,
-    req: Request,
-    phase: str,
-    prefill_energy_j: float | None = None,
-) -> GlobalFeatures:
-    """Aggregate features for the prefill phase or the whole request."""
-    if phase not in FEATURE_PHASES:
-        raise ValueError(f"unknown feature phase {phase!r}")
+def global_features(cfg: LlmConfig, req: Request, phase: str) -> GlobalFeatures:
+    """Aggregate features for the prefill phase or the whole request; decode
+    is counted at its mid-sequence position, as `layer_rows` defaults to."""
     prefill_ops = sum(row[0] for row in layer_rows(cfg, req, "prefill"))
     if phase == "prefill":
         total_ops = prefill_ops * cfg.num_layers
         seq_len = req.prompt_len
     else:
-        decode_ops = sum(row[0] for row in layer_rows(cfg, req, "decode"))
+        flops0, _, dflops, _ = _decode_lines(cfg)[1]
+        decode_ops = flops0 + (req.prompt_len + req.output_len // 2) * dflops
         total_ops = (prefill_ops + req.output_len * decode_ops) * cfg.num_layers
         seq_len = req.prompt_len + req.output_len
     return GlobalFeatures(
@@ -484,7 +477,6 @@ def global_features(
         weight_memory_bytes=float(weight_memory_bytes(cfg)),
         kv_cache_bytes=float(kv_cache_bytes(cfg, seq_len)),
         phase=phase,
-        prefill_energy_j=prefill_energy_j,
     )
 
 

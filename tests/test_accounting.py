@@ -119,6 +119,20 @@ def test_total_footprint_that_overflows_names_the_usage(usage, energy):
         f"{usage.requests_per_day} over lifespan_years {usage.lifespan_years}")
 
 
+@pytest.mark.parametrize("embodied, energy, kg_per_kwh",
+                         [(1.0, 2000.0, 1e308), (1.7e308, 2.0e5, 1e303)],
+                         ids=["operational", "embodied-plus-operational"])
+def test_total_footprint_whose_carbon_overflows_names_the_region(embodied, energy, kg_per_kwh):
+    """A finite lifetime energy can still overflow through the carbon
+    intensity, or the sum with the embodied carbon can."""
+    usage = acc.UsageProfile(1000.0)
+    lifetime_j = energy * (usage.requests_per_day * acc.DAYS_PER_YEAR * usage.lifespan_years)
+    with pytest.raises(ValueError) as exc:
+        acc.total_footprint(embodied, usage, energy, acc.CarbonIntensity("x", kg_per_kwh))
+    assert str(exc.value) == (f"lifetime carbon is not finite: {embodied} kg embodied plus "
+                              f"{lifetime_j} J in region 'x' at {kg_per_kwh} kg/kWh")
+
+
 def test_total_footprint_arithmetic():
     usage = acc.UsageProfile(requests_per_day=100.0, lifespan_years=5.0)
     report = acc.total_footprint(4.5765, usage, 1000.0, GLOBAL_CI)

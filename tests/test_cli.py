@@ -421,6 +421,21 @@ def test_eval_reproduces_train_metrics_exactly(capsys, workdir):
     assert out == (workdir / "train_metrics.json").read_text()
 
 
+def test_eval_falls_back_to_the_train_config_defaults(capsys, tmp_path, workdir):
+    """A params file whose meta lacks the seed, split and epochs is evaluated
+    with `--seed` and `TrainConfig()`'s fractions and epochs."""
+    params, _ = load_params_json(workdir / "params.json")
+    bare, stated = tmp_path / "bare.json", tmp_path / "stated.json"
+    save_params_json(bare, params)
+    defaults = TrainConfig()
+    save_params_json(stated, params, meta={
+        "seed": 7, "train_frac": defaults.train_frac, "val_frac": defaults.val_frac,
+        "epochs": defaults.epochs})
+    outputs = [run(capsys, "eval", "--dataset", workdir / "tiny.jsonl", "--params", path,
+                   "--seed", "7", "--compare-baselines") for path in (bare, stated)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0, outputs[0]
+
+
 def test_eval_compare_baselines(capsys, workdir):
     doc = run_json(
         capsys, "eval", "--dataset", str(workdir / "tiny.jsonl"),
@@ -808,6 +823,19 @@ def test_pipeline_footprint_that_overflows_names_the_usage(capsys, usage, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_pipeline_footprint_that_overflows_through_the_carbon_intensity_exits_2(
+        capsys, tmp_path, fmt):
+    table = tmp_path / "ci.json"
+    table.write_text(json.dumps({"x": 1e308}))
+    code, out, err = run(capsys, "pipeline", "--requests-per-day", "1000", "--ci-table", table,
+                         "--region", "x", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: lifetime carbon is not finite: \S+ kg embodied plus \S+ J "
+                        r"in region 'x' at 1e\+308 kg/kWh\n", err), err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pipeline_with_params_whose_llm_energy_overflows_exits_2(capsys, tmp_path, fmt):
     params = init_params(0)
     params.total.bh2[0] = 1000.0  # finite, so the file loads; its energy is not

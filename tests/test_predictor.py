@@ -17,6 +17,7 @@ from co2meter.predictor import (
     NODE_FEATURE_DIM,
     Adam,
     GraphSample,
+    TowerParams,
     TrainConfig,
     error_bound_share,
     evaluate_baseline_total,
@@ -102,7 +103,6 @@ def test_tower_shapes_and_param_count():
     assert tower.w2.shape == (HIDDEN_DIM, 2 * HIDDEN_DIM)
     assert tower.wh1.shape == (HIDDEN_DIM, HIDDEN_DIM + GLOBAL_DIM)
     assert tower.wh2.shape == (HIDDEN_DIM,)
-    assert tower.glob_dim == GLOBAL_DIM
     expected = (
         HIDDEN_DIM * 2 * NODE_FEATURE_DIM + HIDDEN_DIM
         + HIDDEN_DIM * 2 * HIDDEN_DIM + HIDDEN_DIM
@@ -600,7 +600,7 @@ def test_in_place_adam_matches_reference_formula_bit_for_bit():
 def test_flat_adam_equals_adam_over_the_named_arrays():
     rng = np.random.default_rng(5)
     tower = init_tower(rng, NODE_FEATURE_DIM, GLOBAL_DIM)
-    named = tower.copy()
+    named = TowerParams(**tower.arrays())
     flat_adam = Adam({"flat": tower.flat}, lr=0.003)
     named_adam = Adam(named.arrays(), lr=0.003)
     for _ in range(30):
@@ -912,7 +912,7 @@ def test_towers_keep_their_arrays_in_one_flat_buffer():
     params = init_params(7)
     doc = json.dumps(params_to_json(params), sort_keys=True)
     loaded = params_from_json(json.loads(doc))
-    copied = params.prefill.copy()
+    copied = TowerParams(**params.prefill.arrays())
     for tower in (params.prefill, params.total, loaded.prefill, loaded.total, copied):
         assert tower.flat.dtype == np.float64 and tower.flat.size == tower.n_params()
         for name, arr in tower.arrays().items():

@@ -9,6 +9,9 @@ or as an attribute; the roots are `cli.main` with the `_cmd_*` functions,
 scans.  An import inside `src/` names nothing, so a re-export is no use.
 Dunder definitions are reached by Python itself.  The check is by name, like
 `test_bench_imports`: it reads sources with `ast` and runs none of them.
+
+The same scan keeps each module's private names its own: no `src/co2meter`
+module imports a `_`-prefixed name from another module of the package.
 """
 
 import ast
@@ -126,4 +129,41 @@ def test_reachability_on_a_small_package(tmp_path):
         "src/pkg/lib.py:16: pkg.lib.only_tests",
         "src/pkg/lib.py:20: pkg.lib.dead_end",
         "src/pkg/lib.py:22: pkg.lib.B",
+    ]
+
+
+def private_imports(package: Path) -> list[str]:
+    """`path:line: module.name` of each `_`-prefixed name that a module under
+    package imports from a module of the package, at any depth."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == package.name):
+                source = "." * node.level + (node.module or "")
+                found += [f"{path.relative_to(package.parents[1])}:{node.lineno}: "
+                          f"{source}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = private_imports(ROOT / "src" / "co2meter")
+    assert not found, "private names imported across modules:\n" + "\n".join(found)
+
+
+def test_private_imports_on_a_small_package(tmp_path):
+    """Relative and absolute imports of the package count, in a function
+    too; public names and other packages' private names do not."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "lib.py").write_text("def _hidden():\n    pass\ndef shown():\n    pass\n")
+    (package / "use.py").write_text(
+        "from __future__ import annotations\n"
+        "from os.path import _get_sep\n"
+        "from .lib import _hidden, shown\n"
+        "def late():\n    from pkg.lib import _hidden\n")
+    assert private_imports(package) == [
+        "src/pkg/use.py:3: .lib._hidden",
+        "src/pkg/use.py:5: pkg.lib._hidden",
     ]

@@ -33,7 +33,7 @@ from co2meter import device_models as dm
 from co2meter import embodied as emb
 from co2meter import workload as wl
 from co2meter.errors import NoBreakEvenError, Record, UserInputError, replace
-from co2meter.predictor import baselines, gnn, oracle, split_indices, training
+from co2meter.predictor import gnn, oracle, split_indices, training
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "co2meter"
 
@@ -65,8 +65,8 @@ def _examples():
         training.TrainConfig(), training.Metrics(1.0, 2.0, 3), training._TOWERS["total"],
         training._prepare(table, params.norms, "prefill"),
         params, params.prefill, params.norms, gnn.Workspace.allocate(params.prefill, 2, 12),
-        baselines.fit_ridge_globals(table),
-        baselines.SinglePhaseParams(params.prefill, params.norms),
+        training.fit_ridge_globals(table),
+        training.SinglePhaseParams(params.prefill, params.norms),
     ]
     return {type(x).__name__: x for x in found}
 

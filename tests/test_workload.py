@@ -134,6 +134,22 @@ def test_layer_graph_refuses_a_row_every_field_check_passes():
         wl.LayerGraph(rows=rows, phase="prefill")
 
 
+def test_both_constructors_refuse_a_count_that_is_not_an_integer():
+    """The node path checks the canonical rows as the rows path does, also
+    when the bad node comes relabelled."""
+    graph = wl.build_layer_graph(Q15, wl.Request(4, 4), "prefill")
+    nodes = (replace(graph.nodes[0], flops=1.5), *graph.nodes[1:])
+    rows = [list(row) for row in graph.rows]
+    rows[0][0] = 1.5
+    text = r"^row 0 \(norm\) flops 1\.5 is not an integer"
+    with pytest.raises(ValueError, match=text):
+        wl.LayerGraph(rows=rows, phase="prefill")
+    with pytest.raises(ValueError, match=text):
+        wl.LayerGraph(nodes, graph.edges, "prefill")
+    with pytest.raises(ValueError, match=text):
+        wl.LayerGraph(*_relabel(nodes, graph.edges, list(range(1, 12)) + [0]), phase="prefill")
+
+
 def _relabeled(graph, order):
     """The same graph with node order[i] moved to position i."""
     return wl.LayerGraph(*_relabel(graph.nodes, graph.edges, order), phase=graph.phase)
