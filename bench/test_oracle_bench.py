@@ -7,10 +7,14 @@ at three decode lengths; `kernel_costs` on that request (output 1024) on
 agx_orin, where no decode kernel flips boundedness, and on a board whose
 ridge sits at attn_score's mid-decode intensity, where it flips; an in-process
 `co2meter estimate` of that request to a new `--out` file, unlinked after
-each call (the op `estimate_sweep` times); `make_sample` (tinyllama on
+each call (the op `estimate_sweep` times); an in-process `co2meter
+breakeven` over every bundled region, where parsing its argv is a larger
+share of the call; `make_sample` (tinyllama on
 rk3588, prompt 96, output 64); and a warm `load_llm_config` plus
 `load_device` of bundled names, the asset loads each estimate makes.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -56,6 +60,14 @@ def test_cli_estimate(benchmark, tmp_path):
         return code
 
     assert benchmark(estimate) == 0
+
+
+def test_cli_breakeven(benchmark, tmp_path):
+    out = tmp_path / "breakeven.json"
+    argv = ["breakeven", "--delta-embodied", "1.5", "--delta-energy", "120",
+            "--out", str(out)]
+    assert benchmark(cli.main, argv) == 0
+    assert json.loads(out.read_text())["india"]["ci_kg_per_kwh"] == 0.7
 
 
 def test_make_sample(benchmark):

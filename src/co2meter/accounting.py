@@ -263,21 +263,18 @@ def load_ci_table(path: str | Path) -> dict[str, CarbonIntensity]:
         raise UserInputError(f"cannot read carbon-intensity table {path}: {exc}") from exc
 
 
-def pipeline_from_json(
-    doc: Mapping,
-    config_resolver: Callable[[str], LlmConfig],
-    device_resolver: Callable[[str], DeviceSpec],
-) -> AppPipeline:
+def pipeline_from_json(doc: Mapping) -> AppPipeline:
     """Build an AppPipeline from a JSON document.
 
     The llm stage's `config` and `device` entries are either inline objects or
-    names handed to the resolvers, which every caller passes: the bundled-asset
-    loaders, or the CLI's asset-or-path resolution.
+    strings, which `assets.load_llm_config` and `assets.load_device` resolve
+    to a bundled asset or a file path.
     """
+    from .assets import load_device, load_llm_config
     from .workload import Request, config_from_json, device_from_json
 
-    def resolve(entry, resolver, inline):
-        return resolver(entry) if isinstance(entry, str) else inline(entry)
+    def resolve(entry, load, inline):
+        return load(entry) if isinstance(entry, str) else inline(entry)
 
     def number(stage: str, key: str) -> float:
         return float(json_number(doc[stage][key], f"{stage}.{key}"))
@@ -291,10 +288,10 @@ def pipeline_from_json(
 
     def llm_stage(llm: Mapping) -> LlmStage:
         return LlmStage(
-            config=resolve(llm["config"], config_resolver, config_from_json),
+            config=resolve(llm["config"], load_llm_config, config_from_json),
             request=Request(prompt_len=json_int(llm["prompt_len"], "prompt_len"),
                             output_len=json_int(llm["output_len"], "output_len")),
-            device=resolve(llm["device"], device_resolver, device_from_json),
+            device=resolve(llm["device"], load_device, device_from_json),
         )
 
     try:  # arguments run in stage order, then name and total, as written
@@ -311,12 +308,8 @@ def pipeline_from_json(
         raise UserInputError(f"malformed pipeline: {exc}") from exc
 
 
-def load_pipeline_json(
-    path: str | Path,
-    config_resolver: Callable[[str], LlmConfig],
-    device_resolver: Callable[[str], DeviceSpec],
-) -> AppPipeline:
-    return pipeline_from_json(read_json(path, "pipeline"), config_resolver, device_resolver)
+def load_pipeline_json(path: str | Path) -> AppPipeline:
+    return pipeline_from_json(read_json(path, "pipeline"))
 
 
 def breakdown_to_json(b: PipelineBreakdown) -> dict:

@@ -1,4 +1,8 @@
-"""Access to bundled data files (device specs, BOMs, CI table, demo pipeline).
+"""Loading of the inputs a user names: a bundled asset or a file.
+
+`load_device`, `load_llm_config`, `load_bom` and `load_demo_pipeline` take
+a file path or a bundled name, and only `_looks_like_path` tells them apart:
+a value that ends in `.json`, contains `/` or names an existing file is a path.
 
 The asset root defaults to the package's `assets/` directory and can be
 overridden with the CO2METER_ASSETS environment variable, e.g. to swap in a
@@ -7,7 +11,7 @@ locally measured set of device specs without touching the install.
 A bundled device, LLM config or BOM is parsed once per process and re-read
 when its file's stat signature changes, CPython's rule for source-timestamp
 bytecode: an edit that keeps both size and mtime goes unseen.  Pipelines, the
-CI table and measurement CSVs are read on every call.
+CI table, measurement CSVs and every file named by path are read on every call.
 """
 
 from __future__ import annotations
@@ -74,25 +78,35 @@ def list_assets(subdir: str) -> list[str]:
     return sorted(p.stem for p in (asset_root() / subdir).glob("*.json"))
 
 
+def _looks_like_path(value: str) -> bool:
+    return value.endswith(".json") or "/" in value or os.path.isfile(value)
+
+
+def _path_or(bundled: Callable, subdir: str, name: str, loader: Callable):
+    """`loader` on the file name names, else `bundled`'s asset of that name."""
+    return loader(name) if _looks_like_path(name) else bundled(subdir, name, loader)
+
+
 def load_device(name: str) -> DeviceSpec:
     from .workload import load_device_json
-    return _parsed_once("devices", name, load_device_json)
+    return _path_or(_parsed_once, "devices", name, load_device_json)
 
 
 def load_bom(name: str) -> SocBom:
     from .embodied import load_bom_json
-    return _parsed_once("boms", name, load_bom_json)
+    return _path_or(_parsed_once, "boms", name, load_bom_json)
 
 
 def load_llm_config(name: str) -> LlmConfig:
     from .workload import load_config_json
-    return _parsed_once("llm_configs", name, load_config_json)
+    return _path_or(_parsed_once, "llm_configs", name, load_config_json)
 
 
-def load_carbon_intensities() -> dict[str, CarbonIntensity]:
-    """The bundled table; when it is missing because the root is no
-    directory, the root's error instead of the table's."""
+def load_carbon_intensities(path: str | None = None) -> dict[str, CarbonIntensity]:
+    """The table at path, else the bundled one, or the root's error if it is no directory."""
     from .accounting import load_ci_table
+    if path:
+        return load_ci_table(path)
     try:
         return load_ci_table(_root() / "ci_table.json")
     except UserInputError as exc:
@@ -103,9 +117,7 @@ def load_carbon_intensities() -> dict[str, CarbonIntensity]:
 
 def load_demo_pipeline(name: str = "voice_assistant") -> AppPipeline:
     from .accounting import load_pipeline_json
-    return _named_json("pipelines", name, lambda path: load_pipeline_json(
-        path, config_resolver=load_llm_config, device_resolver=load_device,
-    ))
+    return _path_or(_named_json, "pipelines", name, load_pipeline_json)
 
 
 def measurement_csv(name: str) -> Path:

@@ -26,10 +26,9 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import assets
 from .errors import CO2MeterError, NoBreakEvenError, UserInputError, replace
@@ -90,61 +89,14 @@ def _flat_rows(doc: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 # ---------------------------------------------------------------------------
-# Asset-or-path resolution
-
-
-def _looks_like_path(value: str) -> bool:
-    return value.endswith(".json") or "/" in value or os.path.isfile(value)
-
-
-def _resolve(value: str, loader: Callable, bundled: Callable):
-    if _looks_like_path(value):
-        return loader(value)
-    return bundled(value)
-
-
-def _resolve_device(value: str):
-    from .workload import load_device_json
-    return _resolve(value, load_device_json, assets.load_device)
-
-
-def _resolve_config(value: str):
-    from .workload import load_config_json
-    return _resolve(value, load_config_json, assets.load_llm_config)
-
-
-def _resolve_bom(value: str):
-    from .embodied import load_bom_json
-    return _resolve(value, load_bom_json, assets.load_bom)
-
-
-def _resolve_pipeline(value: str):
-    if _looks_like_path(value):
-        from .accounting import load_pipeline_json
-        return load_pipeline_json(
-            value,
-            config_resolver=_resolve_config,
-            device_resolver=_resolve_device,
-        )
-    return assets.load_demo_pipeline(value)
-
-
-def _ci_table(args: argparse.Namespace):
-    if args.ci_table:
-        from .accounting import load_ci_table
-        return load_ci_table(args.ci_table)
-    return assets.load_carbon_intensities()
+# Subcommands
 
 
 def _ci_for(args: argparse.Namespace):
-    table = _ci_table(args)
+    table = assets.load_carbon_intensities(args.ci_table)
     if args.region not in table:
         raise UserInputError(f"unknown region {args.region!r}; have {sorted(table)}")
     return table[args.region]
-
-
-# ---------------------------------------------------------------------------
-# Subcommands
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
@@ -168,8 +120,8 @@ def _cmd_fit(args: argparse.Namespace) -> None:
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
     from . import workload as wl
-    cfg = _resolve_config(args.config)
-    dev = _resolve_device(args.device)
+    cfg = assets.load_llm_config(args.config)
+    dev = assets.load_device(args.device)
     req = _request(args)
     rows = wl.kernel_costs(cfg, req, dev)
     (prefill_s, prefill_j), (decode_s, decode_j) = wl.phase_totals(rows)
@@ -207,8 +159,8 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
 
 def _cmd_dataset(args: argparse.Namespace) -> None:
     from . import predictor as pr
-    configs = [_resolve_config(n) for n in args.configs.split(",") if n]
-    devices = [_resolve_device(n) for n in args.devices.split(",") if n]
+    configs = [assets.load_llm_config(n) for n in args.configs.split(",") if n]
+    devices = [assets.load_device(n) for n in args.devices.split(",") if n]
     sampler = (
         pr.sample_regime_mixed_request if args.regime == "mixed"
         else pr.sample_trace_request
@@ -325,7 +277,7 @@ def _as_metric_doc(m) -> dict:
 
 def _cmd_embodied(args: argparse.Namespace) -> None:
     from .embodied import report_to_json, soc_embodied
-    bom = _resolve_bom(args.bom)
+    bom = assets.load_bom(args.bom)
     if args.llm_components:
         components = [c for c in args.llm_components.split(",") if c]
     else:
@@ -361,9 +313,9 @@ def _cmd_whatif(args: argparse.Namespace) -> None:
     prompt_lens = [_prompt_len(p) for p in args.prompt_lens.split(",") if p]
     if not prompt_lens:
         raise UserInputError(f"--prompt-lens {args.prompt_lens!r} names no prompt length")
-    bom = _resolve_bom(args.bom)
-    dev = _resolve_device(args.device)
-    cfg = _resolve_config(args.config)
+    bom = assets.load_bom(args.bom)
+    dev = assets.load_device(args.device)
+    cfg = assets.load_llm_config(args.config)
 
     mods = [SetDram(scenario["dram_kg"])]
     mods += [ScaleUnit(unit, factor) for unit, factor in scenario["scale_units"]]
@@ -403,7 +355,8 @@ def _cmd_whatif(args: argparse.Namespace) -> None:
 
 def _cmd_breakeven(args: argparse.Namespace) -> None:
     from .accounting import breakeven_requests
-    table = _ci_table(args) if args.region == "all" else {args.region: _ci_for(args)}
+    table = ({args.region: _ci_for(args)} if args.region != "all"
+             else assets.load_carbon_intensities(args.ci_table))
     doc = {}
     for region in sorted(table):
         ci = table[region]
@@ -428,8 +381,8 @@ def _roof_points(dev) -> list[dict]:
 
 def _cmd_roofline(args: argparse.Namespace) -> None:
     from . import workload as wl
-    dev = _resolve_device(args.device)
-    cfg = _resolve_config(args.config)
+    dev = assets.load_device(args.device)
+    cfg = assets.load_llm_config(args.config)
     req = _request(args)
     wl.check_fits_dram(cfg, req, dev)
     kernels = []
@@ -467,7 +420,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     )
     from .embodied import soc_embodied
     from .workload import request_energy
-    pipeline = _resolve_pipeline(args.pipeline)
+    pipeline = assets.load_demo_pipeline(args.pipeline)
     # A camera or speaker pipeline has no mic sample count or display grey
     # level, so --input mic and --output display can only keep a stage.
     if args.input == "mic" and isinstance(pipeline.input, CameraInput):
@@ -505,7 +458,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     }
     if args.requests_per_day is not None:
         ci = _ci_for(args)
-        report = soc_embodied(_resolve_bom(args.bom))
+        report = soc_embodied(assets.load_bom(args.bom))
         usage = UsageProfile(args.requests_per_day, args.lifespan)
         fp = total_footprint(report.total, usage, breakdown.total_j, ci)
         doc["footprint"] = {
@@ -647,13 +600,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args keeps no state in it."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers, built once; parsing keeps no state in them."""
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` less `command`, in one pass: argv led
+    by a subcommand goes straight to that subcommand's parser."""
+    parser, subcommands = _parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if not argv or argv[0] not in subcommands:
+        return parser.parse_args(argv)
+    args, extra = subcommands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         args.func(args)
     except (UserInputError, NoBreakEvenError, ValueError, OSError) as exc:

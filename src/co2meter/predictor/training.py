@@ -18,21 +18,22 @@ validation, evaluation and the ridge fit read; `_TOWERS` says which of its
 fields each tower reads.  The table is the only form the internals take: each
 entry point (`train`, `evaluate_params`, `fit_norms`, `_prepare` and the
 baselines) takes a sample set or its table and turns it into a table once
-(`_as_table`), and both trainers split it with `_split_tables`, which
-indexes a table's rows (`table_rows`) or featurizes only the train and
-validation samples of a sequence.  The two-phase predictor and the
-single-phase baseline train their towers in one loop (`_train_towers`).  A
-`LayerGraph` is in canonical node order from the moment it is built, so
-every GNN evaluation is the batched pass (`gnn.forward_batch` /
-`gnn.backward_batch`) over rows of one stack with the one constant `preds`:
+(`_as_table`), only the fields it reads (`_column`) for the ridge baseline and
+`evaluate_baseline_total`.  Both trainers split a sample set with
+`_split_tables`, which indexes a table's rows (`table_rows`) or featurizes
+only the train and validation samples of a sequence.  The two-phase predictor
+and the single-phase baseline train their towers in one loop
+(`_train_towers`).  A `LayerGraph` is in canonical node order from the moment
+it is built, so every GNN evaluation is the batched pass (`gnn.forward_batch`
+/ `gnn.backward_batch`) over rows of one stack with the one constant `preds`:
 a mini-batch when training, chunks of a whole sample set when predicting
 (`evaluate_params`), and a batch of one for a single request
 (`predict_prefill`, `predict_total`, `predict_sample`).  `train_tower`
 allocates one `gnn.Workspace` for its mini-batches and one for validation,
 gathers each mini-batch's node rows straight into the first
 (`Workspace.gather`), and steps Adam over the tower's flat parameter buffer
-with the flat gradient, so a training step allocates no large array.  The per-sample
-reference pass and trainer the tests compare against live in
+with the flat gradient, so a training step allocates no large array.  The
+per-sample reference pass and trainer the tests compare against live in
 `tests/gnn_reference.py`.  Training is bit-deterministic for a fixed seed:
 splits, shuffles, and init all come from one seeded generator, and a batch
 stacks its samples in sorted index order.
@@ -171,21 +172,24 @@ class Adam:
 SampleTable = dict[str, np.ndarray]
 
 
+def _column(samples: Sequence[PredictorInputs], field: str) -> np.ndarray:
+    """One field of the samples' `sample_table`, built alone."""
+    values = [getattr(s, field) for s in samples]
+    if field.endswith("_graph"):
+        return node_feature_tensor(values)
+    if field.endswith("_globals"):
+        return np.array([globals_vector(v) for v in values]).reshape(len(values), GLOBAL_DIM)
+    return np.array(values, dtype=float)
+
+
 def sample_table(samples: Sequence[PredictorInputs]) -> SampleTable:
-    """Raw inputs of a sample set, one array per sample field, stacked in
-    sample order: (S, 12, NODE_FEATURE_DIM) node tensors in canonical node
-    order, (S, GLOBAL_DIM) global rows, and (S,) labels when there are any."""
-    table = {
-        field: node_feature_tensor([getattr(s, field) for s in samples])
-        for field in ("prefill_graph", "decode_graph")
-    }
-    for field in ("prefill_globals", "total_globals"):
-        rows = [globals_vector(getattr(s, field)) for s in samples]
-        table[field] = np.array(rows).reshape(len(rows), GLOBAL_DIM)
+    """Raw inputs of a sample set, one `_column` per field, stacked in sample
+    order: (S, 12, NODE_FEATURE_DIM) node tensors in canonical node order,
+    (S, GLOBAL_DIM) global rows, and (S,) labels when there are any."""
+    fields = ["prefill_graph", "decode_graph", "prefill_globals", "total_globals"]
     if all(isinstance(s, GraphSample) for s in samples):
-        for field in ("label_prefill_j", "label_total_j"):
-            table[field] = np.array([getattr(s, field) for s in samples], dtype=float)
-    return table
+        fields += ["label_prefill_j", "label_total_j"]
+    return {field: _column(samples, field) for field in fields}
 
 
 def table_rows(table: SampleTable, idx: np.ndarray) -> SampleTable:
@@ -193,10 +197,12 @@ def table_rows(table: SampleTable, idx: np.ndarray) -> SampleTable:
     return {field: column[idx] for field, column in table.items()}
 
 
-def _as_table(data: Sequence[PredictorInputs] | SampleTable) -> SampleTable:
-    """data's `sample_table`: a table is returned as it is, a sequence of
-    samples is featurized."""
-    return data if isinstance(data, dict) else sample_table(data)
+def _as_table(data: Sequence[PredictorInputs] | SampleTable,
+              fields: Sequence[str] | None = None) -> SampleTable:
+    """data's `sample_table`, or its named fields alone; a table is returned as it is."""
+    if isinstance(data, dict):
+        return data
+    return sample_table(data) if fields is None else {f: _column(data, f) for f in fields}
 
 
 def _split_tables(data: Sequence[GraphSample] | SampleTable,
@@ -473,12 +479,12 @@ class RidgeBaseline(Record, frozen=False):
     sd: np.ndarray
 
     def predict(self, samples: Sequence[GraphSample] | SampleTable) -> np.ndarray:
-        x = (np.log1p(_as_table(samples)["total_globals"]) - self.mu) / self.sd
+        x = (np.log1p(_as_table(samples, ["total_globals"])["total_globals"]) - self.mu) / self.sd
         return np.exp(np.column_stack([x, np.ones(len(x))]) @ self.weights)
 
 
 def fit_ridge_globals(samples: Sequence[GraphSample] | SampleTable) -> RidgeBaseline:
-    table = _as_table(samples)
+    table = _as_table(samples, ["total_globals", "label_total_j"])
     raw = np.log1p(table["total_globals"])
     mu, sd = column_stats(raw)
     x = np.column_stack([(raw - mu) / sd, np.ones(len(raw))])
@@ -517,4 +523,4 @@ def predict_single_phase(
 def evaluate_baseline_total(
     predictions: np.ndarray, samples: Sequence[GraphSample] | SampleTable
 ) -> Metrics:
-    return evaluate_predictions(_as_table(samples)["label_total_j"], predictions)
+    return evaluate_predictions(_as_table(samples, ["label_total_j"])["label_total_j"], predictions)

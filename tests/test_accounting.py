@@ -332,7 +332,7 @@ def test_pipeline_from_json_inline_definitions():
         },
         "output": {"kind": "speaker", "duration_s": 10.0, "volume": 50.0},
     }
-    pipe = acc.pipeline_from_json(doc, assets.load_llm_config, assets.load_device)
+    pipe = acc.pipeline_from_json(doc)
     assert isinstance(pipe.output, acc.SpeakerOutput)
     assert pipe.llm.request == Request(16, 4)
     assert isinstance(pipe.llm.config, LlmConfig)
@@ -348,11 +348,7 @@ def test_pipeline_from_json_rejects_unknown_stage_kind():
         "output": {"kind": "speaker", "duration_s": 1.0, "volume": 10.0},
     }
     with pytest.raises(UserInputError, match=r"^malformed pipeline: unknown input kind 'lidar'$"):
-        acc.pipeline_from_json(
-            doc,
-            config_resolver=assets.load_llm_config,
-            device_resolver=assets.load_device,
-        )
+        acc.pipeline_from_json(doc)
 
 
 @pytest.mark.parametrize("side, kind", [("output", "hologram"), ("input", ["mic"])])
@@ -360,7 +356,7 @@ def test_pipeline_from_json_names_the_unknown_kind(side, kind):
     doc = json.loads((assets.asset_root() / "pipelines" / "voice_assistant.json").read_text())
     doc[side]["kind"] = kind
     with pytest.raises(UserInputError) as exc:
-        acc.pipeline_from_json(doc, assets.load_llm_config, assets.load_device)
+        acc.pipeline_from_json(doc)
     assert str(exc.value) == f"malformed pipeline: unknown {side} kind {kind!r}"
 
 

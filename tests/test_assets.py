@@ -1,5 +1,6 @@
-"""Bundled devices, LLM configs and BOMs: parsed once per process, re-read
-when their file's stat signature changes."""
+"""Named inputs: a bundled device, LLM config or BOM is parsed once per
+process and re-read when its file's stat signature changes; a value that
+looks like a path is read from that file on every call."""
 
 import json
 import os
@@ -7,8 +8,10 @@ import shutil
 
 import pytest
 
-from co2meter import assets
+from co2meter import accounting, assets, cli
+from co2meter.embodied import load_bom_json
 from co2meter.errors import UserInputError
+from co2meter.workload import load_config_json, load_device_json
 
 _LOADERS = {
     "devices": assets.load_device,
@@ -85,3 +88,61 @@ def test_switching_the_asset_root_serves_the_other_roots_file(root, tmp_path, mo
     assert assets.load_device("board").idle_power == 2.0
     monkeypatch.setenv(assets.ASSETS_ENV_VAR, str(root))
     assert assets.load_device("board").idle_power == 1.0
+
+
+# Each loader of a named input, with its bundled directory, a bundled name
+# and the reader of a file
+_NAME_OR_PATH = [
+    (assets.load_device, "devices", "rk3588", load_device_json),
+    (assets.load_llm_config, "llm_configs", "tinyllama-11b", load_config_json),
+    (assets.load_bom, "boms", "agx_orin", load_bom_json),
+    (assets.load_demo_pipeline, "pipelines", "voice_assistant", accounting.load_pipeline_json),
+]
+
+
+@pytest.mark.parametrize("load, subdir, name, read", _NAME_OR_PATH,
+                         ids=[load.__name__ for load, *_ in _NAME_OR_PATH])
+@pytest.mark.parametrize("form", ["absolute", "relative.json", "bare-file"])
+def test_a_loader_given_a_path_reads_that_file_on_every_call(
+        tmp_path, monkeypatch, load, subdir, name, read, form):
+    monkeypatch.chdir(tmp_path)
+    value = {"absolute": str(tmp_path / "copy.json"), "relative.json": "copy.json",
+             "bare-file": "copy"}[form]
+    shutil.copy(assets.asset_root() / subdir / f"{name}.json", value)
+    assert load(value) == read(value) == load(name)
+    assert load(value) is not load(value)
+
+
+def test_a_carbon_intensity_path_reads_that_table(tmp_path):
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps({"lab": 0.25, "india": 0.5}))
+    assert assets.load_carbon_intensities(str(path)) == accounting.load_ci_table(path)
+    assert assets.load_carbon_intensities(None) == assets.load_carbon_intensities()
+
+
+def test_a_pipeline_file_names_its_config_and_device_by_path(tmp_path):
+    config, device = tmp_path / "model.json", tmp_path / "boards" / "board"
+    device.parent.mkdir()
+    shutil.copy(assets.asset_root() / "llm_configs" / "tinyllama-11b.json", config)
+    shutil.copy(assets.asset_root() / "devices" / "orin_nx.json", device)
+    doc = json.loads((assets.asset_root() / "pipelines" / "voice_assistant.json").read_text())
+    doc["llm"].update(config=str(config), device=str(device))
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(doc))
+    llm = accounting.load_pipeline_json(path).llm
+    assert llm.config == load_config_json(config)
+    assert llm.device == load_device_json(device)
+
+
+def test_a_file_named_like_a_bundled_asset_is_read_as_a_path(tmp_path, monkeypatch, capsys):
+    """The CLI and the library read a name the same way, in a pipeline too."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rk3588").write_text("not json")
+    with pytest.raises(UserInputError) as exc:
+        assets.load_device("rk3588")
+    assert str(exc.value).startswith("cannot read device spec rk3588: ")
+    argv = ["estimate", "--device", "rk3588", "--prompt-len", "8", "--output-len", "8"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    with pytest.raises(UserInputError, match=r"^cannot read device spec rk3588: "):
+        assets.load_demo_pipeline()

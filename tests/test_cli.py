@@ -590,18 +590,13 @@ def test_asset_readers_inspect_the_root_only_when_a_file_is_missing(
     assert inspected == [1]
 
 
-def load_pipeline_json(path):
-    """The pipeline loader, resolving names to bundled assets."""
-    return accounting.load_pipeline_json(path, assets.load_llm_config, assets.load_device)
-
-
 # Every JSON loader with what its "cannot read" error calls the file
 _JSON_LOADERS = [
     ("device spec", load_device_json),
     ("llm config", load_config_json),
     ("BOM", load_bom_json),
     ("carbon-intensity table", load_ci_table),
-    ("pipeline", load_pipeline_json),
+    ("pipeline", accounting.load_pipeline_json),
     ("model file", dm.load_model_json),
     ("predictor params", load_params_json),
 ]
@@ -1022,6 +1017,81 @@ def test_non_finite_float_arguments_exit_2(capsys, value):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and "finite" in captured.err
+
+
+# Per subcommand: its required arguments, every other flag set once, and
+# argv that argparse refuses (a non-integer, a bad choice, a non-finite float)
+_PARSE_TABLE = {
+    "fit": (["speaker", "s.csv"], [], ["--seed", "1.5"]),
+    "estimate": (["--prompt-len", "8", "--output-len", "4"],
+                 ["--config", "c", "--device", "d", "--breakdown"],
+                 ["--prompt-len", "8.5", "--output-len", "4"]),
+    "dataset": (["--n", "5", "--dataset-out", "d.jsonl"],
+                ["--configs", "a,b", "--devices", "x", "--sigma", "0.1", "--regime", "mixed"],
+                ["--n", "five", "--dataset-out", "d.jsonl", "--sigma", "nan"]),
+    "train": (["--dataset", "d.jsonl", "--params-out", "p.json"],
+              ["--epochs", "3", "--lr", "0.01", "--batch-size", "4", "--train-frac", "0.7",
+               "--val-frac", "0.2", "--history-out", "h.jsonl"],
+              ["--dataset", "d", "--params-out", "p", "--lr", "inf"]),
+    "eval": (["--dataset", "d.jsonl", "--params", "p.json"],
+             ["--compare-baselines", "--baseline-epochs", "2"],
+             ["--dataset", "d", "--params", "p", "--baseline-epochs", "2.0"]),
+    "embodied": (["--bom", "b"], ["--llm-components", "dram"], ["--bom", "b", "--format", "xml"]),
+    "whatif": (["--scenario", "rk-mem"],
+               ["--bom", "b", "--device", "d", "--config", "c", "--prompt-lens", "5,6"],
+               ["--scenario", "rk-gpu"]),
+    "breakeven": (["--delta-embodied", "1", "--delta-energy", "2"],
+                  ["--region", "r", "--ci-table", "t.json", "--lifespan", "3"],
+                  ["--delta-embodied", "1", "--delta-energy", "-inf"]),
+    "roofline": ([], ["--device", "d", "--config", "c", "--prompt-len", "3", "--output-len", "2"],
+                 ["--prompt-len", "x"]),
+    "pipeline": ([], ["--pipeline", "p", "--input", "camera", "--output", "speaker",
+                      "--params", "p.json", "--requests-per-day", "10", "--bom", "b",
+                      "--region", "r", "--ci-table", "t", "--lifespan", "4"],
+                 ["--input", "radio", "--requests-per-day", "NaN"]),
+}
+
+
+def _parse_cases() -> list[list[str]]:
+    """Per subcommand: the defaults, every flag set once, help, a missing
+    required argument, the refused values, a bad --format, unknown flags and
+    stray positionals; then argv that names no subcommand first."""
+    cases = [[], ["-h"], ["bogus"], ["--seed", "1", "estimate"]]
+    for command, (required, flags, refused) in _PARSE_TABLE.items():
+        cases += [
+            [command, *required],
+            [command, *required, *flags, "--seed", "7", "--format", "csv", "--out", "o.txt"],
+            [command, "-h"],
+            [command, *required, "--help", "--bogus"],
+            [command, *required[2:]],
+            [command, *refused],
+            [command, *required, "--format", "yaml"],
+            [command, *required, "--bogus"],
+            [command, *required, "--bogus=1", "stray", "-x"],
+            [command, *required, "stray"],
+        ]
+    return cases
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _parse_cases(), ids=" ".join)
+def test_parse_equals_the_full_parser(capsys, argv):
+    """`main`'s parse step exits, prints and returns as the full parser does,
+    less the `command` that no handler reads."""
+    got, got_io = _parse_outcome(capsys, cli._parse, list(argv))
+    want, want_io = _parse_outcome(capsys, cli.build_parser().parse_args, list(argv))
+    assert got_io == want_io
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert vars(got) == {k: v for k, v in vars(want).items() if k != "command"}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -253,8 +253,8 @@ def _cli_json(argv):
 @contextlib.contextmanager
 def _resolving(cfg, dev):
     """The CLI resolves every --config and --device to these objects."""
-    with mock.patch.object(cli, "_resolve_config", lambda _: cfg), \
-            mock.patch.object(cli, "_resolve_device", lambda _: dev):
+    with mock.patch.object(assets, "load_llm_config", lambda _: cfg), \
+            mock.patch.object(assets, "load_device", lambda _: dev):
         yield
 
 

@@ -422,6 +422,23 @@ def test_train_and_evaluate_featurize_each_graph_once(dataset20, monkeypatch):
     assert sorted(featurized) == sorted(graphs)
 
 
+def test_ridge_and_baseline_metrics_featurize_no_graph_of_a_list(dataset20, monkeypatch):
+    """Given samples, the ridge fit and prediction and the baseline metrics
+    build only the columns they read, and equal their table results bit for bit."""
+    table = sample_table(dataset20)
+    ridge = fit_ridge_globals(table)
+    want = (ridge.predict(table), evaluate_baseline_total(ridge.predict(table), table))
+    featurized = []
+    monkeypatch.setattr(training, "node_feature_tensor", featurized.append)
+    got_ridge = fit_ridge_globals(dataset20)
+    got = (got_ridge.predict(dataset20), evaluate_baseline_total(want[0], dataset20))
+    assert featurized == []
+    for name in ("weights", "mu", "sd"):
+        assert getattr(got_ridge, name).tobytes() == getattr(ridge, name).tobytes()
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] == want[1]
+
+
 def test_prediction_phase_validation(dataset20):
     params = init_params(7)
     params.norms = fit_norms(dataset20)

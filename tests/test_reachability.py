@@ -11,7 +11,9 @@ Dunder definitions are reached by Python itself.  The check is by name, like
 `test_bench_imports`: it reads sources with `ast` and runs none of them.
 
 The same scan keeps each module's private names its own: no `src/co2meter`
-module imports a `_`-prefixed name from another module of the package.
+module imports a `_`-prefixed name from another module of the package.  And
+it keeps the name-or-path rule in `assets`: no other module defines
+`_looks_like_path`, and no function takes a `*_resolver` callback.
 """
 
 import ast
@@ -166,4 +168,48 @@ def test_private_imports_on_a_small_package(tmp_path):
     assert private_imports(package) == [
         "src/pkg/use.py:3: .lib._hidden",
         "src/pkg/use.py:5: pkg.lib._hidden",
+    ]
+
+
+def resolution_outside_assets(package: Path) -> list[str]:
+    """`path:line: what` of each definition of `_looks_like_path`, the
+    name-or-path rule, outside the package's `assets` module, and of each
+    function parameter named `*_resolver`, a callback that carries the rule."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package.parents[1])
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, _FUNCTIONS):
+                continue
+            if node.name == "_looks_like_path" and path != package / "assets.py":
+                found.append(f"{where}:{node.lineno}: {node.name}")
+            args = node.args
+            found += [f"{where}:{node.lineno}: {node.name}({arg.arg}=...)"
+                      for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                      if arg.arg.endswith("_resolver")]
+    return found
+
+
+def test_only_assets_decides_between_a_name_and_a_path():
+    found = resolution_outside_assets(ROOT / "src" / "co2meter")
+    assert not found, "name-or-path resolution outside assets:\n" + "\n".join(found)
+
+
+def test_resolution_scan_on_a_small_package(tmp_path):
+    """The rule counts outside `assets` at any depth, a `*_resolver`
+    parameter of any kind anywhere; the rule in `assets` does not."""
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "assets.py").write_text("def _looks_like_path(v):\n    return '/' in v\n")
+    (package / "sub" / "assets.py").write_text("def _looks_like_path(v):\n    pass\n")
+    (package / "cli.py").write_text(
+        "def _looks_like_path(v):\n    pass\n"
+        "def load(doc, config_resolver, *, device_resolver=None):\n    pass\n"
+        "class Loader:\n    def read(self, resolver, path_resolver):\n        pass\n")
+    assert resolution_outside_assets(package) == [
+        "src/pkg/cli.py:1: _looks_like_path",
+        "src/pkg/cli.py:3: load(config_resolver=...)",
+        "src/pkg/cli.py:3: load(device_resolver=...)",
+        "src/pkg/cli.py:6: read(path_resolver=...)",
+        "src/pkg/sub/assets.py:1: _looks_like_path",
     ]
