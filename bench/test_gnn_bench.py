@@ -62,7 +62,7 @@ def test_batch_forward_backward(benchmark, prepared):
     workspace = Workspace.allocate(params.prefill, len(rows), train_set.h0.shape[1])
 
     def step():
-        ws = workspace.gather(train_set.c0, rows, train_set.preds)
+        ws = workspace.gather(train_set.c0, rows)
         return gathered_loss_and_grads(params.prefill, ws, g, log_target)
 
     loss, grad = benchmark(step)

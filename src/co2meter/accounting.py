@@ -15,6 +15,7 @@ pipeline file gives it, `models` names the peripheral models it reads and
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
 
@@ -263,18 +264,18 @@ def load_ci_table(path: str | Path) -> dict[str, CarbonIntensity]:
         raise UserInputError(f"cannot read carbon-intensity table {path}: {exc}") from exc
 
 
-def pipeline_from_json(doc: Mapping) -> AppPipeline:
+def pipeline_from_json(doc: Mapping, base: str = "") -> AppPipeline:
     """Build an AppPipeline from a JSON document.
 
     The llm stage's `config` and `device` entries are either inline objects or
     strings, which `assets.load_llm_config` and `assets.load_device` resolve
-    to a bundled asset or a file path.
+    to a bundled asset or a file path relative to the directory base.
     """
     from .assets import load_device, load_llm_config
     from .workload import Request, config_from_json, device_from_json
 
     def resolve(entry, load, inline):
-        return load(entry) if isinstance(entry, str) else inline(entry)
+        return load(entry, base) if isinstance(entry, str) else inline(entry)
 
     def number(stage: str, key: str) -> float:
         return float(json_number(doc[stage][key], f"{stage}.{key}"))
@@ -309,7 +310,8 @@ def pipeline_from_json(doc: Mapping) -> AppPipeline:
 
 
 def load_pipeline_json(path: str | Path) -> AppPipeline:
-    return pipeline_from_json(read_json(path, "pipeline"))
+    """The pipeline file at path; its relative paths are relative to its directory."""
+    return pipeline_from_json(read_json(path, "pipeline"), os.path.dirname(path))
 
 
 def breakdown_to_json(b: PipelineBreakdown) -> dict:

@@ -3,6 +3,9 @@
 `load_device`, `load_llm_config`, `load_bom` and `load_demo_pipeline` take
 a file path or a bundled name, and only `_looks_like_path` tells them apart:
 a value that ends in `.json`, contains `/` or names an existing file is a path.
+A relative path is relative to the working directory, except in a pipeline
+file: its `config` and `device` strings are read, the existing-file test
+included, against the pipeline file's directory (the `base` argument).
 
 The asset root defaults to the package's `assets/` directory and can be
 overridden with the CO2METER_ASSETS environment variable, e.g. to swap in a
@@ -78,18 +81,21 @@ def list_assets(subdir: str) -> list[str]:
     return sorted(p.stem for p in (asset_root() / subdir).glob("*.json"))
 
 
-def _looks_like_path(value: str) -> bool:
-    return value.endswith(".json") or "/" in value or os.path.isfile(value)
+def _looks_like_path(value: str, base: str = "") -> bool:
+    return value.endswith(".json") or "/" in value or os.path.isfile(os.path.join(base, value))
 
 
-def _path_or(bundled: Callable, subdir: str, name: str, loader: Callable):
-    """`loader` on the file name names, else `bundled`'s asset of that name."""
-    return loader(name) if _looks_like_path(name) else bundled(subdir, name, loader)
+def _path_or(bundled: Callable, subdir: str, name: str, loader: Callable, base: str = ""):
+    """`loader` on the file name names (relative to the directory base),
+    else `bundled`'s asset of that name."""
+    if _looks_like_path(name, base):
+        return loader(os.path.join(base, name))
+    return bundled(subdir, name, loader)
 
 
-def load_device(name: str) -> DeviceSpec:
+def load_device(name: str, base: str = "") -> DeviceSpec:
     from .workload import load_device_json
-    return _path_or(_parsed_once, "devices", name, load_device_json)
+    return _path_or(_parsed_once, "devices", name, load_device_json, base)
 
 
 def load_bom(name: str) -> SocBom:
@@ -97,9 +103,9 @@ def load_bom(name: str) -> SocBom:
     return _path_or(_parsed_once, "boms", name, load_bom_json)
 
 
-def load_llm_config(name: str) -> LlmConfig:
+def load_llm_config(name: str, base: str = "") -> LlmConfig:
     from .workload import load_config_json
-    return _path_or(_parsed_once, "llm_configs", name, load_config_json)
+    return _path_or(_parsed_once, "llm_configs", name, load_config_json, base)
 
 
 def load_carbon_intensities(path: str | None = None) -> dict[str, CarbonIntensity]:

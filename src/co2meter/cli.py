@@ -1,8 +1,8 @@
 """Command-line surface tying the modules together.
 
 Subcommands: fit, estimate, dataset, train, eval, embodied, whatif,
-breakeven, roofline, pipeline.  Global flags `--seed`, `--format`, `--out`
-apply to every subcommand.
+breakeven, roofline, pipeline.  The flags `--format` and `--out` apply to
+every subcommand; `--seed` only to dataset, train and eval, which read it.
 
 Each subcommand imports only the modules it runs, inside its own function:
 a cold `fit` loads `device_models`, `estimate` and `roofline` load
@@ -487,8 +487,9 @@ def _finite_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=42)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -517,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser(
-        "dataset", parents=[common], help="generate a synthetic labeled dataset"
+        "dataset", parents=[seed, common], help="generate a synthetic labeled dataset"
     )
     p.add_argument("--configs", default="qwen15-05b")
     p.add_argument("--devices", default="rk3588")
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-out", required=True, help="JSONL output path")
     p.set_defaults(func=_cmd_dataset)
 
-    p = sub.add_parser("train", parents=[common], help="train the two-phase predictor")
+    p = sub.add_parser("train", parents=[seed, common], help="train the two-phase predictor")
     p.add_argument("--dataset", required=True)
     p.add_argument("--params-out", required=True)
     p.add_argument("--epochs", type=int, default=200)
@@ -541,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate trained parameters")
+    p = sub.add_parser("eval", parents=[seed, common], help="evaluate trained parameters")
     p.add_argument("--dataset", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--compare-baselines", action="store_true")

@@ -7,21 +7,22 @@ message passing (h' = ReLU(W [h ; mean of in-neighbor h] + b), hidden width
 prefill tower predicts prefill energy; the total tower additionally receives
 a prefill-energy global slot and predicts whole-request energy.
 
-There is one pass, `forward_batch` / `backward_batch`: samples that share one
-layer topology stack into (B, N, node_dim) tensors, so each layer is one
-matmul over all B * N node rows and the parameter gradients come out summed
-over the batch.  A single sample runs as a batch of one (`forward_tower`,
-`backward_tower`).  Both passes read one row-normalized aggregation matrix
-(the GraphSAGE mean aggregator).  Every `workload.LayerGraph` is stored in
-canonical node order, so all the predictor's stacks share one `preds`, nodes
-are mean-pooled in that order, and predictions are bitwise invariant to node
-relabeling.
+There is one pass, `forward_batch` / `backward_batch`: samples stack into
+(B, 12, node_dim) tensors, so each dense layer is one matmul over all B * 12
+node rows and the parameter gradients come out summed over the batch.  A
+single sample runs as a batch of one (`forward_tower`, `backward_tower`).
+Every `workload.LayerGraph` is the decoder layer in canonical node order, so
+the mean aggregator is one read-only constant, `AGGREGATION`, built from
+`workload.LAYER_PREDS` at import; `forward_tower` and `grad_check` refuse any
+other `preds`.  Nodes are mean-pooled in that order, and predictions are
+bitwise invariant to node relabeling.
 
 A tower's arrays are views of one flat parameter buffer (`TowerParams.flat`),
 and `backward_batch` returns one flat gradient in the same layout, so Adam
 updates one array per step.  The passes write every activation and gradient
 into a `Workspace` with `out=`; training reuses one, sized to a mini-batch,
-for every step (`Workspace.gather` fills it, `gathered_loss_and_grads` runs
+for every step (`Workspace.gather` fills it with rows of a `c0_stack`, layer
+1's input built once per sample set; `gathered_loss_and_grads` runs
 the loss and its gradient), and other callers get a fresh one per pass, with
 the same arithmetic and bits.  Backpropagation is hand-derived;
 `grad_check` verifies it against central finite differences, and
@@ -43,7 +44,6 @@ refuses non-finite values too.  Arrays round-trip bit-exactly.  Version 1
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import math
 from pathlib import Path
@@ -52,6 +52,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import Record, UserInputError, json_int, json_number, json_object, read_json
+from ..workload import LAYER_PREDS
 from .data import GLOBAL_DIM, NODE_FEATURE_DIM, NUMERIC_NODE_FEATURES
 
 HIDDEN_DIM = 64
@@ -241,15 +242,11 @@ def normalize_globals(raw: np.ndarray, norms: FeatureNorms, phase: str) -> np.nd
 # Forward / backward
 
 
-@functools.lru_cache(maxsize=8)  # every sample shares one layer topology
-def _aggregation_matrix(n: int, preds: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    a = np.zeros((n, n))
-    for v, ps in enumerate(preds):
-        for p in ps:
-            a[v, p] = 1.0 / len(ps)
-    a.setflags(write=False)
-    return a
-
+# Row v of the read-only (12, 12) AGGREGATION averages node v's in-neighbors
+# in the decoder-layer graph: the GraphSAGE mean aggregator of every pass.
+AGGREGATION = np.array([[(p in ps) / len(ps) if ps else 0.0 for p in range(len(LAYER_PREDS))]
+                        for ps in LAYER_PREDS])
+AGGREGATION.setflags(write=False)
 
 _ROW_BUFFERS = ("c0", "c1", "h2", "zh", "u", "dc1", "dz2", "dz1", "mask")
 
@@ -272,7 +269,6 @@ class Workspace(Record, frozen=False):
     dz1: np.ndarray  # (B, N, hidden): gradient of layer 1's pre-activation
     mask: np.ndarray  # (B, N, hidden) bool: where an activation is positive
     grad: np.ndarray  # (n_params,): flat gradient, laid out like TowerParams.flat
-    agg: np.ndarray | None = None  # aggregation matrix of the pass held
 
     @classmethod
     def allocate(cls, tower: TowerParams, rows: int, n_nodes: int) -> "Workspace":
@@ -294,31 +290,31 @@ class Workspace(Record, frozen=False):
     def h1(self) -> np.ndarray:
         return self.c1[..., :HIDDEN_DIM]
 
-    def head(self, rows: int, agg: np.ndarray) -> "Workspace":
+    def head(self, rows: int) -> "Workspace":
         """The leading `rows` samples of every per-sample buffer, one `grad`."""
-        return Workspace(
-            *(getattr(self, name)[:rows] for name in _ROW_BUFFERS), grad=self.grad, agg=agg
-        )
+        return Workspace(*(getattr(self, name)[:rows] for name in _ROW_BUFFERS), self.grad)
 
-    def gather(
-        self, stack: np.ndarray, rows: np.ndarray, preds: tuple[tuple[int, ...], ...]
-    ) -> "Workspace":
+    def gather(self, stack: np.ndarray, rows: np.ndarray) -> "Workspace":
         """The head holding the samples at `rows` of a `c0_stack`, copied
         straight into `c0`: one copy of the node rows per mini-batch.  The
         rows must be in range (a permutation's are)."""
-        ws = self.head(len(rows), _aggregation_matrix(stack.shape[1], preds))
+        ws = self.head(len(rows))
         # mode="clip" into a contiguous `out` writes in place; "raise" would
         # copy through a temporary
         np.take(stack, rows, axis=0, out=ws.c0, mode="clip")
         return ws
 
 
-def c0_stack(h0: np.ndarray) -> np.ndarray:
-    """(S, N, 2 * node_dim) stack laid out like `Workspace.c0`: h0 in the
-    leading columns, zeros where a pass writes the neighbor mean."""
-    stack = np.zeros((*h0.shape[:2], 2 * h0.shape[2]))
-    stack[..., :h0.shape[2]] = h0
-    return stack
+def c0_stack(h0: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The layer-1 input of a (S, 12, node_dim) stack, laid out like
+    `Workspace.c0` (into `out`, or a new array): h0, then each node's
+    in-neighbor mean of h0, one 12 x 12 by 12 x node_dim matmul per sample."""
+    node_dim = h0.shape[2]
+    if out is None:
+        out = np.empty((*h0.shape[:2], 2 * node_dim))
+    out[..., :node_dim] = h0
+    np.matmul(AGGREGATION, out[..., :node_dim], out=out[..., node_dim:])
+    return out
 
 
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -332,15 +328,11 @@ def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
 
 
 def forward_batch(
-    tower: TowerParams,
-    h0: np.ndarray,
-    preds: tuple[tuple[int, ...], ...],
-    g: np.ndarray,
-    workspace: Workspace | None = None,
+    tower: TowerParams, h0: np.ndarray, g: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, Workspace]:
-    """Log-energy predictions (B,) for a stack of samples sharing one topology.
+    """Log-energy predictions (B,) for a stack of decoder-layer samples.
 
-    h0 is (B, N, node_dim) and g is (B, glob_dim).  The activations go to the
+    h0 is (B, 12, node_dim) and g is (B, glob_dim).  The activations go to the
     leading B rows of `workspace` (a fresh one when None), which is returned
     as the cache `backward_batch` reads.  Only post-ReLU activations are
     kept: h > 0 exactly where the pre-activation is > 0.
@@ -348,18 +340,16 @@ def forward_batch(
     batch, n = h0.shape[:2]
     if workspace is None:
         workspace = Workspace.allocate(tower, batch, n)
-    ws = workspace.head(batch, _aggregation_matrix(n, preds))
-    ws.c0[..., :h0.shape[2]] = h0
+    ws = workspace.head(batch)
+    c0_stack(h0, out=ws.c0)
     return _forward_head(tower, ws, g), ws
 
 
 def _forward_head(tower: TowerParams, ws: Workspace, g: np.ndarray) -> np.ndarray:
-    """`forward_batch` over a workspace head whose `c0` holds h0 in its
-    leading columns."""
-    n, node_dim = ws.c0.shape[1], ws.c0.shape[2] // 2
-    np.matmul(ws.agg, ws.c0[..., :node_dim], out=ws.c0[..., node_dim:])
+    """`forward_batch` over a workspace head whose `c0` holds a `c0_stack`."""
+    n = ws.c0.shape[1]
     _dense_relu(ws.c0, tower.w1, tower.b1, out=ws.h1)
-    np.matmul(ws.agg, ws.h1, out=ws.c1[..., HIDDEN_DIM:])
+    np.matmul(AGGREGATION, ws.h1, out=ws.c1[..., HIDDEN_DIM:])
     _dense_relu(ws.c1, tower.w2, tower.b2, out=ws.h2)
 
     pooled = ws.zh[:, :HIDDEN_DIM]
@@ -392,7 +382,7 @@ def backward_batch(tower: TowerParams, ws: Workspace, dy: np.ndarray) -> np.ndar
     np.sum(dz2, axis=0, out=grads["b2"])
 
     np.matmul(dz2, tower.w2, out=ws.dc1.reshape(len(dz2), -1))
-    np.matmul(ws.agg.T, ws.dc1[..., HIDDEN_DIM:], out=ws.dz1)
+    np.matmul(AGGREGATION.T, ws.dc1[..., HIDDEN_DIM:], out=ws.dz1)
     ws.dz1 += ws.dc1[..., :HIDDEN_DIM]
     np.greater(ws.h1, 0.0, out=ws.mask)
     ws.dz1 *= ws.mask
@@ -417,8 +407,11 @@ def forward_tower(
     preds: Sequence[Sequence[int]],
     g: np.ndarray,
 ) -> tuple[float, Workspace]:
-    """Log-energy prediction for one normalized sample, as a batch of one."""
-    y, cache = forward_batch(tower, h0[None], tuple(map(tuple, preds)), g[None])
+    """Log-energy prediction for one normalized sample, as a batch of one;
+    ValueError unless preds is the decoder layer's (`workload.LAYER_PREDS`)."""
+    if tuple(map(tuple, preds)) != LAYER_PREDS:
+        raise ValueError(f"not the decoder-layer topology (workload.LAYER_PREDS): {preds!r}")
+    y, cache = forward_batch(tower, h0[None], g[None])
     return float(y[0]), cache
 
 

@@ -23,17 +23,17 @@ baselines) takes a sample set or its table and turns it into a table once
 `_split_tables`, which indexes a table's rows (`table_rows`) or featurizes
 only the train and validation samples of a sequence.  The two-phase predictor
 and the single-phase baseline train their towers in one loop
-(`_train_towers`).  A `LayerGraph` is in canonical node order from the moment
-it is built, so every GNN evaluation is the batched pass (`gnn.forward_batch`
-/ `gnn.backward_batch`) over rows of one stack with the one constant `preds`:
-a mini-batch when training, chunks of a whole sample set when predicting
+(`_train_towers`).  A `LayerGraph` is the decoder layer in canonical node
+order from the moment it is built, so every GNN evaluation is the batched
+pass (`gnn.forward_batch` / `gnn.backward_batch`) over rows of one stack: a
+mini-batch when training, chunks of a whole sample set when predicting
 (`evaluate_params`), and a batch of one for a single request
 (`predict_prefill`, `predict_total`, `predict_sample`).  `train_tower`
 allocates one `gnn.Workspace` for its mini-batches and one for validation,
-gathers each mini-batch's node rows straight into the first
-(`Workspace.gather`), and steps Adam over the tower's flat parameter buffer
-with the flat gradient, so a training step allocates no large array.  The
-per-sample reference pass and trainer the tests compare against live in
+gathers each mini-batch's rows of the `gnn.c0_stack` that `_prepare` built
+once straight into the first (`Workspace.gather`), and steps Adam over the
+flat parameters with the flat gradient, so a step allocates no large array.
+The per-sample reference pass and trainer the tests compare against live in
 `tests/gnn_reference.py`.  Training is bit-deterministic for a fixed seed:
 splits, shuffles, and init all come from one seeded generator, and a batch
 stacks its samples in sorted index order.
@@ -263,11 +263,11 @@ class _Row(NamedTuple):
 
 class _TowerSet(Record):
     """One tower's labelled inputs over a sample set, stacked in sample order,
-    with the one `preds` of the canonical layer graph.  The node features
-    are stored as a `gnn.c0_stack`, so a mini-batch gathers straight into a
-    workspace.  Indexing and iteration give per-sample rows."""
+    with the `preds` of the decoder-layer graph.  The node features are stored
+    as a `gnn.c0_stack`, so a mini-batch gathers straight into a workspace.
+    Indexing and iteration give per-sample rows."""
 
-    c0: np.ndarray  # (S, 12, 2 * node_dim): h0 in the leading columns
+    c0: np.ndarray  # (S, 12, 2 * node_dim): h0, then its neighbor means
     g: np.ndarray  # (S, glob_dim)
     log_target: np.ndarray  # (S,)
     target_j: np.ndarray  # (S,)
@@ -326,7 +326,7 @@ def _tower_predictions(
     out = np.empty(len(h0))
     for start in range(0, len(h0), _PREDICT_BATCH):
         rows = slice(start, start + _PREDICT_BATCH)
-        y, _ = forward_batch(tower, h0[rows], LAYER_PREDS, g[rows], workspace)
+        y, _ = forward_batch(tower, h0[rows], g[rows], workspace)
         with np.errstate(over="ignore"):  # an inf energy is for the caller to refuse
             out[rows] = np.exp(y)
     return out
@@ -358,7 +358,7 @@ def train_tower(
         for start in range(0, len(order), cfg.batch_size):
             batch = np.sort(order[start:start + cfg.batch_size])
             loss, grad = gathered_loss_and_grads(
-                tower, workspace.gather(train_set.c0, batch, train_set.preds),
+                tower, workspace.gather(train_set.c0, batch),
                 train_set.g[batch], train_set.log_target[batch],
             )
             if not np.isfinite(loss):

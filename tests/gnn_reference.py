@@ -1,7 +1,7 @@
 """Reference predictor: a per-sample GNN pass and a per-sample trainer.
 
 `co2meter.predictor.gnn` has one pass, `forward_batch` / `backward_batch`,
-which stacks samples of one topology and runs a single sample as a batch of
+which stacks decoder-layer samples and runs a single sample as a batch of
 one.  The tests hold it to the per-sample pass here: `forward_tower` and
 `backward_tower` with explicit sorted neighbor sums and mean pooling in node
 order, and `encode_inputs` / `fit_norms` / `fit_norms_single`, which pick

@@ -135,7 +135,8 @@ def test_a_pipeline_file_names_its_config_and_device_by_path(tmp_path):
 
 
 def test_a_file_named_like_a_bundled_asset_is_read_as_a_path(tmp_path, monkeypatch, capsys):
-    """The CLI and the library read a name the same way, in a pipeline too."""
+    """The CLI and the library read a name the same way, in a pipeline too,
+    where the file must sit beside the pipeline file."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rk3588").write_text("not json")
     with pytest.raises(UserInputError) as exc:
@@ -144,5 +145,36 @@ def test_a_file_named_like_a_bundled_asset_is_read_as_a_path(tmp_path, monkeypat
     argv = ["estimate", "--device", "rk3588", "--prompt-len", "8", "--output-len", "8"]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    shutil.copy(assets.asset_root() / "pipelines" / "voice_assistant.json", "beside.json")
     with pytest.raises(UserInputError, match=r"^cannot read device spec rk3588: "):
-        assets.load_demo_pipeline()
+        assets.load_demo_pipeline("beside.json")
+    # the bundled pipeline's directory holds no such file: it reads the bundled board
+    assert assets.load_demo_pipeline().llm.device == load_device_json(
+        assets.asset_root() / "devices" / "rk3588.json")
+
+
+@pytest.mark.parametrize("config, device", [("cfg.json", "dev.json"), ("cfg", "dev")],
+                         ids=["relative.json", "bare-file"])
+@pytest.mark.parametrize("cwd", ["parent", "sub"])
+def test_a_pipeline_file_reads_relative_paths_against_its_directory(
+        tmp_path, monkeypatch, capsys, cwd, config, device):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    shutil.copy(assets.asset_root() / "llm_configs" / "tinyllama-11b.json", sub / config)
+    shutil.copy(assets.asset_root() / "devices" / "orin_nx.json", sub / device)
+    doc = json.loads((assets.asset_root() / "pipelines" / "voice_assistant.json").read_text())
+    absolute = tmp_path / "absolute.json"
+    absolute.write_text(json.dumps({**doc, "llm": {**doc["llm"], "config": str(sub / config),
+                                                   "device": str(sub / device)}}))
+    doc["llm"].update(config=config, device=device)
+    (sub / "p.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path if cwd == "parent" else sub)
+    path = "sub/p.json" if cwd == "parent" else "p.json"
+    assert cli.main(["pipeline", "--pipeline", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert cli.main(["pipeline", "--pipeline", str(absolute)]) == 0
+    assert capsys.readouterr() == (out, "")
+    llm = assets.load_demo_pipeline(path).llm
+    assert llm.config == load_config_json(sub / config)
+    assert llm.device == load_device_json(sub / device)

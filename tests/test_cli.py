@@ -1053,7 +1053,8 @@ _PARSE_TABLE = {
 
 
 def _parse_cases() -> list[list[str]]:
-    """Per subcommand: the defaults, every flag set once, help, a missing
+    """Per subcommand: the defaults, every flag set once (with --seed, which
+    only dataset, train and eval take, and without it), help, a missing
     required argument, the refused values, a bad --format, unknown flags and
     stray positionals; then argv that names no subcommand first."""
     cases = [[], ["-h"], ["bogus"], ["--seed", "1", "estimate"]]
@@ -1061,6 +1062,7 @@ def _parse_cases() -> list[list[str]]:
         cases += [
             [command, *required],
             [command, *required, *flags, "--seed", "7", "--format", "csv", "--out", "o.txt"],
+            [command, *required, *flags, "--format", "csv", "--out", "o.txt"],
             [command, "-h"],
             [command, *required, "--help", "--bogus"],
             [command, *required[2:]],
@@ -1092,6 +1094,27 @@ def test_parse_equals_the_full_parser(capsys, argv):
         assert got == want
     else:
         assert vars(got) == {k: v for k, v in vars(want).items() if k != "command"}
+
+
+_SEEDED = ("dataset", "train", "eval")  # the subcommands that read --seed
+
+
+@pytest.mark.parametrize("command", [c for c in _PARSE_TABLE if c not in _SEEDED])
+def test_seed_is_refused_where_no_subcommand_reads_it(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *_PARSE_TABLE[command][0], "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "co2meter: error: unrecognized arguments: --seed 1"
+    ]
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+def test_seed_defaults_to_42_where_it_is_read(command):
+    args = cli._parse([command, *_PARSE_TABLE[command][0]])
+    assert args.seed == 42
+    assert cli._parse([command, *_PARSE_TABLE[command][0], "--seed", "7"]).seed == 7
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

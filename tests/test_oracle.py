@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from co2meter import assets, cli
@@ -379,6 +379,19 @@ def test_decode_energy_strictly_increases_with_output_len(cfg, req, dev):
     longer = Request(req.prompt_len, req.output_len + 1)
     (_, decode_j), (_, longer_j) = (request_energy(cfg, r, dev) for r in (req, longer))
     assert longer_j > decode_j
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs(), requests, devices())
+def test_total_energy_does_not_fall_when_the_prompt_grows(cfg, req, dev):
+    longer = Request(req.prompt_len + 1, req.output_len)
+    try:
+        shorter_j, longer_j = (sum(request_energy(cfg, r, dev)) for r in (req, longer))
+    except UserInputError as exc:
+        if "DRAM" not in str(exc):
+            raise
+        reject()  # the request does not fit the device's memory
+    assert longer_j >= shorter_j
 
 
 def test_bundled_configs_and_devices_match_reference():

@@ -60,9 +60,9 @@ from test_oracle import devices as random_devices
 from test_oracle import requests as random_requests
 from co2meter.predictor import training
 from co2meter.predictor.gnn import (
+    AGGREGATION,
     FeatureNorms,
     Workspace,
-    _aggregation_matrix,
     backward_batch,
     c0_stack,
     fit_feature_norms,
@@ -80,7 +80,6 @@ from co2meter.workload import (
     LAYER_PREDS,
     LayerGraph,
     Request,
-    in_neighbor_lists,
     with_prefill_energy,
 )
 
@@ -146,15 +145,63 @@ def _reference_forward(tower, h0, preds, g):
 def test_forward_matches_scalar_reference():
     rng = np.random.default_rng(3)
     tower = init_tower(rng, node_dim=2, glob_dim=1)
-    h0 = rng.normal(size=(4, 2))
-    # node 3 has three in-neighbours, a mean no layer graph takes; their sum in
-    # column 0 depends on the order, (1 + 1e-16) + 1e-16 == 1 but
-    # (1e-16 + 1e-16) + 1 > 1, so the pass meets the sorted reference to 1e-12
-    h0[:3, 0] = (1.0, 1e-16, 1e-16)
-    preds = ((), (0,), (0, 1), (0, 1, 2))
+    h0 = rng.normal(size=(len(LAYER_PREDS), 2))
     g = np.array([0.7])
-    y, _ = forward_tower(tower, h0, preds, g)
-    assert y == pytest.approx(_reference_forward(tower, h0, preds, g), rel=1e-12)
+    y, _ = forward_tower(tower, h0, LAYER_PREDS, g)
+    assert y == pytest.approx(_reference_forward(tower, h0, LAYER_PREDS, g), rel=1e-12)
+
+
+@pytest.mark.parametrize("preds", [
+    LAYER_PREDS[:-1],
+    ((),) * len(LAYER_PREDS),
+    ((1,), *LAYER_PREDS[1:]),
+], ids=["eleven nodes", "no edges", "one edge moved"])
+def test_single_sample_passes_refuse_a_graph_other_than_the_decoder_layer(preds):
+    tower = init_tower(np.random.default_rng(0), NODE_FEATURE_DIM, GLOBAL_DIM)
+    h0 = np.zeros((len(preds), NODE_FEATURE_DIM))
+    g = np.zeros(GLOBAL_DIM)
+    with pytest.raises(ValueError, match="decoder-layer topology"):
+        forward_tower(tower, h0, preds, g)
+    with pytest.raises(ValueError, match="decoder-layer topology"):
+        grad_check(tower, h0, preds, g, 0.0)
+    # the decoder layer's own, as lists, passes
+    assert np.isfinite(forward_tower(tower, np.zeros((12, NODE_FEATURE_DIM)),
+                                     [list(ps) for ps in LAYER_PREDS], g)[0])
+
+
+@given(
+    st.integers(1, 20),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.9),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_c0_stack_holds_h0_and_the_reference_neighbor_means(size, seed, zero_share, scale):
+    rng = np.random.default_rng(seed)
+    h0 = scale * rng.normal(size=(size, 12, NODE_FEATURE_DIM))
+    h0[rng.random(h0.shape) < zero_share] = 0.0
+    stack = c0_stack(h0)
+    assert stack.shape == (size, 12, 2 * NODE_FEATURE_DIM)
+    junk = np.full((size + 1, 12, 2 * NODE_FEATURE_DIM), np.nan)
+    assert np.shares_memory(c0_stack(h0, out=junk[1:]), junk)
+    for s in range(size):
+        assert np.array_equal(stack[s, :, :NODE_FEATURE_DIM], h0[s])
+        assert np.array_equal(stack[s, :, NODE_FEATURE_DIM:],
+                              gnn_reference.neighbor_mean(h0[s], LAYER_PREDS))
+        # built whole, into a workspace-like view, or sample by sample: the same bits
+        assert np.array_equal(stack[s], c0_stack(h0[s:s + 1])[0])
+        assert np.array_equal(stack[s], junk[s + 1])
+
+
+def test_aggregation_matrix_is_the_read_only_layer_mean():
+    assert AGGREGATION.shape == (len(LAYER_PREDS),) * 2
+    assert not AGGREGATION.flags.writeable
+    with pytest.raises(ValueError):
+        AGGREGATION[0, 0] = 1.0
+    has_preds = [len(ps) > 0 for ps in LAYER_PREDS]
+    assert np.allclose(AGGREGATION.sum(axis=1)[has_preds], 1.0)
+    assert not AGGREGATION[[not h for h in has_preds]].any()
+    assert np.array_equal(AGGREGATION, gnn_reference.aggregation_matrix(12, LAYER_PREDS))
 
 
 @given(
@@ -174,14 +221,14 @@ def test_batched_pass_equals_reference_row_by_row(batch, seed, zero_share, scale
     h0[rng.random(h0.shape) < zero_share] = 0.0
     g = rng.normal(size=(batch, GLOBAL_DIM))
     dy = rng.normal(size=batch)
-    y, cache = forward_batch(tower, h0, LAYER_PREDS, g)
+    y, cache = forward_batch(tower, h0, g)
     want_y, want_grads = [], []
     for b in range(batch):
         ref_y, ref_cache = gnn_reference.forward_tower(tower, h0[b], LAYER_PREDS, g[b])
         want_y.append(ref_y)
         want_grads.append(gnn_reference.backward_tower(tower, ref_cache, dy[b]))
         # each row as a batch of one: the reference's bits
-        row_y, row_cache = forward_batch(tower, h0[b:b + 1], LAYER_PREDS, g[b:b + 1])
+        row_y, row_cache = forward_batch(tower, h0[b:b + 1], g[b:b + 1])
         assert row_y[0] == ref_y
         grads = tower.views(backward_batch(tower, row_cache, dy[b:b + 1]))
         for k, want in want_grads[-1].items():
@@ -223,9 +270,9 @@ def test_reused_workspace_pass_is_bit_identical_to_a_fresh_one(seed, sizes, junk
         h0[rng.random(h0.shape) < 0.3] = 0.0
         g = rng.normal(size=(batch, GLOBAL_DIM))
         dy = rng.normal(size=batch)
-        y, cache = forward_batch(tower, h0, LAYER_PREDS, g, workspace)
+        y, cache = forward_batch(tower, h0, g, workspace)
         grad = backward_batch(tower, cache, dy)
-        want_y, want_cache = forward_batch(tower, h0, LAYER_PREDS, g)
+        want_y, want_cache = forward_batch(tower, h0, g)
         assert np.array_equal(y, want_y), batch
         assert np.array_equal(grad, backward_batch(tower, want_cache, dy)), batch
         assert np.shares_memory(grad, workspace.grad)
@@ -248,9 +295,9 @@ def test_gathered_batch_is_bit_identical_to_a_copied_one(seed, sizes):
     for size in sizes:
         rows = np.sort(rng.choice(len(h0), size, replace=False))
         loss, grad = gathered_loss_and_grads(
-            tower, workspace.gather(stack, rows, LAYER_PREDS), g[rows], log_target[rows]
+            tower, workspace.gather(stack, rows), g[rows], log_target[rows]
         )
-        y, cache = forward_batch(tower, h0[rows], LAYER_PREDS, g[rows])
+        y, cache = forward_batch(tower, h0[rows], g[rows])
         err = y - log_target[rows]
         want_loss, want_grad = float(err @ err), backward_batch(tower, cache, 2.0 * err)
         assert loss == want_loss, size
@@ -294,14 +341,6 @@ def test_predictions_positive_and_finite_at_init(dataset20):
         prefill_j, total_j = predict_sample(params, sample)
         assert prefill_j > 0 and np.isfinite(prefill_j)
         assert total_j > 0 and np.isfinite(total_j)
-
-
-def test_aggregation_matrix_is_shared_and_read_only(dataset20):
-    preds = in_neighbor_lists(dataset20[0].prefill_graph)
-    matrix = _aggregation_matrix(len(preds), preds)
-    assert _aggregation_matrix(len(preds), preds) is matrix
-    assert not matrix.flags.writeable
-    assert np.allclose(matrix[[len(p) > 0 for p in preds]].sum(axis=1), 1.0)
 
 
 def test_predict_sample_equals_manual_chaining(dataset20):
@@ -542,7 +581,7 @@ def test_batched_pass_matches_per_sample_reference(dataset20, batch, relabel):
     rows = np.array(batch)
     workspace = Workspace.allocate(tower, len(rows), prepared.h0.shape[1])
     loss, grads = gathered_loss_and_grads(
-        tower, workspace.gather(prepared.c0, rows, prepared.preds),
+        tower, workspace.gather(prepared.c0, rows),
         prepared.g[rows], prepared.log_target[rows],
     )
     want_loss, want_grads = gnn_reference.batch_loss_and_grads(tower, reference, batch)
