@@ -4,7 +4,8 @@
 
 `write_dataset_jsonl` and `read_dataset_jsonl` of the set `train_eval`
 generates in its set-up: 200 trace-sampler samples over the three bundled
-configs on rk3588 and orin_nx, one format-2 line per sample.
+configs on rk3588 and orin_nx, one format-3 line per sample; reading
+rebuilds each sample's features with `featurize`.
 """
 
 import pytest

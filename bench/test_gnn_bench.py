@@ -59,7 +59,7 @@ def test_batch_forward_backward(benchmark, prepared):
     params, train_set = prepared
     rows = np.arange(32)
     g, log_target = train_set.g[rows], train_set.log_target[rows]
-    workspace = Workspace.allocate(params.prefill, len(rows), train_set.h0.shape[1])
+    workspace = Workspace.allocate(params.prefill, len(rows))
 
     def step():
         ws = workspace.gather(train_set.c0, rows)

@@ -27,7 +27,6 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from . import assets
@@ -71,7 +70,8 @@ def _emit(args: argparse.Namespace, doc: dict, header, rows) -> None:
     else:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "wb") as fh:  # one buffered write, no text-mode layer
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
 

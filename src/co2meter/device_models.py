@@ -441,8 +441,8 @@ def load_samples_csv(path: str | Path) -> list[MeasurementSample]:
     """Read `kind,predictor,duration_s,observed` rows; errors carry line numbers."""
     samples = []
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_bytes().decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UserInputError(f"cannot read samples file {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
     header = next(reader, None)

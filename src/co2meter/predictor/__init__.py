@@ -8,11 +8,12 @@ from .data import (
     NUMERIC_NODE_FEATURES,
     GraphSample,
     PredictorInputs,
+    featurize,
     globals_vector,
+    measured_sample,
     node_feature_matrix,
     node_feature_tensor,
     read_dataset_jsonl,
-    sample_from_json,
     sample_to_json,
     split_indices,
     write_dataset_jsonl,
@@ -55,7 +56,6 @@ from .training import (
     train_single_phase,
 )
 from .oracle import (
-    featurize,
     gen_oracle_dataset,
     make_sample,
     request_energy,

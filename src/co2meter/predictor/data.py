@@ -1,9 +1,9 @@
 """Training samples for the energy predictor: featurization and JSONL I/O.
 
-A GraphSample is one inference request measured on one device.  It carries
-phase-specific inputs — the prefill kernel graph with prefill-phase globals,
-and the decode-representative kernel graph (mid-sequence position) with
-whole-request globals — plus the measured prefill and total energies.
+A GraphSample is one request measured on one device: the LLM config, the
+device, the measured prefill and total energies, and the phase inputs
+`featurize` builds from them — the prefill kernel graph with prefill-phase
+globals, and the mid-sequence decode graph with whole-request globals.
 
 Every `LayerGraph` holds its 12 kernels' rows in canonical node order, so the
 node features of S graphs are one (S, 12, NODE_FEATURE_DIM) table
@@ -11,31 +11,36 @@ node features of S graphs are one (S, 12, NODE_FEATURE_DIM) table
 intensity column computed from them, then the kind one-hot, one constant
 block.
 
-Datasets are JSONL, one sample per line, in format version 2.  Each line is
-a JSON object with sorted keys: `"version": 2`, `device_id`, the two labels
-(`label_prefill_j`, `label_total_j`), `prefill_globals` / `total_globals`
-(the `GlobalFeatures` fields by name) and `prefill_graph` / `decode_graph`,
-each `{"phase": ..., "rows": [...]}` with 12 rows of the six `COUNT_FIELDS`
-then `est_time_s`, in `LAYER_KINDS` order.  A graph is checked in one pass
-over its rows: anything but 12 rows of 7, counts that are exact
-non-negative integers and a non-negative `est_time_s`, all of which a float
-can hold, is refused with path and line, as are global features and labels
-that are no finite JSON numbers (the `errors` rule) or are negative.
-Version 1 lines (24 keyed node dicts and 13 edges per sample, no
-`version`) are refused with a hint to re-run `co2meter dataset`.
+Datasets are JSONL in format version 3, one measurement per line: a JSON
+object with sorted keys `"version": 3`, `config`, `device`, `prompt_len`,
+`output_len`, `label_prefill_j` and `label_total_j`.  The writer inlines the
+config and the device as objects of the fields `workload.config_from_json` /
+`device_from_json` read, so a file keeps its features when a bundled asset
+changes; a hand-written line may name either as `assets` does, a path being
+read against the dataset file's directory.  The reader resolves each distinct
+`config` and `device` once and rebuilds the predictor inputs with
+`featurize`.  It refuses, with path and line, a missing or extra key, a
+length that is not an integer >= 1, a label that is no finite positive JSON
+number or a prefill label above the total, an unknown or malformed config or
+device, and a request that overflows the device's DRAM.  Format 1 and 2
+lines, which held the features instead, get a hint to re-run `co2meter dataset`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import (Positive, Record, UserInputError, check_range, json_int, json_name,
-                      json_number)
-from ..workload import KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, GlobalFeatures, LayerGraph
+from .. import assets
+from ..errors import (Positive, Record, UserInputError, check_range, json_int, json_number,
+                      json_object)
+from ..workload import (KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, DeviceSpec, GlobalFeatures,
+                        LayerGraph, LlmConfig, Request, check_fits_dram, config_from_json,
+                        device_from_json, global_features, layer_rows, timed_rows)
 
 NUMERIC_NODE_FEATURES = (
     "flops",
@@ -48,18 +53,15 @@ NUMERIC_NODE_FEATURES = (
     "arithmetic_intensity",
 )
 
-# The `GlobalFeatures` fields of the global feature vector, in its order, with
-# their type: a dataset line holds each by name, integers as exact ints.
-_GLOBAL_FIELDS = (
-    ("total_ops", float), ("layer_count", int), ("hidden_dim", int), ("ffn_dim", int),
-    ("prompt_len", int), ("output_len", int), ("weight_memory_bytes", float),
-    ("kv_cache_bytes", float),
-)
-GLOBAL_FEATURE_NAMES = (*(name for name, _ in _GLOBAL_FIELDS), "phase_flag")
+# The global feature vector: `GlobalFeatures` fields, then the phase flag.
+GLOBAL_FEATURE_NAMES = ("total_ops", "layer_count", "hidden_dim", "ffn_dim", "prompt_len",
+                        "output_len", "weight_memory_bytes", "kv_cache_bytes", "phase_flag")
 
 NODE_FEATURE_DIM = len(NUMERIC_NODE_FEATURES) + len(KERNEL_KINDS)
 GLOBAL_DIM = len(GLOBAL_FEATURE_NAMES)
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+_LINE_KEYS = frozenset(("version", "config", "device", "prompt_len", "output_len",
+                        "label_prefill_j", "label_total_j"))
 
 # The kind one-hot of the layer's nodes in canonical order.
 _KIND_ONE_HOT = np.eye(len(KERNEL_KINDS))[[KERNEL_KINDS.index(k) for k in LAYER_KINDS]]
@@ -85,9 +87,10 @@ class PredictorInputs(Record):
 
 
 class GraphSample(PredictorInputs):
-    """Predictor inputs with the device and the measured phase energies."""
+    """Predictor inputs, the config and device they came from, and measured energies."""
 
-    device_id: str
+    config: LlmConfig
+    device: DeviceSpec
     label_prefill_j: Positive
     label_total_j: Positive
 
@@ -95,6 +98,33 @@ class GraphSample(PredictorInputs):
         super().__post_init__()
         if self.label_prefill_j > self.label_total_j:
             raise ValueError("labels must satisfy prefill <= total")
+
+    @property
+    def device_id(self) -> str:
+        return self.device.name
+
+
+def featurize(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> PredictorInputs:
+    """Roofline-timed prefill and mid-decode graphs with their globals;
+    raises UserInputError like `kernel_costs` when the request overflows DRAM.
+    The prefill count rows are built once, for the graph and both globals."""
+    check_fits_dram(cfg, req, dev)
+    prefill_rows = layer_rows(cfg, req, "prefill")
+    prefill_ops = sum(row[0] for row in prefill_rows)
+    return PredictorInputs(
+        LayerGraph(rows=timed_rows(prefill_rows, dev), phase="prefill"),
+        global_features(cfg, req, "prefill", prefill_ops),
+        LayerGraph(rows=timed_rows(layer_rows(cfg, req, "decode"), dev), phase="decode"),
+        global_features(cfg, req, "total", prefill_ops),
+    )
+
+
+def measured_sample(cfg: LlmConfig, req: Request, dev: DeviceSpec,
+                    label_prefill_j: float, label_total_j: float) -> GraphSample:
+    """The sample of one measurement: `featurize`'s inputs and the labels."""
+    x = featurize(cfg, req, dev)
+    return GraphSample(x.prefill_graph, x.prefill_globals, x.decode_graph, x.total_globals,
+                       cfg, dev, label_prefill_j, label_total_j)
 
 
 def node_feature_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:
@@ -119,7 +149,8 @@ def node_feature_matrix(graph: LayerGraph) -> np.ndarray:
 def globals_vector(gf: GlobalFeatures) -> np.ndarray:
     """Raw global feature vector (the prefill-energy slot is not part of it)."""
     phase_flag = 0.0 if gf.phase == "prefill" else 1.0
-    return np.array([*(float(getattr(gf, name)) for name, _ in _GLOBAL_FIELDS), phase_flag])
+    return np.array([*(float(getattr(gf, name)) for name in GLOBAL_FEATURE_NAMES[:-1]),
+                     phase_flag])
 
 
 def split_indices(
@@ -144,73 +175,58 @@ def split_indices(
 # JSONL serialization
 
 
-def _graph_to_json(graph: LayerGraph) -> dict:
-    return {"phase": graph.phase, "rows": graph.rows}
-
-
-def _graph_from_json(doc: Mapping, name: str) -> LayerGraph:
-    try:
-        return LayerGraph(rows=doc["rows"], phase=doc["phase"])
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
-
-
-def _globals_to_json(gf: GlobalFeatures) -> dict:
-    return {**{name: getattr(gf, name) for name, _ in _GLOBAL_FIELDS}, "phase": gf.phase}
-
-
-def _global_from_json(value: object, name: str, kind: type) -> int | float:
-    """A global feature field: a number a float can hold, an exact int where
-    the field is one."""
-    if kind is int:
-        json_int(value, name)
-    return kind(json_number(value, name))
-
-
-def _globals_from_json(doc: Mapping, field: str) -> GlobalFeatures:
-    try:
-        return GlobalFeatures(
-            **{name: _global_from_json(doc[name], name, kind) for name, kind in _GLOBAL_FIELDS},
-            phase=doc["phase"],
-        )
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from exc
-
-
 def sample_to_json(sample: GraphSample) -> dict:
-    """The format-version-2 line of a sample."""
+    """The format-3 line of a sample: its measurement, config and device inline."""
     return {
         "version": FORMAT_VERSION,
-        "device_id": sample.device_id,
-        "prefill_graph": _graph_to_json(sample.prefill_graph),
-        "prefill_globals": _globals_to_json(sample.prefill_globals),
-        "decode_graph": _graph_to_json(sample.decode_graph),
-        "total_globals": _globals_to_json(sample.total_globals),
+        "config": {name: getattr(sample.config, name) for name in LlmConfig._fields},
+        "device": {name: getattr(sample.device, name) for name in DeviceSpec._fields},
+        "prompt_len": sample.total_globals.prompt_len,
+        "output_len": sample.total_globals.output_len,
         "label_prefill_j": sample.label_prefill_j,
         "label_total_j": sample.label_total_j,
     }
 
 
-def sample_from_json(doc: Mapping) -> GraphSample:
+# How a line's `config` / `device` is read: an object, or a name or path.
+_RESOLVERS = {"config": (config_from_json, assets.load_llm_config),
+              "device": (device_from_json, assets.load_device)}
+
+
+def _resolve(key: str, value: object, base: str, seen: dict) -> LlmConfig | DeviceSpec:
+    """The config or device a line's value gives, read once per distinct value
+    of a file: `seen` is keyed on the value's repr, which tells 1, 1.0 and
+    true apart where the values themselves compare equal."""
+    token = (key, repr(value))
+    if token not in seen:
+        from_json, load = _RESOLVERS[key]
+        seen[token] = (load(value, base) if isinstance(value, str)
+                       else from_json(json_object(value, key)))
+    return seen[token]
+
+
+def _sample_from_json(doc: object, base: str, seen: dict) -> GraphSample:
+    """The sample of one parsed line; UserInputError for a line that is not
+    format 3 or breaks one of its rules."""
     try:
-        version = doc["version"] if "version" in doc else None
+        doc = json_object(doc, "dataset line")
+        version = doc.get("version")
         if type(version) is not int or version != FORMAT_VERSION:
             found = "no version (format 1)" if version is None else f"version {version!r}"
-            raise UserInputError(
-                f"dataset line has {found}, expected version {FORMAT_VERSION};"
-                " re-run `co2meter dataset` to write it"
-            )
-        return GraphSample(
-            device_id=json_name(doc["device_id"], "device_id"),
-            prefill_graph=_graph_from_json(doc["prefill_graph"], "prefill_graph"),
-            prefill_globals=_globals_from_json(doc["prefill_globals"], "prefill_globals"),
-            decode_graph=_graph_from_json(doc["decode_graph"], "decode_graph"),
-            total_globals=_globals_from_json(doc["total_globals"], "total_globals"),
-            label_prefill_j=float(json_number(doc["label_prefill_j"], "label_prefill_j")),
-            label_total_j=float(json_number(doc["label_total_j"], "label_total_j")),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise UserInputError(f"malformed graph sample: {exc}") from exc
+            raise UserInputError(f"dataset line has {found}, expected version {FORMAT_VERSION};"
+                                 " re-run `co2meter dataset` to write it")
+        if doc.keys() != _LINE_KEYS:
+            missing, extra = sorted(_LINE_KEYS - doc.keys()), sorted(doc.keys() - _LINE_KEYS)
+            raise UserInputError(f"dataset line keys: missing {missing}, unexpected {extra}")
+        req = Request(json_int(doc["prompt_len"], "prompt_len"),
+                      json_int(doc["output_len"], "output_len"))
+        labels = (json_number(doc["label_prefill_j"], "label_prefill_j"),
+                  json_number(doc["label_total_j"], "label_total_j"))
+        cfg = _resolve("config", doc["config"], base, seen)
+        dev = _resolve("device", doc["device"], base, seen)
+        return measured_sample(cfg, req, dev, *map(float, labels))
+    except ValueError as exc:
+        raise UserInputError(f"malformed dataset line: {exc}") from exc
 
 
 def write_dataset_jsonl(path: str | Path, samples: Iterable[GraphSample]) -> None:
@@ -221,12 +237,14 @@ def write_dataset_jsonl(path: str | Path, samples: Iterable[GraphSample]) -> Non
 
 
 def read_dataset_jsonl(path: str | Path) -> list[GraphSample]:
-    samples = []
+    """The samples of a format-3 dataset file; UserInputError naming the file,
+    and the line where there is one, for anything it refuses."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_bytes().decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UserInputError(f"cannot read dataset {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    base, seen, samples = os.path.dirname(path), {}, []
+    for lineno, line in enumerate(text.split("\n"), start=1):  # not at U+2028 & co.
         if not line.strip():
             continue
         try:
@@ -234,7 +252,7 @@ def read_dataset_jsonl(path: str | Path) -> list[GraphSample]:
         except (ValueError, RecursionError) as exc:  # bad JSON, a huge int, deep nesting
             raise UserInputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:
-            samples.append(sample_from_json(doc))
+            samples.append(_sample_from_json(doc, base, seen))
         except UserInputError as exc:
             raise UserInputError(f"{path}:{lineno}: {exc}") from exc
     return samples

@@ -247,32 +247,39 @@ def normalize_globals(raw: np.ndarray, norms: FeatureNorms, phase: str) -> np.nd
 AGGREGATION = np.array([[(p in ps) / len(ps) if ps else 0.0 for p in range(len(LAYER_PREDS))]
                         for ps in LAYER_PREDS])
 AGGREGATION.setflags(write=False)
+_NODES = len(LAYER_PREDS)
 
 _ROW_BUFFERS = ("c0", "c1", "h2", "zh", "u", "dc1", "dz2", "dz1", "mask")
 
 
+def _check_nodes(stack: np.ndarray) -> None:
+    if stack.ndim != 3 or stack.shape[1] != _NODES:
+        raise ValueError(f"stack of shape {stack.shape}: the decoder layer "
+                         f"(workload.LAYER_PREDS) has {_NODES} nodes")
+
+
 class Workspace(Record, frozen=False):
-    """Buffers of one tower's batched pass over up to B samples of N nodes.
+    """Buffers of one tower's batched pass over up to B decoder-layer samples.
 
     `forward_batch` fills the activations and `backward_batch` the gradient
     buffers and `grad`, each with `out=`, so a workspace reused across
     mini-batches makes a training step allocate no large array.  A pass over
     fewer than B samples uses the leading rows (`head`)."""
 
-    c0: np.ndarray  # (B, N, 2 * node_dim): [h0 ; neighbor mean of h0]
-    c1: np.ndarray  # (B, N, 2 * hidden): [h1 ; neighbor mean of h1]
-    h2: np.ndarray  # (B, N, hidden)
+    c0: np.ndarray  # (B, 12, 2 * node_dim): [h0 ; neighbor mean of h0]
+    c1: np.ndarray  # (B, 12, 2 * hidden): [h1 ; neighbor mean of h1]
+    h2: np.ndarray  # (B, 12, hidden)
     zh: np.ndarray  # (B, hidden + glob_dim): [pooled h2 ; globals]
     u: np.ndarray  # (B, hidden): head activations
-    dc1: np.ndarray  # (B, N, 2 * hidden): gradient of c1
-    dz2: np.ndarray  # (B, N, hidden): gradient of layer 2's pre-activation
-    dz1: np.ndarray  # (B, N, hidden): gradient of layer 1's pre-activation
-    mask: np.ndarray  # (B, N, hidden) bool: where an activation is positive
+    dc1: np.ndarray  # (B, 12, 2 * hidden): gradient of c1
+    dz2: np.ndarray  # (B, 12, hidden): gradient of layer 2's pre-activation
+    dz1: np.ndarray  # (B, 12, hidden): gradient of layer 1's pre-activation
+    mask: np.ndarray  # (B, 12, hidden) bool: where an activation is positive
     grad: np.ndarray  # (n_params,): flat gradient, laid out like TowerParams.flat
 
     @classmethod
-    def allocate(cls, tower: TowerParams, rows: int, n_nodes: int) -> "Workspace":
-        nodes = (rows, n_nodes)
+    def allocate(cls, tower: TowerParams, rows: int) -> "Workspace":
+        nodes = (rows, _NODES)
         return cls(
             c0=np.empty((*nodes, tower.w1.shape[1])),
             c1=np.empty((*nodes, 2 * HIDDEN_DIM)),
@@ -298,6 +305,7 @@ class Workspace(Record, frozen=False):
         """The head holding the samples at `rows` of a `c0_stack`, copied
         straight into `c0`: one copy of the node rows per mini-batch.  The
         rows must be in range (a permutation's are)."""
+        _check_nodes(stack)
         ws = self.head(len(rows))
         # mode="clip" into a contiguous `out` writes in place; "raise" would
         # copy through a temporary
@@ -337,10 +345,10 @@ def forward_batch(
     as the cache `backward_batch` reads.  Only post-ReLU activations are
     kept: h > 0 exactly where the pre-activation is > 0.
     """
-    batch, n = h0.shape[:2]
+    _check_nodes(h0)
     if workspace is None:
-        workspace = Workspace.allocate(tower, batch, n)
-    ws = workspace.head(batch)
+        workspace = Workspace.allocate(tower, len(h0))
+    ws = workspace.head(len(h0))
     c0_stack(h0, out=ws.c0)
     return _forward_head(tower, ws, g), ws
 

@@ -13,34 +13,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import UserInputError, check_range
-from ..workload import (
-    DeviceSpec,
-    LayerGraph,
-    LlmConfig,
-    Request,
-    check_fits_dram,
-    global_features,
-    layer_rows,
-    request_energy,
-    timed_rows,
-)
-from .data import GraphSample, PredictorInputs
+from ..workload import DeviceSpec, LlmConfig, Request, request_energy
+from .data import GraphSample, measured_sample
 
 RequestSampler = Callable[[np.random.Generator], Request]
-
-
-def featurize(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> PredictorInputs:
-    """Roofline-timed prefill and mid-decode graphs with their globals;
-    raises UserInputError like `kernel_costs` when the request overflows DRAM."""
-    check_fits_dram(cfg, req, dev)
-    prefill, decode = (
-        LayerGraph(rows=timed_rows(layer_rows(cfg, req, phase), dev), phase=phase)
-        for phase in ("prefill", "decode")
-    )
-    return PredictorInputs(
-        prefill, global_features(cfg, req, "prefill"),
-        decode, global_features(cfg, req, "total"),
-    )
 
 
 def sample_trace_request(rng: np.random.Generator) -> Request:
@@ -68,8 +44,7 @@ def make_sample(
     rng: np.random.Generator,
     noise_sigma: float,
 ) -> GraphSample:
-    """One labeled sample; graphs carry device roofline times as features."""
-    inputs = featurize(cfg, req, dev)
+    """One labeled sample: the oracle's phase energies times log-normal noise."""
     clean_prefill, clean_decode = request_energy(cfg, req, dev)
     with np.errstate(over="ignore"):  # GraphSample refuses the infinite label
         noise = (
@@ -79,12 +54,7 @@ def make_sample(
         )
     label_prefill = clean_prefill * noise[0]
     label_total = label_prefill + clean_decode * noise[1]
-    return GraphSample(
-        **vars(inputs),
-        device_id=dev.name,
-        label_prefill_j=float(label_prefill),
-        label_total_j=float(label_total),
-    )
+    return measured_sample(cfg, req, dev, float(label_prefill), float(label_total))
 
 
 def gen_oracle_dataset(

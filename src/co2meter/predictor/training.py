@@ -313,7 +313,7 @@ def fit_norms(data: Sequence[GraphSample] | SampleTable) -> FeatureNorms:
 
 
 def _prediction_workspace(tower: TowerParams, h0: np.ndarray) -> Workspace:
-    return Workspace.allocate(tower, min(len(h0), _PREDICT_BATCH), h0.shape[1])
+    return Workspace.allocate(tower, min(len(h0), _PREDICT_BATCH))
 
 
 def _tower_predictions(
@@ -347,9 +347,7 @@ def train_tower(
     tower.bh2[0] = float(np.mean(train_set.log_target))
     flat_params = {"flat": tower.flat}
     adam = Adam(flat_params, cfg.learning_rate)
-    workspace = Workspace.allocate(
-        tower, min(cfg.batch_size, len(train_set)), train_set.h0.shape[1]
-    )
+    workspace = Workspace.allocate(tower, min(cfg.batch_size, len(train_set)))
     val_workspace = _prediction_workspace(tower, val_set.h0) if val_set else None
     history = []
     for epoch in range(cfg.epochs):

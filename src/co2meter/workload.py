@@ -455,10 +455,13 @@ def kv_cache_bytes(cfg: LlmConfig, seq_len: int) -> int:
     return 2 * cfg.num_layers * cfg.hidden_dim * seq_len * cfg.act_bytes
 
 
-def global_features(cfg: LlmConfig, req: Request, phase: str) -> GlobalFeatures:
+def global_features(cfg: LlmConfig, req: Request, phase: str,
+                    prefill_ops: int | None = None) -> GlobalFeatures:
     """Aggregate features for the prefill phase or the whole request; decode
-    is counted at its mid-sequence position, as `layer_rows` defaults to."""
-    prefill_ops = sum(row[0] for row in layer_rows(cfg, req, "prefill"))
+    is counted at its mid-sequence position, as `layer_rows` defaults to.
+    `prefill_ops` (one layer's prefill flops) spares a caller rebuilding them."""
+    if prefill_ops is None:
+        prefill_ops = sum(row[0] for row in layer_rows(cfg, req, "prefill"))
     if phase == "prefill":
         total_ops = prefill_ops * cfg.num_layers
         seq_len = req.prompt_len

@@ -26,6 +26,7 @@ from co2meter.predictor import (
     fit_ridge_globals,
     init_params,
     load_params_json,
+    measured_sample,
     params_from_json,
     predict_sample,
     predict_single_phase,
@@ -35,7 +36,7 @@ from co2meter.predictor import (
     train_single_phase,
 )
 from co2meter.workload import (_LAYER_EDGES, LAYER_KINDS, ROW_FIELDS, Request, load_config_json,
-                               load_device_json)
+                               load_device_json, request_energy)
 from oracle_reference import reference_costs
 
 TRUTH = json.loads(
@@ -1236,64 +1237,54 @@ def _drop(key):
 
 
 _HUGE = 10**400
-# Each malformed field of a format-2 line, with what the error names.
+# Each malformed field of a format-3 line, with what the error names.
 _BAD_SAMPLES = {
-    f"{name}-{value}": (_set(*path, value=value), named)
-    for name, path, named in (
-        ("node flops", ("prefill_graph", "rows", 2, 0), "prefill_graph: row 2 (attn_score) flops"),
-        ("node est_time_s", ("decode_graph", "rows", 5, 6), "decode_graph: row 5 (out_proj) est_"),
-        ("total_ops", ("total_globals", "total_ops"), "total_globals: total_ops"),
-        ("kv_cache_bytes", ("prefill_globals", "kv_cache_bytes"),
-         "prefill_globals: kv_cache_bytes"),
-        ("label_total_j", ("label_total_j",), "label_total_j"),
-    )
+    f"label_total_j-{value}": (_set("label_total_j", value=value),
+                               f"label_total_j {value} is not a finite number")
     for value in (float("nan"), float("inf"))
 }
-# number globals and labels that float() would accept; a device that is no name
+# labels that float() would accept
 _BAD_SAMPLES.update({
-    f"{path[-1]}-{value!r}": (_set(*path, value=value),
-                              f"{': '.join(path)} {value!r} is not a number")
-    for path in (("total_globals", "total_ops"), ("prefill_globals", "weight_memory_bytes"),
-                 ("total_globals", "kv_cache_bytes"), ("label_prefill_j",), ("label_total_j",))
+    f"{key}-{value!r}": (_set(key, value=value), f"{key} {value!r} is not a number")
+    for key in ("label_prefill_j", "label_total_j")
     for value in ("5.0", True)
 })
-_BAD_SAMPLES["device_id-None"] = (_set("device_id", value=None),
-                                  "device_id None is not a non-empty string")
 _BAD_SAMPLES.update({
-    "wrong row count": (lambda doc: doc["decode_graph"]["rows"].pop(), "decode_graph: 11 rows"),
-    "wrong row width": (lambda doc: doc["prefill_graph"]["rows"][0].pop(),
-                        "prefill_graph: row 0 (norm): 6 values, expected 7"),
-    # counts that int() would truncate
-    "fractional kernel count": (_set("decode_graph", "rows", 3, 0, value=1.5),
-                                "decode_graph: row 3 (softmax) flops 1.5 is not an integer"),
-    "bool kernel count": (_set("prefill_graph", "rows", 1, 1, value=True),
-                          "row 1 (qkv_proj) weight_bytes_loaded True is not an integer"),
-    "negative kernel count": (_set("decode_graph", "rows", 2, 4, value=-1),
-                              "row 2 (attn_score) kv_bytes_loaded -1 is negative"),
-    "negative est_time_s": (_set("prefill_graph", "rows", 11, 6, value=-1e-9),
-                            "row 11 (residual) est_time_s -1e-09"),
-    # integers no float can hold, which would overflow in featurization
-    "kernel count beyond float": (
-        _set("prefill_graph", "rows", 2, 0, value=_HUGE),
-        f"prefill_graph: row 2 (attn_score) flops {_HUGE} is not a finite number"),
-    "est_time_s beyond float": (
-        _set("decode_graph", "rows", 5, 6, value=_HUGE),
-        f"decode_graph: row 5 (out_proj) est_time_s {_HUGE} is not a finite number"),
-    "layer_count beyond float": (_set("total_globals", "layer_count", value=_HUGE),
-                                 f"total_globals: layer_count {_HUGE} is not a finite number"),
-    "prefill layer_count beyond float": (
-        _set("prefill_globals", "layer_count", value=_HUGE),
-        f"malformed graph sample: prefill_globals: layer_count {_HUGE} is not a finite number"),
-    "bool est_time_s": (_set("prefill_graph", "rows", 4, 6, value=False),
-                        "row 4 (attn_value) est_time_s False"),
-    # integer fields that int() would truncate
-    "fractional prompt_len": (_set("prefill_globals", "prompt_len", value=122.9),
-                              "prefill_globals: prompt_len"),
-    "bool layer_count": (_set("total_globals", "layer_count", value=True),
-                         "total_globals: layer_count"),
+    "zero label": (_set("label_prefill_j", value=0),
+                   "label_prefill_j must be finite and positive, got 0"),
+    "prefill above total": (_set("label_prefill_j", value=1e9),
+                            "labels must satisfy prefill <= total"),
+    # lengths that int() would truncate, or that make no request
+    "fractional prompt_len": (_set("prompt_len", value=122.9),
+                              "prompt_len 122.9 is not an integer"),
+    "bool output_len": (_set("output_len", value=True), "output_len True is not an integer"),
+    "zero prompt_len": (_set("prompt_len", value=0), "prompt_len and output_len must be >= 1"),
+    "negative output_len": (_set("output_len", value=-3),
+                            "prompt_len and output_len must be >= 1"),
+    "missing key": (_drop("label_total_j"), "missing ['label_total_j'], unexpected []"),
+    "extra key": (_set("device_id", value="rk3588"), "missing [], unexpected ['device_id']"),
+    "device-None": (_set("device", value=None), "device is not a JSON object"),
+    "empty config name": (_set("config", value=""), "no bundled llm_configs asset ''"),
+    "unknown config": (_set("config", value="gpt-x"), "no bundled llm_configs asset 'gpt-x'"),
+    "unknown device": (_set("device", value="pi5"), "no bundled devices asset 'pi5'"),
+    "missing config file": (_set("config", value="nope.json"), "cannot read llm config"),
+    "bool num_layers": (_set("config", "num_layers", value=True),
+                        "num_layers True is not an integer"),
+    "config without num_heads": (lambda doc: doc["config"].pop("num_heads"),
+                                 "malformed llm config: LlmConfig.__init__() missing 1 "
+                                 "required positional argument: 'num_heads'"),
+    "device peak_ops-nan": (_set("device", "peak_ops", value=float("nan")),
+                            "peak_ops nan is not a finite number"),
+    "device idle_power-'5.0'": (_set("device", "idle_power", value="5.0"),
+                                "idle_power '5.0' is not a number"),
+    # requests whose weights and K/V cache no board holds, however large the integer
+    "overflows DRAM": (_set("prompt_len", value=10**6), "bytes of DRAM on rk3588"),
+    "num_layers beyond float": (_set("config", "num_layers", value=_HUGE),
+                                "bytes of DRAM on rk3588"),
     "missing version": (_drop("version"), "no version (format 1)"),
-    "version 1": (_set("version", value=1), "version 1, expected version 2"),
-    "float version": (_set("version", value=2.0), "version 2.0, expected version 2"),
+    "version 1": (_set("version", value=1), "version 1, expected version 3"),
+    "version 2": (_set("version", value=2), "version 2, expected version 3"),
+    "float version": (_set("version", value=3.0), "version 3.0, expected version 3"),
 })
 
 
@@ -1337,6 +1328,23 @@ def test_integer_too_long_to_convert_exits_2_with_its_location(capsys, tmp_path,
     assert err.startswith(f"error: cannot read device spec {spec}: Exceeds the limit"), err
 
 
+def _as_format_2(sample):
+    """A sample as format 2 wrote it: the predictor's inputs, two graphs of
+    12 rows and two global-feature objects, in place of the measurement."""
+    return {
+        "version": 2,
+        "device_id": sample.device_id,
+        **{name: {"phase": graph.phase, "rows": [list(row) for row in graph.rows]}
+           for name, graph in (("prefill_graph", sample.prefill_graph),
+                               ("decode_graph", sample.decode_graph))},
+        **{name: {f: getattr(gf, f) for f in gf._fields if f != "prefill_energy_j"}
+           for name, gf in (("prefill_globals", sample.prefill_globals),
+                            ("total_globals", sample.total_globals))},
+        "label_prefill_j": sample.label_prefill_j,
+        "label_total_j": sample.label_total_j,
+    }
+
+
 def _as_format_1(doc):
     """A format-2 line as format 1 wrote it: 12 keyed node dicts and the 13
     layer edges per graph, no version."""
@@ -1354,18 +1362,70 @@ def _as_format_1(doc):
 
 
 def test_format_1_dataset_exits_2_with_a_hint_to_regenerate(capsys, tmp_path, workdir):
-    lines = (workdir / "tiny.jsonl").read_text().splitlines()
-    path = tmp_path / "v1.jsonl"
-    path.write_text("".join(json.dumps(_as_format_1(json.loads(line)), sort_keys=True) + "\n"
-                            for line in lines))
-    for argv in (
-        ("train", "--dataset", path, "--params-out", tmp_path / "params.json"),
-        ("eval", "--dataset", path, "--params", workdir / "params.json"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), err
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:1: "), err
-        assert "re-run `co2meter dataset`" in err, err
+    """Format 1 and format 2 files, which held the predictor's inputs rather
+    than the measurement, are refused with a hint to regenerate them."""
+    format_2 = [_as_format_2(s) for s in read_dataset_jsonl(workdir / "tiny.jsonl")]
+    for name, docs in (("v1", [_as_format_1(doc) for doc in format_2]), ("v2", format_2)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
+        for argv in (
+            ("train", "--dataset", path, "--params-out", tmp_path / "params.json"),
+            ("eval", "--dataset", path, "--params", workdir / "params.json"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), err
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}:1: "), err
+            assert "re-run `co2meter dataset`" in err, err
+
+
+def test_hand_written_lines_name_their_config_and_device(capsys, tmp_path, monkeypatch):
+    """A measurement line may name its config and device as a bundled asset
+    or a path, read against the dataset file's directory whatever the working
+    directory, and such a set trains."""
+    sub = tmp_path / "sub"
+    (sub / "boards").mkdir(parents=True)
+    shutil.copy(assets.asset_root() / "llm_configs" / "tinyllama-11b.json", sub / "tiny.json")
+    shutil.copy(assets.asset_root() / "devices" / "orin_nx.json", sub / "boards" / "nx.json")
+    picks = (("qwen15-05b", "rk3588"), ("tiny.json", "boards/nx.json"),
+             ("qwen15-05b", "boards/nx.json"), ("tiny.json", "rk3588"))
+    lines, want = [], []
+    for i in range(12):
+        config, device = picks[i % len(picks)]
+        cfg, dev = assets.load_llm_config(config, str(sub)), assets.load_device(device, str(sub))
+        req = Request(32 + 8 * i, 16 + 4 * i)
+        prefill_j, decode_j = request_energy(cfg, req, dev)
+        lines.append(json.dumps({"version": 3, "config": config, "device": device,
+                                 "prompt_len": req.prompt_len, "output_len": req.output_len,
+                                 "label_prefill_j": prefill_j,
+                                 "label_total_j": prefill_j + decode_j}))
+        want.append(measured_sample(cfg, req, dev, prefill_j, prefill_j + decode_j))
+    (sub / "data.jsonl").write_text("\n".join(lines) + "\n")
+    assert {s.config.name for s in want} == {"qwen1.5-0.5b", "tinyllama-1.1b"}
+    assert {s.device_id for s in want} == {"rk3588", "orin_nx"}
+
+    monkeypatch.chdir(tmp_path)
+    assert read_dataset_jsonl(Path("sub") / "data.jsonl") == want
+    doc = run_json(capsys, "train", "--dataset", Path("sub") / "data.jsonl",
+                   "--params-out", "params.json", "--epochs", "2")
+    assert doc["train"]["total"]["n"] == 10
+    monkeypatch.chdir(sub)
+    assert read_dataset_jsonl("data.jsonl") == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--dataset", "BAD", "--params-out", "p.json"),
+    ("fit", "net", "BAD"),
+], ids=["dataset", "samples csv"])
+def test_input_that_is_not_utf8_exits_2_naming_its_path(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(b"\xff" + b"kind,predictor,duration_s,observed\n")
+    code, out, err = run(capsys, *(bad if a == "BAD" else tmp_path / a if a == "p.json" else a
+                                   for a in argv))
+    assert_one_error_line(code, out, err)
+    assert str(bad) in err, err
+    reader = read_dataset_jsonl if argv[0] == "train" else dm.load_samples_csv
+    with pytest.raises(UserInputError, match=re.escape(str(bad))):
+        reader(bad)
 
 
 @pytest.mark.parametrize("asset, path, value, argv", [

@@ -44,11 +44,13 @@ from co2meter.predictor import (
     predict_total,
     read_dataset_jsonl,
     request_energy,
+    sample_regime_mixed_request,
     sample_table,
     sample_to_json,
     table_rows,
     save_params_json,
     split_indices,
+    sample_trace_request,
     train,
     train_single_phase,
     write_dataset_jsonl,
@@ -169,6 +171,19 @@ def test_single_sample_passes_refuse_a_graph_other_than_the_decoder_layer(preds)
                                      [list(ps) for ps in LAYER_PREDS], g)[0])
 
 
+@pytest.mark.parametrize("nodes", [(11,), (13,), ()], ids=["eleven nodes", "thirteen", "2-D"])
+def test_batched_passes_refuse_a_stack_that_is_not_the_decoder_layer(nodes):
+    """A node axis other than the layer's 12 is refused by name, not by a
+    shape mismatch inside the aggregation matmul."""
+    tower = init_tower(np.random.default_rng(0), NODE_FEATURE_DIM, GLOBAL_DIM)
+    named = r"the decoder layer \(workload\.LAYER_PREDS\) has 12 nodes"
+    with pytest.raises(ValueError, match=named):
+        forward_batch(tower, np.zeros((2, *nodes, NODE_FEATURE_DIM)), np.zeros((2, GLOBAL_DIM)))
+    with pytest.raises(ValueError, match=named):
+        Workspace.allocate(tower, 2).gather(np.zeros((2, *nodes, 2 * NODE_FEATURE_DIM)),
+                                            np.arange(2))
+
+
 @given(
     st.integers(1, 20),
     st.integers(0, 2**32 - 1),
@@ -260,7 +275,7 @@ def test_reused_workspace_pass_is_bit_identical_to_a_fresh_one(seed, sizes, junk
     tower.b2[:] = rng.normal(size=HIDDEN_DIM)
     # sized to the largest batch, so the others use its leading rows, and
     # filled with junk, which no pass may read
-    workspace = Workspace.allocate(tower, max(sizes), len(LAYER_PREDS))
+    workspace = Workspace.allocate(tower, max(sizes))
     for field in workspace._fields:
         buffer = getattr(workspace, field)
         if isinstance(buffer, np.ndarray):
@@ -291,7 +306,7 @@ def test_gathered_batch_is_bit_identical_to_a_copied_one(seed, sizes):
     g = rng.normal(size=(12, GLOBAL_DIM))
     log_target = rng.normal(size=12)
     stack = c0_stack(h0)
-    workspace = Workspace.allocate(tower, max(sizes), len(LAYER_PREDS))
+    workspace = Workspace.allocate(tower, max(sizes))
     for size in sizes:
         rows = np.sort(rng.choice(len(h0), size, replace=False))
         loss, grad = gathered_loss_and_grads(
@@ -579,7 +594,7 @@ def test_batched_pass_matches_per_sample_reference(dataset20, batch, relabel):
     ]
     assert all(r.preds == LAYER_PREDS for r in reference)
     rows = np.array(batch)
-    workspace = Workspace.allocate(tower, len(rows), prepared.h0.shape[1])
+    workspace = Workspace.allocate(tower, len(rows))
     loss, grads = gathered_loss_and_grads(
         tower, workspace.gather(prepared.c0, rows),
         prepared.g[rows], prepared.log_target[rows],
@@ -888,14 +903,30 @@ def test_dataset_errors_carry_line_numbers(tmp_path, dataset20):
     with pytest.raises(UserInputError, match=r":1:"):
         read_dataset_jsonl(bad_sample)
 
+    not_an_object = tmp_path / "list.jsonl"
+    not_an_object.write_text(good + "\n[]\n")
+    with pytest.raises(UserInputError, match=r":2: malformed dataset line: dataset line is "
+                       r"not a JSON object"):
+        read_dataset_jsonl(not_an_object)
+
     with pytest.raises(UserInputError):
         read_dataset_jsonl(tmp_path / "missing.jsonl")
 
 
+def test_a_line_is_split_only_at_newlines(tmp_path, dataset20):
+    """JSON text may hold U+2028 and the other separators `str.splitlines`
+    splits at, unescaped, in a name; CRLF line ends read too."""
+    doc = sample_to_json(dataset20[0])
+    doc["config"]["name"] = "qwen\u2028custom\x85"
+    path = tmp_path / "names.jsonl"
+    path.write_text(json.dumps(doc, ensure_ascii=False) + "\r\n", encoding="utf-8")
+    [sample] = read_dataset_jsonl(path)
+    assert sample.config == replace(QWEN, name="qwen\u2028custom\x85")
+
+
 def test_loaded_graphs_skip_the_topology_check(tmp_path, dataset20, monkeypatch):
-    """Reading builds graphs from their rows: no topology check and no
-    `KernelNode`; a malformed row is refused with its line, graph, row and
-    field (`test_cli`'s `_BAD_SAMPLES` has one case per field)."""
+    """Reading builds graphs from `featurize`'s rows: no topology check and
+    no `KernelNode`."""
     checked, nodes = [], []
     post_init = workload.KernelNode.__post_init__
     monkeypatch.setattr(workload, "_layer_slots", lambda *a: checked.append(a))
@@ -906,14 +937,38 @@ def test_loaded_graphs_skip_the_topology_check(tmp_path, dataset20, monkeypatch)
     assert read_dataset_jsonl(path) == dataset20
     assert checked == nodes == []
 
-    good = json.dumps(sample_to_json(dataset20[1]))
-    doc = json.loads(json.dumps(sample_to_json(dataset20[0])))
-    doc["prefill_graph"]["rows"][7][3] = 2.5
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(good + "\n" + json.dumps(doc) + "\n")
-    with pytest.raises(UserInputError, match=r"bad\.jsonl:2: malformed graph sample: "
-                       r"prefill_graph: row 7 \(norm\) act_bytes_stored 2\.5 is not an integer"):
-        read_dataset_jsonl(bad)
+
+_CONFIG_NAMES = tuple(assets.list_assets("llm_configs"))
+_DEVICE_NAMES = tuple(assets.list_assets("devices"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_CONFIG_NAMES + ("file",)), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from(_DEVICE_NAMES), min_size=1, max_size=4, unique=True),
+    st.sampled_from([sample_trace_request, sample_regime_mixed_request]),
+    st.integers(0, 12),
+)
+def test_dataset_files_round_trip_every_sample(tmp_path_factory, seed, config_names,
+                                               device_names, sampler, n):
+    """`read_dataset_jsonl(write_dataset_jsonl(s)) == s` over the bundled
+    configs and devices, both samplers, and a config file that takes a
+    bundled name with other numbers: a line holds its config, not the name."""
+    tmp = tmp_path_factory.mktemp("v3")
+    doc = {**json.loads((assets.asset_root() / "llm_configs" / "qwen15-05b.json").read_text()),
+           "name": "qwen15-05b", "num_layers": 7, "ffn_dim": 1000}
+    (tmp / "qwen15-05b.json").write_text(json.dumps(doc))
+    configs = [assets.load_llm_config(str(tmp / "qwen15-05b.json")) if name == "file"
+               else assets.load_llm_config(name) for name in config_names]
+    devices = [assets.load_device(name) for name in device_names]
+    samples = gen_oracle_dataset(configs, devices, n, seed=seed, request_sampler=sampler)
+    path = tmp / "data.jsonl"
+    write_dataset_jsonl(path, samples)
+    loaded = read_dataset_jsonl(path)
+    assert loaded == samples
+    write_dataset_jsonl(tmp / "again.jsonl", loaded)
+    assert (tmp / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -924,13 +979,13 @@ def test_loaded_graphs_skip_the_topology_check(tmp_path, dataset20, monkeypatch)
     st.integers(0, 2**32 - 1),
 )
 def test_row_backed_samples_match_the_node_reference(tmp_path_factory, picks, order, seed):
-    """Format-2 files round-trip samples exactly; `sample_table` equals, bit
+    """Dataset files round-trip samples exactly; `sample_table` equals, bit
     for bit, node features read off `apply_roofline(build_layer_graph(...))`
     nodes one element at a time, with `roofline_time` per node; and a
     relabelled node graph equals the row-backed one."""
     rng = np.random.default_rng(seed)
     samples = [make_sample(cfg, req, dev, rng, 0.05) for cfg, dev, req in picks]
-    path = tmp_path_factory.mktemp("v2") / "data.jsonl"
+    path = tmp_path_factory.mktemp("v3") / "data.jsonl"
     write_dataset_jsonl(path, samples)
     assert read_dataset_jsonl(path) == samples
 

@@ -33,7 +33,7 @@ from co2meter import device_models as dm
 from co2meter import embodied as emb
 from co2meter import workload as wl
 from co2meter.errors import NoBreakEvenError, Record, UserInputError, replace
-from co2meter.predictor import gnn, oracle, split_indices, training
+from co2meter.predictor import data, gnn, oracle, split_indices, training
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "co2meter"
 
@@ -61,10 +61,10 @@ def _examples():
         acc.total_footprint(1.0, acc.UsageProfile(100.0), 2.0, ci),
         samples[0], models["net"], models["video"], models["speaker"], models["display"],
         dm.fit_speaker(samples),
-        oracle.featurize(cfg, req, dev), sample,
+        data.featurize(cfg, req, dev), sample,
         training.TrainConfig(), training.Metrics(1.0, 2.0, 3), training._TOWERS["total"],
         training._prepare(table, params.norms, "prefill"),
-        params, params.prefill, params.norms, gnn.Workspace.allocate(params.prefill, 2, 12),
+        params, params.prefill, params.norms, gnn.Workspace.allocate(params.prefill, 2),
         training.fit_ridge_globals(table),
         training.SinglePhaseParams(params.prefill, params.norms),
     ]

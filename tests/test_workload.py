@@ -134,6 +134,53 @@ def test_layer_graph_refuses_a_row_every_field_check_passes():
         wl.LayerGraph(rows=rows, phase="prefill")
 
 
+_HUGE = 10**400  # an integer no float can hold
+
+
+def _set_row(i, j, value):
+    def mutate(rows):
+        rows[i][j] = value
+    return mutate
+
+
+# Each malformed value of a `LayerGraph(rows=...)` table, with what the error names.
+_BAD_ROWS = {
+    **{f"node flops-{value}": (_set_row(2, 0, value),
+                               f"row 2 (attn_score) flops {value} is not an integer")
+       for value in (float("nan"), float("inf"))},
+    **{f"node est_time_s-{value}": (_set_row(5, 6, value),
+                                    f"row 5 (out_proj) est_time_s {value} is not a finite")
+       for value in (float("nan"), float("inf"))},
+    "wrong row count": (lambda rows: rows.pop(), "11 rows, expected one per layer kernel (12)"),
+    "wrong row width": (lambda rows: rows[0].pop(), "row 0 (norm): 6 values, expected 7"),
+    # counts that int() would truncate
+    "fractional kernel count": (_set_row(3, 0, 1.5),
+                                "row 3 (softmax) flops 1.5 is not an integer"),
+    "bool kernel count": (_set_row(1, 1, True),
+                          "row 1 (qkv_proj) weight_bytes_loaded True is not an integer"),
+    "negative kernel count": (_set_row(2, 4, -1),
+                              "row 2 (attn_score) kv_bytes_loaded -1 is negative"),
+    "negative est_time_s": (_set_row(11, 6, -1e-9),
+                            "row 11 (residual) est_time_s -1e-09 is negative"),
+    # integers no float can hold, which would overflow in featurization
+    "kernel count beyond float": (_set_row(2, 0, _HUGE),
+                                  f"row 2 (attn_score) flops {_HUGE} is not a finite number"),
+    "est_time_s beyond float": (_set_row(5, 6, _HUGE),
+                                f"row 5 (out_proj) est_time_s {_HUGE} is not a finite number"),
+    "bool est_time_s": (_set_row(4, 6, False), "row 4 (attn_value) est_time_s False"),
+}
+
+
+@pytest.mark.parametrize("mutate, named", list(_BAD_ROWS.values()), ids=list(_BAD_ROWS))
+def test_layer_graph_rows_refuse_each_bad_value(mutate, named):
+    rows = [list(row) for row in wl.timed_rows(
+        wl.layer_rows(Q15, wl.Request(96, 64), "decode"), RK3588)]
+    mutate(rows)
+    with pytest.raises(ValueError) as info:
+        wl.LayerGraph(rows=rows, phase="decode")
+    assert named in str(info.value)
+
+
 def test_both_constructors_refuse_a_count_that_is_not_an_integer():
     """The node path checks the canonical rows as the rows path does, also
     when the bad node comes relabelled."""
