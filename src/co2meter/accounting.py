@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
+from typing import TYPE_CHECKING, Callable, ClassVar, Mapping, Sequence
 
 from .errors import (ConfigurationError, Finite, NoBreakEvenError, NonNegative, Positive, Record,
                      UserInputError, check_range, json_int, json_name, json_number, json_object,
@@ -264,48 +264,49 @@ def load_ci_table(path: str | Path) -> dict[str, CarbonIntensity]:
         raise UserInputError(f"cannot read carbon-intensity table {path}: {exc}") from exc
 
 
-def pipeline_from_json(doc: Mapping, base: str = "") -> AppPipeline:
+def pipeline_from_json(doc: object, base: str = "") -> AppPipeline:
     """Build an AppPipeline from a JSON document.
 
-    The llm stage's `config` and `device` entries are either inline objects or
-    strings, which `assets.load_llm_config` and `assets.load_device` resolve
-    to a bundled asset or a file path relative to the directory base.
+    The llm stage's `config` and `device` entries are what
+    `assets.load_llm_config` and `assets.load_device` read: an inline object,
+    a bundled name, or a file path relative to the directory base.
     """
     from .assets import load_device, load_llm_config
-    from .workload import Request, config_from_json, device_from_json
+    from .workload import Request
 
-    def resolve(entry, load, inline):
-        return load(entry, base) if isinstance(entry, str) else inline(entry)
-
-    def number(stage: str, key: str) -> float:
-        return float(json_number(doc[stage][key], f"{stage}.{key}"))
+    def numbers(block: str, keys: Sequence[str]) -> list[float]:
+        entry = json_object(doc[block], block, keys)
+        return [float(json_number(entry[key], f"{block}.{key}")) for key in keys]
 
     def stage(side: str) -> InputStage | OutputStage:
-        kind = doc[side]["kind"]
+        kind = json_object(doc[side], side, ("kind",))["kind"]
         cls = STAGE_KINDS[side].get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise ValueError(f"unknown {side} kind {kind!r}")
-        return cls(*[number(side, field) for field in cls._fields])
+        return cls(*numbers(side, cls._fields))
 
-    def llm_stage(llm: Mapping) -> LlmStage:
+    def llm_stage() -> LlmStage:
+        llm = json_object(doc["llm"], "llm", ("config", "prompt_len", "output_len", "device"))
         return LlmStage(
-            config=resolve(llm["config"], load_llm_config, config_from_json),
+            config=load_llm_config(llm["config"], base),
             request=Request(prompt_len=json_int(llm["prompt_len"], "prompt_len"),
                             output_len=json_int(llm["output_len"], "output_len")),
-            device=resolve(llm["device"], load_device, device_from_json),
+            device=load_device(llm["device"], base),
         )
 
     try:  # arguments run in stage order, then name and total, as written
+        doc = json_object(doc, "document", ("input", "conversion", "llm", "output",
+                                             "total_duration_s"))
         return AppPipeline(
             input=stage("input"),
-            conversion=Conversion(task=doc["conversion"]["task"],
-                                  energy_j=number("conversion", "energy_j")),
-            llm=llm_stage(doc["llm"]),
+            conversion=Conversion(json_object(doc["conversion"], "conversion", ("task",))["task"],
+                                  *numbers("conversion", ("energy_j",))),
+            llm=llm_stage(),
             output=stage("output"),
             name=json_name(doc.get("name", "pipeline"), "name"),
             total_duration_s=float(json_number(doc["total_duration_s"], "total_duration_s")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UserInputError(f"malformed pipeline: {exc}") from exc
 
 

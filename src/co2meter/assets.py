@@ -4,8 +4,12 @@
 a file path or a bundled name, and only `_looks_like_path` tells them apart:
 a value that ends in `.json`, contains `/` or names an existing file is a path.
 A relative path is relative to the working directory, except in a pipeline
-file: its `config` and `device` strings are read, the existing-file test
-included, against the pipeline file's directory (the `base` argument).
+file or a dataset line: its `config` and `device` strings are read, the
+existing-file test included, against that file's directory (the `base`
+argument).  Those two entries may also be inline objects, the parsed JSON of
+a config or a device: `load_llm_config` and `load_device` take any value that
+is not a string as one, and read it with `workload.config_from_json` /
+`device_from_json`, so a non-object is refused there by name.
 
 The asset root defaults to the package's `assets/` directory and can be
 overridden with the CO2METER_ASSETS environment variable, e.g. to swap in a
@@ -93,8 +97,10 @@ def _path_or(bundled: Callable, subdir: str, name: str, loader: Callable, base: 
     return bundled(subdir, name, loader)
 
 
-def load_device(name: str, base: str = "") -> DeviceSpec:
-    from .workload import load_device_json
+def load_device(name: str | object, base: str = "") -> DeviceSpec:
+    from .workload import device_from_json, load_device_json
+    if not isinstance(name, str):
+        return device_from_json(name)
     return _path_or(_parsed_once, "devices", name, load_device_json, base)
 
 
@@ -103,8 +109,10 @@ def load_bom(name: str) -> SocBom:
     return _path_or(_parsed_once, "boms", name, load_bom_json)
 
 
-def load_llm_config(name: str, base: str = "") -> LlmConfig:
-    from .workload import load_config_json
+def load_llm_config(name: str | object, base: str = "") -> LlmConfig:
+    from .workload import config_from_json, load_config_json
+    if not isinstance(name, str):
+        return config_from_json(name)
     return _path_or(_parsed_once, "llm_configs", name, load_config_json, base)
 
 

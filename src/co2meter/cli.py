@@ -384,7 +384,7 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
     dev = assets.load_device(args.device)
     cfg = assets.load_llm_config(args.config)
     req = _request(args)
-    wl.check_fits_dram(cfg, req, dev)
+    wl.check_fits(cfg, req, dev)
     kernels = []
     for phase in ("prefill", "decode"):
         for kind, row in zip(wl.LAYER_KINDS, wl.layer_rows(cfg, req, phase)):

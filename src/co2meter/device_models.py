@@ -26,10 +26,10 @@ import csv
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (Finite, FitError, NonNegative, Record, UserInputError, check_range,
-                     json_number, read_json)
+                     json_number, json_object, read_json, read_text)
 
 GREY_MAX = 255
 CONVERSION_TASKS = ("ocr", "stt", "tts")
@@ -420,15 +420,17 @@ def model_to_json(name: str, report: FitReport) -> dict:
     return {"model": name, "params": params, "mae": report.mae}
 
 
-def model_from_json(doc: Mapping) -> tuple[str, PeripheralModel, float]:
+def model_from_json(doc: object) -> tuple[str, PeripheralModel, float]:
     """Inverse of model_to_json; returns (name, model, mae)."""
     try:
-        name, params, mae = doc["model"], doc["params"], float(json_number(doc["mae"], "mae"))
+        doc = json_object(doc, "document", ("model", "params", "mae"))
+        name, mae = doc["model"], float(json_number(doc["mae"], "mae"))
         if name not in MODEL_NAMES:
             raise UserInputError(f"unknown model name {name!r}")
         family = _MODELS[name][1]
+        params = json_object(doc["params"], "params", _PARAM_KEYS[family])
         model = family(*(float(json_number(params[key], key)) for key in _PARAM_KEYS[family]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UserInputError(f"malformed model document: {exc}") from exc
     return name, model, mae
 
@@ -440,30 +442,24 @@ def load_model_json(path: str | Path) -> tuple[str, PeripheralModel, float]:
 def load_samples_csv(path: str | Path) -> list[MeasurementSample]:
     """Read `kind,predictor,duration_s,observed` rows; errors carry line numbers."""
     samples = []
+    # Lines end at "\n" alone, not at U+2028 & co.; csv drops a "\r" before it.
+    reader = csv.reader(read_text(path, "samples file").split("\n"))
     try:
-        text = Path(path).read_bytes().decode()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UserInputError(f"cannot read samples file {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != _CSV_HEADER:
-        raise UserInputError(
-            f"{path}:1: expected header {','.join(_CSV_HEADER)!r}"
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise UserInputError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-        try:
-            samples.append(
-                MeasurementSample(
-                    kind=row[0].strip(),
-                    predictor=float(row[1]),
-                    duration_s=float(row[2]),
-                    observed=float(row[3]),
-                )
-            )
-        except ValueError as exc:
-            raise UserInputError(f"{path}:{lineno}: {exc}") from exc
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != _CSV_HEADER:
+            raise UserInputError(f"{path}:1: expected header {','.join(_CSV_HEADER)!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise UserInputError(
+                    f"{path}:{reader.line_num}: expected 4 columns, got {len(row)}")
+            try:
+                samples.append(MeasurementSample(kind=row[0].strip(), predictor=float(row[1]),
+                                                 duration_s=float(row[2]),
+                                                 observed=float(row[3])))
+            except ValueError as exc:
+                raise UserInputError(f"{path}:{reader.line_num}: {exc}") from exc
+    except csv.Error as exc:  # a lone "\r" in a field, or a field past csv's size limit
+        raise UserInputError(f"{path}:{reader.line_num}: {exc}") from exc
     return samples

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import (NonNegative, Positive, Record, UserInputError, check_range, json_name,
-                     json_number, read_json, replace)
+from .errors import (NonNegative, Positive, Record, UserInputError, check_range, json_list,
+                     json_name, json_number, json_object, read_json, replace)
 
 _FRACTION_TOL = 1e-9
 
@@ -194,23 +194,30 @@ _BOM_NUMBERS = ("die_area_cm2", "cpa_die_kg_per_cm2", "pcb_area_cm2", "cpa_pcb_k
                 "dram_kg")
 
 
-def bom_from_json(doc: Mapping) -> SocBom:
+def bom_from_json(doc: object) -> SocBom:
     try:
+        doc = json_object(doc, "document", ("name", *_BOM_NUMBERS))
+        units = [json_object(u, f"units[{i}]", ("name", "area_fraction"))
+                 for i, u in enumerate(json_list(doc.get("units", []), "units"))]
+        peripherals = json_list(doc.get("peripherals", []), "peripherals")
+        for i, entry in enumerate(peripherals):
+            if len(json_list(entry, f"peripherals[{i}]")) != 2:
+                raise ValueError(f"peripherals[{i}] is not a [name, kg] pair")
         return SocBom(
             name=json_name(doc["name"], "name"),
             units=tuple(
                 DieUnit(json_name(u["name"], "unit name"),
                         float(json_number(u["area_fraction"], f"{u['name']} area_fraction")))
-                for u in doc.get("units", [])
+                for u in units
             ),
             peripherals=tuple(
                 (json_name(name, "peripheral name"),
                  float(json_number(kg, f"peripheral {name} kg")))
-                for name, kg in doc.get("peripherals", [])
+                for name, kg in peripherals
             ),
             **{key: float(json_number(doc[key], key)) for key in _BOM_NUMBERS},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UserInputError(f"malformed BOM: {exc}") from exc
 
 

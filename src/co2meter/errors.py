@@ -1,25 +1,31 @@
 """Exception hierarchy shared across the package, and the JSON input boundary.
 
-Every JSON input file (device specs, LLM configs, BOMs, the carbon-intensity
-table, pipelines, fitted-model files, params files) is read by `read_json`;
-its fields are checked by `json_number`, `json_int`, `json_name` and
-`json_object`, which raise ValueError naming the field.  The rule: a number
-is a finite JSON number, never a bool, a string, NaN or Infinity; an integer
-is an exact int; a name is a non-empty string.  Dataset lines are parsed one
-by one in `predictor.data.read_dataset_jsonl` and checked with the same
-helpers.
+Every input file is decoded as UTF-8 by `read_text`, whatever the locale, and
+every JSON input file (device specs, LLM configs, BOMs, the carbon-intensity
+table, pipelines, fitted-model files, params files) is parsed by `read_json`.
+One rule reads a parsed document: a reader checks each object with
+`json_object`, which names the keys it lacks, each array with `json_list`,
+and each field with `json_number`, `json_int` or `json_name`, then builds its
+records; all of them raise ValueError naming the field, the one exception a
+reader turns into UserInputError.  A number is a finite JSON number, never a
+bool, a string, NaN or Infinity; an integer is an exact int; a name is a
+non-empty string.  Dataset lines are parsed one by one in
+`predictor.data.read_dataset_jsonl` and checked with the same helpers.
 
 `Record` is the base of the package's value classes: fields from annotations,
 a generic `__init__` that binds arguments like a dataclass's and runs
 `__post_init__` checks, and `replace` to rebuild one with changes.  It
-generates no code, so a cold process pays no `exec` per class.  A field
-annotated with one of the aliases `Positive`, `NonNegative` or `Finite`
-must hold a number in that range, never NaN or an infinity: `__init__`
-refuses any other with ValueError "<Class>.<field> must be finite and
-positive, got <value>" (">= 0" / "finite" for the other two), and
-`check_range` applies the same rule to a function's argument.  The aliases
-are `float` at run time, so the rule reads the annotation's text, which
-only `from __future__ import annotations` keeps.
+generates no code, so a cold process pays no `exec` per class.  An argument
+list that does not bind (a field missing, unknown or given twice, or too many
+positional values) raises a plain TypeError naming the class and its fields:
+a reader checks its keys before it builds a record, so that is a programming
+error, never malformed input.  A field annotated with one of the aliases
+`Positive`, `NonNegative` or `Finite` must hold a number in that range, never
+NaN or an infinity: `__init__` refuses any other with ValueError
+"<Class>.<field> must be finite and positive, got <value>" (">= 0" /
+"finite" for the other two), and `check_range` applies the same rule to a
+function's argument.  The aliases are `float` at run time, so the rule reads
+the annotation's text, which only `from __future__ import annotations` keeps.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import ClassVar, NoReturn
+from typing import ClassVar, Sequence
 
 
 class CO2MeterError(Exception):
@@ -55,13 +61,24 @@ class TrainingDivergedError(CO2MeterError):
     """Training aborted because the loss became non-finite."""
 
 
-def read_json(path: str | Path, what: str) -> object:
-    """The parsed document at path, else UserInputError "cannot read <what>
-    <path>" caused by the OSError (the asset readers look for it) or the parse's
-    JSONDecodeError, ValueError (an int too long) or RecursionError (deep nesting)."""
+def read_text(path: str | Path, what: str) -> str:
+    """The file at path decoded as UTF-8, else UserInputError "cannot read
+    <what> <path>" caused by the OSError (the asset readers look for it) or
+    the UnicodeDecodeError."""
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
+        return Path(path).read_bytes().decode()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UserInputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str) -> object:
+    """The parsed document at path, else `read_text`'s UserInputError or one
+    worded alike, caused by the parse's JSONDecodeError, ValueError (an int
+    too long) or RecursionError (deep nesting)."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise UserInputError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -90,10 +107,21 @@ def json_name(value: object, field: str) -> str:
     return value
 
 
-def json_object(value: object, field: str) -> dict:
-    """An object field, or a whole document that must be one."""
+def json_object(value: object, field: str, keys: Sequence[str] = ()) -> dict:
+    """An object field, or a whole document that must be one, holding every
+    one of keys; ValueError naming all the keys it lacks."""
     if not isinstance(value, dict):
         raise ValueError(f"{field} is not a JSON object")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ValueError(f"{field} is missing {', '.join(map(repr, missing))}")
+    return value
+
+
+def json_list(value: object, field: str) -> list:
+    """An array field."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} is not a JSON array")
     return value
 
 
@@ -126,7 +154,7 @@ class Record:
     `ClassVar` is not a field); a class attribute gives a field's default.
 
     The instance is built by a generic `__init__` that binds positional and
-    keyword arguments with the TypeError wording of a dataclass's, then calls
+    keyword arguments as a dataclass's does, else raises TypeError, then calls
     `__post_init__`.  Equality is by class and field tuple, the hash is the
     field tuple's, and the repr reads `Name(field=value, ...)`.  A record is
     frozen unless its class says `frozen=False`: assigning or deleting an
@@ -166,7 +194,7 @@ class Record:
             values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
             if not (len(args) <= len(fields) and values.keys() == self._field_set
                     and kwargs.keys().isdisjoint(fields[:len(args)])):
-                _refuse(type(self), args, kwargs)
+                raise TypeError(f"{type(self).__qualname__}{fields} cannot bind these arguments")
             args = tuple(map(values.__getitem__, fields))
         # One attribute at a time in field order, as a dataclass does, so the
         # instances of a class share one key table instead of a dict each.
@@ -202,29 +230,6 @@ def _values(record: Record) -> tuple:
     # From a list: tuple() over a generator here kept ~0.1 MB more allocated
     # when making 1,000 dataset samples (tracemalloc).
     return tuple([getattr(record, name) for name in record._fields])
-
-
-def _refuse(cls: type[Record], args: tuple, kwargs: dict) -> NoReturn:
-    """The TypeError a dataclass's `__init__` raises for these arguments,
-    checked in its order: keywords, the positional count, missing fields."""
-    fields, where = cls._fields, f"{cls.__qualname__}.__init__()"
-    given = set(fields[:len(args)])
-    for name in kwargs:
-        if name not in cls._field_set:
-            raise TypeError(f"{where} got an unexpected keyword argument '{name}'")
-        if name in given:
-            raise TypeError(f"{where} got multiple values for argument '{name}'")
-    if len(args) > len(fields):
-        most = len(fields) + 1  # self counts
-        takes = f"from {most - len(cls._defaults)} to {most}" if cls._defaults else most
-        raise TypeError(
-            f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
-    missing = [repr(name) for name in fields
-               if name not in given and name not in kwargs and name not in cls._defaults]
-    names = missing[0] if len(missing) == 1 else (
-        ", ".join(missing[:-1]) + "," * (len(missing) > 2) + " and " + missing[-1])
-    raise TypeError(f"{where} missing {len(missing)} required positional "
-                    f"argument{'s' * (len(missing) > 1)}: {names}")
 
 
 def replace(record: Record, **changes: object) -> Record:

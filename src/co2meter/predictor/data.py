@@ -22,7 +22,7 @@ read against the dataset file's directory.  The reader resolves each distinct
 `featurize`.  It refuses, with path and line, a missing or extra key, a
 length that is not an integer >= 1, a label that is no finite positive JSON
 number or a prefill label above the total, an unknown or malformed config or
-device, and a request that overflows the device's DRAM.  Format 1 and 2
+device, and a request that `workload.check_fits` refuses.  Format 1 and 2
 lines, which held the features instead, get a hint to re-run `co2meter dataset`.
 """
 
@@ -31,16 +31,16 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .. import assets
 from ..errors import (Positive, Record, UserInputError, check_range, json_int, json_number,
-                      json_object)
+                      json_object, read_text)
 from ..workload import (KERNEL_KINDS, LAYER_KINDS, ROW_FIELDS, DeviceSpec, GlobalFeatures,
-                        LayerGraph, LlmConfig, Request, check_fits_dram, config_from_json,
-                        device_from_json, global_features, layer_rows, timed_rows)
+                        LayerGraph, LlmConfig, Request, check_fits, global_features,
+                        layer_rows, timed_rows)
 
 NUMERIC_NODE_FEATURES = (
     "flops",
@@ -106,9 +106,9 @@ class GraphSample(PredictorInputs):
 
 def featurize(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> PredictorInputs:
     """Roofline-timed prefill and mid-decode graphs with their globals;
-    raises UserInputError like `kernel_costs` when the request overflows DRAM.
+    raises UserInputError like `kernel_costs` when `check_fits` refuses the request.
     The prefill count rows are built once, for the graph and both globals."""
-    check_fits_dram(cfg, req, dev)
+    check_fits(cfg, req, dev)
     prefill_rows = layer_rows(cfg, req, "prefill")
     prefill_ops = sum(row[0] for row in prefill_rows)
     return PredictorInputs(
@@ -188,20 +188,13 @@ def sample_to_json(sample: GraphSample) -> dict:
     }
 
 
-# How a line's `config` / `device` is read: an object, or a name or path.
-_RESOLVERS = {"config": (config_from_json, assets.load_llm_config),
-              "device": (device_from_json, assets.load_device)}
-
-
-def _resolve(key: str, value: object, base: str, seen: dict) -> LlmConfig | DeviceSpec:
-    """The config or device a line's value gives, read once per distinct value
-    of a file: `seen` is keyed on the value's repr, which tells 1, 1.0 and
-    true apart where the values themselves compare equal."""
-    token = (key, repr(value))
+def _resolve(load: Callable, value: object, base: str, seen: dict) -> LlmConfig | DeviceSpec:
+    """`load(value, base)`, an `assets` reader, once per distinct value of a
+    file: `seen` is keyed on the value's repr, which tells 1, 1.0 and true
+    apart where the values themselves compare equal."""
+    token = (load, repr(value))
     if token not in seen:
-        from_json, load = _RESOLVERS[key]
-        seen[token] = (load(value, base) if isinstance(value, str)
-                       else from_json(json_object(value, key)))
+        seen[token] = load(value, base)
     return seen[token]
 
 
@@ -222,8 +215,8 @@ def _sample_from_json(doc: object, base: str, seen: dict) -> GraphSample:
                       json_int(doc["output_len"], "output_len"))
         labels = (json_number(doc["label_prefill_j"], "label_prefill_j"),
                   json_number(doc["label_total_j"], "label_total_j"))
-        cfg = _resolve("config", doc["config"], base, seen)
-        dev = _resolve("device", doc["device"], base, seen)
+        cfg = _resolve(assets.load_llm_config, doc["config"], base, seen)
+        dev = _resolve(assets.load_device, doc["device"], base, seen)
         return measured_sample(cfg, req, dev, *map(float, labels))
     except ValueError as exc:
         raise UserInputError(f"malformed dataset line: {exc}") from exc
@@ -239,12 +232,8 @@ def write_dataset_jsonl(path: str | Path, samples: Iterable[GraphSample]) -> Non
 def read_dataset_jsonl(path: str | Path) -> list[GraphSample]:
     """The samples of a format-3 dataset file; UserInputError naming the file,
     and the line where there is one, for anything it refuses."""
-    try:
-        text = Path(path).read_bytes().decode()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UserInputError(f"cannot read dataset {path}: {exc}") from exc
     base, seen, samples = os.path.dirname(path), {}, []
-    for lineno, line in enumerate(text.split("\n"), start=1):  # not at U+2028 & co.
+    for lineno, line in enumerate(read_text(path, "dataset").split("\n"), start=1):
         if not line.strip():
             continue
         try:

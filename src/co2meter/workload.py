@@ -30,10 +30,10 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Mapping, NamedTuple, NoReturn, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import (NonNegative, Positive, Record, UserInputError, json_int, json_name,
-                     json_number, read_json, replace)
+                     json_number, json_object, read_json, replace)
 
 KERNEL_KINDS = (
     "qkv_proj",
@@ -401,10 +401,10 @@ def whatif_speedup(
 ) -> float:
     """Ratio of summed roofline times: base device over modified device.
 
-    Raises UserInputError when the request overflows either device's DRAM.
+    Raises UserInputError when `check_fits` refuses the request on either device.
     """
     for dev in (base, modified):
-        check_fits_dram(cfg, req, dev)
+        check_fits(cfg, req, dev)
     rows = layer_rows(cfg, req, phase)
     base_s, mod_s = (sum(row[6] for row in timed_rows(rows, d)) for d in (base, modified))
     return base_s / mod_s
@@ -521,8 +521,22 @@ class KernelCost(NamedTuple):
     flip_position: int | None  # first decode KV position whose boundedness differs
 
 
-def check_fits_dram(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> None:
-    """UserInputError when weights plus the final K/V cache overflow DRAM."""
+_HALF_MAX = _FLOAT_MAX / 2
+
+
+def check_fits(cfg: LlmConfig, req: Request, dev: DeviceSpec,
+               layer_line: tuple[int, ...] | None = None) -> None:
+    """UserInputError when weights plus the final K/V cache overflow DRAM, or
+    when a bound on the request's FLOP or byte totals, or on its roofline
+    time or energy, is past half the largest float: the half spares the
+    rounding of the sums the bound stands for, so a request that passes
+    prices and featurizes to finite numbers only.
+
+    The bound is O(1), from the `_decode_lines` layer line (`layer_line`, when
+    the caller holds it): each prefill count is at most prompt_len times the
+    one-token count at position prompt_len, and each decode step's at most
+    the count at the last position.
+    """
     seq_len = req.prompt_len + req.output_len
     need = weight_memory_bytes(cfg) + kv_cache_bytes(cfg, seq_len)
     if need > dev.dram_capacity:
@@ -530,6 +544,17 @@ def check_fits_dram(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> None:
             f"{cfg.name} at {seq_len} tokens needs {need} bytes of weights and K/V "
             f"cache, more than the {dev.dram_capacity:.0f} bytes of DRAM on {dev.name}"
         )
+    flops0, moved0, dflops, dmoved = layer_line or _decode_lines(cfg)[1]
+    p, o, last = req.prompt_len, req.output_len, seq_len - 1
+    flops = cfg.num_layers * (p * (flops0 + p * dflops) + o * (flops0 + last * dflops))
+    moved = cfg.num_layers * (p * (moved0 + p * dmoved) + o * (moved0 + last * dmoved))
+    if max(flops, moved) <= _HALF_MAX:
+        time_s = flops / dev.peak_ops + moved / dev.mem_bandwidth
+        if max(time_s, time_s * dev.active_power) <= _HALF_MAX:
+            return
+    raise UserInputError(
+        f"{cfg.name} at prompt_len {p} and output_len {o} on {dev.name} is past what a "
+        f"float holds: its FLOP and byte counts, roofline time or energy would overflow")
 
 
 class _Pricer:
@@ -619,14 +644,15 @@ def kernel_costs(
     """Every prefill kernel, then every decode kernel, of one request, noise-free.
 
     Decode covers KV positions prompt_len .. prompt_len + output_len - 1.
-    Raises UserInputError when weights plus the final K/V cache overflow DRAM.
+    Raises UserInputError when `check_fits` refuses the request.
     """
-    check_fits_dram(cfg, req, dev)
+    lines, layer_line = _decode_lines(cfg)
+    check_fits(cfg, req, dev, layer_line)
     pricer = _Pricer(dev, cfg.num_layers)
     lo, hi = req.prompt_len, req.prompt_len + req.output_len - 1
     prefill = layer_rows(cfg, req, "prefill")
     return tuple(pricer.prefill(k, row) for k, row in zip(LAYER_KINDS, prefill)) + tuple(
-        pricer.decode(k, line, lo, hi) for k, line in zip(LAYER_KINDS, _decode_lines(cfg)[0])
+        pricer.decode(k, line, lo, hi) for k, line in zip(LAYER_KINDS, lines)
     )
 
 
@@ -654,11 +680,12 @@ def request_energy(
 # ---------------------------------------------------------------------------
 # JSON I/O
 
-def device_from_json(doc: Mapping) -> DeviceSpec:
+def device_from_json(doc: object) -> DeviceSpec:
     try:
+        doc = json_object(doc, "device", DeviceSpec._fields)
         return DeviceSpec(**{k: json_name(doc[k], k) if k == "name" else json_number(doc[k], k)
                              for k in DeviceSpec._fields})
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UserInputError(f"malformed device spec: {exc}") from exc
 
 
@@ -666,11 +693,13 @@ def load_device_json(path: str | Path) -> DeviceSpec:
     return device_from_json(read_json(path, "device spec"))
 
 
-def config_from_json(doc: Mapping) -> LlmConfig:
+def config_from_json(doc: object) -> LlmConfig:
     try:
+        doc = json_object(doc, "config", [k for k in LlmConfig._fields
+                                          if k not in LlmConfig._defaults])
         return LlmConfig(**{k: json_name(doc[k], k) if k == "name" else json_int(doc[k], k)
                             for k in LlmConfig._fields if k in doc})
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UserInputError(f"malformed llm config: {exc}") from exc
 
 

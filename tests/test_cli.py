@@ -793,7 +793,8 @@ def test_pipeline_stage_missing_a_field_exits_2(capsys, tmp_path, side, kind, fm
         stage = {k: v for k, v in _STAGE_FILES[side, kind].items() if k != field}
         path = _pipeline_file(tmp_path, side, stage)
         code, out, err = run(capsys, "pipeline", "--pipeline", path, "--format", fmt)
-        assert (code, out, err) == (2, "", f"error: malformed pipeline: {field!r}\n")
+        assert (code, out, err) == (2, "", f"error: malformed pipeline: {side} is missing "
+                                               f"{field!r}\n")
 
 
 def test_pipeline_grey_above_the_panel_range_exits_2(capsys, tmp_path):
@@ -1271,8 +1272,7 @@ _BAD_SAMPLES.update({
     "bool num_layers": (_set("config", "num_layers", value=True),
                         "num_layers True is not an integer"),
     "config without num_heads": (lambda doc: doc["config"].pop("num_heads"),
-                                 "malformed llm config: LlmConfig.__init__() missing 1 "
-                                 "required positional argument: 'num_heads'"),
+                                 "malformed llm config: config is missing 'num_heads'"),
     "device peak_ops-nan": (_set("device", "peak_ops", value=float("nan")),
                             "peak_ops nan is not a finite number"),
     "device idle_power-'5.0'": (_set("device", "idle_power", value="5.0"),

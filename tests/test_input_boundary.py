@@ -7,7 +7,8 @@ the same helpers.  This reads the package sources with `ast` and runs none of
 them, so a new loader that parses JSON or type-tests a bool on its own fails
 here.  The same scan holds the predictor to one input boundary of its own:
 only `training._as_table` and `training._split_tables` tell a sample set
-from its `sample_table`.
+from its `sample_table`.  No `except` clause names KeyError or TypeError:
+a reader checks its keys and types with the helpers and catches ValueError.
 """
 
 import ast
@@ -107,3 +108,35 @@ def _dict_tests(path: Path) -> set:
 def test_samples_or_table_is_decided_in_two_places():
     found = set().union(*(_dict_tests(p) for p in SOURCES if _module(p).startswith("predictor/")))
     assert found == TABLE_TESTS
+
+
+# A reader checks its document with the `errors.json_*` helpers, which raise
+# ValueError; catching KeyError or TypeError would also report a programming
+# error inside a record's own checks as malformed input.
+_UNCAUGHT = {"KeyError", "TypeError"}
+
+
+def _caught_lookup_errors(root: Path) -> list[str]:
+    """`<module>:<line>` of each `except` clause under root naming KeyError or TypeError."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if _UNCAUGHT & {k.id for k in kinds if isinstance(k, ast.Name)}:
+                    found.append(f"{path.relative_to(root).as_posix()}:{node.lineno}")
+    return found
+
+
+def test_no_reader_catches_key_or_type_errors():
+    assert _caught_lookup_errors(PACKAGE) == []
+
+
+def test_the_except_scan_sees_a_small_package(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text(
+        "try:\n    pass\nexcept (KeyError, ValueError):\n    pass\n"
+        "try:\n    pass\nexcept ValueError:\n    pass\n")
+    (tmp_path / "sub" / "b.py").write_text(
+        "try:\n    pass\nexcept TypeError as exc:\n    pass\nexcept:\n    pass\n")
+    assert _caught_lookup_errors(tmp_path) == ["a.py:3", "sub/b.py:3"]

@@ -3,8 +3,8 @@
 Each record class under `src/co2meter` is built from a valid instance whose
 fields are redrawn at random (a draw the constructor refuses keeps the old
 value).  Equality, hash and repr are compared with the field tuple and with
-a `dataclasses.make_dataclass` twin of the same fields; a bad argument list
-must raise the twin's TypeError word for word.  An `ast` scan keeps the
+a `dataclasses.make_dataclass` twin of the same fields; an argument list
+the twin refuses must raise a TypeError naming the class.  An `ast` scan keeps the
 package free of `dataclasses` and of generated code.
 
 A field annotated `Positive`, `NonNegative` or `Finite` refuses NaN, the
@@ -19,6 +19,7 @@ import ast
 import dataclasses
 import importlib
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -218,7 +219,8 @@ def test_record_semantics_follow_the_field_tuple(name, data):
     for field, value in refused:
         want = _raised(lambda: cls(**{**kwargs, field: value}))
         assert _raised(lambda: replace(a, **{field: value})) == want
-    # repr and the argument errors read like the dataclass twin's
+    # repr reads like the dataclass twin's, and argument lists the twin
+    # refuses raise a plain TypeError naming the class
     twin = _twin(cls)
     assert repr(a) == repr(twin(*values))
     if cls.__init__ is not Record.__init__:  # LayerGraph has its own signature
@@ -236,18 +238,16 @@ def test_record_semantics_follow_the_field_tuple(name, data):
     for args, kw in calls:
         try:
             twin(*args, **kw)
-        except TypeError as want:
-            with pytest.raises(TypeError) as got:
+        except TypeError:
+            with pytest.raises(TypeError, match=f"^{re.escape(cls.__qualname__)}\\("):
                 cls(*args, **kw)
-            assert str(got.value) == str(want)
 
 
-def test_missing_config_fields_are_named_like_a_dataclass():
+def test_missing_config_fields_are_all_named():
     doc = {"name": "m", "num_layers": 2, "head_dim": 4, "ffn_dim": 8, "vocab_size": 10}
     with pytest.raises(UserInputError) as exc:
         wl.config_from_json(doc)
-    assert str(exc.value) == ("malformed llm config: LlmConfig.__init__() missing 2 required "
-                              "positional arguments: 'hidden_dim' and 'num_heads'")
+    assert str(exc.value) == "malformed llm config: config is missing 'hidden_dim', 'num_heads'"
 
 
 # ---------------------------------------------------------------------------
