@@ -255,11 +255,13 @@ def total_footprint(
 
 
 def load_ci_table(path: str | Path) -> dict[str, CarbonIntensity]:
-    """Flat JSON mapping region -> kgCO2-eq per kWh."""
+    """Flat JSON mapping region -> kgCO2-eq per kWh, of at least one region."""
     doc = read_json(path, "carbon-intensity table")
     try:
+        if not json_object(doc, "document"):
+            raise ValueError("document has no regions")
         return {region: CarbonIntensity(region, float(json_number(value, region)))
-                for region, value in json_object(doc, "document").items()}
+                for region, value in doc.items()}
     except ValueError as exc:
         raise UserInputError(f"cannot read carbon-intensity table {path}: {exc}") from exc
 

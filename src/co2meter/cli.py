@@ -30,7 +30,7 @@ import sys
 from typing import Sequence
 
 from . import assets
-from .errors import CO2MeterError, NoBreakEvenError, UserInputError, replace
+from .errors import CO2MeterError, NoBreakEvenError, TrainingDivergedError, UserInputError, replace
 
 _SPLIT_ORDER = ("train", "val", "test")
 
@@ -215,14 +215,21 @@ def _cmd_train(args: argparse.Namespace) -> None:
     )
     table = pr.sample_table(dataset)
     params, history = pr.train(table, cfg)
+    # Refused before any file is written: without a validation split, a
+    # diverged tower shows only here.
+    doc = _metrics_doc(params, table, cfg.seed, cfg.train_frac, cfg.val_frac)
+    rows = _metrics_rows(doc)
+    for split, phase, *values, _ in rows:
+        if not all(map(math.isfinite, values)):
+            raise TrainingDivergedError(
+                f"the {phase} tower's metrics on the {split} split are not finite")
     if args.history_out:
         with open(args.history_out, "w") as fh:
             for entry in history:
                 fh.write(json.dumps(entry, sort_keys=True, allow_nan=False) + "\n")
     meta = {**{name: getattr(cfg, name) for name in cfg._fields}, "n_samples": len(dataset)}
     pr.save_params_json(args.params_out, params, meta=meta)
-    doc = _metrics_doc(params, table, cfg.seed, cfg.train_frac, cfg.val_frac)
-    _emit(args, doc, ("split", "phase", "mape", "eb10", "n"), _metrics_rows(doc))
+    _emit(args, doc, ("split", "phase", "mape", "eb10", "n"), rows)
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:

@@ -57,8 +57,9 @@ class NoBreakEvenError(CO2MeterError):
     """Break-even is undefined because the energy delta is not positive."""
 
 
-class TrainingDivergedError(CO2MeterError):
-    """Training aborted because the loss became non-finite."""
+class TrainingDivergedError(UserInputError):
+    """Training aborted because its loss or validation predictions became
+    non-finite: the training settings (such as the learning rate) are at fault."""
 
 
 def read_text(path: str | Path, what: str) -> str:

@@ -350,32 +350,38 @@ def train_tower(
     workspace = Workspace.allocate(tower, min(cfg.batch_size, len(train_set)))
     val_workspace = _prediction_workspace(tower, val_set.h0) if val_set else None
     history = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_set))
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = np.sort(order[start:start + cfg.batch_size])
-            loss, grad = gathered_loss_and_grads(
-                tower, workspace.gather(train_set.c0, batch),
-                train_set.g[batch], train_set.log_target[batch],
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"{label} tower: non-finite loss at epoch {epoch}"
+    # A diverging tower overflows in its matmuls; the checks below refuse it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(train_set))
+            epoch_loss = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = np.sort(order[start:start + cfg.batch_size])
+                loss, grad = gathered_loss_and_grads(
+                    tower, workspace.gather(train_set.c0, batch),
+                    train_set.g[batch], train_set.log_target[batch],
                 )
-            grad *= 1.0 / len(batch)
-            adam.step(flat_params, {"flat": grad})
-            epoch_loss += loss
-        entry = {
-            "tower": label,
-            "epoch": epoch,
-            "train_loss": epoch_loss / len(train_set),
-        }
-        if val_set:
-            preds = _tower_predictions(tower, val_set.h0, val_set.g, val_workspace)
-            entry["val_mape"] = mape(val_set.target_j, preds)
-            entry["val_eb10"] = error_bound_share(val_set.target_j, preds)
-        history.append(entry)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"{label} tower: non-finite loss at epoch {epoch}"
+                    )
+                grad *= 1.0 / len(batch)
+                adam.step(flat_params, {"flat": grad})
+                epoch_loss += loss
+            entry = {
+                "tower": label,
+                "epoch": epoch,
+                "train_loss": epoch_loss / len(train_set),
+            }
+            if val_set:
+                preds = _tower_predictions(tower, val_set.h0, val_set.g, val_workspace)
+                if not np.isfinite(preds).all():
+                    raise TrainingDivergedError(
+                        f"{label} tower: non-finite validation predictions at epoch {epoch}"
+                    )
+                entry["val_mape"] = mape(val_set.target_j, preds)
+                entry["val_eb10"] = error_bound_share(val_set.target_j, preds)
+            history.append(entry)
     return history
 
 

@@ -17,10 +17,14 @@ rows and build no graph: `kernel_costs` prices each kernel of a request,
 sums `timed_rows` (each row's roofline time).  A `LayerGraph` holds one
 layer's rows with their times, the predictor's input together with
 `global_features`; `build_layer_graph` / `apply_roofline` make one, and its
-`KernelNode`s are built only when asked for.  A graph given as nodes and
-edges is that layer up to node relabelling (`_layer_slots` decides), stored
-in canonical order.  The tests' reference oracle, which prices each node of
-a graph per decode position, lives in `tests/oracle_reference.py`.
+`KernelNode`s are built only when asked for.  It stores the rows it is
+given as they are: only program code builds rows, and `featurize` builds
+them after `check_fits` has bounded every count, time and energy (a property
+test holds that each is six exact non-negative ints and a finite time).  A
+graph given as nodes and edges is that layer up to node relabelling
+(`_layer_slots` decides), stored in canonical order.  The tests' reference
+oracle, which prices each node of a graph per decode position, lives in
+`tests/oracle_reference.py`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (NonNegative, Positive, Record, UserInputError, json_int, json_name,
                      json_number, json_object, read_json, replace)
@@ -171,13 +175,12 @@ class LayerGraph(Record):
     `LAYER_KINDS`), held as one row per kernel in canonical node order: the
     six `COUNT_FIELDS`, then `est_time_s`.
 
-    `LayerGraph(rows=..., phase=...)` refuses anything but 12 rows of 7 with
-    exact non-negative integer counts and a non-negative time, all of which a
-    float can hold.
+    `LayerGraph(rows=..., phase=...)` stores the rows as given, as a tuple
+    of tuples (see the module docstring for what holds them in range).
     `LayerGraph(nodes, edges, phase)` takes the layer's `KernelNode`s under
-    any node relabelling and stores their rows in canonical order, refused
-    like `rows`; another topology raises ValueError.  `nodes` are built from
-    the rows on first access."""
+    any node relabelling and stores their rows in canonical order; another
+    topology raises ValueError.  `nodes` are built from the rows on first
+    access."""
 
     rows: tuple[tuple[int | float, ...], ...]
     phase: str
@@ -195,7 +198,7 @@ class LayerGraph(Record):
                 slots = _layer_slots(nodes, edges)
                 nodes = tuple(n for _, n in sorted(zip(slots, nodes)))
             rows = [[getattr(n, f) for f in ROW_FIELDS] for n in nodes]
-        object.__setattr__(self, "rows", _checked_rows(rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "phase", phase)
 
     @property
@@ -208,47 +211,6 @@ class LayerGraph(Record):
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return _LAYER_EDGES
-
-
-_TIME_TYPES = (float, int)
-_FLOAT_MAX = sys.float_info.max
-
-
-def _checked_rows(rows: Sequence[Sequence[int | float]]) -> tuple[tuple[int | float, ...], ...]:
-    """rows as a tuple of tuples, after one pass over their values; ValueError
-    naming the first bad row and field."""
-    if len(rows) != _LAYER_NODES:
-        raise ValueError(f"{len(rows)} rows, expected one per layer kernel ({_LAYER_NODES})")
-    out = []
-    for row in rows:
-        if len(row) != len(ROW_FIELDS) or not _plain_row(*row):
-            _refuse_row(len(out), row)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _plain_row(a: object, b: object, c: object, d: object, e: object, f: object,
-               t: object) -> bool:
-    """The common case, tested fast: six exact non-negative ints, then a
-    non-negative number, all of which a float can hold."""
-    return (type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is int
-            and min(a, b, c, d, e, f) >= 0 and max(a, b, c, d, e, f) <= _FLOAT_MAX
-            and type(t) in _TIME_TYPES and 0.0 <= t <= _FLOAT_MAX)
-
-
-def _refuse_row(i: int, row: Sequence) -> NoReturn:
-    """ValueError naming the first field of row i that `_plain_row` refuses."""
-    where = f"row {i} ({LAYER_KINDS[i]})"
-    if len(row) != len(ROW_FIELDS):
-        raise ValueError(f"{where}: {len(row)} values, expected {len(ROW_FIELDS)} "
-                         f"({', '.join(ROW_FIELDS)})")
-    for field, value in zip(ROW_FIELDS, row):
-        name = f"{where} {field}"
-        if field != "est_time_s":
-            json_int(value, name)
-        if json_number(value, name) < 0:
-            raise ValueError(f"{name} {value!r} is negative")
-    raise ValueError(f"{where} {row!r} is not a row of counts and a time")
 
 
 def in_neighbor_lists(graph: LayerGraph) -> tuple[tuple[int, ...], ...]:
@@ -521,7 +483,7 @@ class KernelCost(NamedTuple):
     flip_position: int | None  # first decode KV position whose boundedness differs
 
 
-_HALF_MAX = _FLOAT_MAX / 2
+_HALF_MAX = sys.float_info.max / 2
 
 
 def check_fits(cfg: LlmConfig, req: Request, dev: DeviceSpec,

@@ -399,6 +399,22 @@ def test_train_history_out_lines_and_unchanged_stdout(capsys, tmp_path, workdir)
         assert set(json.loads(line)) == {"tower", "epoch", "train_loss"}
 
 
+@pytest.mark.parametrize("lr, val_frac, named", [
+    ("1e300", "0", "prefill tower: non-finite loss at epoch 1"),
+    ("10", "0.1", "prefill tower: non-finite validation predictions at epoch 0"),
+    ("10", "0", "metrics on the train split are not finite"),
+], ids=["loss", "validation", "no validation split"])
+def test_divergent_training_exits_2_and_writes_no_file(capsys, tmp_path, workdir, lr, val_frac,
+                                                       named):
+    params, history = tmp_path / "p.json", tmp_path / "history.jsonl"
+    code, out, err = run(capsys, "train", "--dataset", workdir / "tiny.jsonl",
+                         "--params-out", params, "--history-out", history, "--epochs", "2",
+                         "--lr", lr, "--val-frac", val_frac)
+    assert_one_error_line(code, out, err)
+    assert named in err
+    assert not params.exists() and not history.exists()
+
+
 def test_train_saves_params_with_meta(workdir):
     params, meta = load_params_json(workdir / "params.json")
     assert meta["epochs"] == 2
@@ -1187,7 +1203,7 @@ def test_non_finite_spec_fields_exit_2(capsys, tmp_path, asset, path, argv, valu
 # (asset, path to the field, argv, value, the error's end): every number field
 # above and in a BOM's units and peripherals as a bool, the carbon-intensity
 # and pipeline ones as a string too, names that are no non-empty string, and a
-# carbon-intensity table that is no JSON object
+# carbon-intensity table that is no JSON object or has no regions
 _BOOLEAN_FIELDS = [
     *[(asset, path, argv, True, f"{'.'.join(path)} True is not a number")
       for asset, path, argv in _NON_FINITE_FIELDS],
@@ -1198,6 +1214,7 @@ _BOOLEAN_FIELDS = [
     *[(asset, path, argv, "0.7", f"{'.'.join(path)} '0.7' is not a number")
       for asset, path, argv in _NON_FINITE_FIELDS if asset.startswith(("ci", "pipelines"))],
     ("ci_table.json", (), _BREAKEVEN, [1, 2], "document is not a JSON object"),
+    ("ci_table.json", (), _BREAKEVEN, {}, "document has no regions"),
     ("devices/rk3588.json", ("name",), _ESTIMATE, 5, "name 5 is not a non-empty string"),
     ("llm_configs/qwen15-05b.json", ("name",), ("estimate", *_REQUEST, "--config"), None,
      "name None is not a non-empty string"),

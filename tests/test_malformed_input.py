@@ -9,7 +9,8 @@ the key, never a Python message about subscripts or arguments.
 
 `workload.check_fits` refuses, naming the config, both lengths and the
 device, a request whose counts, roofline time or energy a float cannot hold;
-a hypothesis property holds everything it accepts to finite numbers.  Input
+a hypothesis property holds everything it accepts to finite numbers, and
+both of its kernel graphs to rows of exact counts and a finite time.  Input
 files are decoded as UTF-8 under any locale, and CSV lines end at "\n" only.
 """
 
@@ -240,6 +241,15 @@ def _wide_cases(draw):
     return cfg, req, dev
 
 
+def _plain_row(row):
+    """Six exact non-negative ints a float can hold, then a finite
+    non-negative float time: what a `LayerGraph` row holds."""
+    *counts, time_s = row
+    return (len(counts) == 6 and all(type(n) is int and 0 <= n <= sys.float_info.max
+                                     for n in counts)
+            and type(time_s) is float and 0.0 <= time_s < math.inf)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_wide_cases())
 def test_what_check_fits_accepts_prices_and_featurizes_finite(case):
@@ -255,9 +265,24 @@ def test_what_check_fits_accepts_prices_and_featurizes_finite(case):
                                                      row.energy_j)]
     assert all(math.isfinite(value) for value in numbers)
     x = featurize(cfg, req, dev)
+    for graph in (x.prefill_graph, x.decode_graph):
+        assert len(graph.rows) == 12
+        assert all(_plain_row(row) for row in graph.rows), graph.rows
     assert np.isfinite(node_feature_tensor([x.prefill_graph, x.decode_graph])).all()
     assert np.isfinite(globals_vector(x.prefill_globals)).all()
     assert np.isfinite(globals_vector(x.total_globals)).all()
+
+
+@pytest.mark.parametrize("config", assets.list_assets("llm_configs"))
+@pytest.mark.parametrize("device", assets.list_assets("devices"))
+def test_bundled_pairs_featurize_plain_rows(config, device):
+    """Every config and device pair a dataset draws from, at the longest
+    prompt and output the oracle samplers draw, builds both graphs of plain
+    rows."""
+    x = featurize(assets.load_llm_config(config), Request(512, 288), assets.load_device(device))
+    for graph in (x.prefill_graph, x.decode_graph):
+        assert len(graph.rows) == 12
+        assert all(_plain_row(row) for row in graph.rows), graph.rows
 
 
 # ---------------------------------------------------------------------------

@@ -125,76 +125,38 @@ def test_layer_graph_rejects_out_of_range_endpoints():
             wl.LayerGraph(nodes=nodes, edges=(edge,) + edges[1:], phase="prefill")
 
 
-def test_layer_graph_refuses_a_row_every_field_check_passes():
-    """A float subclass passes every field check, yet no plain row holds it,
-    so the row is refused rather than stored."""
-    rows = [list(row) for row in wl.build_layer_graph(Q15, wl.Request(4, 4), "prefill").rows]
-    rows[3][6] = np.float64(rows[3][6])
-    with pytest.raises(ValueError, match=r"^row 3 \(softmax\) .* is not a row of counts and a time"):
-        wl.LayerGraph(rows=rows, phase="prefill")
-
-
-_HUGE = 10**400  # an integer no float can hold
-
-
-def _set_row(i, j, value):
-    def mutate(rows):
-        rows[i][j] = value
-    return mutate
-
-
-# Each malformed value of a `LayerGraph(rows=...)` table, with what the error names.
-_BAD_ROWS = {
-    **{f"node flops-{value}": (_set_row(2, 0, value),
-                               f"row 2 (attn_score) flops {value} is not an integer")
-       for value in (float("nan"), float("inf"))},
-    **{f"node est_time_s-{value}": (_set_row(5, 6, value),
-                                    f"row 5 (out_proj) est_time_s {value} is not a finite")
-       for value in (float("nan"), float("inf"))},
-    "wrong row count": (lambda rows: rows.pop(), "11 rows, expected one per layer kernel (12)"),
-    "wrong row width": (lambda rows: rows[0].pop(), "row 0 (norm): 6 values, expected 7"),
-    # counts that int() would truncate
-    "fractional kernel count": (_set_row(3, 0, 1.5),
-                                "row 3 (softmax) flops 1.5 is not an integer"),
-    "bool kernel count": (_set_row(1, 1, True),
-                          "row 1 (qkv_proj) weight_bytes_loaded True is not an integer"),
-    "negative kernel count": (_set_row(2, 4, -1),
-                              "row 2 (attn_score) kv_bytes_loaded -1 is negative"),
-    "negative est_time_s": (_set_row(11, 6, -1e-9),
-                            "row 11 (residual) est_time_s -1e-09 is negative"),
-    # integers no float can hold, which would overflow in featurization
-    "kernel count beyond float": (_set_row(2, 0, _HUGE),
-                                  f"row 2 (attn_score) flops {_HUGE} is not a finite number"),
-    "est_time_s beyond float": (_set_row(5, 6, _HUGE),
-                                f"row 5 (out_proj) est_time_s {_HUGE} is not a finite number"),
-    "bool est_time_s": (_set_row(4, 6, False), "row 4 (attn_value) est_time_s False"),
+# Each malformed value of one node of a graph given as nodes, with what the
+# error names: `KernelNode` refuses it, so no such graph is built.
+_BAD_NODES = {
+    **{f"node {field}-{value}": (2, field, value,
+                                 f"KernelNode.{field} must be finite and >= 0, got {value}")
+       for field in ("flops", "est_time_s") for value in (float("nan"), float("inf"))},
+    "negative kernel count": (2, "kv_bytes_loaded", -1,
+                              "KernelNode.kv_bytes_loaded must be finite and >= 0, got -1"),
+    "negative est_time_s": (11, "est_time_s", -1e-9,
+                            "KernelNode.est_time_s must be finite and >= 0, got -1e-09"),
+    "unknown kernel kind": (3, "kind", "conv", "unknown kernel kind 'conv'"),
 }
 
 
-@pytest.mark.parametrize("mutate, named", list(_BAD_ROWS.values()), ids=list(_BAD_ROWS))
-def test_layer_graph_rows_refuse_each_bad_value(mutate, named):
-    rows = [list(row) for row in wl.timed_rows(
-        wl.layer_rows(Q15, wl.Request(96, 64), "decode"), RK3588)]
-    mutate(rows)
+@pytest.mark.parametrize("i, field, value, named", list(_BAD_NODES.values()), ids=list(_BAD_NODES))
+def test_layer_graph_nodes_refuse_each_bad_value(i, field, value, named):
+    graph = wl.timed_rows(wl.layer_rows(Q15, wl.Request(96, 64), "decode"), RK3588)
+    graph = wl.LayerGraph(rows=graph, phase="decode")
     with pytest.raises(ValueError) as info:
-        wl.LayerGraph(rows=rows, phase="decode")
-    assert named in str(info.value)
+        nodes = (*graph.nodes[:i], replace(graph.nodes[i], **{field: value}), *graph.nodes[i + 1:])
+        wl.LayerGraph(nodes, graph.edges, "decode")
+    assert str(info.value) == named
 
 
-def test_both_constructors_refuse_a_count_that_is_not_an_integer():
-    """The node path checks the canonical rows as the rows path does, also
-    when the bad node comes relabelled."""
-    graph = wl.build_layer_graph(Q15, wl.Request(4, 4), "prefill")
-    nodes = (replace(graph.nodes[0], flops=1.5), *graph.nodes[1:])
-    rows = [list(row) for row in graph.rows]
-    rows[0][0] = 1.5
-    text = r"^row 0 \(norm\) flops 1\.5 is not an integer"
-    with pytest.raises(ValueError, match=text):
-        wl.LayerGraph(rows=rows, phase="prefill")
-    with pytest.raises(ValueError, match=text):
-        wl.LayerGraph(nodes, graph.edges, "prefill")
-    with pytest.raises(ValueError, match=text):
-        wl.LayerGraph(*_relabel(nodes, graph.edges, list(range(1, 12)) + [0]), phase="prefill")
+def test_layer_graph_stores_rows_as_given():
+    """Rows are stored as built, as a tuple of tuples, and the nodes path
+    stores the same rows."""
+    rows = wl.timed_rows(wl.layer_rows(Q15, wl.Request(96, 64), "decode"), RK3588)
+    graph = wl.LayerGraph(rows=[list(row) for row in rows], phase="decode")
+    assert graph.rows == tuple(map(tuple, rows))
+    assert all(type(row) is tuple for row in graph.rows)
+    assert wl.LayerGraph(graph.nodes, graph.edges, "decode").rows == graph.rows
 
 
 def _relabeled(graph, order):
