@@ -191,15 +191,19 @@ def _metrics_doc(params, table, seed, train_frac, val_frac) -> dict:
     return doc
 
 
+def _metric_row(split: str, phase: str, m: dict) -> tuple[object, ...]:
+    """The printed row of one metric doc; refused when a metric is not
+    finite, as a diverged tower's are."""
+    if not all(map(math.isfinite, (m["mape"], m["eb10"]))):
+        raise TrainingDivergedError(
+            f"the {phase} tower's metrics on the {split} split are not finite")
+    return (split, phase, m["mape"], m["eb10"], m["n"])
+
+
 def _metrics_rows(doc: dict) -> list[tuple[object, ...]]:
-    rows: list[tuple[object, ...]] = []
-    for split in _SPLIT_ORDER:
-        if split not in doc:
-            continue
-        for phase in sorted(doc[split]):
-            m = doc[split][phase]
-            rows.append((split, phase, m["mape"], m["eb10"], m["n"]))
-    return rows
+    return [_metric_row(split, phase, doc[split][phase])
+            for split in _SPLIT_ORDER if split in doc
+            for phase in sorted(doc[split])]
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
@@ -216,13 +220,9 @@ def _cmd_train(args: argparse.Namespace) -> None:
     table = pr.sample_table(dataset)
     params, history = pr.train(table, cfg)
     # Refused before any file is written: without a validation split, a
-    # diverged tower shows only here.
+    # diverged tower shows only in `_metrics_rows`.
     doc = _metrics_doc(params, table, cfg.seed, cfg.train_frac, cfg.val_frac)
     rows = _metrics_rows(doc)
-    for split, phase, *values, _ in rows:
-        if not all(map(math.isfinite, values)):
-            raise TrainingDivergedError(
-                f"the {phase} tower's metrics on the {split} split are not finite")
     if args.history_out:
         with open(args.history_out, "w") as fh:
             for entry in history:
@@ -271,9 +271,7 @@ def _cmd_eval(args: argparse.Namespace) -> None:
             "ridge": _as_metric_doc(pr.evaluate_baseline_total(ridge.predict(test), test)),
         }
         doc = {"metrics": doc, "comparison": comparison}
-        for scheme in ("two_phase", "single_phase", "ridge"):
-            m = comparison[scheme]
-            rows.append(("test", scheme, m["mape"], m["eb10"], m["n"]))
+        rows += [_metric_row("test", scheme, m) for scheme, m in comparison.items()]
 
     _emit(args, doc, ("split", "phase", "mape", "eb10", "n"), rows)
 

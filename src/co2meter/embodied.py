@@ -4,8 +4,8 @@ A board is modeled as a PCB, a die split into named accelerator units plus an
 implicit remainder, a fixed DRAM contribution, and optional fixed-footprint
 peripherals.  Area-based components are priced as area * carbon-per-area;
 DRAM and peripherals carry fixed kgCO2-eq values.  What-if edits (scaling a
-die unit, swapping the DRAM footprint, resizing the PCB) compose left to
-right and return new BOMs.
+die unit, swapping the DRAM footprint) compose left to right and return new
+BOMs.
 """
 
 from __future__ import annotations
@@ -167,16 +167,7 @@ class SetDram(Record):
         return replace(bom, dram_kg=self.dram_kg)
 
 
-class SetPcbArea(Record):
-    """Resize the PCB."""
-
-    area_cm2: Positive
-
-    def apply(self, bom: SocBom) -> SocBom:
-        return replace(bom, pcb_area_cm2=self.area_cm2)
-
-
-BomMod = ScaleUnit | SetDram | SetPcbArea
+BomMod = ScaleUnit | SetDram
 
 
 def whatif_bom(bom: SocBom, mods: Sequence[BomMod]) -> SocBom:

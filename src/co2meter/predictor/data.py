@@ -4,6 +4,8 @@ A GraphSample is one request measured on one device: the LLM config, the
 device, the measured prefill and total energies, and the phase inputs
 `featurize` builds from them — the prefill kernel graph with prefill-phase
 globals, and the mid-sequence decode graph with whole-request globals.
+`featurize` is the one builder of these inputs and sets each one's phase, so
+the records that hold them check only their labels.
 
 Every `LayerGraph` holds its 12 kernels' rows in canonical node order, so the
 node features of S graphs are one (S, 12, NODE_FEATURE_DIM) table
@@ -53,9 +55,9 @@ NUMERIC_NODE_FEATURES = (
     "arithmetic_intensity",
 )
 
-# The global feature vector: `GlobalFeatures` fields, then the phase flag.
-GLOBAL_FEATURE_NAMES = ("total_ops", "layer_count", "hidden_dim", "ffn_dim", "prompt_len",
-                        "output_len", "weight_memory_bytes", "kv_cache_bytes", "phase_flag")
+# The global feature vector: `GlobalFeatures`' numeric fields, then the phase flag.
+GLOBAL_FEATURE_NAMES = (*(name for name in GlobalFeatures._fields
+                          if name not in ("phase", "prefill_energy_j")), "phase_flag")
 
 NODE_FEATURE_DIM = len(NUMERIC_NODE_FEATURES) + len(KERNEL_KINDS)
 GLOBAL_DIM = len(GLOBAL_FEATURE_NAMES)
@@ -75,16 +77,6 @@ class PredictorInputs(Record):
     decode_graph: LayerGraph
     total_globals: GlobalFeatures
 
-    def __post_init__(self) -> None:
-        if self.prefill_graph.phase != "prefill":
-            raise ValueError("prefill_graph must be a prefill-phase graph")
-        if self.decode_graph.phase != "decode":
-            raise ValueError("decode_graph must be a decode-phase graph")
-        if self.prefill_globals.phase != "prefill":
-            raise ValueError("prefill_globals must be prefill-phase features")
-        if self.total_globals.phase != "total":
-            raise ValueError("total_globals must be total-phase features")
-
 
 class GraphSample(PredictorInputs):
     """Predictor inputs, the config and device they came from, and measured energies."""
@@ -95,7 +87,6 @@ class GraphSample(PredictorInputs):
     label_total_j: Positive
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if self.label_prefill_j > self.label_total_j:
             raise ValueError("labels must satisfy prefill <= total")
 
@@ -107,15 +98,13 @@ class GraphSample(PredictorInputs):
 def featurize(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> PredictorInputs:
     """Roofline-timed prefill and mid-decode graphs with their globals;
     raises UserInputError like `kernel_costs` when `check_fits` refuses the request.
-    The prefill count rows are built once, for the graph and both globals."""
+    It is the one builder of `PredictorInputs`, and sets each input's phase."""
     check_fits(cfg, req, dev)
-    prefill_rows = layer_rows(cfg, req, "prefill")
-    prefill_ops = sum(row[0] for row in prefill_rows)
     return PredictorInputs(
-        LayerGraph(rows=timed_rows(prefill_rows, dev), phase="prefill"),
-        global_features(cfg, req, "prefill", prefill_ops),
+        LayerGraph(rows=timed_rows(layer_rows(cfg, req, "prefill"), dev), phase="prefill"),
+        global_features(cfg, req, "prefill"),
         LayerGraph(rows=timed_rows(layer_rows(cfg, req, "decode"), dev), phase="decode"),
-        global_features(cfg, req, "total", prefill_ops),
+        global_features(cfg, req, "total"),
     )
 
 

@@ -324,10 +324,11 @@ def _tower_predictions(
     if workspace is None:
         workspace = _prediction_workspace(tower, h0)
     out = np.empty(len(h0))
-    for start in range(0, len(h0), _PREDICT_BATCH):
-        rows = slice(start, start + _PREDICT_BATCH)
-        y, _ = forward_batch(tower, h0[rows], g[rows], workspace)
-        with np.errstate(over="ignore"):  # an inf energy is for the caller to refuse
+    # Diverged params give inf or nan energies, for the caller to refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(h0), _PREDICT_BATCH):
+            rows = slice(start, start + _PREDICT_BATCH)
+            y, _ = forward_batch(tower, h0[rows], g[rows], workspace)
             out[rows] = np.exp(y)
     return out
 
@@ -441,9 +442,7 @@ def predict_prefill(
 def predict_total(
     graph: LayerGraph, gf: GlobalFeatures, params: GnnParams
 ) -> float:
-    """Whole-request energy in joules; globals must carry the prefill energy."""
-    if gf.phase != "total":
-        raise ValueError("total prediction needs total-phase globals")
+    """Whole-request energy in joules; globals must carry the prefill energy (total phase)."""
     if gf.prefill_energy_j is None:
         raise ValueError("total prediction needs globals with a prefill energy")
     return _predict_one(params, "total", graph, gf, np.array([gf.prefill_energy_j]))

@@ -16,15 +16,15 @@ rows and build no graph: `kernel_costs` prices each kernel of a request,
 `layer_intensity`/`kernel_intensity` give intensities and `whatif_speedup`
 sums `timed_rows` (each row's roofline time).  A `LayerGraph` holds one
 layer's rows with their times, the predictor's input together with
-`global_features`; `build_layer_graph` / `apply_roofline` make one, and its
-`KernelNode`s are built only when asked for.  It stores the rows it is
-given as they are: only program code builds rows, and `featurize` builds
-them after `check_fits` has bounded every count, time and energy (a property
-test holds that each is six exact non-negative ints and a finite time).  A
-graph given as nodes and edges is that layer up to node relabelling
-(`_layer_slots` decides), stored in canonical order.  The tests' reference
-oracle, which prices each node of a graph per decode position, lives in
-`tests/oracle_reference.py`.
+`global_features`, whose op counts come in O(1) from the cached layer line as
+`check_fits`' bounds do.  `build_layer_graph` / `apply_roofline` make a graph,
+and its `KernelNode`s are built only when asked for.  It stores the rows it is
+given as they are: only program code builds rows, and `featurize` builds them
+after `check_fits` has bounded every count, time and energy (a property test
+holds that each is six exact non-negative ints and a finite time).  A graph
+given as nodes and edges is that layer up to node relabelling (`_layer_slots`
+decides), stored in canonical order.  The tests' reference oracle, which
+prices each node of a graph per decode position, is `tests/oracle_reference.py`.
 """
 
 from __future__ import annotations
@@ -412,26 +412,24 @@ def weight_memory_bytes(cfg: LlmConfig) -> int:
 
 def kv_cache_bytes(cfg: LlmConfig, seq_len: int) -> int:
     """K and V caches across all layers at a given sequence length."""
-    if seq_len < 0:
-        raise ValueError("seq_len must be >= 0")
     return 2 * cfg.num_layers * cfg.hidden_dim * seq_len * cfg.act_bytes
 
 
-def global_features(cfg: LlmConfig, req: Request, phase: str,
-                    prefill_ops: int | None = None) -> GlobalFeatures:
+def global_features(cfg: LlmConfig, req: Request, phase: str) -> GlobalFeatures:
     """Aggregate features for the prefill phase or the whole request; decode
     is counted at its mid-sequence position, as `layer_rows` defaults to.
-    `prefill_ops` (one layer's prefill flops) spares a caller rebuilding them."""
-    if prefill_ops is None:
-        prefill_ops = sum(row[0] for row in layer_rows(cfg, req, "prefill"))
+    Both op counts are exact and O(1) from the `_decode_lines` layer line: a
+    kernel's flops at t tokens over s positions are t times its flops at s."""
+    flops0, _, dflops, _ = _decode_lines(cfg)[1]
+    p = req.prompt_len
+    prefill_ops = p * (flops0 + p * dflops)
     if phase == "prefill":
         total_ops = prefill_ops * cfg.num_layers
-        seq_len = req.prompt_len
+        seq_len = p
     else:
-        flops0, _, dflops, _ = _decode_lines(cfg)[1]
-        decode_ops = flops0 + (req.prompt_len + req.output_len // 2) * dflops
+        decode_ops = flops0 + (p + req.output_len // 2) * dflops
         total_ops = (prefill_ops + req.output_len * decode_ops) * cfg.num_layers
-        seq_len = req.prompt_len + req.output_len
+        seq_len = p + req.output_len
     return GlobalFeatures(
         total_ops=float(total_ops),
         layer_count=cfg.num_layers,
@@ -446,8 +444,7 @@ def global_features(cfg: LlmConfig, req: Request, phase: str,
 
 
 def with_prefill_energy(globals_: GlobalFeatures, energy_j: float) -> GlobalFeatures:
-    if globals_.phase != "total":
-        raise ValueError("prefill energy attaches to total-phase features")
+    """The globals with a prefill energy; `GlobalFeatures` refuses prefill-phase ones."""
     return replace(globals_, prefill_energy_j=energy_j)
 
 

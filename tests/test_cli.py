@@ -20,6 +20,7 @@ from co2meter.accounting import breakeven_requests, load_ci_table
 from co2meter.embodied import load_bom_json
 from co2meter.errors import UserInputError
 from co2meter.predictor import (
+    Metrics,
     TrainConfig,
     evaluate_baseline_total,
     featurize,
@@ -413,6 +414,57 @@ def test_divergent_training_exits_2_and_writes_no_file(capsys, tmp_path, workdir
     assert_one_error_line(code, out, err)
     assert named in err
     assert not params.exists() and not history.exists()
+
+
+def test_diverged_params_are_refused_without_a_numpy_warning(capsys, tmp_path):
+    """Their forward pass overflows to nan in a matmul: the refusal is the one
+    line on stderr, and no RuntimeWarning escapes (the suite makes warnings
+    errors)."""
+    data, params = tmp_path / "d.jsonl", tmp_path / "p.json"
+    assert run(capsys, "dataset", "--n", "50", "--seed", "1", "--dataset-out", data)[0] == 0
+    code, out, err = run(capsys, "train", "--dataset", data, "--params-out", params,
+                         "--lr", "1", "--val-frac", "0", "--epochs", "2")
+    assert_one_error_line(code, out, err)
+    assert "the prefill tower's metrics on the train split are not finite" in err
+    assert not params.exists()
+
+
+@pytest.fixture(scope="module")
+def diverging_params(tmp_path_factory):
+    """Params that `train` accepts, as their metrics on its own small-model
+    dataset are finite, but whose total tower overflows on larger models."""
+    d = tmp_path_factory.mktemp("diverging")
+    assert cli.main(["dataset", "--n", "50", "--dataset-out", str(d / "train.jsonl"),
+                     "--out", os.devnull]) == 0
+    assert cli.main(["train", "--dataset", str(d / "train.jsonl"), "--params-out",
+                     str(d / "params.json"), "--lr", "1", "--val-frac", "0", "--epochs", "2",
+                     "--out", os.devnull]) == 0
+    assert cli.main(["dataset", "--configs", "qwen15-05b,tinyllama-11b,internlm2-18b",
+                     "--devices", "rk3588,rk3568,orin_nx,agx_orin", "--n", "12", "--seed", "1",
+                     "--dataset-out", str(d / "grid.jsonl"), "--out", os.devnull]) == 0
+    return d
+
+
+@pytest.mark.parametrize("extra", [[], ["--compare-baselines", "--baseline-epochs", "1"]],
+                         ids=["plain", "compare-baselines"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_eval_refuses_non_finite_metrics(capsys, diverging_params, fmt, extra):
+    code, out, err = run(capsys, "eval", "--dataset", diverging_params / "grid.jsonl",
+                         "--params", diverging_params / "params.json", "--format", fmt, *extra)
+    assert_one_error_line(code, out, err)
+    assert err == "error: the total tower's metrics on the train split are not finite\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_eval_refuses_non_finite_baseline_metrics(capsys, monkeypatch, workdir, fmt):
+    """The `--compare-baselines` rows are checked as the towers' rows are."""
+    monkeypatch.setattr("co2meter.predictor.evaluate_baseline_total",
+                        lambda predictions, samples: Metrics(float("inf"), 0.0, 1))
+    code, out, err = run(capsys, "eval", "--dataset", workdir / "tiny.jsonl",
+                         "--params", workdir / "params.json", "--format", fmt,
+                         "--compare-baselines", "--baseline-epochs", "1")
+    assert_one_error_line(code, out, err)
+    assert err == "error: the single_phase tower's metrics on the test split are not finite\n"
 
 
 def test_train_saves_params_with_meta(workdir):

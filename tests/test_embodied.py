@@ -251,14 +251,6 @@ def test_whatif_mods_commute():
     )
 
 
-def test_set_pcb_area():
-    modified = emb.SetPcbArea(100.0).apply(RK3588)
-    report = emb.soc_embodied(modified)
-    assert report.per_component["pcb"] == pytest.approx(7.1, rel=1e-12)
-    # SoC-side components untouched
-    assert die_total(report) == pytest.approx(1.068, abs=1e-12)
-
-
 def test_delta_embodied():
     base = emb.soc_embodied(RK3588)
     mem = emb.soc_embodied(emb.whatif_bom(RK3588, [emb.SetDram(1.68)]))

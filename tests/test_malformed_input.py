@@ -265,6 +265,9 @@ def test_what_check_fits_accepts_prices_and_featurizes_finite(case):
                                                      row.energy_j)]
     assert all(math.isfinite(value) for value in numbers)
     x = featurize(cfg, req, dev)
+    # `featurize` sets each input's phase; the inputs record checks none
+    assert (x.prefill_graph.phase, x.prefill_globals.phase) == ("prefill", "prefill")
+    assert (x.decode_graph.phase, x.total_globals.phase) == ("decode", "total")
     for graph in (x.prefill_graph, x.decode_graph):
         assert len(graph.rows) == 12
         assert all(_plain_row(row) for row in graph.rows), graph.rows

@@ -350,6 +350,24 @@ def test_estimate_roofline_and_globals_equal_the_graph_builder_path(config):
         assert global_features(cfg, req, "total").total_ops == float(total_ops)
 
 
+_lengths = st.one_of(st.integers(1, 600), st.integers(1, 10**12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(configs(), st.sampled_from(_CONFIGS).map(assets.load_llm_config)),
+       st.builds(Request, _lengths, _lengths))
+def test_global_features_ops_are_the_summed_layer_row_flops(cfg, req):
+    """`global_features` takes both op counts from the cached layer line; they
+    are the summed `layer_rows` flops of each phase, decode at its mid-sequence
+    position p + o // 2, times the layer count, exactly."""
+    prefill = sum(row[0] for row in wl.layer_rows(cfg, req, "prefill"))
+    mid = req.prompt_len + req.output_len // 2
+    decode = sum(row[0] for row in wl.layer_rows(cfg, req, "decode", mid))
+    assert global_features(cfg, req, "prefill").total_ops == float(prefill * cfg.num_layers)
+    assert global_features(cfg, req, "total").total_ops == float(
+        (prefill + req.output_len * decode) * cfg.num_layers)
+
+
 def test_estimate_and_make_sample_build_each_layer_graph_once(monkeypatch):
     """`make_sample` builds each of its two layer graphs once, from count rows;
     estimate, whatif, roofline and the pricer read count rows and build no

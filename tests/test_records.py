@@ -55,7 +55,7 @@ def _examples():
     found = [
         cfg, dev, req, graph, graph.nodes[1], wl.global_features(cfg, req, "total"),
         bom, bom.units[0], emb.soc_embodied(bom, ["die:npu"]),
-        emb.ScaleUnit("npu", 2.0), emb.SetDram(1.0), emb.SetPcbArea(50.0),
+        emb.ScaleUnit("npu", 2.0), emb.SetDram(1.0),
         pipeline, pipeline.input, pipeline.conversion, pipeline.llm, pipeline.output,
         acc.CameraInput(2.0, 3.0), acc.SpeakerOutput(1.0, 60.0), ci, acc.UsageProfile(100.0),
         acc.app_energy(pipeline, models, lambda stage: 1.0),
