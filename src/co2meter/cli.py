@@ -207,6 +207,7 @@ def _metrics_rows(doc: dict) -> list[tuple[object, ...]]:
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
+    _at_least_one(("--epochs", args.epochs), ("--batch-size", args.batch_size))
     from . import predictor as pr
     dataset = pr.read_dataset_jsonl(args.dataset)
     cfg = pr.TrainConfig(
@@ -235,6 +236,7 @@ def _cmd_train(args: argparse.Namespace) -> None:
 def _cmd_eval(args: argparse.Namespace) -> None:
     if args.baseline_epochs is not None and not args.compare_baselines:
         raise UserInputError("--baseline-epochs applies only with --compare-baselines")
+    _at_least_one(("--baseline-epochs", args.baseline_epochs))
     from . import predictor as pr
     dataset = pr.read_dataset_jsonl(args.dataset)
     params, meta = pr.load_params_json(args.params)
@@ -302,12 +304,17 @@ def _prompt_len(entry: str) -> int:
     return value
 
 
+def _at_least_one(*flags: tuple[str, int | None]) -> None:
+    """Refuse, by its flag, the first given (flag, value) whose value is below 1."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            raise UserInputError(f"{flag} {value} must be >= 1")
+
+
 def _request(args: argparse.Namespace):
     """--prompt-len and --output-len as a request, refusing a length below 1 by its flag."""
     from .workload import Request
-    for flag, value in (("--prompt-len", args.prompt_len), ("--output-len", args.output_len)):
-        if value < 1:
-            raise UserInputError(f"{flag} {value} must be >= 1")
+    _at_least_one(("--prompt-len", args.prompt_len), ("--output-len", args.output_len))
     return Request(args.prompt_len, args.output_len)
 
 
@@ -525,8 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "dataset", parents=[seed, common], help="generate a synthetic labeled dataset"
     )
-    p.add_argument("--configs", default="qwen15-05b")
-    p.add_argument("--devices", default="rk3588")
+    order = " (names or paths); with one --seed, their order changes which each request draws"
+    p.add_argument("--configs", default="qwen15-05b", help="comma-separated LLM configs" + order)
+    p.add_argument("--devices", default="rk3588", help="comma-separated devices" + order)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", type=_finite_float, default=0.05)
     p.add_argument("--regime", choices=("trace", "mixed"), default="trace")

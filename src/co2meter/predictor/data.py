@@ -9,7 +9,7 @@ the records that hold them check only their labels.
 
 Every `LayerGraph` holds its 12 kernels' rows in canonical node order, so the
 node features of S graphs are one (S, 12, NODE_FEATURE_DIM) table
-(`node_feature_tensor`): the rows from one `np.array` call, the arithmetic
+(`node_feature_tensor`): the rows from one `np.fromiter` pass, the arithmetic
 intensity column computed from them, then the kind one-hot, one constant
 block.
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -122,8 +123,8 @@ def node_feature_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:
     The intensity equals `workload.kernel_intensity` of a row's flops and moved
     bytes bit for bit while counts stay below 2**53, as float64 then holds
     them exactly."""
-    rows = np.array([graph.rows for graph in graphs], dtype=float).reshape(
-        len(graphs), len(LAYER_KINDS), len(ROW_FIELDS))
+    cells = chain.from_iterable(chain.from_iterable(graph.rows for graph in graphs))
+    rows = np.fromiter(cells, dtype=float).reshape(len(graphs), len(LAYER_KINDS), len(ROW_FIELDS))
     moved = rows[..., 1:6].sum(axis=2)
     intensity = np.divide(rows[..., 0], moved, out=np.zeros_like(moved), where=moved > 0)
     one_hot = np.broadcast_to(_KIND_ONE_HOT, (len(graphs), *_KIND_ONE_HOT.shape))

@@ -431,6 +431,10 @@ def backward_tower(tower: TowerParams, cache: Workspace, dy: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Gradient check
 
+# `grad_check`'s finite-difference step, and how many parameters it compares,
+# drawn with a generator of this seed.
+_GRAD_CHECK_EPS, _GRAD_CHECKS, _GRAD_CHECK_SEED = 1e-5, 200, 0
+
 
 def grad_check(
     tower: TowerParams,
@@ -438,24 +442,15 @@ def grad_check(
     preds: Sequence[Sequence[int]],
     g: np.ndarray,
     log_target: float,
-    eps: float = 1e-5,
-    n_checks: int = 200,
-    seed: int = 0,
 ) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Checks a random subset of at least `n_checks` parameters across all tower
-    arrays (all of them when the tower is small).
-    """
+    """Max relative error of analytic vs central-difference gradients, over
+    `_GRAD_CHECKS` random parameters of the tower (all of a small one)."""
     y, cache = forward_tower(tower, h0, preds, g)
     analytic = backward_tower(tower, cache, 2.0 * (y - log_target))
 
     total = tower.n_params()
-    rng = np.random.default_rng(seed)
-    if total <= n_checks:
-        picks = np.arange(total)
-    else:
-        picks = rng.choice(total, size=n_checks, replace=False)
+    picks = np.random.default_rng(_GRAD_CHECK_SEED).choice(
+        total, size=min(total, _GRAD_CHECKS), replace=False)
 
     def loss_with(idx: int, delta: float) -> float:
         old = tower.flat[idx]
@@ -465,7 +460,7 @@ def grad_check(
         err = y - log_target
         return err * err
 
-    worst = 0.0
+    eps, worst = _GRAD_CHECK_EPS, 0.0
     for idx in picks:
         numeric = (loss_with(int(idx), eps) - loss_with(int(idx), -eps)) / (2.0 * eps)
         denom = max(abs(numeric) + abs(analytic[idx]), 1e-8)

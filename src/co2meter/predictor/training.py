@@ -15,14 +15,13 @@ prefill-energy feature (`train_single_phase`).
 A sample set is featurized once, into one table (`sample_table`, its node
 tensors from `data.node_feature_tensor`) that norm fitting, every tower,
 validation, evaluation and the ridge fit read; `_TOWERS` says which of its
-fields each tower reads.  The table is the only form the internals take: each
-entry point (`train`, `evaluate_params`, `fit_norms`, `_prepare` and the
-baselines) takes a sample set or its table and turns it into a table once
-(`_as_table`), only the fields it reads (`_column`) for the ridge baseline and
-`evaluate_baseline_total`.  Both trainers split a sample set with
-`_split_tables`, which indexes a table's rows (`table_rows`) or featurizes
-only the train and validation samples of a sequence.  The two-phase predictor
-and the single-phase baseline train their towers in one loop
+fields each tower reads.  The table is the only form the internals take, and
+a sample list becomes one in one place: each entry point (`train`,
+`evaluate_params`, `fit_norms`, `_prepare` and the baselines) takes a sample
+list or its table, and `_as_table` featurizes a list whole.  Both trainers
+split with `_split_tables`, which indexes the train and validation rows of
+that table (`table_rows`).  The two-phase predictor and the single-phase
+baseline train their towers in one loop
 (`_train_towers`).  A `LayerGraph` is the decoder layer in canonical node
 order from the moment it is built, so every GNN evaluation is the batched
 pass (`gnn.forward_batch` / `gnn.backward_batch`) over rows of one stack: a
@@ -117,9 +116,10 @@ _ERROR_BOUND = 0.10
 
 
 def error_bound_share(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Share (percent) of predictions with relative error <= 10 %."""
+    """Share (percent) of predictions with relative error <= 10 %: k of n
+    is exactly the float nearest 100 * k / n."""
     rel = _relative_errors(y_true, y_pred, "error-bound share")
-    return float(np.mean(rel <= _ERROR_BOUND) * 100.0)
+    return float(100.0 * np.count_nonzero(rel <= _ERROR_BOUND) / rel.size)
 
 
 def evaluate_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:
@@ -172,24 +172,23 @@ class Adam:
 SampleTable = dict[str, np.ndarray]
 
 
-def _column(samples: Sequence[PredictorInputs], field: str) -> np.ndarray:
-    """One field of the samples' `sample_table`, built alone."""
-    values = [getattr(s, field) for s in samples]
-    if field.endswith("_graph"):
-        return node_feature_tensor(values)
-    if field.endswith("_globals"):
-        return np.array([globals_vector(v) for v in values]).reshape(len(values), GLOBAL_DIM)
-    return np.array(values, dtype=float)
-
-
 def sample_table(samples: Sequence[PredictorInputs]) -> SampleTable:
-    """Raw inputs of a sample set, one `_column` per field, stacked in sample
-    order: (S, 12, NODE_FEATURE_DIM) node tensors in canonical node order,
-    (S, GLOBAL_DIM) global rows, and (S,) labels when there are any."""
-    fields = ["prefill_graph", "decode_graph", "prefill_globals", "total_globals"]
+    """Raw inputs of a sample set, stacked in sample order: (S, 12,
+    NODE_FEATURE_DIM) node tensors in canonical node order, (S, GLOBAL_DIM)
+    global rows, and (S,) labels when there are any."""
+    n = len(samples)
+    table = {
+        "prefill_graph": node_feature_tensor([s.prefill_graph for s in samples]),
+        "decode_graph": node_feature_tensor([s.decode_graph for s in samples]),
+        "prefill_globals": np.array([globals_vector(s.prefill_globals) for s in samples]
+                                    ).reshape(n, GLOBAL_DIM),
+        "total_globals": np.array([globals_vector(s.total_globals) for s in samples]
+                                  ).reshape(n, GLOBAL_DIM),
+    }
     if all(isinstance(s, GraphSample) for s in samples):
-        fields += ["label_prefill_j", "label_total_j"]
-    return {field: _column(samples, field) for field in fields}
+        table["label_prefill_j"] = np.array([s.label_prefill_j for s in samples], dtype=float)
+        table["label_total_j"] = np.array([s.label_total_j for s in samples], dtype=float)
+    return table
 
 
 def table_rows(table: SampleTable, idx: np.ndarray) -> SampleTable:
@@ -197,26 +196,21 @@ def table_rows(table: SampleTable, idx: np.ndarray) -> SampleTable:
     return {field: column[idx] for field, column in table.items()}
 
 
-def _as_table(data: Sequence[PredictorInputs] | SampleTable,
-              fields: Sequence[str] | None = None) -> SampleTable:
-    """data's `sample_table`, or its named fields alone; a table is returned as it is."""
-    if isinstance(data, dict):
-        return data
-    return sample_table(data) if fields is None else {f: _column(data, f) for f in fields}
+def _as_table(data: Sequence[PredictorInputs] | SampleTable) -> SampleTable:
+    """data's `sample_table`; a table is returned as it is."""
+    return data if isinstance(data, dict) else sample_table(data)
 
 
 def _split_tables(data: Sequence[GraphSample] | SampleTable,
                   cfg: TrainConfig) -> tuple[SampleTable, SampleTable]:
-    """Tables of the train and validation splits of data: a `sample_table`
-    is indexed, of a sequence of samples only those two splits are featurized."""
-    is_table = isinstance(data, dict)
-    n = len(data["prefill_graph"] if is_table else data)
+    """Tables of the train and validation splits of data, indexed out of its
+    `sample_table`."""
+    table = _as_table(data)
+    n = len(table["prefill_graph"])
     if n < 2:
         raise ValueError("training needs at least two samples")
-    return tuple(
-        table_rows(data, idx) if is_table else sample_table([data[i] for i in idx])
-        for idx in split_indices(n, cfg.train_frac, cfg.val_frac, cfg.seed)[:2]
-    )
+    return tuple(table_rows(table, idx)
+                 for idx in split_indices(n, cfg.train_frac, cfg.val_frac, cfg.seed)[:2])
 
 
 class _TowerInputs(Record):
@@ -482,12 +476,12 @@ class RidgeBaseline(Record, frozen=False):
     sd: np.ndarray
 
     def predict(self, samples: Sequence[GraphSample] | SampleTable) -> np.ndarray:
-        x = (np.log1p(_as_table(samples, ["total_globals"])["total_globals"]) - self.mu) / self.sd
+        x = (np.log1p(_as_table(samples)["total_globals"]) - self.mu) / self.sd
         return np.exp(np.column_stack([x, np.ones(len(x))]) @ self.weights)
 
 
 def fit_ridge_globals(samples: Sequence[GraphSample] | SampleTable) -> RidgeBaseline:
-    table = _as_table(samples, ["total_globals", "label_total_j"])
+    table = _as_table(samples)
     raw = np.log1p(table["total_globals"])
     mu, sd = column_stats(raw)
     x = np.column_stack([(raw - mu) / sd, np.ones(len(raw))])
@@ -526,4 +520,4 @@ def predict_single_phase(
 def evaluate_baseline_total(
     predictions: np.ndarray, samples: Sequence[GraphSample] | SampleTable
 ) -> Metrics:
-    return evaluate_predictions(_as_table(samples, ["label_total_j"])["label_total_j"], predictions)
+    return evaluate_predictions(_as_table(samples)["label_total_j"], predictions)

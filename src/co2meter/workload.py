@@ -483,18 +483,16 @@ class KernelCost(NamedTuple):
 _HALF_MAX = sys.float_info.max / 2
 
 
-def check_fits(cfg: LlmConfig, req: Request, dev: DeviceSpec,
-               layer_line: tuple[int, ...] | None = None) -> None:
+def check_fits(cfg: LlmConfig, req: Request, dev: DeviceSpec) -> None:
     """UserInputError when weights plus the final K/V cache overflow DRAM, or
     when a bound on the request's FLOP or byte totals, or on its roofline
     time or energy, is past half the largest float: the half spares the
     rounding of the sums the bound stands for, so a request that passes
     prices and featurizes to finite numbers only.
 
-    The bound is O(1), from the `_decode_lines` layer line (`layer_line`, when
-    the caller holds it): each prefill count is at most prompt_len times the
-    one-token count at position prompt_len, and each decode step's at most
-    the count at the last position.
+    The bound is O(1), from the cached `_decode_lines` layer line: each
+    prefill count is at most prompt_len times the one-token count at position
+    prompt_len, and each decode step's at most the count at the last position.
     """
     seq_len = req.prompt_len + req.output_len
     need = weight_memory_bytes(cfg) + kv_cache_bytes(cfg, seq_len)
@@ -503,7 +501,7 @@ def check_fits(cfg: LlmConfig, req: Request, dev: DeviceSpec,
             f"{cfg.name} at {seq_len} tokens needs {need} bytes of weights and K/V "
             f"cache, more than the {dev.dram_capacity:.0f} bytes of DRAM on {dev.name}"
         )
-    flops0, moved0, dflops, dmoved = layer_line or _decode_lines(cfg)[1]
+    flops0, moved0, dflops, dmoved = _decode_lines(cfg)[1]
     p, o, last = req.prompt_len, req.output_len, seq_len - 1
     flops = cfg.num_layers * (p * (flops0 + p * dflops) + o * (flops0 + last * dflops))
     moved = cfg.num_layers * (p * (moved0 + p * dmoved) + o * (moved0 + last * dmoved))
@@ -605,8 +603,8 @@ def kernel_costs(
     Decode covers KV positions prompt_len .. prompt_len + output_len - 1.
     Raises UserInputError when `check_fits` refuses the request.
     """
-    lines, layer_line = _decode_lines(cfg)
-    check_fits(cfg, req, dev, layer_line)
+    check_fits(cfg, req, dev)
+    lines = _decode_lines(cfg)[0]
     pricer = _Pricer(dev, cfg.num_layers)
     lo, hi = req.prompt_len, req.prompt_len + req.output_len - 1
     prefill = layer_rows(cfg, req, "prefill")

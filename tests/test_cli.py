@@ -1525,6 +1525,25 @@ def test_eval_baseline_epochs_without_compare_baselines_exits_2(capsys, workdir)
     assert err == "error: --baseline-epochs applies only with --compare-baselines\n"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--epochs", "0"), ("--batch-size", "0"), ("--epochs", "-3"), ("--baseline-epochs", "0"),
+])
+def test_training_size_below_1_exits_2_naming_the_flag(capsys, tmp_path, workdir, flag, value):
+    """Each training size is refused by its flag before any file is written."""
+    out_files = {"--out": tmp_path / "metrics.json"}
+    if flag == "--baseline-epochs":
+        argv = ["eval", "--params", workdir / "params.json", "--compare-baselines"]
+    else:
+        out_files.update({"--params-out": tmp_path / "params.json",
+                          "--history-out": tmp_path / "history.jsonl"})
+        argv = ["train"]
+    argv += ["--dataset", workdir / "tiny.jsonl", flag, value]
+    code, out, err = run(capsys, *argv, *(a for pair in out_files.items() for a in pair))
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {flag} {value} must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_and_eval_featurize_each_graph_once(capsys, tmp_path, workdir, monkeypatch):
     from co2meter.predictor import training
 

@@ -93,9 +93,9 @@ def test_the_boundary_is_scanned():
     assert _scan(PACKAGE / "errors.py")[1]
 
 
-# The predictor's internals take one `training.sample_table`; a sample set is
+# The predictor's internals take one `training.sample_table`; a sample list is
 # told from its table only where it is turned into one.
-TABLE_TESTS = {("predictor/training.py", "_as_table"), ("predictor/training.py", "_split_tables")}
+TABLE_TESTS = {("predictor/training.py", "_as_table")}
 
 
 def _dict_tests(path: Path) -> set:
@@ -105,7 +105,7 @@ def _dict_tests(path: Path) -> set:
             if "dict" in _isinstance_kinds(call)}
 
 
-def test_samples_or_table_is_decided_in_two_places():
+def test_samples_or_table_is_decided_in_one_place():
     found = set().union(*(_dict_tests(p) for p in SOURCES if _module(p).startswith("predictor/")))
     assert found == TABLE_TESTS
 

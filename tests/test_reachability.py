@@ -10,6 +10,11 @@ scans.  An import inside `src/` names nothing, so a re-export is no use.
 Dunder definitions are reached by Python itself.  The check is by name, like
 `test_bench_imports`: it reads sources with `ast` and runs none of them.
 
+Every defaulted parameter of a `src/co2meter` function is set, by keyword or
+by position, by some call in the package or the same root files: a default
+no caller changes is a constant.  Calls match by name too, `Cls(...)` sets
+`__init__` and a class statement's keywords `__init_subclass__`.
+
 The same scan keeps each module's private names its own: no `src/co2meter`
 module imports a `_`-prefixed name from another module of the package.  And
 it keeps the name-or-path rule in `assets`: no other module defines
@@ -131,6 +136,122 @@ def test_reachability_on_a_small_package(tmp_path):
         "src/pkg/lib.py:16: pkg.lib.only_tests",
         "src/pkg/lib.py:20: pkg.lib.dead_end",
         "src/pkg/lib.py:22: pkg.lib.B",
+    ]
+
+
+class _CallShape(NamedTuple):
+    positional: int  # arguments before any `*args`
+    keywords: frozenset[str]
+    unpacks: bool  # a `*args` or `**kwargs`, which may set anything
+
+
+def _call_shapes(trees, classes: set[str]) -> dict[str, list[_CallShape]]:
+    """The shape of each call in the trees, by the name it calls; a call of a
+    class is one of its `__init__`, a class statement's keywords one of
+    `__init_subclass__`."""
+    shapes = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                name, args, keywords = "__init_subclass__", [], node.keywords
+            elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                name = "__init__" if name in classes else name
+                args, keywords = node.args, node.keywords
+            else:
+                continue
+            plain = [a for a in args if not isinstance(a, ast.Starred)]
+            shapes.setdefault(name, []).append(_CallShape(
+                len(plain), frozenset(k.arg for k in keywords if k.arg),
+                len(plain) < len(args) or any(k.arg is None for k in keywords)))
+    return shapes
+
+
+def _defaulted(function: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, position a call gives it, or None when it is keyword-only) of
+    each defaulted parameter; a bound method's calls do not pass `self`."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    return [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first] + [
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None]
+
+
+def _sets(call: _CallShape, name: str, position: int | None) -> bool:
+    return (call.unpacks or name in call.keywords
+            or (position is not None and call.positional > position))
+
+
+def idle_parameters(package: Path, root_files) -> list[str]:
+    """`path:line: label(name=...)` of each defaulted parameter of a function
+    under package that no call in the package or a root file sets."""
+    paths = sorted(package.rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    roots = [ast.parse(path.read_text(), filename=str(path)) for path in root_files]
+    shapes = _call_shapes([*trees.values(), *roots], classes)
+    found = []
+
+    def visit(body, label: str, in_class: bool, where: str) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{label}.{node.name}", True, where)
+            elif isinstance(node, _FUNCTIONS):
+                bound = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                found.extend(
+                    f"{where}:{node.lineno}: {label}.{node.name}({name}=...)"
+                    for name, position in _defaulted(node, bound)
+                    if not any(_sets(call, name, position) for call in shapes.get(node.name, [])))
+                visit(node.body, f"{label}.{node.name}", False, where)
+
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
+        visit(tree.body, module, False, str(path.relative_to(package.parents[1])))
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    found = idle_parameters(ROOT / "src" / "co2meter",
+                            [ROOT / "tests" / "test_acceptance.py", *SOURCES])
+    assert not found, "no call sets:\n" + "\n".join(found)
+
+
+def test_idle_parameters_on_a_small_package(tmp_path):
+    """A default counts as set by keyword, by position (past a bound
+    method's self), or by any `*args` / `**kwargs` call of its name, in the
+    package or a root; a class call sets `__init__`, a class statement's
+    keywords `__init_subclass__`; a call in an unscanned file sets nothing."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "lib.py").write_text(
+        "def by_keyword(a, b=1, *, c=2, d=3):\n    pass\n"
+        "def by_position(a, b=1, c=2):\n    pass\n"
+        "def by_unpacking(a=1, *, b=2):\n    pass\n"
+        "def only_elsewhere(a=1):\n    pass\n"
+        "class Base:\n"
+        "    def __init__(self, size=1, label=''):\n        pass\n"
+        "    def __init_subclass__(cls, frozen=True, slots=False):\n        pass\n"
+        "    def method(self, a, b=1):\n        pass\n"
+        "    @staticmethod\n    def helper(a=1):\n        pass\n"
+        "class Frozen(Base, frozen=False):\n    pass\n"
+        "def use():\n"
+        "    by_keyword(0, c=5)\n    by_position(0, 1)\n"
+        "    Base(2).method(0, 1)\n    Base.helper()\n")
+    gate = tmp_path / "gate.py"
+    gate.write_text("import pkg\nargs = ()\npkg.lib.by_unpacking(*args)\n")
+    (tmp_path / "elsewhere.py").write_text("import pkg\npkg.lib.only_elsewhere(2)\n")
+    assert idle_parameters(package, [gate]) == [
+        "src/pkg/lib.py:1: pkg.lib.by_keyword(b=...)",
+        "src/pkg/lib.py:1: pkg.lib.by_keyword(d=...)",
+        "src/pkg/lib.py:3: pkg.lib.by_position(c=...)",
+        "src/pkg/lib.py:7: pkg.lib.only_elsewhere(a=...)",
+        "src/pkg/lib.py:10: pkg.lib.Base.__init__(label=...)",
+        "src/pkg/lib.py:12: pkg.lib.Base.__init_subclass__(slots=...)",
+        "src/pkg/lib.py:17: pkg.lib.Base.helper(a=...)",
     ]
 
 
