@@ -31,6 +31,7 @@ lines, which held the features instead, get a hint to re-run `co2meter dataset`.
 from __future__ import annotations
 
 import json
+import math
 import os
 from itertools import chain
 from pathlib import Path
@@ -123,8 +124,9 @@ def node_feature_tensor(graphs: Sequence[LayerGraph]) -> np.ndarray:
     The intensity equals `workload.kernel_intensity` of a row's flops and moved
     bytes bit for bit while counts stay below 2**53, as float64 then holds
     them exactly."""
+    shape = (len(graphs), len(LAYER_KINDS), len(ROW_FIELDS))
     cells = chain.from_iterable(chain.from_iterable(graph.rows for graph in graphs))
-    rows = np.fromiter(cells, dtype=float).reshape(len(graphs), len(LAYER_KINDS), len(ROW_FIELDS))
+    rows = np.fromiter(cells, dtype=float, count=math.prod(shape)).reshape(shape)
     moved = rows[..., 1:6].sum(axis=2)
     intensity = np.divide(rows[..., 0], moved, out=np.zeros_like(moved), where=moved > 0)
     one_hot = np.broadcast_to(_KIND_ONE_HOT, (len(graphs), *_KIND_ONE_HOT.shape))

@@ -25,10 +25,33 @@ import ast
 from pathlib import Path
 from typing import NamedTuple
 
+import pytest
 from test_bench_imports import SOURCES
 
 ROOT = Path(__file__).resolve().parents[1]
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+class Scan(NamedTuple):
+    """A package's modules and the root files, each parsed once."""
+    package: Path
+    modules: dict[Path, ast.Module]
+    roots: list[ast.Module]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def scan(package: Path, root_files) -> Scan:
+    return Scan(package, {path: _parse(path) for path in sorted(package.rglob("*.py"))},
+                [_parse(path) for path in root_files])
+
+
+@pytest.fixture(scope="module")
+def library() -> Scan:
+    """`src/co2meter`, with the acceptance gate and the harness sources as roots."""
+    return scan(ROOT / "src" / "co2meter", [ROOT / "tests" / "test_acceptance.py", *SOURCES])
 
 
 class Definition(NamedTuple):
@@ -55,11 +78,11 @@ def _names(nodes) -> set[str]:
     return found
 
 
-def _definitions(path: Path, package: Path) -> list[Definition]:
+def _definitions(path: Path, tree: ast.Module, package: Path) -> list[Definition]:
     module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
     where = lambda node: f"{path.relative_to(package.parents[1])}:{node.lineno}"  # noqa: E731
     defs = []
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
+    for node in tree.body:
         if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
             body = [node]
             if isinstance(node, ast.ClassDef):  # a method is a definition of its own
@@ -78,14 +101,15 @@ def _definitions(path: Path, package: Path) -> list[Definition]:
     return defs
 
 
-def unreached(package: Path, root_files) -> list[str]:
-    """`path:line: label` of each definition under package that neither
+def unreached(scanned: Scan) -> list[str]:
+    """`path:line: label` of each definition of the package that neither
     `cli.main`, a `cli._cmd_*` function nor a root file reaches."""
-    defs = [d for path in sorted(package.rglob("*.py")) for d in _definitions(path, package)]
-    cli = f"{package.name}.cli."
+    defs = [d for path, tree in scanned.modules.items()
+            for d in _definitions(path, tree, scanned.package)]
+    cli = f"{scanned.package.name}.cli."
     roots = [d for d in defs if _is_dunder(d.name)
              or d.label == cli + "main" or d.label.startswith(cli + "_cmd_")]
-    named = _names(ast.parse(path.read_text(), filename=str(path)) for path in root_files)
+    named = _names(scanned.roots)
     reached, todo = set(), roots
     while todo:
         for d in todo:
@@ -95,8 +119,8 @@ def unreached(package: Path, root_files) -> list[str]:
     return [f"{d.where}: {d.label}" for d in defs if d.label not in reached]
 
 
-def test_every_library_definition_is_reached():
-    found = unreached(ROOT / "src" / "co2meter", [ROOT / "tests" / "test_acceptance.py", *SOURCES])
+def test_every_library_definition_is_reached(library):
+    found = unreached(library)
     assert not found, "no root reaches:\n" + "\n".join(found)
 
 
@@ -129,7 +153,7 @@ def test_reachability_on_a_small_package(tmp_path):
         "A, B = 1, 2\n")
     gate = tmp_path / "gate.py"
     gate.write_text("import pkg\npkg.lib.gate_only()\nprint(pkg.lib.A)\n")
-    assert unreached(package, [gate]) == [
+    assert unreached(scan(package, [gate])) == [
         "src/pkg/cli.py:8: pkg.cli.unused_cli",
         "src/pkg/lib.py:10: pkg.lib.Box.unnamed",
         "src/pkg/lib.py:14: pkg.lib.reexported",
@@ -183,15 +207,13 @@ def _sets(call: _CallShape, name: str, position: int | None) -> bool:
             or (position is not None and call.positional > position))
 
 
-def idle_parameters(package: Path, root_files) -> list[str]:
+def idle_parameters(scanned: Scan) -> list[str]:
     """`path:line: label(name=...)` of each defaulted parameter of a function
-    under package that no call in the package or a root file sets."""
-    paths = sorted(package.rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    of the package that no call in the package or a root file sets."""
+    package, trees = scanned.package, scanned.modules
     classes = {node.name for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
-    roots = [ast.parse(path.read_text(), filename=str(path)) for path in root_files]
-    shapes = _call_shapes([*trees.values(), *roots], classes)
+    shapes = _call_shapes([*trees.values(), *scanned.roots], classes)
     found = []
 
     def visit(body, label: str, in_class: bool, where: str) -> None:
@@ -214,9 +236,8 @@ def idle_parameters(package: Path, root_files) -> list[str]:
     return found
 
 
-def test_every_defaulted_parameter_is_set_by_some_call():
-    found = idle_parameters(ROOT / "src" / "co2meter",
-                            [ROOT / "tests" / "test_acceptance.py", *SOURCES])
+def test_every_defaulted_parameter_is_set_by_some_call(library):
+    found = idle_parameters(library)
     assert not found, "no call sets:\n" + "\n".join(found)
 
 
@@ -244,7 +265,7 @@ def test_idle_parameters_on_a_small_package(tmp_path):
     gate = tmp_path / "gate.py"
     gate.write_text("import pkg\nargs = ()\npkg.lib.by_unpacking(*args)\n")
     (tmp_path / "elsewhere.py").write_text("import pkg\npkg.lib.only_elsewhere(2)\n")
-    assert idle_parameters(package, [gate]) == [
+    assert idle_parameters(scan(package, [gate])) == [
         "src/pkg/lib.py:1: pkg.lib.by_keyword(b=...)",
         "src/pkg/lib.py:1: pkg.lib.by_keyword(d=...)",
         "src/pkg/lib.py:3: pkg.lib.by_position(c=...)",
